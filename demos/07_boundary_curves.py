@@ -10,17 +10,16 @@ available from the command line:
 import os
 
 from logcoef import f_lambda
-from logcoef.cli import curve_svg, render_curve
+from logcoef.cli import curve_points, curve_svg
 
 OUT_DIR = "boundary_curves"
 os.makedirs(OUT_DIR, exist_ok=True)
 
 for lam in (0.25, 0.5, 0.75, 1.0):
-    curve = render_curve(f_lambda(lam), r=0.999, m=2048)
+    pts = curve_points(f_lambda(lam), r=0.999, m=2048)
     path = os.path.join(OUT_DIR, f"f_lambda_{lam}.svg")
     with open(path, "w") as fh:
-        fh.write(curve_svg(curve.points))
-    pts = curve.points
+        fh.write(curve_svg(pts))
     print(
         f"lambda={lam}: wrote {path}  "
         f"(re range [{pts.real.min():9.2f}, {pts.real.max():9.2f}], "

@@ -72,7 +72,6 @@ from .verify import (
     run_suite,
     sharpness_terms,
     starlike_order,
-    suite_report,
     ulambda_l2_bound,
 )
 

@@ -10,6 +10,9 @@ two Schwarz-function parametrizations used by the conjecture search.
 
 Specs are immutable values.  A small text DSL ("name(key=value, ...)")
 parses to and renders from specs; it is the input format of the CLI.
+Everything known about one kind (its DSL keys, rational parts, series,
+closed-form logarithmic coefficients and 1/n bound) lives in its single
+``KIND_REGISTRY`` entry.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .series import (
     TruncatedSeries,
@@ -34,20 +37,6 @@ from .series import (
 )
 
 NORMALIZATION_TOL = 1e-12
-
-KINDS = (
-    "koebe",
-    "g_lambda",
-    "f_lambda",
-    "f0",
-    "f1",
-    "g_family",
-    "k_alpha",
-    "half_plane",
-    "rational",
-    "schwarz_superset",
-    "exact_u",
-)
 
 # Below this distance from alpha = 1/2 the logarithmic branch of K_alpha
 # and G_alpha is used (the generic closed form has a removable singularity).
@@ -78,7 +67,7 @@ class FunctionSpec:
     psi: tuple[complex, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in KIND_REGISTRY:
             raise SpecError(f"unknown function kind {self.kind!r}")
         if self.lam is not None and not (0.0 < self.lam <= 1.0):
             raise SpecError(f"lambda = {self.lam} out of range (0, 1]")
@@ -138,28 +127,23 @@ def half_plane() -> FunctionSpec:
     return FunctionSpec(kind="half_plane")
 
 
+def _complex_tuple(values) -> tuple[complex, ...]:
+    return tuple(complex(c) for c in values)
+
+
 def rational(num, den) -> FunctionSpec:
-    return FunctionSpec(
-        kind="rational",
-        num=tuple(complex(c) for c in num),
-        den=tuple(complex(c) for c in den),
-    )
+    return FunctionSpec(kind="rational", num=_complex_tuple(num), den=_complex_tuple(den))
 
 
 def schwarz_superset(lam: float, omega) -> FunctionSpec:
     return FunctionSpec(
-        kind="schwarz_superset",
-        lam=float(lam),
-        omega=tuple(complex(c) for c in omega),
+        kind="schwarz_superset", lam=float(lam), omega=_complex_tuple(omega)
     )
 
 
 def exact_u(lam: float, a2: complex, psi) -> FunctionSpec:
     return FunctionSpec(
-        kind="exact_u",
-        lam=float(lam),
-        a2=complex(a2),
-        psi=tuple(complex(c) for c in psi),
+        kind="exact_u", lam=float(lam), a2=complex(a2), psi=_complex_tuple(psi)
     )
 
 
@@ -168,30 +152,6 @@ def exact_u(lam: float, a2: complex, psi) -> FunctionSpec:
 
 _NUM_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-
-_SPEC_PARAMS = {
-    "koebe": {"theta"},
-    "g_lambda": {"lambda"},
-    "f_lambda": {"lambda"},
-    "f0": set(),
-    "f1": set(),
-    "g_family": {"n"},
-    "k_alpha": {"alpha"},
-    "half_plane": set(),
-    "rational": {"num", "den"},
-    "schwarz_superset": {"lambda", "omega"},
-    "exact_u": {"lambda", "a2", "psi"},
-}
-_REQUIRED = {
-    "g_lambda": {"lambda"},
-    "f_lambda": {"lambda"},
-    "g_family": {"n"},
-    "k_alpha": {"alpha"},
-    "rational": {"num", "den"},
-    "schwarz_superset": {"lambda", "omega"},
-    "exact_u": {"lambda", "a2", "psi"},
-}
-_LIST_KEYS = {"num", "den", "omega", "psi"}
 
 
 class _Scanner:
@@ -244,85 +204,30 @@ class _Scanner:
             self.pos = save
         return complex(first, 0.0)
 
-    def value(self, key: str):
-        self.skip_ws()
-        if key in _LIST_KEYS:
-            self.expect("[")
-            items = []
-            if self.peek() != "]":
-                while True:
-                    items.append(self.complex_value())
-                    if self.peek() == ",":
-                        self.expect(",")
-                    else:
-                        break
-            self.expect("]")
-            return tuple(items)
-        if key == "n":
-            v = self.number()
-            if v != int(v):
-                raise ParseError("n must be an integer", self.pos)
-            return int(v)
-        if key == "a2":
-            return self.complex_value()
+    def real(self, key: str) -> float:
         v = self.complex_value()
         if v.imag != 0.0:
             raise ParseError(f"{key} must be real", self.pos)
         return v.real
 
+    def integer(self, key: str) -> int:
+        v = self.number()
+        if v != int(v):
+            raise ParseError(f"{key} must be an integer", self.pos)
+        return int(v)
 
-def parse_spec(text: str) -> FunctionSpec:
-    """Parse `name(key=value, ...)` into a validated spec."""
-    sc = _Scanner(text)
-    name_pos = sc.pos
-    name = sc.ident()
-    if name not in _SPEC_PARAMS:
-        raise ParseError(f"unknown function name {name!r}", name_pos)
-    sc.expect("(")
-    args = {}
-    if sc.peek() != ")":
-        while True:
-            key_pos = sc.pos
-            key = sc.ident()
-            if key not in _SPEC_PARAMS[name]:
-                raise ParseError(f"unknown parameter {key!r} for {name}", key_pos)
-            if key in args:
-                raise ParseError(f"duplicate parameter {key!r}", key_pos)
-            sc.expect("=")
-            args[key] = sc.value(key)
-            if sc.peek() == ",":
-                sc.expect(",")
-            else:
-                break
-    sc.expect(")")
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise ParseError("trailing input after spec", sc.pos)
-    missing = _REQUIRED.get(name, set()) - set(args)
-    if missing:
-        raise ParseError(f"missing parameter(s) {sorted(missing)} for {name}", sc.pos)
-
-    if name == "koebe":
-        return koebe(args.get("theta", 0.0))
-    if name == "g_lambda":
-        return g_lambda(args["lambda"])
-    if name == "f_lambda":
-        return f_lambda(args["lambda"])
-    if name == "f0":
-        return f0()
-    if name == "f1":
-        return f1()
-    if name == "g_family":
-        return g_family(args["n"])
-    if name == "k_alpha":
-        return k_alpha(args["alpha"])
-    if name == "half_plane":
-        return half_plane()
-    if name == "rational":
-        return rational(args["num"], args["den"])
-    if name == "schwarz_superset":
-        return schwarz_superset(args["lambda"], args["omega"])
-    return exact_u(args["lambda"], args["a2"], args["psi"])
+    def complex_list(self, key: str) -> tuple[complex, ...]:
+        self.expect("[")
+        items = []
+        if self.peek() != "]":
+            while True:
+                items.append(self.complex_value())
+                if self.peek() == ",":
+                    self.expect(",")
+                else:
+                    break
+        self.expect("]")
+        return tuple(items)
 
 
 def _fmt_complex(c: complex) -> str:
@@ -338,33 +243,64 @@ def _fmt_list(values) -> str:
     return "[" + ",".join(_fmt_complex(v) for v in values) + "]"
 
 
+# DSL key -> (FunctionSpec field, scanner rule that parses it, formatter).
+_REAL = (_Scanner.real, repr)
+_LIST = (_Scanner.complex_list, _fmt_list)
+_DSL_KEYS = {
+    "theta": ("theta", *_REAL),
+    "lambda": ("lam", *_REAL),
+    "alpha": ("alpha", *_REAL),
+    "n": ("n", _Scanner.integer, repr),
+    "a2": ("a2", lambda sc, key: sc.complex_value(), _fmt_complex),
+    **{key: (key, *_LIST) for key in ("num", "den", "omega", "psi")},
+}
+
+
+def parse_spec(text: str) -> FunctionSpec:
+    """Parse `name(key=value, ...)` into a validated spec."""
+    sc = _Scanner(text)
+    name_pos = sc.pos
+    name = sc.ident()
+    entry = KIND_REGISTRY.get(name)
+    if entry is None:
+        raise ParseError(f"unknown function name {name!r}", name_pos)
+    sc.expect("(")
+    args = {}
+    if sc.peek() != ")":
+        while True:
+            key_pos = sc.pos
+            key = sc.ident()
+            if key not in entry.keys:
+                raise ParseError(f"unknown parameter {key!r} for {name}", key_pos)
+            if key in args:
+                raise ParseError(f"duplicate parameter {key!r}", key_pos)
+            sc.expect("=")
+            args[key] = _DSL_KEYS[key][1](sc, key)
+            if sc.peek() == ",":
+                sc.expect(",")
+            else:
+                break
+    sc.expect(")")
+    sc.skip_ws()
+    if sc.pos != len(sc.text):
+        raise ParseError("trailing input after spec", sc.pos)
+    missing = set(entry.keys) - set(entry.optional) - set(args)
+    if missing:
+        raise ParseError(f"missing parameter(s) {sorted(missing)} for {name}", sc.pos)
+    return FunctionSpec(kind=name, **{_DSL_KEYS[k][0]: v for k, v in args.items()})
+
+
 def render(spec: FunctionSpec) -> str:
     """Canonical text form; parse_spec(render(s)) == s."""
-    k = spec.kind
-    if k == "koebe":
-        return f"koebe(theta={spec.theta!r})"
-    if k == "g_lambda":
-        return f"g_lambda(lambda={spec.lam!r})"
-    if k == "f_lambda":
-        return f"f_lambda(lambda={spec.lam!r})"
-    if k in ("f0", "f1", "half_plane"):
-        return f"{k}()"
-    if k == "g_family":
-        return f"g_family(n={spec.n})"
-    if k == "k_alpha":
-        return f"k_alpha(alpha={spec.alpha!r})"
-    if k == "rational":
-        return f"rational(num={_fmt_list(spec.num)}, den={_fmt_list(spec.den)})"
-    if k == "schwarz_superset":
-        return f"schwarz_superset(lambda={spec.lam!r}, omega={_fmt_list(spec.omega)})"
-    return (
-        f"exact_u(lambda={spec.lam!r}, a2={_fmt_complex(spec.a2)}, "
-        f"psi={_fmt_list(spec.psi)})"
-    )
+    args = []
+    for key in KIND_REGISTRY[spec.kind].keys:
+        field, _, fmt = _DSL_KEYS[key]
+        args.append(f"{key}={fmt(getattr(spec, field))}")
+    return f"{spec.kind}({', '.join(args)})"
 
 
 # ---------------------------------------------------------------------------
-# Rational representation f = z * A(z) / B(z).
+# Denominator polynomials of the two Schwarz-parametrized families.
 
 def exact_u_denominator(lam: float, a2: complex, psi) -> np.ndarray:
     """z/f = 1 - a2 z - lam * z * integral_0^z psi(t) dt as a polynomial."""
@@ -376,48 +312,23 @@ def exact_u_denominator(lam: float, a2: complex, psi) -> np.ndarray:
     return q
 
 
-def rational_parts(spec: FunctionSpec):
-    """Polynomials (A, B) with f = z A / B, or None if the spec is not
-    rational (k_alpha and g_family)."""
-    k = spec.kind
-    if k == "koebe":
-        w = cmath.exp(1j * spec.theta)
-        return np.array([1.0 + 0j]), np.array([1.0, -2 * w, w * w])
-    if k == "g_lambda":
-        lam = spec.lam
-        return np.array([1.0 + 0j]), np.array([1.0, -(1 + lam), lam], dtype=complex)
-    if k == "f_lambda":
-        lam = spec.lam
-        b = P.polymul(
-            P.polymul([1.0, -1.0], [1.0, -lam]), [1.0, lam / (1 + lam)]
-        ).astype(complex)
-        return np.array([1.0 + 0j]), b
-    if k == "f0":
-        return np.array([1.0, -0.5], dtype=complex), np.array([1.0 + 0j])
-    if k == "f1":
-        return np.array([1.0 + 0j]), np.array([1.0, -1.5, 0.0, 0.5], dtype=complex)
-    if k == "half_plane":
-        return np.array([1.0 + 0j]), np.array([1.0, -1.0], dtype=complex)
-    if k == "rational":
-        return (
-            np.asarray(spec.num[1:], dtype=np.complex128),
-            np.asarray(spec.den, dtype=np.complex128),
-        )
-    if k == "schwarz_superset":
-        lam = spec.lam
-        zw = np.concatenate(([0.0], spec.omega)).astype(np.complex128)
-        u = -zw
-        u[0] += 1.0  # 1 - z*omega
-        v = -lam * zw
-        v[0] += 1.0  # 1 - lam*z*omega
-        return np.array([1.0 + 0j]), P.polymul(u, v)
-    if k == "exact_u":
-        return np.array([1.0 + 0j]), exact_u_denominator(spec.lam, spec.a2, spec.psi)
-    return None
+def superset_denominator(lam: float, omega) -> np.ndarray:
+    """z/f = (1 - z w(z)) (1 - lam z w(z)) as a polynomial, w = omega."""
+    zw = np.concatenate(([0.0], np.asarray(omega, dtype=np.complex128)))
+    u = -zw
+    u[0] += 1.0
+    v = -lam * zw
+    v[0] += 1.0
+    return np.convolve(u, v)
 
 
 # ---------------------------------------------------------------------------
-# Series expansion.
+# Per-kind facts that do not fit on one line of the registry.
+
+def _over(b) -> tuple[np.ndarray, np.ndarray]:
+    """Parts (1, B) of f = z / B."""
+    return np.array([1.0 + 0j]), np.asarray(b, dtype=np.complex128)
+
 
 def _series_poly(coeffs, order: int) -> TruncatedSeries:
     out = np.zeros(order + 1, dtype=np.complex128)
@@ -426,54 +337,190 @@ def _series_poly(coeffs, order: int) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
+def _koebe_parts(spec):
+    w = cmath.exp(1j * spec.theta)
+    return _over([1.0, -2 * w, w * w])
+
+
+def _koebe_fz(spec, order):
+    w = cmath.exp(1j * spec.theta)
+    ns = np.arange(order + 1)
+    return TruncatedSeries((ns + 1) * w**ns)
+
+
+def _f_lambda_gamma(spec, n):
+    lam = spec.lam
+    # (lam/(1+lam))^n / n rather than lam^n / (n (1+lam)^n), which overflows
+    return complex(
+        0.5 * ((1.0 + lam**n) / n + (-1.0) ** n * (lam / (1.0 + lam)) ** n / n)
+    )
+
+
+def _superset_parts(spec):
+    omega = np.trim_zeros(np.asarray(spec.omega), "b")  # B has no trailing zeros
+    return _over(superset_denominator(spec.lam, omega))
+
+
+def _rational_fz(spec, order):
+    a, b = rational_parts(spec)
+    fz = _series_poly(a, order) * ts_reciprocal(_series_poly(b, order))
+    c0 = fz.coeffs[0]
+    if abs(c0 - 1.0) > NORMALIZATION_TOL:
+        raise SpecError(f"f/z constant term {c0} fails normalization")
+    return (1.0 / c0) * fz if c0 != 1.0 else fz
+
+
+def _g_family_fz(spec, order):
+    n = spec.n
+    base = np.zeros(order + 2, dtype=np.complex128)
+    base[0] = 1.0
+    if n <= order + 1:
+        base[n] = -1.0
+    fprime = ts_exp((1.0 / n) * ts_log(TruncatedSeries(base)))
+    return shift_down(ts_integrate(fprime))
+
+
+def _k_alpha_fz(spec, order):
+    alpha = spec.alpha
+    if abs(1.0 - 2.0 * alpha) < ALPHA_HALF_SWITCH:
+        # K/z = -log(1-z)/z
+        return TruncatedSeries(1.0 / (np.arange(order + 1) + 1.0))
+    ln = ts_log(_series_poly([1.0, -1.0], order + 1))
+    u = ts_exp((2.0 * alpha - 1.0) * ln).coeffs.copy()
+    u[0] = 0.0
+    fz = u[1:] / (1.0 - 2.0 * alpha)
+    fz.real[0] = 1.0  # K/z(0) = 1 exactly; complex x/x can give 0.9999999999999999
+    return TruncatedSeries(fz)
+
+
+def starlike_order(alpha: float) -> float:
+    """The order of starlikeness guaranteed for convex functions of order
+    alpha in [0, 1): (1-2a) / (2 (2^(1-2a) - 1)), with the removable point
+    at alpha = 1/2 equal to 1/(2 log 2)."""
+    x = 1.0 - 2.0 * alpha
+    if abs(x) < ALPHA_HALF_SWITCH:
+        return 1.0 / (2.0 * math.log(2.0))
+    return x / (2.0 * math.expm1(x * math.log(2.0)))
+
+
+# ---------------------------------------------------------------------------
+# The registry: one entry per function kind.
+
+@dataclass(frozen=True)
+class KindEntry:
+    """What the package knows about one function kind.
+
+    keys      DSL parameter keys, in render order
+    optional  the keys a DSL spec may omit; the others are required
+    parts     spec -> (A, B) with f = z A / B; None when f is not rational
+    series    (spec, order) -> Taylor series of f/z; None means 1/B
+    gamma     (spec, n) -> closed-form gamma_n or None; None when there is none
+    slope     spec -> c with |gamma_n| <= c/n; None when none is established
+    """
+
+    keys: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    parts: Callable | None = None
+    series: Callable | None = None
+    gamma: Callable | None = None
+    slope: Callable | None = None
+
+
+KIND_REGISTRY: dict[str, KindEntry] = {
+    "koebe": KindEntry(
+        keys=("theta",),
+        optional=("theta",),
+        parts=_koebe_parts,
+        series=_koebe_fz,
+        gamma=lambda s, n: cmath.exp(1j * n * s.theta) / n,
+        slope=lambda s: 1.0,
+    ),
+    "g_lambda": KindEntry(
+        keys=("lambda",),
+        parts=lambda s: _over([1.0, -(1 + s.lam), s.lam]),
+        series=lambda s, order: TruncatedSeries(
+            np.cumsum(s.lam ** np.arange(order + 1)).astype(np.complex128)
+        ),
+        gamma=lambda s, n: complex((1.0 + s.lam**n) / (2.0 * n)),
+        slope=lambda s: (1.0 + s.lam) / 2.0,
+    ),
+    "f_lambda": KindEntry(
+        keys=("lambda",),
+        parts=lambda s: _over(
+            np.convolve([1.0, -(1 + s.lam), s.lam], [1.0, s.lam / (1 + s.lam)])
+        ),
+        gamma=_f_lambda_gamma,
+        slope=lambda s: (1.0 + s.lam) / 2.0 + s.lam / (2.0 * (1.0 + s.lam)),
+    ),
+    "f0": KindEntry(
+        parts=lambda s: (np.array([1.0, -0.5], dtype=complex), np.array([1.0 + 0j])),
+        series=lambda s, order: _series_poly([1.0, -0.5], order),
+        gamma=lambda s, n: complex(-(0.5 ** (n + 1)) / n),
+        slope=lambda s: 0.25,
+    ),
+    "f1": KindEntry(
+        parts=lambda s: _over([1.0, -1.5, 0.0, 0.5]),
+        gamma=lambda s, n: complex(1.0 / n + (-1.0) ** n * 0.5 ** (n + 1) / n),
+        slope=lambda s: 1.25,
+    ),
+    "g_family": KindEntry(
+        keys=("n",),
+        series=_g_family_fz,
+        # only the leading index of f_n has a simple closed form
+        gamma=lambda s, n: complex(-1.0 / (2.0 * n * (n + 1))) if n == s.n else None,
+        slope=lambda s: 0.25,
+    ),
+    "k_alpha": KindEntry(
+        keys=("alpha",),
+        series=_k_alpha_fz,
+        slope=lambda s: 1.0 - starlike_order(s.alpha),
+    ),
+    "half_plane": KindEntry(
+        parts=lambda s: _over([1.0, -1.0]),
+        series=lambda s, order: TruncatedSeries(np.ones(order + 1, dtype=np.complex128)),
+        gamma=lambda s, n: complex(1.0 / (2.0 * n)),
+        slope=lambda s: 0.5,
+    ),
+    "rational": KindEntry(
+        keys=("num", "den"),
+        parts=lambda s: (
+            np.asarray(s.num[1:], dtype=np.complex128),
+            np.asarray(s.den, dtype=np.complex128),
+        ),
+        series=_rational_fz,
+    ),
+    "schwarz_superset": KindEntry(
+        keys=("lambda", "omega"),
+        parts=_superset_parts,
+    ),
+    "exact_u": KindEntry(
+        keys=("lambda", "a2", "psi"),
+        parts=lambda s: _over(exact_u_denominator(s.lam, s.a2, s.psi)),
+    ),
+}
+KINDS = tuple(KIND_REGISTRY)
+
+
+# ---------------------------------------------------------------------------
+# Registry lookups.
+
+def rational_parts(spec: FunctionSpec):
+    """Polynomials (A, B) with f = z A / B, or None if the spec is not
+    rational (k_alpha and g_family)."""
+    parts = KIND_REGISTRY[spec.kind].parts
+    return None if parts is None else parts(spec)
+
+
 @lru_cache(maxsize=512)
 def fz_series(spec: FunctionSpec, order: int) -> TruncatedSeries:
     """Taylor series of f/z to the given order (constant term 1)."""
     if order < 0:
         raise SpecError("order must be nonnegative")
-    k = spec.kind
-    ns = np.arange(order + 1)
-    if k == "koebe":
-        w = cmath.exp(1j * spec.theta)
-        return TruncatedSeries((ns + 1) * w**ns)
-    if k == "g_lambda":
-        return TruncatedSeries(np.cumsum(spec.lam**ns).astype(np.complex128))
-    if k == "half_plane":
-        return TruncatedSeries(np.ones(order + 1, dtype=np.complex128))
-    if k == "f0":
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[0] = 1.0
-        if order >= 1:
-            c[1] = -0.5
-        return TruncatedSeries(c)
-    if k in ("f_lambda", "f1", "schwarz_superset", "exact_u"):
-        _, b = rational_parts(spec)
-        return ts_reciprocal(_series_poly(b, order))
-    if k == "rational":
-        a, b = rational_parts(spec)
-        fz = _series_poly(a, order) * ts_reciprocal(_series_poly(b, order))
-        c0 = fz.coeffs[0]
-        if abs(c0 - 1.0) > NORMALIZATION_TOL:
-            raise SpecError(f"f/z constant term {c0} fails normalization")
-        return (1.0 / c0) * fz if c0 != 1.0 else fz
-    if k == "g_family":
-        n = spec.n
-        base = np.zeros(order + 2, dtype=np.complex128)
-        base[0] = 1.0
-        if n <= order + 1:
-            base[n] = -1.0
-        fprime = ts_exp((1.0 / n) * ts_log(TruncatedSeries(base)))
-        return shift_down(ts_integrate(fprime))
-    if k == "k_alpha":
-        alpha = spec.alpha
-        if abs(1.0 - 2.0 * alpha) < ALPHA_HALF_SWITCH:
-            # K/z = -log(1-z)/z
-            return TruncatedSeries(1.0 / (ns + 1.0))
-        ln = ts_log(_series_poly([1.0, -1.0], order + 1))
-        u = ts_exp((2.0 * alpha - 1.0) * ln).coeffs.copy()
-        u[0] = 0.0
-        return TruncatedSeries(u[1:] / (1.0 - 2.0 * alpha))
-    raise SpecError(f"unknown kind {k!r}")
+    series = KIND_REGISTRY[spec.kind].series
+    if series is not None:
+        return series(spec, order)
+    _, b = rational_parts(spec)
+    return ts_reciprocal(_series_poly(b, order))
 
 
 def taylor_of(spec: FunctionSpec, order: int) -> TruncatedSeries:
@@ -519,9 +566,6 @@ def eval_at(spec: FunctionSpec, z: complex) -> complex:
     return val
 
 
-# ---------------------------------------------------------------------------
-# Closed-form logarithmic coefficients.
-
 def gamma_closed_form(spec: FunctionSpec, n: int):
     """The known closed form for gamma_n, or None when unavailable.
 
@@ -530,22 +574,11 @@ def gamma_closed_form(spec: FunctionSpec, n: int):
     """
     if n < 1:
         raise SpecError("index n must be >= 1")
-    k = spec.kind
-    if k == "koebe":
-        return cmath.exp(1j * n * spec.theta) / n
-    if k == "g_lambda":
-        return complex((1.0 + spec.lam**n) / (2.0 * n))
-    if k == "f_lambda":
-        lam = spec.lam
-        return complex(
-            0.5 * ((1.0 + lam**n) / n + (-1.0) ** n * lam**n / (n * (1.0 + lam) ** n))
-        )
-    if k == "f0":
-        return complex(-1.0 / (n * 2.0 ** (n + 1)))
-    if k == "f1":
-        return complex(1.0 / n + (-1.0) ** n / (n * 2.0 ** (n + 1)))
-    if k == "half_plane":
-        return complex(1.0 / (2.0 * n))
-    if k == "g_family" and n == spec.n:
-        return complex(-1.0 / (2.0 * n * (n + 1)))
-    return None
+    gamma = KIND_REGISTRY[spec.kind].gamma
+    return None if gamma is None else gamma(spec, n)
+
+
+def gamma_linf_slope(spec: FunctionSpec) -> float | None:
+    """A constant c with |gamma_n| <= c/n, where one is established."""
+    slope = KIND_REGISTRY[spec.kind].slope
+    return None if slope is None else slope(spec)

@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,41 +56,27 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # Boundary-curve rendering.
 
-@dataclass(frozen=True)
-class RenderCurve:
-    """Samples of f(r e^{i theta}) at m equally spaced angles.
+def curve_points(spec, r: float, m: int) -> np.ndarray:
+    """Samples of f(r e^{i theta}) at m >= 16 equally spaced angles.
 
-    The sample count is fixed at construction, every point is finite, and
-    the curve closes: the theta = 0 and theta = 2 pi evaluations coincide
-    to 1e-12 (the final segment back to the first point is implicit)."""
-
-    spec: atlas.FunctionSpec
-    r: float
-    points: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.points)):
-            raise ValueError("non-finite curve point")
-        start = atlas.eval_at(self.spec, self.r * np.exp(0j))
-        wrap = atlas.eval_at(self.spec, self.r * np.exp(2j * math.pi))
-        # relative tolerance: near a boundary pole the function magnifies
-        # the epsilon-sized angle wrap by its (huge) derivative
-        if abs(start - wrap) > 1e-12 * max(1.0, abs(start)):
-            raise ValueError(f"curve fails to close: gap {abs(start - wrap):.3e}")
-
-
-def render_curve(spec, r: float, m: int) -> RenderCurve:
+    Every point is finite, and the curve closes: the theta = 0 and
+    theta = 2 pi evaluations coincide to 1e-12 (the final segment back to
+    the first point is implicit)."""
     if not (0.0 < r < 1.0):
         raise ValueError("radius must lie strictly inside (0, 1)")
     if m < 16:
         raise ValueError("need at least 16 curve samples")
     theta = 2.0 * math.pi * np.arange(m) / m
     points = np.array([atlas.eval_at(spec, r * np.exp(1j * t)) for t in theta])
-    return RenderCurve(spec=spec, r=r, points=points)
-
-
-def curve_points(spec, r: float, m: int) -> np.ndarray:
-    return render_curve(spec, r, m).points
+    if not np.all(np.isfinite(points)):
+        raise ValueError("non-finite curve point")
+    start = atlas.eval_at(spec, r * np.exp(0j))
+    wrap = atlas.eval_at(spec, r * np.exp(2j * math.pi))
+    # relative tolerance: near a boundary pole the function magnifies
+    # the epsilon-sized angle wrap by its (huge) derivative
+    if abs(start - wrap) > 1e-12 * max(1.0, abs(start)):
+        raise ValueError(f"curve fails to close: gap {abs(start - wrap):.3e}")
+    return points
 
 
 def curve_csv(points: np.ndarray) -> str:

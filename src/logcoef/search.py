@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,6 +60,7 @@ _BLASCHKE_ZERO_RADIUS = 0.95
 _POLISH_SWEEPS = 3
 _POLISH_ITERS = 12  # golden-section evaluations per coordinate line
 _POLISH_STEPS = (0.25, 0.08, 0.02)
+_MATRIX_CACHE_SIZE = 16  # boundary matrices kept, keyed by (ncoeff, samples)
 
 
 class SearchError(ValueError):
@@ -85,25 +87,19 @@ class ExactUParams:
     nonvanishing_ok: bool = False
 
 
+@lru_cache(maxsize=_MATRIX_CACHE_SIZE)
 def _boundary_matrix(ncoeff: int, samples: int) -> np.ndarray:
+    """e^{i k theta_j} for k < ncoeff over `samples` equispaced angles."""
     theta = 2.0 * math.pi * np.arange(samples) / samples
-    return np.exp(1j * np.outer(theta, np.arange(ncoeff)))
-
-
-_MATRIX_CACHE: dict = {}
-
-
-def _cached_matrix(ncoeff: int, samples: int) -> np.ndarray:
-    key = (ncoeff, samples)
-    if key not in _MATRIX_CACHE:
-        _MATRIX_CACHE[key] = _boundary_matrix(ncoeff, samples)
-    return _MATRIX_CACHE[key]
+    matrix = np.exp(1j * np.outer(theta, np.arange(ncoeff)))
+    matrix.flags.writeable = False  # shared by every caller of the cache
+    return matrix
 
 
 def boundary_sup(coeffs, samples: int = VALIDATION_SAMPLES) -> float:
     """max |w| over `samples` equispaced boundary points."""
     c = np.asarray(coeffs, dtype=np.complex128)
-    return float(np.max(np.abs(_cached_matrix(c.size, samples) @ c)))
+    return float(np.max(np.abs(_boundary_matrix(c.size, samples) @ c)))
 
 
 def validate_schwarz(coeffs, samples: int = VALIDATION_SAMPLES) -> SchwarzParams:
@@ -191,7 +187,7 @@ def _certified_batch(rng, count: int) -> np.ndarray:
     for p in parts:
         batch[row : row + p.shape[0], : p.shape[1]] = p
         row += p.shape[0]
-    sup = certified_sup_bound(_cached_matrix(width, CERT_SAMPLES), batch)
+    sup = certified_sup_bound(_boundary_matrix(width, CERT_SAMPLES), batch)
     scale = np.where(sup > 1.0, sup, 1.0)
     return batch / scale[:, None]
 
@@ -212,16 +208,6 @@ def geometric_partial_sums(lam: float, count: int) -> np.ndarray:
     return np.cumsum(lam ** np.arange(count))
 
 
-def superset_denominator(lam: float, omega) -> np.ndarray:
-    """(1 - z w(z)) (1 - lambda z w(z)) as a polynomial."""
-    zw = np.concatenate(([0.0], np.asarray(omega, dtype=np.complex128)))
-    u = -zw
-    u[0] += 1.0
-    v = -lam * zw
-    v[0] += 1.0
-    return np.convolve(u, v)
-
-
 def _fz_from_denominator(q: np.ndarray, order: int) -> np.ndarray:
     qq = np.zeros(order + 1, dtype=np.complex128)
     m = min(order + 1, q.size)
@@ -237,7 +223,7 @@ def build_superset_function(
         raise SearchError("lambda must lie in (0, 1]")
     if not omega.validated:
         raise SearchError("omega has not passed Schwarz validation")
-    fz = _fz_from_denominator(superset_denominator(lam, omega.coeffs), order - 1)
+    fz = _fz_from_denominator(atlas.superset_denominator(lam, omega.coeffs), order - 1)
     out = np.zeros(order + 1, dtype=np.complex128)
     out[1:] = fz
     return TruncatedSeries(out)
@@ -446,7 +432,7 @@ def search_max_coeff(
     if family == "superset":
 
         def evaluate(coeffs, a2=None):
-            q = superset_denominator(lam, coeffs)
+            q = atlas.superset_denominator(lam, coeffs)
             return abs(_coeff_from_denominator(q, n))
 
         start_coeffs = np.array([1.0 + 0.0j])
@@ -508,7 +494,7 @@ def search_max_coeff(
             evals += 1
             c = xvec[: 2 * width].copy().view(np.complex128)
             sup = certified_sup_bound(
-                _cached_matrix(width, CERT_SAMPLES), c[None, :]
+                _boundary_matrix(width, CERT_SAMPLES), c[None, :]
             )[0]
             if sup > 1.0:
                 c = c / sup

@@ -83,28 +83,6 @@ def closed_form_profile(spec: FunctionSpec, order: int) -> LogCoeffProfile | Non
     return LogCoeffProfile(gammas=g, source="closed_form", spec=spec)
 
 
-def gamma_linf_slope(spec: FunctionSpec) -> float | None:
-    """A constant c with |gamma_n| <= c/n, where one is established."""
-    k = spec.kind
-    if k == "koebe":
-        return 1.0
-    if k == "g_lambda":
-        return (1.0 + spec.lam) / 2.0
-    if k == "f_lambda":
-        return (1.0 + spec.lam) / 2.0 + spec.lam / (2.0 * (1.0 + spec.lam))
-    if k == "f0":
-        return 0.25
-    if k == "f1":
-        return 1.25
-    if k == "half_plane":
-        return 0.5
-    if k == "g_family":
-        return 0.25
-    if k == "k_alpha":
-        return 1.0 - starlike_order(spec.alpha)
-    return None
-
-
 @dataclass(frozen=True)
 class L2Sum:
     value: float  # partial sum over n <= N
@@ -120,7 +98,7 @@ def gamma_l2(profile: LogCoeffProfile, weights: str = "unit") -> L2Sum:
     n = profile.gammas.size
     if weights == "unit":
         value = float(math.fsum(sq))
-        c = gamma_linf_slope(profile.spec)
+        c = atlas.gamma_linf_slope(profile.spec)
         tail = (c * c / n) if c is not None else None
     elif weights == "n_squared":
         value = float(math.fsum(sq * np.arange(1, n + 1) ** 2))
@@ -262,10 +240,7 @@ def starlike_order(alpha: float) -> float:
     alpha = 1/2 equal to 1/(2 log 2)."""
     if not (0.0 <= alpha < 1.0):
         raise VerifyError("alpha must lie in [0, 1)")
-    x = 1.0 - 2.0 * alpha
-    if abs(x) < atlas.ALPHA_HALF_SWITCH:
-        return 1.0 / (2.0 * math.log(2.0))
-    return x / (2.0 * math.expm1(x * math.log(2.0)))
+    return atlas.starlike_order(alpha)
 
 
 @dataclass(frozen=True)
@@ -657,11 +632,3 @@ def run_suite(
 
     return items
 
-
-def suite_report(checks: list[BoundCheck]) -> dict:
-    violated = [c for c in checks if c.status == "violated"]
-    return {
-        "total": len(checks),
-        "violated": len(violated),
-        "checks": [c.to_dict() for c in checks],
-    }

@@ -1,11 +1,13 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logcoef import atlas
 from logcoef.atlas import (
     ParseError,
     SpecError,
@@ -18,6 +20,7 @@ from logcoef.atlas import (
     g_family,
     g_lambda,
     gamma_closed_form,
+    gamma_linf_slope,
     half_plane,
     k_alpha,
     koebe,
@@ -56,6 +59,11 @@ CLOSED_FORM_SPECS = [
     f1(),
     half_plane(),
 ]
+
+
+def test_all_specs_cover_every_kind():
+    # a registry entry missing here would skip the round-trip tests
+    assert {s.kind for s in ALL_SPECS} == set(atlas.KINDS)
 
 
 class TestParse:
@@ -194,6 +202,23 @@ class TestGammaClosedForm:
         assert gamma_closed_form(k_alpha(0.3), 1) is None
         assert gamma_closed_form(rational([0, 1], [1, -1]), 1) is None
 
+    @pytest.mark.parametrize("n", [1024, 2048])
+    @pytest.mark.parametrize("spec", [f0(), f1(), f_lambda(1.0), f_lambda(0.5)], ids=render)
+    def test_large_n_finite_and_accurate(self, spec, n):
+        with mpmath.workdps(30):
+            m = mpmath.mpf(n)
+            if spec.kind == "f0":
+                exact = -1 / (m * 2 ** (m + 1))
+            elif spec.kind == "f1":
+                exact = 1 / m + (-1) ** n / (m * 2 ** (m + 1))
+            else:
+                lam = mpmath.mpf(spec.lam)
+                exact = ((1 + lam**m) / m + (-1) ** n * lam**m / (m * (1 + lam) ** m)) / 2
+            exact = complex(float(exact))
+        g = gamma_closed_form(spec, n)
+        assert math.isfinite(g.real) and math.isfinite(g.imag)
+        assert g == pytest.approx(exact, rel=1e-14, abs=1e-300)
+
     @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=render)
     def test_series_agreement_to_n100(self, spec):
         prof = log_coefficients(spec, 128)
@@ -236,3 +261,19 @@ class TestIdentifications:
             prof = log_coefficients(spec, 8)
             a2 = taylor_of(spec, 2).coeffs[2]
             assert abs(2.0 * prof.gammas[0] - a2) <= 1e-10
+
+
+class TestSlope:
+    @pytest.mark.parametrize(
+        "spec", [s for s in ALL_SPECS if gamma_linf_slope(s) is not None], ids=render
+    )
+    def test_n_gamma_n_bounded_by_slope(self, spec):
+        c = gamma_linf_slope(spec)
+        prof = log_coefficients(spec, 256)
+        ns = np.arange(1, 257)
+        assert np.max(ns * np.abs(prof.gammas)) <= c + 1e-9
+
+    def test_no_slope_for_parametrized_kinds(self):
+        for spec in ALL_SPECS:
+            if spec.kind in ("rational", "schwarz_superset", "exact_u"):
+                assert gamma_linf_slope(spec) is None

@@ -54,6 +54,12 @@ class TestValidation:
         with pytest.raises(SearchError, match="vanishes"):
             validate_exact_u(0.5, 1.5, [1.0])
 
+    def test_boundary_matrix_cache_is_bounded(self):
+        limit = S._boundary_matrix.cache_info().maxsize
+        for k in range(limit + 8):
+            validate_schwarz([0.5], samples=1024 + k)
+        assert S._boundary_matrix.cache_info().currsize <= limit
+
     def test_boundary_sup_values(self):
         assert boundary_sup([0.5]) == pytest.approx(0.5)
         assert boundary_sup([0.5, 0.5]) == pytest.approx(1.0, abs=1e-12)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from logcoef import atlas
+from logcoef.atlas import fz_series
+from logcoef.cli import main
 from logcoef.dilog import PI2_6, li2
 from logcoef.search import _certified_batch, _exact_u_filter, _trim
 from logcoef.verify import (
@@ -22,7 +24,6 @@ from logcoef.verify import (
     run_suite,
     sharpness_terms,
     starlike_order,
-    suite_report,
     ulambda_l2_bound,
 )
 
@@ -281,13 +282,21 @@ class TestSuite:
         assert len(bad) == 1
         assert "error" in bad[0].params
 
-    def test_json_schema(self):
-        checks = run_suite(lambda_grid=(0.5,), alpha_grid=(1.0,))
-        report = suite_report(checks)
-        text = json.dumps(report)
-        parsed = json.loads(text)
-        assert parsed["violated"] == 0
-        for row in parsed["checks"]:
+    def test_off_grid_alpha_has_no_violated_row(self):
+        # numpy's complex x/x can give 0.9999999999999999 for the k_alpha c0
+        for alpha in (0.37765, 0.022, 0.065):
+            checks = run_suite(lambda_grid=(0.5,), alpha_grid=(alpha,))
+            assert [c.to_dict() for c in checks if c.status == "violated"] == []
+            assert fz_series(atlas.k_alpha(alpha), 64).coeffs[0] == 1.0
+
+    def test_json_schema(self, capsys):
+        # the CLI report is the bare array of check rows
+        code = main(["verify", "--lambda-grid", "0.5", "--alpha-grid", "1.0"])
+        rows = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert isinstance(rows, list)
+        assert all(row["status"] != "violated" for row in rows)
+        for row in rows:
             assert set(row) == {
                 "name",
                 "params",
