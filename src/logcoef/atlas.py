@@ -212,7 +212,7 @@ class _Scanner:
 
     def integer(self, key: str) -> int:
         v = self.number()
-        if v != int(v):
+        if not (math.isfinite(v) and v == int(v)):
             raise ParseError(f"{key} must be an integer", self.pos)
         return int(v)
 
@@ -302,13 +302,19 @@ def render(spec: FunctionSpec) -> str:
 # ---------------------------------------------------------------------------
 # Denominator polynomials of the two Schwarz-parametrized families.
 
-def exact_u_denominator(lam: float, a2: complex, psi) -> np.ndarray:
-    """z/f = 1 - a2 z - lam * z * integral_0^z psi(t) dt as a polynomial."""
+def exact_u_denominator(lam: float, a2, psi) -> np.ndarray:
+    """z/f = 1 - a2 z - lam * z * integral_0^z psi(t) dt as a polynomial.
+
+    Stacks: `a2` of shape S with `psi` of shape S + (m,) gives the
+    denominators as rows of shape S + (m + 2,), each with the same bytes
+    as its one-candidate call.
+    """
     psi = np.asarray(psi, dtype=np.complex128)
-    q = np.zeros(psi.size + 2, dtype=np.complex128)
-    q[0] = 1.0
-    q[1] = -a2
-    q[2:] -= lam * psi / np.arange(1, psi.size + 1)
+    m = psi.shape[-1]
+    q = np.zeros(psi.shape[:-1] + (m + 2,), dtype=np.complex128)
+    q[..., 0] = 1.0
+    q[..., 1] = -np.asarray(a2)
+    q[..., 2:] -= lam * psi / np.arange(1, m + 1)
     return q
 
 

@@ -26,14 +26,33 @@ their boundary sup, so every candidate used is genuinely bounded by one:
 the bound combines the sampled boundary maximum with a second-derivative
 gap estimate from the autocorrelation of the coefficients.
 
+Candidates are tested a chunk of 256 rows at a time.  For the exact
+parametrization the chunk test builds every denominator z/f = q of the
+chunk at once and runs three tests, each on the survivors of the one
+before: the root test (no zero of q in |z| <= 0.999, one eigvals call per
+trimmed degree on stacked companion matrices), the grid test (min |q|
+over five circles) and the post-check; the last two are products with
+cached sample matrices.  The superset family has no test.  Then |a_n| is
+extracted for each accepted row through reciprocal_raw and offered to the
+running best in index order.  Extraction stays per row on purpose: the
+np.dot inside reciprocal_raw is BLAS zdotu, which sums with several
+accumulators, and every stacked numpy product (einsum, matmul, vecdot)
+sums in another order and moves the last bit of |a_n| on most rows.  The
+start candidate, the polish and validate_exact_u run the same chunk test
+on one-row batches.
+
 Searches are deterministic: a fixed chunked generation schedule from a
 seeded generator, a total order on (achieved, candidate index), and a
-coordinate-wise golden-section polish with a fixed sweep plan.
+coordinate-wise golden-section polish with a fixed sweep plan.  Each search
+logs one DEBUG record on the ``logcoef.search`` logger that accounts for its
+budget: start, random and polish evaluations, and the rows rejected by each
+test of the chunk test.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,6 +68,7 @@ CERT_SAMPLES = 1024  # boundary samples inside the candidate generator
 NONVANISHING_MIN = 1e-6 * (1.0 - 1e-3)  # keeps the boundary extremal admissible
 POSTCHECK_RADIUS = 0.99
 POSTCHECK_TOL = 1e-6
+_POSTCHECK_SAMPLES = 256
 _NV_RADII = (0.3, 0.6, 0.9, 0.99, 0.999)
 _NV_ANGLES = 128
 _CHUNK = 256
@@ -60,7 +80,10 @@ _BLASCHKE_ZERO_RADIUS = 0.95
 _POLISH_SWEEPS = 3
 _POLISH_ITERS = 12  # golden-section evaluations per coordinate line
 _POLISH_STEPS = (0.25, 0.08, 0.02)
-_MATRIX_CACHE_SIZE = 16  # boundary matrices kept, keyed by (ncoeff, samples)
+_MATRIX_CACHE_SIZE = 16  # sample matrices kept, keyed by (ncoeff, samples, radii)
+
+
+_log = logging.getLogger(__name__)
 
 
 class SearchError(ValueError):
@@ -88,10 +111,14 @@ class ExactUParams:
 
 
 @lru_cache(maxsize=_MATRIX_CACHE_SIZE)
-def _boundary_matrix(ncoeff: int, samples: int) -> np.ndarray:
-    """e^{i k theta_j} for k < ncoeff over `samples` equispaced angles."""
+def _boundary_matrix(
+    ncoeff: int, samples: int, radii: tuple[float, ...] = (1.0,)
+) -> np.ndarray:
+    """(r e^{i theta_j})^k for k < ncoeff over `samples` equispaced angles,
+    one block of `samples` rows per radius r in `radii`."""
     theta = 2.0 * math.pi * np.arange(samples) / samples
-    matrix = np.exp(1j * np.outer(theta, np.arange(ncoeff)))
+    circle = np.exp(1j * np.outer(theta, np.arange(ncoeff)))
+    matrix = np.concatenate([circle * r ** np.arange(ncoeff) for r in radii])
     matrix.flags.writeable = False  # shared by every caller of the cache
     return matrix
 
@@ -229,30 +256,65 @@ def build_superset_function(
     return TruncatedSeries(out)
 
 
+def _exact_u_chunk(lam: float, a2s, psis):
+    """The exact_u acceptance test on a chunk of candidates (rows).
+
+    Each test runs only on the survivors of the one before: the root test
+    (q = z/f has no zero of modulus <= 0.999; one eigvals call per trimmed
+    degree gives the roots that np.roots gives row by row), the grid test
+    (min |q| on the disk grid > NONVANISHING_MIN) and the post-check
+    (max |q - z q' - 1| at POSTCHECK_RADIUS <= lambda + POSTCHECK_TOL,
+    where q - z q' - 1 has k-th coefficient (1 - k) q_k since q_0 = 1).
+
+    Returns q, the number of tests each row passed (3 = accepted), each
+    row's smallest root modulus (inf for a constant q) and its grid
+    minimum (nan where the grid test did not run).
+    """
+    q = atlas.exact_u_denominator(lam, a2s, psis)
+    rows, width = q.shape
+    passed = np.zeros(rows, dtype=np.int64)
+
+    degree = width - 1 - np.argmax(q[:, ::-1] != 0, axis=1)
+    inner = np.full(rows, np.inf)
+    for d in np.unique(degree[degree > 0]):
+        sel = np.flatnonzero(degree == d)
+        p = q[sel, d::-1]  # highest coefficient first, as np.roots takes it
+        companion = np.zeros((sel.size, d, d), dtype=np.complex128)
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        inner[sel] = np.min(np.abs(np.linalg.eigvals(companion)), axis=1)
+    passed[inner > _NV_RADII[-1]] = 1
+
+    grid_min = np.full(rows, np.nan)
+    alive = np.flatnonzero(passed == 1)
+    grid = _boundary_matrix(width, _NV_ANGLES, _NV_RADII)
+    grid_min[alive] = np.min(np.abs(grid @ q[alive].T), axis=0, initial=np.inf)
+    passed[alive[grid_min[alive] > NONVANISHING_MIN]] = 2
+
+    alive = np.flatnonzero(passed == 2)
+    u = q[alive] * (1.0 - np.arange(width))
+    u[:, 0] -= 1.0
+    post = _boundary_matrix(width, _POSTCHECK_SAMPLES, (POSTCHECK_RADIUS,))
+    post_max = np.max(np.abs(post @ u.T), axis=0, initial=0.0)
+    passed[alive[post_max <= lam + POSTCHECK_TOL]] = 3
+    return q, passed, inner, grid_min
+
+
 def _exact_u_filter(lam: float, a2: complex, psi) -> tuple[np.ndarray, bool, str]:
-    """Denominator polynomial of z/f plus the nonvanishing verdict.
+    """Denominator polynomial of z/f plus the nonvanishing verdict (tests 1
+    and 2 of the chunk test) for one candidate.
 
     The grid minimum alone can miss a zero sitting between the sampled
     circles (which would silently hand back a function with a pole inside
-    the disk), so the polynomial's root moduli are checked as well; for a
-    polynomial denominator that check is exact.
+    the disk), which is why the root test runs as well.
     """
-    q = atlas.exact_u_denominator(lam, a2, psi)
-    zs = np.concatenate(
-        [
-            r * np.exp(2j * math.pi * np.arange(_NV_ANGLES) / _NV_ANGLES)
-            for r in _NV_RADII
-        ]
-    )
-    vals = np.abs(np.polynomial.polynomial.polyval(zs, q))
-    if float(np.min(vals)) <= NONVANISHING_MIN:
-        return q, False, f"z/f modulus {np.min(vals):.3e} at grid minimum"
-    qt = np.trim_zeros(q, "b")
-    if qt.size > 1:
-        inner = float(np.min(np.abs(np.roots(qt[::-1]))))
-        if inner <= _NV_RADII[-1]:
-            return q, False, f"z/f has a zero of modulus {inner:.6f} in the disk"
-    return q, True, ""
+    psis = np.asarray(psi, dtype=np.complex128)[None, :]
+    q, passed, inner, grid_min = _exact_u_chunk(lam, [a2], psis)
+    if passed[0] == 0:
+        return q[0], False, f"z/f has a zero of modulus {inner[0]:.6f} in the disk"
+    if passed[0] == 1:
+        return q[0], False, f"z/f modulus {grid_min[0]:.3e} at grid minimum"
+    return q[0], True, ""
 
 
 def validate_exact_u(
@@ -306,16 +368,6 @@ def build_exact_u_function(p: ExactUParams, order: int) -> TruncatedSeries:
 def _coeff_from_denominator(q: np.ndarray, n: int) -> complex:
     """a_n of f = z / q(z): coefficient n-1 of 1/q."""
     return complex(_fz_from_denominator(q, n - 1)[n - 1])
-
-
-def _postcheck_deficiency(q: np.ndarray, lam: float) -> bool:
-    """Lean version of the membership post-check: for z/f = q polynomial,
-    (z/f)^2 f' - 1 = q - z q' - 1."""
-    zs = POSTCHECK_RADIUS * np.exp(2j * math.pi * np.arange(256) / 256)
-    qd = np.polynomial.polynomial.polyder(q)
-    pv = np.polynomial.polynomial.polyval
-    u = pv(zs, q) - zs * pv(zs, qd) - 1.0
-    return float(np.max(np.abs(u))) <= lam + POSTCHECK_TOL
 
 
 @dataclass(frozen=True)
@@ -428,23 +480,34 @@ def search_max_coeff(
     rng = np.random.default_rng(seed)
     best = _Best()
     evals = 0
+    # rows rejected by the root test, the grid and the post-check; accepted
+    verdicts = np.zeros(4, dtype=np.int64)
+
+    def accepted_values(coeffs, a2s):
+        """(row, |a_n|) for each row of the chunk that the family's chunk
+        test accepts, in row order.  The superset family has no test."""
+        nonlocal verdicts
+        if family == "superset":
+            q = [atlas.superset_denominator(lam, c) for c in coeffs]
+            rows = range(len(q))
+            verdicts[3] += len(q)
+        else:
+            q, passed, _, _ = _exact_u_chunk(lam, a2s, coeffs)
+            verdicts += np.bincount(passed, minlength=4)
+            rows = np.flatnonzero(passed == 3).tolist()
+        # One reciprocal_raw per row: its np.dot sums in BLAS zdotu order,
+        # which no stacked numpy product reproduces to the last bit.
+        return [(i, abs(_coeff_from_denominator(q[i], n))) for i in rows]
+
+    def evaluate(coeffs, a2):
+        """|a_n| of one candidate, or None if the chunk test rejects it."""
+        accepted = accepted_values(coeffs[None, :], [a2])
+        return accepted[0][1] if accepted else None
 
     if family == "superset":
-
-        def evaluate(coeffs, a2=None):
-            q = atlas.superset_denominator(lam, coeffs)
-            return abs(_coeff_from_denominator(q, n))
-
         start_coeffs = np.array([1.0 + 0.0j])
         start_a2 = None
     else:
-
-        def evaluate(coeffs, a2=None):
-            q, ok, _ = _exact_u_filter(lam, a2, coeffs)
-            if not ok or not _postcheck_deficiency(q, lam):
-                return None
-            return abs(_coeff_from_denominator(q, n))
-
         start_coeffs = np.array([-1.0 + 0.0j])
         start_a2 = complex(1.0 + lam)
 
@@ -461,20 +524,14 @@ def search_max_coeff(
     polish_budget = min(full_polish_cost, max(0, (budget - 1) // 4))
     random_budget = max(0, budget - evals - polish_budget)
 
-    index = 0
-    while random_budget > 0:
-        take = min(_CHUNK, random_budget)
+    for index in range(0, random_budget, _CHUNK):
+        take = min(_CHUNK, random_budget - index)
         batch = _certified_batch(rng, _CHUNK)[:take]
-        if family == "exact_u":
-            a2s = _draw_disk(rng, _CHUNK, 1.0 + lam)[:take]
-        for i in range(take):
-            index += 1
+        a2s = _draw_disk(rng, _CHUNK, 1.0 + lam)[:take] if family == "exact_u" else None
+        for i, val in accepted_values(batch, a2s):
             a2 = complex(a2s[i]) if family == "exact_u" else None
-            val = evaluate(batch[i], a2)
-            evals += 1
-            if val is not None:
-                best.offer(val, index, (batch[i].copy(), a2))
-        random_budget -= take
+            best.offer(val, index + i + 1, (batch[i].copy(), a2))
+    evals += random_budget
 
     # Coordinate-wise golden-section polish of the best candidate found.
     remaining = budget - evals
@@ -518,8 +575,7 @@ def search_max_coeff(
                     if out is None or out[0] is None:
                         return -1.0
                     val, payload = out
-                    index_now = index + evals
-                    best.offer(val, index_now, payload)
+                    best.offer(val, random_budget + evals, payload)
                     return val
 
                 t_best, _ = _golden_max(
@@ -527,6 +583,13 @@ def search_max_coeff(
                 )
                 x[coord] = t_best
 
+    _log.debug(
+        "search %s lambda=%r n=%d budget=%d seed=%d: evaluations=%d start=1 "
+        "random=%d polish=%d rejected_roots=%d rejected_grid=%d "
+        "rejected_postcheck=%d accepted=%d",
+        family, lam, n, budget, seed, evals, random_budget,
+        evals - 1 - random_budget, *verdicts,
+    )
     if best.payload is None:
         raise SearchError("no valid candidate found within budget")
     coeffs, a2 = best.payload

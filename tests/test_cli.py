@@ -41,6 +41,12 @@ class TestGammaCommand:
         code, _, err = run_cli(capsys, "gamma", "g_lambda(lambda=2)", "2")
         assert code == 2
 
+    def test_non_finite_integer_is_a_parse_error(self, capsys):
+        code, out, err = run_cli(capsys, "gamma", "g_family(n=1e400)", "4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "n must be an integer" in err
+
 
 class TestMemberCommand:
     def test_f1_fails_starlike(self, capsys):

@@ -1,3 +1,8 @@
+import json
+import logging
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -309,3 +314,115 @@ class TestSearch:
             "params",
             "evaluations",
         }
+
+
+GOLDEN_RECORDS = Path(__file__).parent / "data" / "search_records.jsonl"
+
+
+def _golden_cases():
+    rows = [json.loads(line) for line in GOLDEN_RECORDS.read_text().splitlines()]
+    return [
+        pytest.param(
+            row["budget"],
+            row["record"],
+            id="{family}-{lambda}-{n}-{seed}".format(**json.loads(row["record"]))
+            + f"-{row['budget']}",
+        )
+        for row in rows
+    ]
+
+
+class TestGoldenRecords:
+    """Records pinned byte for byte: both families, lambda in {0.05, 0.5, 1},
+    n in {2, 4, 5}, budgets 1000 and 2500 (not a multiple of the chunk
+    size).  The file was written once by the per-candidate search that the
+    chunk test replaced; a moved byte is a fault in the code, not in the file."""
+
+    @pytest.mark.parametrize("budget,line", _golden_cases())
+    def test_record_bytes(self, budget, line):
+        want = json.loads(line)
+        rec = search_max_coeff(
+            want["lambda"], want["n"], want["family"], budget=budget, seed=want["seed"]
+        )
+        assert rec.to_json_line() == line
+
+
+def _scalar_exact_u_verdict(lam, a2, psi):
+    """Reference for the chunk test: one candidate at a time with a Horner
+    grid, np.roots and a Horner post-check, at the same thresholds."""
+    pv = np.polynomial.polynomial.polyval
+    q = atlas.exact_u_denominator(lam, a2, psi)
+    zs = np.concatenate(
+        [r * np.exp(2j * np.pi * np.arange(S._NV_ANGLES) / S._NV_ANGLES) for r in S._NV_RADII]
+    )
+    if np.min(np.abs(pv(zs, q))) <= S.NONVANISHING_MIN:
+        return False
+    qt = np.trim_zeros(q, "b")
+    if qt.size > 1 and np.min(np.abs(np.roots(qt[::-1]))) <= S._NV_RADII[-1]:
+        return False
+    zs = S.POSTCHECK_RADIUS * np.exp(2j * np.pi * np.arange(256) / 256)
+    u = pv(zs, q) - zs * pv(zs, np.polynomial.polynomial.polyder(q)) - 1.0
+    return bool(np.max(np.abs(u)) <= lam + S.POSTCHECK_TOL)
+
+
+class TestChunkTest:
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
+    def test_accept_mask_matches_scalar_reference(self, lam):
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            psis = S._certified_batch(rng, S._CHUNK)
+            a2s = S._draw_disk(rng, S._CHUNK, 1.0 + lam)
+            # the extremal start row: psi = -1, a2 = 1 + lambda
+            start = np.zeros((1, psis.shape[1]), dtype=np.complex128)
+            start[0, 0] = -1.0
+            psis = np.vstack([psis, start])
+            a2s = np.append(a2s, 1.0 + lam)
+            _, passed, _, _ = S._exact_u_chunk(lam, a2s, psis)
+            want = [_scalar_exact_u_verdict(lam, a2, psi) for a2, psi in zip(a2s, psis)]
+            assert (passed == 3).tolist() == want
+            assert want[-1] and not all(want)
+
+    def test_extremal_row_tightest_grid_margin(self):
+        # at lambda = 1, z/f = (1 - z)^2 reads 1e-6 at z = 0.999 against a
+        # threshold of 0.999e-6
+        assert _scalar_exact_u_verdict(1.0, 2.0, [-1.0])
+        _, passed, inner, grid_min = S._exact_u_chunk(1.0, [2.0], [[-1.0]])
+        assert passed.tolist() == [3]
+        assert inner[0] > S._NV_RADII[-1]
+        assert S.NONVANISHING_MIN < grid_min[0] < 1.0000001e-6
+
+    def test_grid_and_postcheck_reject_on_their_own(self):
+        # z/f = (1 - z/0.9995)^2 has its zeros outside |z| <= 0.999 but reads
+        # 2.5e-7 at z = 0.999; z/f = 1 + 0.52 z^3 has no zero in the disk but
+        # its deficiency 1.04 |z|^3 exceeds 1 + 1e-6 at r = 0.99
+        r = 0.9995
+        a2s = [2.0 / r, 0.0]
+        psis = [[-1.0 / r**2, 0.0], [0.0, -1.04]]
+        _, passed, _, _ = S._exact_u_chunk(1.0, a2s, psis)
+        assert passed.tolist() == [1, 2]
+        assert not any(_scalar_exact_u_verdict(1.0, a2, psi) for a2, psi in zip(a2s, psis))
+
+    def test_one_row_filter_notes(self):
+        q, ok, note = S._exact_u_filter(0.5, 1.5, [1.0])
+        assert not ok and "zero of modulus" in note
+        np.testing.assert_array_equal(q, atlas.exact_u_denominator(0.5, 1.5, [1.0]))
+        assert S._exact_u_filter(0.5, 1.5, [-1.0])[1:] == (True, "")
+
+
+class TestSearchLog:
+    def test_debug_record_accounts_for_budget(self, caplog):
+        for family, budget in (("exact_u", 700), ("superset", 300)):
+            caplog.clear()
+            quiet = search_max_coeff(0.6, 5, family, budget=budget, seed=4)
+            assert not [r for r in caplog.records if r.name == "logcoef.search"]
+            with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
+                loud = search_max_coeff(0.6, 5, family, budget=budget, seed=4)
+            assert loud.to_json_line() == quiet.to_json_line()
+            (record,) = [r for r in caplog.records if r.name == "logcoef.search"]
+            pairs = re.findall(r"(\w+)=(\d+)\b(?!\.)", record.getMessage())
+            c = {k: int(v) for k, v in pairs}
+            assert c["evaluations"] == loud.evaluations
+            assert c["start"] + c["random"] + c["polish"] == loud.evaluations
+            rejected = c["rejected_roots"] + c["rejected_grid"] + c["rejected_postcheck"]
+            assert rejected + c["accepted"] == loud.evaluations
+            assert (rejected > 0) == (family == "exact_u")
