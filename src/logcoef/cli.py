@@ -10,8 +10,11 @@ Subcommands:
   member   run one class-membership query
 
 Exit codes: 0 clean (for verify: no violated check), 1 verification found a
-violation, 2 configuration or parse error.  File outputs are written to a
-temporary file and renamed, so a killed run never leaves a truncated file.
+violation, 2 configuration or parse error (for verify also a lambda outside
+(0, 1], an alpha outside [0, 1] or an order below 1), 3 a verify check could
+not run: its block raised and the report holds one row with status "error"
+in its place.  File outputs are written to a temporary file and renamed, so
+a killed run never leaves a truncated file.
 All outputs are byte-deterministic for fixed inputs and seed.
 """
 
@@ -122,8 +125,12 @@ def _cmd_verify(args) -> int:
     else:
         sys.stdout.write(text)
     n_viol = sum(c.status == "violated" for c in checks)
-    print(f"{len(checks)} checks, {n_viol} violated", file=sys.stderr)
-    return 0 if n_viol == 0 else 1
+    n_err = sum(c.status == "error" for c in checks)
+    line = f"{len(checks)} checks, {n_viol} violated"
+    if n_err:
+        line += f", {n_err} errored"
+    print(line, file=sys.stderr)
+    return 3 if n_err else 1 if n_viol else 0
 
 
 def _cmd_search(args) -> int:

@@ -39,8 +39,6 @@ SERIES_ORDER = 256
 SERIES_TAIL_LIMIT = 1e-8
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
-_VALID_QUERIES = ("ulambda", "starlike", "galpha")
-
 
 @dataclass(frozen=True)
 class ClassMembershipReport:
@@ -118,8 +116,6 @@ def _u_values(spec, z):
         if np.any(np.abs(f) < 1e-14 * np.abs(z)):
             raise MembershipError("z/f degenerate at a sample point")
         return (z / f) ** 2 * fp - 1.0
-    if k == "g_family":
-        return None  # series route
     nv, ndv, _, dv, ddv, _ = _rational_fvals(spec, z)
     if np.any(np.abs(dv) < 1e-14):
         raise MembershipError("pole of f at a sample point (z/f vanishes)")
@@ -133,8 +129,6 @@ def _star_values(spec, z):
     k = spec.kind
     if k == "k_alpha":
         return _g_alpha_kernel(spec.alpha, z)
-    if k == "g_family":
-        return None
     nv, ndv, _, dv, ddv, _ = _rational_fvals(spec, z)
     if np.any(np.abs(nv) < 1e-14 * np.abs(z)):
         raise MembershipError("f vanishes at a sample point away from 0")

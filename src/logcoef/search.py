@@ -230,11 +230,6 @@ def _trim(coeffs: np.ndarray) -> tuple[complex, ...]:
 # ---------------------------------------------------------------------------
 # Building the families.
 
-def geometric_partial_sums(lam: float, count: int) -> np.ndarray:
-    """e_k = sum_{j<=k} lambda^j for k = 0..count-1 (equals k+1 at lambda=1)."""
-    return np.cumsum(lam ** np.arange(count))
-
-
 def _fz_from_denominator(q: np.ndarray, order: int) -> np.ndarray:
     qq = np.zeros(order + 1, dtype=np.complex128)
     m = min(order + 1, q.size)

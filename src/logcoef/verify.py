@@ -20,12 +20,21 @@ Every partial-sum check carries an explicit tail bound; equality checks use
 closed-form geometric or dilogarithm tails.  Results are BoundCheck rows
 with a stable JSON field layout (name, params, lhs, rhs, slack, status, N,
 tail_bound).
+
+run_suite rejects bad input with VerifyError before any check runs, then runs
+an ordered list of blocks, each a plain function returning its rows, in one
+guarded loop: a block that raises contributes one row with status "error" in
+place of its rows, carrying the block's guard name and params plus
+params["error"] = "<ExceptionType>: <message>".  So "violated" only ever
+means that a bound failed numerically.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -41,6 +50,8 @@ DEFAULT_ORDER = 128
 DEFAULT_LAMBDA_GRID = tuple(round(0.1 * k, 10) for k in range(1, 11))
 DEFAULT_ALPHA_GRID = (0.25, 0.5, 0.75, 1.0)
 _SUITE_T_GRID = tuple(round(0.1 * k, 10) for k in range(11))
+
+_log = logging.getLogger(__name__)
 
 
 class VerifyError(ValueError):
@@ -292,7 +303,7 @@ class BoundCheck:
     lhs: float
     rhs: float
     slack: float  # rhs - lhs
-    status: str  # "holds" | "equality" | "violated"
+    status: str  # "holds" | "equality" | "violated" | "error"
     order: int
     tail_bound: float
 
@@ -331,213 +342,194 @@ def _check(name, params, lhs, rhs, order, tail_bound=0.0):
 
 def _error_check(name, params, order, err):
     params = dict(params)
-    params["error"] = str(err)
+    params["error"] = f"{type(err).__name__}: {err}"
     return BoundCheck(
         name=name,
         params=params,
         lhs=0.0,
         rhs=0.0,
         slack=0.0,
-        status="violated",
+        status="error",
         order=order,
         tail_bound=0.0,
     )
 
 
-def _guard(items, name, params, order, fn):
-    """Append fn()'s checks; an exception becomes a violated-by-error row."""
-    try:
-        items.extend(fn())
-    except Exception as err:  # noqa: BLE001 - any failure must surface as violated
-        items.append(_error_check(name, params, order, err))
+def _l2_check(name, params, spec, rhs, order, tail):
+    """sum |gamma_n(spec)|^2 over n <= order plus its exact tail, against rhs."""
+    lhs = gamma_l2(log_coefficients(spec, order)).value + tail
+    return _check(name, params, lhs, rhs, order, tail)
 
 
-def _lambda_items(lam, order):
-    def block():
-        out = []
-        bound = ulambda_l2_bound(lam)
+def _lambda_rows(lam, order):
+    """The sharp bound at lambda: g_lambda attains it, f_lambda stays below it,
+    and the sign analysis behind the sharpness proof."""
+    bound = ulambda_l2_bound(lam)
+    rows = [
+        _l2_check(
+            "log_l2_sharp_ulambda",
+            {"lambda": lam, "spec": f"g_lambda(lambda={lam!r})"},
+            atlas.g_lambda(lam),
+            bound,
+            order,
+            glambda_l2_closed_tail(lam, order),
+        ),
+        _l2_check(
+            "log_l2_ulambda_counterexample",
+            {"lambda": lam, "spec": f"f_lambda(lambda={lam!r})"},
+            atlas.f_lambda(lam),
+            bound,
+            order,
+            flambda_l2_closed_tail(lam, order),
+        ),
+        _check(
+            "sharpness_gap_negative",
+            {"lambda": lam},
+            sharpness_terms(lam, 0.0).gap,
+            0.0,
+            order,
+        ),
+    ]
+    for t in _SUITE_T_GRID:
+        st = sharpness_terms(lam, t)
+        for name, value in (
+            ("sharpness_integrand_positive", st.integrand),
+            ("sharpness_kernel_positive", st.kernel),
+        ):
+            rows.append(_check(name, {"lambda": lam, "t": t}, 0.0, value, order))
+    return rows
 
-        g = log_coefficients(atlas.g_lambda(lam), order)
-        tail = glambda_l2_closed_tail(lam, order)
-        out.append(
+
+def _g_class_rows(order):
+    """Bounded-convexity chain at alpha = 1 plus the remark-family rows."""
+    alpha = 1.0
+    b = g_class_bounds(alpha)
+    rows = []
+    specs = [atlas.f0()] + [atlas.g_family(n) for n in range(1, 7)]
+    for spec in specs:
+        name = atlas.render(spec)
+        prof = log_coefficients(spec, max(order, 40))
+        w = gamma_l2(prof, "n_squared")
+        tail = f0_weighted_l2_closed_tail(w.order) if spec.kind == "f0" else 0.0
+        rows.append(
             _check(
-                "log_l2_sharp_ulambda",
-                {"lambda": lam, "spec": f"g_lambda(lambda={lam!r})"},
-                gamma_l2(g).value + tail,
-                bound,
-                order,
+                "gclass_weighted_l2",
+                {"alpha": alpha, "spec": name},
+                w.value + tail,
+                b.weighted_l2,
+                w.order,
                 tail,
             )
         )
-
-        f = log_coefficients(atlas.f_lambda(lam), order)
-        ftail = flambda_l2_closed_tail(lam, order)
-        out.append(
+        u = gamma_l2(prof, "unit")
+        tail = 0.25 * li2_tail(0.25, u.order) if spec.kind == "f0" else 0.0
+        rows.append(
             _check(
-                "log_l2_ulambda_counterexample",
-                {"lambda": lam, "spec": f"f_lambda(lambda={lam!r})"},
-                gamma_l2(f).value + ftail,
-                bound,
-                order,
-                ftail,
+                "gclass_l2",
+                {"alpha": alpha, "spec": name},
+                u.value + tail,
+                b.plain_l2,
+                u.order,
+                tail,
             )
         )
-
-        terms = sharpness_terms(lam, 0.0)
-        out.append(
-            _check("sharpness_gap_negative", {"lambda": lam}, terms.gap, 0.0, order)
-        )
-        for t in _SUITE_T_GRID:
-            st = sharpness_terms(lam, t)
-            out.append(
+        for n in range(1, 9):
+            rows.append(
                 _check(
-                    "sharpness_integrand_positive",
-                    {"lambda": lam, "t": t},
-                    0.0,
-                    st.integrand,
-                    order,
+                    "gclass_coeff_bound",
+                    {"alpha": alpha, "spec": name, "n": n},
+                    abs(prof.gammas[n - 1]),
+                    b.coeff_factor / n,
+                    prof.gammas.size,
                 )
             )
-            out.append(
-                _check(
-                    "sharpness_kernel_positive",
-                    {"lambda": lam, "t": t},
-                    0.0,
-                    st.kernel,
-                    order,
-                )
-            )
-        return out
-
-    items = []
-    _guard(items, "lambda_block", {"lambda": lam}, order, block)
-    return items
-
-
-def _g_class_items(order):
-    """Bounded-convexity chain at alpha = 1 plus the remark-family rows."""
-
-    def block():
-        out = []
-        alpha = 1.0
-        b = g_class_bounds(alpha)
-        specs = [atlas.f0()] + [atlas.g_family(n) for n in range(1, 7)]
-        for spec in specs:
-            name = atlas.render(spec)
-            prof = log_coefficients(spec, max(order, 40))
-            w = gamma_l2(prof, "n_squared")
-            tail = f0_weighted_l2_closed_tail(w.order) if spec.kind == "f0" else 0.0
-            out.append(
-                _check(
-                    "gclass_weighted_l2",
-                    {"alpha": alpha, "spec": name},
-                    w.value + tail,
-                    b.weighted_l2,
-                    w.order,
-                    tail,
-                )
-            )
-            u = gamma_l2(prof, "unit")
-            tail = 0.25 * li2_tail(0.25, u.order) if spec.kind == "f0" else 0.0
-            out.append(
-                _check(
-                    "gclass_l2",
-                    {"alpha": alpha, "spec": name},
-                    u.value + tail,
-                    b.plain_l2,
-                    u.order,
-                    tail,
-                )
-            )
-            for n in range(1, 9):
-                out.append(
-                    _check(
-                        "gclass_coeff_bound",
-                        {"alpha": alpha, "spec": name, "n": n},
-                        abs(prof.gammas[n - 1]),
-                        b.coeff_factor / n,
-                        prof.gammas.size,
-                    )
-                )
-        for n in range(2, 7):
-            prof = log_coefficients(atlas.g_family(n), order)
-            lead = abs(prof.gammas[n - 1])
-            out.append(
-                _check(
-                    "gclass_leading_coeff",
-                    {"n": n},
-                    lead,
-                    1.0 / (2.0 * n * (n + 1)),
-                    order,
-                )
-            )
-            out.append(
-                _check(
-                    "gclass_naive_bound_refuted",
-                    {"n": n},
-                    1.0 / (n * 2.0 ** (n + 1)),
-                    lead,
-                    order,
-                )
-            )
-        return out
-
-    items = []
-    _guard(items, "gclass_block", {"alpha": 1.0}, order, block)
-    return items
-
-
-def _convex_items(alpha, order):
-    def block():
-        out = []
-        prof = convex_order_profile(alpha, order)
-        kgam = log_coefficients(atlas.k_alpha(alpha), order)
-        out.append(
+    for n in range(2, 7):
+        prof = log_coefficients(atlas.g_family(n), max(order, n))
+        lead = abs(prof.gammas[n - 1])
+        rows.append(
             _check(
-                "convex_order_l2_equality",
-                {"alpha": alpha},
-                gamma_l2(kgam).value,
-                prof.gamma_l2,
-                order,
+                "gclass_leading_coeff",
+                {"n": n},
+                lead,
+                1.0 / (2.0 * n * (n + 1)),
+                prof.gammas.size,
             )
         )
-        out.append(
+        rows.append(
             _check(
-                "convex_order_delta_bound",
-                {"alpha": alpha},
-                float(np.max(np.abs(prof.delta))),
-                2.0 * (1.0 - prof.beta),
-                order,
+                "gclass_naive_bound_refuted",
+                {"n": n},
+                1.0 / (n * 2.0 ** (n + 1)),
+                lead,
+                prof.gammas.size,
             )
         )
-        out.append(
-            _check(
-                "convex_order_l2_bound",
-                {"alpha": alpha},
-                prof.gamma_l2,
-                (1.0 - prof.beta) ** 2 * PI2_6,
-                order,
-            )
-        )
-        if alpha == 0.0:
-            out.append(
-                _check("convex_starlike_order_anchor", {"alpha": 0.0}, prof.beta, 0.5, order)
-            )
-        if alpha == 0.5:
-            out.append(
+    return rows
+
+
+# alpha -> the starlike order known in closed form at that alpha
+_STARLIKE_ORDER_ANCHORS = {0.0: 0.5, 0.5: 1.0 / (2.0 * math.log(2.0))}
+
+
+def _convex_rows(alpha, order):
+    """The convex-order chain at alpha, with the starlike order anchored where
+    it is known in closed form."""
+    prof = convex_order_profile(alpha, order)
+    kgam = log_coefficients(atlas.k_alpha(alpha), order)
+    rows = [
+        _check(
+            "convex_order_l2_equality",
+            {"alpha": alpha},
+            gamma_l2(kgam).value,
+            prof.gamma_l2,
+            order,
+        ),
+        _check(
+            "convex_order_delta_bound",
+            {"alpha": alpha},
+            float(np.max(np.abs(prof.delta))),
+            2.0 * (1.0 - prof.beta),
+            order,
+        ),
+        _check(
+            "convex_order_l2_bound",
+            {"alpha": alpha},
+            prof.gamma_l2,
+            (1.0 - prof.beta) ** 2 * PI2_6,
+            order,
+        ),
+    ]
+    # the row carries the table's alpha, so alpha = -0.0 still prints 0.0
+    for anchor, beta in _STARLIKE_ORDER_ANCHORS.items():
+        if alpha == anchor:
+            rows.append(
                 _check(
                     "convex_starlike_order_anchor",
-                    {"alpha": 0.5},
+                    {"alpha": anchor},
                     prof.beta,
-                    1.0 / (2.0 * math.log(2.0)),
+                    beta,
                     order,
                 )
             )
-        return out
+    return rows
 
-    items = []
-    _guard(items, "convex_block", {"alpha": alpha}, order, block)
-    return items
+
+def _starlike_rows(order):
+    """n |gamma_n| <= 1 for the two starlike extremals, Koebe and g_1."""
+    rows = []
+    for spec in (atlas.koebe(0.0), atlas.g_lambda(1.0)):
+        prof = log_coefficients(spec, min(order, 100))
+        ns = np.arange(1, prof.gammas.size + 1)
+        rows.append(
+            _check(
+                "starlike_coeff_bound",
+                {"spec": atlas.render(spec)},
+                float(np.max(ns * np.abs(prof.gammas))),
+                1.0,
+                prof.gammas.size,
+            )
+        )
+    return rows
 
 
 def run_suite(
@@ -545,90 +537,94 @@ def run_suite(
     alpha_grid=DEFAULT_ALPHA_GRID,
     order: int = DEFAULT_ORDER,
 ) -> list[BoundCheck]:
-    """All bound checks on the given grids, in a fixed canonical order."""
-    items: list[BoundCheck] = []
+    """All bound checks on the given grids, in a fixed canonical order.
 
-    items.append(
-        _check(
-            "dilog_duplication_anchor", {"lambda": 1.0}, ulambda_l2_bound(1.0), PI2_6, order
-        )
-    )
+    Raises VerifyError, before any check runs, for an order below 1, a lambda
+    outside (0, 1] or an alpha outside [0, 1].  alpha = 1 selects the
+    bounded-convexity block, alpha < 1 the convex-order block."""
+    lambdas = [float(lam) for lam in lambda_grid]
+    alphas = [float(alpha) for alpha in alpha_grid]
+    if order < 1:
+        raise VerifyError("order must be >= 1")
+    for lam in lambdas:
+        if not 0.0 < lam <= 1.0:
+            raise VerifyError(f"lambda {lam!r} must lie in (0, 1]")
+    for alpha in alphas:
+        if not 0.0 <= alpha <= 1.0:
+            raise VerifyError(f"alpha {alpha!r} must lie in [0, 1]")
 
-    def koebe_block():
-        prof = log_coefficients(atlas.koebe(0.0), order)
-        tail = li2_tail(1.0, order)
-        return [
-            _check(
-                "log_l2_univalent_koebe",
-                {"spec": "koebe(theta=0.0)"},
-                gamma_l2(prof).value + tail,
-                PI2_6,
-                order,
-                tail,
-            )
-        ]
-
-    _guard(items, "log_l2_univalent_koebe", {}, order, koebe_block)
-
-    def halfplane_block():
-        prof = log_coefficients(atlas.half_plane(), order)
-        tail = 0.25 * li2_tail(1.0, order)
-        return [
-            _check(
-                "halfplane_l2",
-                {"spec": "half_plane()"},
-                gamma_l2(prof).value + tail,
-                PI2_6 / 4.0,
-                order,
-                tail,
-            )
-        ]
-
-    _guard(items, "halfplane_l2", {}, order, halfplane_block)
-
-    def f1_block():
-        prof = log_coefficients(atlas.f1(), order)
-        tail = flambda_l2_closed_tail(1.0, order)
-        return [
-            _check(
-                "f1_l2_two_routes",
-                {},
-                gamma_l2(prof).value + tail,
-                f1_l2_alternating_route(),
-                order,
-                tail,
-            )
-        ]
-
-    _guard(items, "f1_l2_two_routes", {}, order, f1_block)
-
-    def starlike_block():
-        out = []
-        for spec in (atlas.koebe(0.0), atlas.g_lambda(1.0)):
-            prof = log_coefficients(spec, min(order, 100))
-            ns = np.arange(1, prof.gammas.size + 1)
-            out.append(
-                _check(
-                    "starlike_coeff_bound",
-                    {"spec": atlas.render(spec)},
-                    float(np.max(ns * np.abs(prof.gammas))),
-                    1.0,
-                    prof.gammas.size,
+    # (guard name, guard params, block): a block returns its rows, or raises
+    # and is replaced by one "error" row carrying the guard name and params
+    blocks = [
+        (
+            "log_l2_univalent_koebe",
+            {},
+            lambda: [
+                _l2_check(
+                    "log_l2_univalent_koebe",
+                    {"spec": "koebe(theta=0.0)"},
+                    atlas.koebe(0.0),
+                    PI2_6,
+                    order,
+                    li2_tail(1.0, order),
                 )
+            ],
+        ),
+        (
+            "halfplane_l2",
+            {},
+            lambda: [
+                _l2_check(
+                    "halfplane_l2",
+                    {"spec": "half_plane()"},
+                    atlas.half_plane(),
+                    PI2_6 / 4.0,
+                    order,
+                    0.25 * li2_tail(1.0, order),
+                )
+            ],
+        ),
+        (
+            "f1_l2_two_routes",
+            {},
+            lambda: [
+                _l2_check(
+                    "f1_l2_two_routes",
+                    {},
+                    atlas.f1(),
+                    f1_l2_alternating_route(),
+                    order,
+                    flambda_l2_closed_tail(1.0, order),
+                )
+            ],
+        ),
+        ("starlike_coeff_bound", {}, partial(_starlike_rows, order)),
+    ]
+    for lam in lambdas:
+        blocks.append(
+            ("lambda_block", {"lambda": lam}, partial(_lambda_rows, lam, order))
+        )
+    if any(abs(alpha - 1.0) < 1e-12 for alpha in alphas):
+        blocks.append(("gclass_block", {"alpha": 1.0}, partial(_g_class_rows, order)))
+    for alpha in alphas:
+        if alpha < 1.0:
+            blocks.append(
+                ("convex_block", {"alpha": alpha}, partial(_convex_rows, alpha, order))
             )
-        return out
 
-    _guard(items, "starlike_coeff_bound", {}, order, starlike_block)
-
-    for lam in lambda_grid:
-        items.extend(_lambda_items(float(lam), order))
-
-    if any(abs(a - 1.0) < 1e-12 for a in alpha_grid):
-        items.extend(_g_class_items(order))
-
-    for alpha in alpha_grid:
-        if 0.0 <= alpha < 1.0:
-            items.extend(_convex_items(float(alpha), order))
-
-    return items
-
+    rows = [
+        _check(
+            "dilog_duplication_anchor",
+            {"lambda": 1.0},
+            ulambda_l2_bound(1.0),
+            PI2_6,
+            order,
+        )
+    ]
+    for name, params, block in blocks:
+        try:
+            rows.extend(block())
+        except Exception as err:  # noqa: BLE001 - a crash must surface as an error row
+            _log.debug("%s %r raised", name, params, exc_info=True)
+            rows.append(_error_check(name, params, order, err))
+    return rows

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -5,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from logcoef import atlas
+from logcoef import atlas, verify
 from logcoef.cli import curve_csv, curve_points, curve_svg, main
 
 
@@ -163,6 +164,50 @@ class TestCurveGeometry:
         assert len(paths) == 1
 
 
+# sha256 of stdout, the stderr line and the exit code of `logcoef verify`,
+# written once by the code before the suite's assembly was rewritten; never
+# regenerate them, a mismatch means the report bytes changed
+VERIFY_GOLDEN = [
+    (
+        ("--order", "128"),
+        "acd13f49a7a8c8cc899c846701c97a1e17d2af89bcf63ca389c648d2b10808dc",
+        "346 checks, 0 violated\n",
+        0,
+    ),
+    (
+        ("--order", "1024"),
+        "335ea94b1609f5a2c53f6ad91d06a9e4019b29f8df2f7af971d9d39ecbfcc247",
+        "346 checks, 0 violated\n",
+        0,
+    ),
+    (
+        ("--lambda-grid", "0.5", "--alpha-grid", "0.0,0.5,0.37765"),
+        "e30df4aecda14542f64c1a20db61e6c3e0199de46af31bb0a969666d4c0ec8b7",
+        "42 checks, 0 violated\n",
+        0,
+    ),
+    (
+        ("--lambda-grid", "0.3,0.7", "--alpha-grid", "0.25", "--order", "64"),
+        "5f4225e163d427846bf499100c00ddb7cba2edf7b80506f4abd3251472bf2e82",
+        "59 checks, 0 violated\n",
+        0,
+    ),
+]
+
+
+class TestVerifyGoldenReports:
+    @pytest.mark.parametrize(
+        "argv,digest,err_line,exit_code",
+        VERIFY_GOLDEN,
+        ids=["default-128", "default-1024", "alpha-anchors", "small-64"],
+    )
+    def test_report_bytes(self, capsys, argv, digest, err_line, exit_code):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert err == err_line
+        assert code == exit_code
+
+
 class TestVerifyCommand:
     def test_clean_run(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
@@ -194,22 +239,34 @@ class TestVerifyCommand:
         sharp = [c for c in checks if c["name"] == "log_l2_sharp_ulambda"]
         assert sharp and all(c["status"] == "equality" for c in sharp)
 
-    def test_violation_exit_code(self, capsys, tmp_path):
-        # a lambda outside (0,1] turns into a violated-by-error row -> exit 1
+    def test_out_of_range_input_exit_code(self, capsys, tmp_path):
+        # bad input is a configuration error (exit 2), not a violated row
         out_file = tmp_path / "report.json"
-        code, _, _ = run_cli(
-            capsys,
-            "verify",
-            "--lambda-grid",
-            "2.0",
-            "--alpha-grid",
-            "1.0",
-            "--out",
-            str(out_file),
+        for argv in (
+            ("--lambda-grid", "2.0"),
+            ("--alpha-grid", "1.5"),
+            ("--order", "0"),
+        ):
+            code, out, err = run_cli(capsys, "verify", *argv, "--out", str(out_file))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "must" in err
+            assert not out_file.exists()
+
+    def test_internal_failure_exit_code(self, capsys, monkeypatch):
+        def broken(lam, t):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(verify, "sharpness_terms", broken)
+        code, out, err = run_cli(
+            capsys, "verify", "--lambda-grid", "0.5", "--alpha-grid", "1.0"
         )
-        assert code == 1
-        checks = json.loads(out_file.read_text())
-        assert sum(c["status"] == "violated" for c in checks) == 1
+        assert code == 3
+        rows = json.loads(out)
+        errors = [row for row in rows if row["status"] == "error"]
+        assert [row["name"] for row in errors] == ["lambda_block"]
+        assert errors[0]["params"]["error"] == "RuntimeError: boom"
+        assert err == f"{len(rows)} checks, 0 violated, 1 errored\n"
 
     def test_malformed_grid(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--lambda-grid", "0.5,abc")

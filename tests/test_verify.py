@@ -1,10 +1,11 @@
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from logcoef import atlas
+from logcoef import atlas, verify
 from logcoef.atlas import fz_series
 from logcoef.cli import main
 from logcoef.dilog import PI2_6, li2
@@ -276,11 +277,45 @@ class TestSuite:
         b = run_suite(lambda_grid=(0.3, 0.7), alpha_grid=(0.25,))
         assert [x.to_dict() for x in a] == [y.to_dict() for y in b]
 
-    def test_constituent_error_becomes_violated_row(self):
-        checks = run_suite(lambda_grid=(2.0,), alpha_grid=())
-        bad = [c for c in checks if c.status == "violated"]
-        assert len(bad) == 1
-        assert "error" in bad[0].params
+    def test_out_of_range_input_raises(self):
+        # bad input is a configuration error, never a row of the report
+        for grids in (
+            {"lambda_grid": (2.0,), "alpha_grid": ()},
+            {"lambda_grid": (0.0,)},
+            {"lambda_grid": (float("nan"),)},
+            {"alpha_grid": (1.5,)},
+            {"alpha_grid": (-0.2,)},
+            {"order": 0},
+        ):
+            with pytest.raises(VerifyError):
+                run_suite(**grids)
+
+    def test_internal_failure_becomes_error_row(self, monkeypatch, caplog):
+        def broken(lam, t):
+            raise RuntimeError("boom")
+
+        clean = run_suite(lambda_grid=(0.5,), alpha_grid=(1.0,))
+        monkeypatch.setattr(verify, "sharpness_terms", broken)
+        with caplog.at_level(logging.DEBUG, logger="logcoef.verify"):
+            checks = run_suite(lambda_grid=(0.5,), alpha_grid=(1.0,))
+        # the traceback goes to the debug log, not into the report
+        [record] = caplog.records
+        assert record.exc_info[0] is RuntimeError
+        bad = [c for c in checks if c.status not in ("holds", "equality")]
+        assert [(c.name, c.status) for c in bad] == [("lambda_block", "error")]
+        assert bad[0].params == {"lambda": 0.5, "error": "RuntimeError: boom"}
+        # the lambda block's 25 rows became the one error row, in their place
+        lam_rows = [c for c in clean if c.params.get("lambda") == 0.5]
+        assert len(lam_rows) == 25
+        i = clean.index(lam_rows[0])
+        assert checks[:i] == clean[:i] and checks[i + 1 :] == clean[i + 25 :]
+
+    def test_small_orders_run_every_block(self):
+        # the leading-coefficient rows need gamma_n for n up to 6
+        for order in (1, 5):
+            checks = run_suite(order=order)
+            assert all(c.status in ("holds", "equality") for c in checks)
+            assert len(checks) == 346
 
     def test_off_grid_alpha_has_no_violated_row(self):
         # numpy's complex x/x can give 0.9999999999999999 for the k_alpha c0
