@@ -34,19 +34,20 @@ trimmed degree on stacked companion matrices), the grid test (min |q|
 over five circles) and the post-check; the last two are products with
 cached sample matrices.  The superset family has no test.  Then |a_n| is
 extracted for each accepted row through reciprocal_raw and offered to the
-running best in index order.  Extraction stays per row on purpose: the
+running best in row order.  Extraction stays per row on purpose: the
 np.dot inside reciprocal_raw is BLAS zdotu, which sums with several
 accumulators, and every stacked numpy product (einsum, matmul, vecdot)
 sums in another order and moves the last bit of |a_n| on most rows.  The
-start candidate, the polish and validate_exact_u run the same chunk test
-on one-row batches.
+start candidate and each polish evaluation take the same path as a random
+chunk, as one-row chunks; validate_exact_u runs the same chunk test.
 
 Searches are deterministic: a fixed chunked generation schedule from a
-seeded generator, a total order on (achieved, candidate index), and a
-coordinate-wise golden-section polish with a fixed sweep plan.  Each search
-logs one DEBUG record on the ``logcoef.search`` logger that accounts for its
-budget: start, random and polish evaluations, and the rows rejected by each
-test of the chunk test.
+seeded generator, a strict-improvement rule applied in offer order (a
+candidate replaces the best only if its |a_n| is strictly greater, so of
+equal values the first offered wins), and a coordinate-wise golden-section
+polish with a fixed sweep plan.  Each search logs one DEBUG record on the
+``logcoef.search`` logger that accounts for its budget: start, random and
+polish evaluations, and the rows rejected by each test of the chunk test.
 """
 
 from __future__ import annotations
@@ -129,18 +130,16 @@ def boundary_sup(coeffs, samples: int = VALIDATION_SAMPLES) -> float:
     return float(np.max(np.abs(_boundary_matrix(c.size, samples) @ c)))
 
 
-def validate_schwarz(coeffs, samples: int = VALIDATION_SAMPLES) -> SchwarzParams:
+def validate_schwarz(coeffs) -> SchwarzParams:
     """Gate a polynomial as a Schwarz function candidate.
 
-    The boundary sup over at least 1024 samples must not exceed 1 by more
-    than the gate tolerance; anything larger is rejected.
+    The boundary sup over VALIDATION_SAMPLES points must not exceed 1 by
+    more than the gate tolerance; anything larger is rejected.
     """
-    if samples < 1024:
-        raise SearchError("validation needs at least 1024 boundary samples")
     coeffs = tuple(complex(c) for c in coeffs)
     if not coeffs:
         raise SearchError("empty coefficient list")
-    sup = boundary_sup(coeffs, samples)
+    sup = boundary_sup(coeffs)
     if not sup <= 1.0 + SCHWARZ_GATE_TOL:
         raise SearchError(f"boundary sup {sup:.12g} exceeds 1")
     return SchwarzParams(coeffs=coeffs, validated=True)
@@ -203,18 +202,12 @@ def _draw_blaschke_batch(rng, count: int) -> np.ndarray:
 def _certified_batch(rng, count: int) -> np.ndarray:
     """A chunk of certified-Schwarz candidate polynomials (rows)."""
     npoly = min(_POLY_PER_CHUNK, count)
-    polys = _draw_poly_batch(rng, npoly)
-    parts = [polys]
-    nbl = count - npoly
-    if nbl > 0:
-        parts.append(_draw_blaschke_batch(rng, nbl))
-    width = max(p.shape[1] for p in parts)
-    batch = np.zeros((count, width), dtype=np.complex128)
-    row = 0
-    for p in parts:
-        batch[row : row + p.shape[0], : p.shape[1]] = p
-        row += p.shape[0]
-    sup = certified_sup_bound(_boundary_matrix(width, CERT_SAMPLES), batch)
+    batch = _draw_poly_batch(rng, npoly)
+    if count > npoly:
+        blaschke = _draw_blaschke_batch(rng, count - npoly)
+        pad = ((0, 0), (0, blaschke.shape[1] - batch.shape[1]))
+        batch = np.vstack([np.pad(batch, pad), blaschke])
+    sup = certified_sup_bound(_boundary_matrix(batch.shape[1], CERT_SAMPLES), batch)
     scale = np.where(sup > 1.0, sup, 1.0)
     return batch / scale[:, None]
 
@@ -230,13 +223,6 @@ def _trim(coeffs: np.ndarray) -> tuple[complex, ...]:
 # ---------------------------------------------------------------------------
 # Building the families.
 
-def _fz_from_denominator(q: np.ndarray, order: int) -> np.ndarray:
-    qq = np.zeros(order + 1, dtype=np.complex128)
-    m = min(order + 1, q.size)
-    qq[:m] = q[:m]
-    return reciprocal_raw(qq)
-
-
 def build_superset_function(
     lam: float, omega: SchwarzParams, order: int
 ) -> TruncatedSeries:
@@ -245,10 +231,7 @@ def build_superset_function(
         raise SearchError("lambda must lie in (0, 1]")
     if not omega.validated:
         raise SearchError("omega has not passed Schwarz validation")
-    fz = _fz_from_denominator(atlas.superset_denominator(lam, omega.coeffs), order - 1)
-    out = np.zeros(order + 1, dtype=np.complex128)
-    out[1:] = fz
-    return TruncatedSeries(out)
+    return atlas.taylor_of(atlas.schwarz_superset(lam, omega.coeffs), order)
 
 
 def _exact_u_chunk(lam: float, a2s, psis):
@@ -312,9 +295,7 @@ def _exact_u_filter(lam: float, a2: complex, psi) -> tuple[np.ndarray, bool, str
     return q[0], True, ""
 
 
-def validate_exact_u(
-    lam: float, a2: complex, psi, samples: int = VALIDATION_SAMPLES
-) -> ExactUParams:
+def validate_exact_u(lam: float, a2: complex, psi) -> ExactUParams:
     """Validate an exact-parametrization candidate: psi bounded, |a2| in
     range, and z/f nonvanishing on the disk grid."""
     if not (0.0 < lam <= 1.0):
@@ -322,7 +303,7 @@ def validate_exact_u(
     a2 = complex(a2)
     if abs(a2) > (1.0 + lam) * (1.0 + 1e-12):
         raise SearchError(f"|a2| = {abs(a2):.6g} exceeds 1 + lambda")
-    w = validate_schwarz(psi, samples)
+    w = validate_schwarz(psi)
     _, ok, note = _exact_u_filter(lam, a2, w.coeffs)
     if not ok:
         raise SearchError(f"z/f vanishes on the disk grid ({note})")
@@ -349,12 +330,7 @@ def build_exact_u_function(p: ExactUParams, order: int) -> TruncatedSeries:
             f"post-check failed: deficiency {report.measured:.9g} exceeds "
             f"lambda + {POSTCHECK_TOL}"
         )
-    fz = _fz_from_denominator(
-        atlas.exact_u_denominator(p.lam, p.a2, p.psi), order - 1
-    )
-    out = np.zeros(order + 1, dtype=np.complex128)
-    out[1:] = fz
-    return TruncatedSeries(out)
+    return atlas.taylor_of(spec, order)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +338,10 @@ def build_exact_u_function(p: ExactUParams, order: int) -> TruncatedSeries:
 
 def _coeff_from_denominator(q: np.ndarray, n: int) -> complex:
     """a_n of f = z / q(z): coefficient n-1 of 1/q."""
-    return complex(_fz_from_denominator(q, n - 1)[n - 1])
+    qq = np.zeros(n, dtype=np.complex128)
+    m = min(n, q.size)
+    qq[:m] = q[:m]
+    return complex(reciprocal_raw(qq)[n - 1])
 
 
 @dataclass(frozen=True)
@@ -406,21 +385,6 @@ def _pack_params(family, coeffs, a2=None):
     if family == "superset":
         return {"omega": [c2pair(c) for c in coeffs]}
     return {"a2": c2pair(a2), "psi": [c2pair(c) for c in coeffs]}
-
-
-class _Best:
-    """Running maximum with the (achieved, index) total order."""
-
-    def __init__(self):
-        self.achieved = -1.0
-        self.index = -1
-        self.payload = None
-
-    def offer(self, achieved, index, payload):
-        if achieved > self.achieved:
-            self.achieved = achieved
-            self.index = index
-            self.payload = payload
 
 
 def _golden_max(fn, lo, hi, iters):
@@ -472,111 +436,92 @@ def search_max_coeff(
     if not (0.0 < lam <= 1.0):
         raise SearchError("lambda must lie in (0, 1]")
 
+    exact = family == "exact_u"
     rng = np.random.default_rng(seed)
-    best = _Best()
+    best = None  # (coeffs, a2) of the best row so far
+    best_value = -1.0
     evals = 0
     # rows rejected by the root test, the grid and the post-check; accepted
     verdicts = np.zeros(4, dtype=np.int64)
 
-    def accepted_values(coeffs, a2s):
-        """(row, |a_n|) for each row of the chunk that the family's chunk
-        test accepts, in row order.  The superset family has no test."""
-        nonlocal verdicts
-        if family == "superset":
-            q = [atlas.superset_denominator(lam, c) for c in coeffs]
-            rows = range(len(q))
-            verdicts[3] += len(q)
-        else:
+    def offer(coeffs, a2s):
+        """Evaluate a chunk of candidate rows and offer each row the chunk
+        test accepts to the running best, in row order; a row replaces the
+        best only on a strictly greater |a_n|.  Returns the last accepted
+        row's |a_n|, or None.  The superset family has no test."""
+        nonlocal best, best_value, evals, verdicts
+        evals += len(coeffs)
+        if exact:
             q, passed, _, _ = _exact_u_chunk(lam, a2s, coeffs)
             verdicts += np.bincount(passed, minlength=4)
             rows = np.flatnonzero(passed == 3).tolist()
-        # One reciprocal_raw per row: its np.dot sums in BLAS zdotu order,
-        # which no stacked numpy product reproduces to the last bit.
-        return [(i, abs(_coeff_from_denominator(q[i], n))) for i in rows]
-
-    def evaluate(coeffs, a2):
-        """|a_n| of one candidate, or None if the chunk test rejects it."""
-        accepted = accepted_values(coeffs[None, :], [a2])
-        return accepted[0][1] if accepted else None
-
-    if family == "superset":
-        start_coeffs = np.array([1.0 + 0.0j])
-        start_a2 = None
-    else:
-        start_coeffs = np.array([-1.0 + 0.0j])
-        start_a2 = complex(1.0 + lam)
+        else:
+            q = [atlas.superset_denominator(lam, c) for c in coeffs]
+            rows = range(len(q))
+            verdicts[3] += len(q)
+        value = None
+        for i in rows:
+            # One reciprocal_raw per row: its np.dot sums in BLAS zdotu order,
+            # which no stacked numpy product reproduces to the last bit.
+            value = abs(_coeff_from_denominator(q[i], n))
+            if value > best_value:
+                best_value = value
+                best = (coeffs[i].copy(), complex(a2s[i]) if exact else None)
+        return value
 
     # Start #0: the known extremal is never lost.
-    val = evaluate(start_coeffs, start_a2)
-    evals += 1
-    if val is not None:
-        best.offer(val, 0, (start_coeffs.copy(), start_a2))
+    if exact:
+        offer(np.array([[-1.0 + 0j]]), [complex(1.0 + lam)])
+    else:
+        offer(np.array([[1.0 + 0j]]), None)
 
     # Random multi-start phase; the polish reserve never starves it.
-    full_polish_cost = _POLISH_SWEEPS * _POLISH_ITERS * (
-        2 * (_MAX_POLY_DEGREE + 1) + (2 if family == "exact_u" else 0)
-    )
-    polish_budget = min(full_polish_cost, max(0, (budget - 1) // 4))
-    random_budget = max(0, budget - evals - polish_budget)
-
+    width = _MAX_POLY_DEGREE + 1
+    full_polish_cost = _POLISH_SWEEPS * _POLISH_ITERS * 2 * (width + exact)
+    polish_budget = min(full_polish_cost, (budget - 1) // 4)
+    random_budget = budget - 1 - polish_budget
     for index in range(0, random_budget, _CHUNK):
         take = min(_CHUNK, random_budget - index)
         batch = _certified_batch(rng, _CHUNK)[:take]
-        a2s = _draw_disk(rng, _CHUNK, 1.0 + lam)[:take] if family == "exact_u" else None
-        for i, val in accepted_values(batch, a2s):
-            a2 = complex(a2s[i]) if family == "exact_u" else None
-            best.offer(val, index + i + 1, (batch[i].copy(), a2))
-    evals += random_budget
+        offer(batch, _draw_disk(rng, _CHUNK, 1.0 + lam)[:take] if exact else None)
 
-    # Coordinate-wise golden-section polish of the best candidate found.
-    remaining = budget - evals
-    if best.payload is not None and remaining > 0 and polish_budget > 0:
-        coeffs, a2 = best.payload
-        width = _MAX_POLY_DEGREE + 1
-        base = np.zeros(width, dtype=np.complex128)
-        base[: min(width, coeffs.size)] = coeffs[:width]
-        x = base.view(np.float64).copy()
-        if family == "exact_u":
-            x = np.concatenate([x, [a2.real, a2.imag]])
+    # Coordinate-wise golden-section polish of the best candidate found.  The
+    # point holds its first `width` coefficients and, for exact_u, a2 last;
+    # each real and imaginary part is one coordinate.
+    if best is not None:
+        coeffs, a2 = best
+        point = np.zeros(width + exact, dtype=np.complex128)
+        point[: min(width, coeffs.size)] = coeffs[:width]
+        if exact:
+            point[-1] = a2
+        x = point.view(np.float64)
 
-        def project_eval(xvec):
-            nonlocal evals
-            if evals >= budget:
-                return None
-            evals += 1
-            c = xvec[: 2 * width].copy().view(np.complex128)
-            sup = certified_sup_bound(
-                _boundary_matrix(width, CERT_SAMPLES), c[None, :]
-            )[0]
+        def line(t, coord):
+            trial = x.copy()
+            trial[coord] = t
+            c = trial.view(np.complex128)[None, :width]
+            sup = certified_sup_bound(_boundary_matrix(width, CERT_SAMPLES), c)[0]
             if sup > 1.0:
                 c = c / sup
-            if family == "exact_u":
-                a2v = complex(xvec[-2], xvec[-1])
-                if abs(a2v) > 1.0 + lam:
-                    a2v = a2v * (1.0 + lam) / abs(a2v)
-                return evaluate(c, a2v), (c, a2v)
-            return evaluate(c, None), (c, None)
+            a2s = None
+            if exact:
+                a2 = complex(trial[-2], trial[-1])
+                if abs(a2) > 1.0 + lam:
+                    a2 = a2 * (1.0 + lam) / abs(a2)
+                a2s = [a2]
+            value = offer(c, a2s)
+            return -1.0 if value is None else value
 
-        for sweep in range(_POLISH_SWEEPS):
-            step = _POLISH_STEPS[sweep]
+        for step in _POLISH_STEPS[:_POLISH_SWEEPS]:
             for coord in range(x.size):
                 if evals + _POLISH_ITERS > budget:
                     break
-
-                def line(t, coord=coord):
-                    trial = x.copy()
-                    trial[coord] = t
-                    out = project_eval(trial)
-                    if out is None or out[0] is None:
-                        return -1.0
-                    val, payload = out
-                    best.offer(val, random_budget + evals, payload)
-                    return val
-
-                t_best, _ = _golden_max(
-                    line, x[coord] - step, x[coord] + step, _POLISH_ITERS
+                x[coord], _ = _golden_max(
+                    lambda t: line(t, coord),
+                    x[coord] - step,
+                    x[coord] + step,
+                    _POLISH_ITERS,
                 )
-                x[coord] = t_best
 
     _log.debug(
         "search %s lambda=%r n=%d budget=%d seed=%d: evaluations=%d start=1 "
@@ -585,11 +530,11 @@ def search_max_coeff(
         family, lam, n, budget, seed, evals, random_budget,
         evals - 1 - random_budget, *verdicts,
     )
-    if best.payload is None:
+    if best is None:
         raise SearchError("no valid candidate found within budget")
-    coeffs, a2 = best.payload
+    coeffs, a2 = best
     bound = conjectured_bound(lam, n)
-    achieved = float(best.achieved)
+    achieved = float(best_value)
     return SearchRecord(
         lam=lam,
         n=n,

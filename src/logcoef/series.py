@@ -66,14 +66,6 @@ class TruncatedSeries:
         return hash((self.order, self.coeffs.tobytes()))
 
     # Convenience arithmetic (thin wrappers; the ts_* functions are the API).
-    def __add__(self, other):
-        _check_orders(self, other)
-        return TruncatedSeries(self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        _check_orders(self, other)
-        return TruncatedSeries(self.coeffs - other.coeffs)
-
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             return ts_mul(self, other)
@@ -85,12 +77,6 @@ class TruncatedSeries:
 def _check_orders(a: TruncatedSeries, b: TruncatedSeries):
     if a.order != b.order:
         raise SeriesError(f"order mismatch: {a.order} != {b.order}")
-
-
-def _wrap(raw: np.ndarray) -> TruncatedSeries:
-    if not np.all(np.isfinite(raw.view(np.float64))):
-        raise SeriesError("non-finite coefficient in result")
-    return TruncatedSeries(raw)
 
 
 # Raw-array versions.  These back the public ops and are reused by the
@@ -139,7 +125,7 @@ def eval_raw(coeffs: np.ndarray, z):
 def ts_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated to the shared order."""
     _check_orders(a, b)
-    return _wrap(mul_raw(a.coeffs, b.coeffs))
+    return TruncatedSeries(mul_raw(a.coeffs, b.coeffs))
 
 
 def ts_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
@@ -154,21 +140,21 @@ def ts_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
             f"reciprocal of series with |c0| = {abs(c0):.3g} is ill-conditioned",
             stacklevel=2,
         )
-    return _wrap(reciprocal_raw(a.coeffs))
+    return TruncatedSeries(reciprocal_raw(a.coeffs))
 
 
 def ts_log(a: TruncatedSeries) -> TruncatedSeries:
     """log on the normalized branch: requires c0 = 1, returns c0 = 0."""
     if a.coeffs[0] != 1.0:
         raise SeriesError(f"ts_log requires c0 = 1, got {a.coeffs[0]}")
-    return _wrap(log_raw(a.coeffs))
+    return TruncatedSeries(log_raw(a.coeffs))
 
 
 def ts_exp(a: TruncatedSeries) -> TruncatedSeries:
     """exp; requires c0 = 0, returns c0 = 1."""
     if a.coeffs[0] != 0.0:
         raise SeriesError(f"ts_exp requires c0 = 0, got {a.coeffs[0]}")
-    return _wrap(exp_raw(a.coeffs))
+    return TruncatedSeries(exp_raw(a.coeffs))
 
 
 def ts_derivative(a: TruncatedSeries) -> TruncatedSeries:
@@ -177,7 +163,7 @@ def ts_derivative(a: TruncatedSeries) -> TruncatedSeries:
     n = a.order
     out = np.zeros(n + 1, dtype=np.complex128)
     out[:n] = a.coeffs[1:] * np.arange(1, n + 1)
-    return _wrap(out)
+    return TruncatedSeries(out)
 
 
 def ts_integrate(a: TruncatedSeries) -> TruncatedSeries:
@@ -185,7 +171,7 @@ def ts_integrate(a: TruncatedSeries) -> TruncatedSeries:
     n = a.order
     out = np.zeros(n + 1, dtype=np.complex128)
     out[1:] = a.coeffs[:n] / np.arange(1, n + 1)
-    return _wrap(out)
+    return TruncatedSeries(out)
 
 
 def ts_eval(a: TruncatedSeries, z: complex) -> complex:
@@ -206,10 +192,3 @@ def shift_down(a: TruncatedSeries) -> TruncatedSeries:
     if a.coeffs[0] != 0.0:
         raise SeriesError("shift_down requires c0 = 0")
     return TruncatedSeries(a.coeffs[1:])
-
-
-def shift_up(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiply by z: order increases by one."""
-    out = np.zeros(a.order + 2, dtype=np.complex128)
-    out[1:] = a.coeffs
-    return TruncatedSeries(out)

@@ -406,9 +406,9 @@ def _g_class_rows(order):
     b = g_class_bounds(alpha)
     rows = []
     specs = [atlas.f0()] + [atlas.g_family(n) for n in range(1, 7)]
-    for spec in specs:
+    profiles = [log_coefficients(spec, max(order, 40)) for spec in specs]
+    for spec, prof in zip(specs, profiles):
         name = atlas.render(spec)
-        prof = log_coefficients(spec, max(order, 40))
         w = gamma_l2(prof, "n_squared")
         tail = f0_weighted_l2_closed_tail(w.order) if spec.kind == "f0" else 0.0
         rows.append(
@@ -443,16 +443,17 @@ def _g_class_rows(order):
                     prof.gammas.size,
                 )
             )
+    # gamma_n of g_family(n) (specs[n]) depends only on the first n terms, so
+    # the longer profile gives the bits of one at order max(order, n).
     for n in range(2, 7):
-        prof = log_coefficients(atlas.g_family(n), max(order, n))
-        lead = abs(prof.gammas[n - 1])
+        lead = abs(profiles[n].gammas[n - 1])
         rows.append(
             _check(
                 "gclass_leading_coeff",
                 {"n": n},
                 lead,
                 1.0 / (2.0 * n * (n + 1)),
-                prof.gammas.size,
+                max(order, n),
             )
         )
         rows.append(
@@ -461,7 +462,7 @@ def _g_class_rows(order):
                 {"n": n},
                 1.0 / (n * 2.0 ** (n + 1)),
                 lead,
-                prof.gammas.size,
+                max(order, n),
             )
         )
     return rows
