@@ -29,7 +29,7 @@ from .atlas import (
     schwarz_superset,
     taylor_of,
 )
-from .dilog import DilogResult, li2, li2_quadrature_oracle
+from .dilog import DilogResult, li2
 from .membership import (
     ClassMembershipReport,
     g_class_sup,

@@ -29,10 +29,18 @@ gap estimate from the autocorrelation of the coefficients.
 Candidates are tested a chunk of 256 rows at a time.  For the exact
 parametrization the chunk test builds every denominator z/f = q of the
 chunk at once and runs three tests, each on the survivors of the one
-before: the root test (no zero of q in |z| <= 0.999, one eigvals call per
-trimmed degree on stacked companion matrices), the grid test (min |q|
-over five circles) and the post-check; the last two are products with
-cached sample matrices.  The superset family has no test.  Then |a_n| is
+before: the root test (no zero of q in |z| <= 0.999), the grid test (min
+|q| over five circles) and the post-check; the last two are products with
+cached sample matrices.  The root test is a batched Schur-Cohn recursion
+(Henrici, Applied and Computational Complex Analysis I, section 6.8) on
+q(rho z) at rho = 0.999 (1 +- 1e-6): a row is decided when every step
+passes at the outer radius (no zero) or a step fails at the inner one (a
+zero), each step with a relative margin of 1e-9.  Rows with a zero in
+that band, or too close to a step's margin, fall back to the stacked
+eigvals verdict min |root| > 0.999 (one eigvals call per trimmed degree
+on companion matrices, the roots np.roots gives row by row); so does a
+one-row chunk, for which eigvals is the faster route.  The superset
+family has no test.  Then |a_n| is
 extracted for each accepted row through reciprocal_raw and offered to the
 running best in row order.  Extraction stays per row on purpose: the
 np.dot inside reciprocal_raw is BLAS zdotu, which sums with several
@@ -47,7 +55,9 @@ candidate replaces the best only if its |a_n| is strictly greater, so of
 equal values the first offered wins), and a coordinate-wise golden-section
 polish with a fixed sweep plan.  Each search logs one DEBUG record on the
 ``logcoef.search`` logger that accounts for its budget: start, random and
-polish evaluations, and the rows rejected by each test of the chunk test.
+polish evaluations, the root-test rows decided by the recursion and by
+eigvals, the rows rejected by each test of the chunk test, and the
+winner's phase (start, random, polish or none) and offer-order index.
 """
 
 from __future__ import annotations
@@ -72,6 +82,8 @@ POSTCHECK_TOL = 1e-6
 _POSTCHECK_SAMPLES = 256
 _NV_RADII = (0.3, 0.6, 0.9, 0.99, 0.999)
 _NV_ANGLES = 128
+_SC_BAND = 1e-6  # relative band around |z| = 0.999 left to eigvals
+_SC_TOL = 1e-9  # relative margin of |p_0| against |p_m| in the recursion
 _CHUNK = 256
 _POLY_PER_CHUNK = 192  # remainder of each chunk is Blaschke-truncation draws
 _MAX_POLY_DEGREE = 6
@@ -234,24 +246,11 @@ def build_superset_function(
     return atlas.taylor_of(atlas.schwarz_superset(lam, omega.coeffs), order)
 
 
-def _exact_u_chunk(lam: float, a2s, psis):
-    """The exact_u acceptance test on a chunk of candidates (rows).
-
-    Each test runs only on the survivors of the one before: the root test
-    (q = z/f has no zero of modulus <= 0.999; one eigvals call per trimmed
-    degree gives the roots that np.roots gives row by row), the grid test
-    (min |q| on the disk grid > NONVANISHING_MIN) and the post-check
-    (max |q - z q' - 1| at POSTCHECK_RADIUS <= lambda + POSTCHECK_TOL,
-    where q - z q' - 1 has k-th coefficient (1 - k) q_k since q_0 = 1).
-
-    Returns q, the number of tests each row passed (3 = accepted), each
-    row's smallest root modulus (inf for a constant q) and its grid
-    minimum (nan where the grid test did not run).
-    """
-    q = atlas.exact_u_denominator(lam, a2s, psis)
+def _min_root_modulus(q: np.ndarray) -> np.ndarray:
+    """Smallest root modulus of each row of q (inf for a constant row): one
+    eigvals call per trimmed degree on stacked companion matrices gives the
+    roots that np.roots gives row by row."""
     rows, width = q.shape
-    passed = np.zeros(rows, dtype=np.int64)
-
     degree = width - 1 - np.argmax(q[:, ::-1] != 0, axis=1)
     inner = np.full(rows, np.inf)
     for d in np.unique(degree[degree > 0]):
@@ -261,7 +260,76 @@ def _exact_u_chunk(lam: float, a2s, psis):
         companion[:, 0, :] = -p[:, 1:] / p[:, :1]
         companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
         inner[sel] = np.min(np.abs(np.linalg.eigvals(companion)), axis=1)
-    passed[inner > _NV_RADII[-1]] = 1
+    return inner
+
+
+def _schur_cohn(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Schur-Cohn recursion (Henrici, Applied and Computational Complex
+    Analysis I, section 6.8) on the rows of q at the two radii
+    rho = 0.999 (1 +- _SC_BAND), stacked into one batch.
+
+    p(z) = q(rho z) has formal degree m = width - 1, so a zero leading
+    coefficient is a zero at infinity.  While |p_0| > |p_m|, p has as many
+    zeros in the closed unit disk as p <- conj(p_0) p - p_m p* (p* the
+    reversed conjugate, degree m - 1), and |p_0| < |p_m| proves a zero in
+    the disk.  A row passes a step when |p_0| > |p_m| (1 + _SC_TOL) and
+    fails when |p_0| < |p_m| (1 - _SC_TOL); the first step that does
+    neither leaves it undecided.  Returns (accept, reject): q has no zero
+    of modulus <= 0.999 (1 + _SC_BAND), resp. a zero of modulus <=
+    0.999 (1 - _SC_BAND).  Rows in neither are left to eigvals.
+    """
+    rows, width = q.shape
+    rho = _NV_RADII[-1] * np.array([[1.0 + _SC_BAND], [1.0 - _SC_BAND]])
+    # coefficient k of every row at both radii is p[k]: row i at the outer
+    # radius is column i, at the inner radius column rows + i
+    p = (rho ** np.arange(width)[:, None, None] * q.T[:, None, :]).reshape(width, -1)
+    alive = np.ones(2 * rows, dtype=bool)  # passed every step so far
+    failed = np.zeros(2 * rows, dtype=bool)
+    for m in range(width - 1, 0, -1):
+        head, tail = np.abs(p[0]), np.abs(p[m])
+        failed |= alive & (head < tail * (1.0 - _SC_TOL))
+        alive &= head > tail * (1.0 + _SC_TOL)
+        p = p[0].conj() * p[:m] - p[m] * p[m:0:-1].conj()
+        scale = np.abs(p).max(axis=0)
+        p /= np.where(scale > 0.0, scale, 1.0)  # an all-zero row is undecided
+    accept, reject = alive[:rows], failed[rows:]
+    return accept & ~reject, reject & ~accept
+
+
+def _exact_u_chunk(lam: float, a2s, psis):
+    """The exact_u acceptance test on a chunk of candidates (rows).
+
+    Each test runs only on the survivors of the one before: the root test
+    (q = z/f has no zero of modulus <= 0.999), the grid test (min |q| on
+    the disk grid > NONVANISHING_MIN) and the post-check (max |q - z q' - 1|
+    at POSTCHECK_RADIUS <= lambda + POSTCHECK_TOL, where q - z q' - 1 has
+    k-th coefficient (1 - k) q_k since q_0 = 1).
+
+    The root test runs the batched Schur-Cohn recursion on a chunk of more
+    than one row.  It decides every row with no zero within a relative
+    band _SC_BAND of the circle |z| = 0.999; the rows it leaves undecided
+    get the stacked eigvals verdict min |root| > 0.999.  A one-row chunk
+    (the start row, each polish evaluation, validate_exact_u) goes to
+    eigvals directly, which is faster for one row and gives the root
+    modulus that _exact_u_filter's note reports.
+
+    Returns q, the number of tests each row passed (3 = accepted), each
+    row's smallest root modulus where eigvals ran (inf for a constant q)
+    and nan where the recursion decided, and its grid minimum (nan where
+    the grid test did not run).
+    """
+    q = atlas.exact_u_denominator(lam, a2s, psis)
+    rows, width = q.shape
+    passed = np.zeros(rows, dtype=np.int64)
+
+    if rows == 1:
+        accept = reject = np.zeros(1, dtype=bool)
+    else:
+        accept, reject = _schur_cohn(q)
+    undecided = ~(accept | reject)
+    inner = np.full(rows, np.nan)
+    inner[undecided] = _min_root_modulus(q[undecided])
+    passed[accept | (undecided & (inner > _NV_RADII[-1]))] = 1
 
     grid_min = np.full(rows, np.nan)
     alive = np.flatnonzero(passed == 1)
@@ -440,20 +508,24 @@ def search_max_coeff(
     rng = np.random.default_rng(seed)
     best = None  # (coeffs, a2) of the best row so far
     best_value = -1.0
+    best_index = -1  # position of the best row in offer order
     evals = 0
     # rows rejected by the root test, the grid and the post-check; accepted
     verdicts = np.zeros(4, dtype=np.int64)
+    roots_by_eigvals = 0  # root-test rows the Schur-Cohn recursion left to eigvals
 
     def offer(coeffs, a2s):
         """Evaluate a chunk of candidate rows and offer each row the chunk
         test accepts to the running best, in row order; a row replaces the
         best only on a strictly greater |a_n|.  Returns the last accepted
         row's |a_n|, or None.  The superset family has no test."""
-        nonlocal best, best_value, evals, verdicts
+        nonlocal best, best_value, best_index, evals, verdicts, roots_by_eigvals
+        first = evals
         evals += len(coeffs)
         if exact:
-            q, passed, _, _ = _exact_u_chunk(lam, a2s, coeffs)
+            q, passed, inner, _ = _exact_u_chunk(lam, a2s, coeffs)
             verdicts += np.bincount(passed, minlength=4)
+            roots_by_eigvals += int(np.count_nonzero(~np.isnan(inner)))
             rows = np.flatnonzero(passed == 3).tolist()
         else:
             q = [atlas.superset_denominator(lam, c) for c in coeffs]
@@ -466,6 +538,7 @@ def search_max_coeff(
             value = abs(_coeff_from_denominator(q[i], n))
             if value > best_value:
                 best_value = value
+                best_index = first + i
                 best = (coeffs[i].copy(), complex(a2s[i]) if exact else None)
         return value
 
@@ -523,12 +596,20 @@ def search_max_coeff(
                     _POLISH_ITERS,
                 )
 
+    if best_index < 0:
+        winner = "none"
+    elif best_index == 0:
+        winner = "start"
+    else:
+        winner = "random" if best_index <= random_budget else "polish"
     _log.debug(
         "search %s lambda=%r n=%d budget=%d seed=%d: evaluations=%d start=1 "
-        "random=%d polish=%d rejected_roots=%d rejected_grid=%d "
-        "rejected_postcheck=%d accepted=%d",
+        "random=%d polish=%d roots_by_recursion=%d roots_by_eigvals=%d "
+        "rejected_roots=%d rejected_grid=%d rejected_postcheck=%d accepted=%d "
+        "winner=%s winner_index=%d",
         family, lam, n, budget, seed, evals, random_budget,
-        evals - 1 - random_budget, *verdicts,
+        evals - 1 - random_budget, evals * exact - roots_by_eigvals,
+        roots_by_eigvals, *verdicts, winner, best_index,
     )
     if best is None:
         raise SearchError("no valid candidate found within budget")

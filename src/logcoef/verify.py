@@ -84,16 +84,6 @@ def log_coefficients(spec: FunctionSpec, order: int) -> LogCoeffProfile:
     return LogCoeffProfile(gammas=g, source="series", spec=spec)
 
 
-def closed_form_profile(spec: FunctionSpec, order: int) -> LogCoeffProfile | None:
-    """Profile from the closed forms, or None if the spec lacks them."""
-    vals = [atlas.gamma_closed_form(spec, n) for n in range(1, order + 1)]
-    if any(v is None for v in vals):
-        return None
-    g = np.array(vals, dtype=np.complex128)
-    g.flags.writeable = False
-    return LogCoeffProfile(gammas=g, source="closed_form", spec=spec)
-
-
 @dataclass(frozen=True)
 class L2Sum:
     value: float  # partial sum over n <= N

@@ -12,11 +12,12 @@ in test_cli.py::TestCurveGeometry.
 import math
 import time
 
+import mpmath
 import numpy as np
 
 from logcoef import atlas, membership
 from logcoef import search as S
-from logcoef.dilog import PI2_6, li2, li2_quadrature_oracle
+from logcoef.dilog import PI2_6, li2
 from logcoef.search import (
     build_exact_u_function,
     coefficient_recursion_residuals,
@@ -244,12 +245,18 @@ def test_criterion_09_kernel_and_dilog_properties():
         abs(li2(x * x).value - 2.0 * (li2(x).value + li2(-x).value)) for x in grid
     )
     assert dup <= 1e-12
-    quad = max(abs(li2_quadrature_oracle(x) - li2(x).value) for x in grid)
-    assert quad <= 1e-7
+    # against mpmath at 30 digits, each value within li2's own estimate
+    with mpmath.workdps(30):
+        errs = [
+            (abs(float(mpmath.polylog(2, mpmath.mpf(x)) - mpmath.mpf(r.value))), r.est_error)
+            for r, x in ((li2(x), x) for x in grid)
+        ]
+    assert all(err <= est <= 1e-13 for err, est in errs)
+    ref = max(err for err, _ in errs)
     report(
         9,
         f"round trip {worst:.2e} (1e3 series, N=64); duplication {dup:.2e}; "
-        f"series-vs-quadrature {quad:.2e}",
+        f"li2-vs-mpmath {ref:.2e}",
     )
 
 

@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import pytest
 
-from logcoef.dilog import PI2_6, PI2_12, DilogResult, li2, li2_quadrature_oracle
+from logcoef.dilog import PI2_6, PI2_12, DilogResult, li2
+from quadrature import li2_quadrature_oracle
 
 GRID = [round(-1.0 + 0.01 * k, 10) for k in range(201)]
 
@@ -95,6 +97,17 @@ class TestIdentitiesOnGrid:
         for x in GRID:
             v = li2(x).value
             assert -PI2_12 <= v <= PI2_6
+
+
+class TestAgainstMpmath:
+    def test_grid_within_estimate(self):
+        # mpmath at 30 digits is exact at double precision, so the difference
+        # must lie within li2's own certified estimate (<= 1e-13)
+        with mpmath.workdps(30):
+            for x in GRID:
+                r = li2(x)
+                exact = mpmath.polylog(2, mpmath.mpf(x))
+                assert abs(float(exact - mpmath.mpf(r.value))) <= r.est_error <= 1e-13
 
 
 class TestQuadratureOracle:

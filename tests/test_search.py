@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcoef import atlas, membership
 from logcoef import search as S
@@ -359,22 +361,49 @@ class TestGoldenRecords:
         assert abs(f.coeffs[n]) == rec["achieved"]
 
 
-def _scalar_exact_u_verdict(lam, a2, psi):
-    """Reference for the chunk test: one candidate at a time with a Horner
-    grid, np.roots and a Horner post-check, at the same thresholds."""
+def _scalar_exact_u_passed(lam, a2, psi):
+    """Reference for the chunk test: one candidate at a time with np.roots,
+    a Horner grid and a Horner post-check, at the same thresholds and in the
+    same order.  Returns the number of tests passed (3 = accepted)."""
     pv = np.polynomial.polynomial.polyval
     q = atlas.exact_u_denominator(lam, a2, psi)
+    qt = np.trim_zeros(q, "b")
+    if qt.size > 1 and np.min(np.abs(np.roots(qt[::-1]))) <= S._NV_RADII[-1]:
+        return 0
     zs = np.concatenate(
         [r * np.exp(2j * np.pi * np.arange(S._NV_ANGLES) / S._NV_ANGLES) for r in S._NV_RADII]
     )
     if np.min(np.abs(pv(zs, q))) <= S.NONVANISHING_MIN:
-        return False
-    qt = np.trim_zeros(q, "b")
-    if qt.size > 1 and np.min(np.abs(np.roots(qt[::-1]))) <= S._NV_RADII[-1]:
-        return False
+        return 1
     zs = S.POSTCHECK_RADIUS * np.exp(2j * np.pi * np.arange(256) / 256)
     u = pv(zs, q) - zs * pv(zs, np.polynomial.polynomial.polyder(q)) - 1.0
-    return bool(np.max(np.abs(u)) <= lam + S.POSTCHECK_TOL)
+    return 3 if np.max(np.abs(u)) <= lam + S.POSTCHECK_TOL else 2
+
+
+def _scalar_exact_u_verdict(lam, a2, psi):
+    return _scalar_exact_u_passed(lam, a2, psi) == 3
+
+
+def _exact_u_inputs(q, lam=1.0):
+    """(a2, psi) whose exact_u denominator is the polynomial q (q_0 = 1):
+    q_1 = -a2 and q_{k+2} = -lambda psi_k / (k + 1)."""
+    q = np.asarray(q, dtype=np.complex128)
+    return -q[1], -q[2:] * np.arange(1, q.size - 1) / lam
+
+
+def _with_zeros(zeros, width=S._BLASCHKE_TRUNC + 3):
+    """prod (1 - z / r) over the zeros r, padded with zero coefficients to
+    `width` (the width of a search chunk's denominators)."""
+    q = np.zeros(width, dtype=np.complex128)
+    q[0] = 1.0
+    for r in zeros:
+        q[1:] -= q[:-1] / r
+    return q
+
+
+# relative offsets of zeros from |z| = 0.999, inside and outside the
+# recursion's 1e-6 band
+_NEAR_CIRCLE_OFFSETS = [-0.1, -1e-3, -1e-5, -1e-7, -1e-9, 1e-9, 1e-7, 1e-5, 1e-3, 0.1]
 
 
 class TestChunkTest:
@@ -390,9 +419,9 @@ class TestChunkTest:
             psis = np.vstack([psis, start])
             a2s = np.append(a2s, 1.0 + lam)
             _, passed, _, _ = S._exact_u_chunk(lam, a2s, psis)
-            want = [_scalar_exact_u_verdict(lam, a2, psi) for a2, psi in zip(a2s, psis)]
-            assert (passed == 3).tolist() == want
-            assert want[-1] and not all(want)
+            want = [_scalar_exact_u_passed(lam, a2, psi) for a2, psi in zip(a2s, psis)]
+            assert passed.tolist() == want
+            assert want[-1] == 3 and min(want) < 3
 
     def test_extremal_row_tightest_grid_margin(self):
         # at lambda = 1, z/f = (1 - z)^2 reads 1e-6 at z = 0.999 against a
@@ -414,11 +443,90 @@ class TestChunkTest:
         assert passed.tolist() == [1, 2]
         assert not any(_scalar_exact_u_verdict(1.0, a2, psi) for a2, psi in zip(a2s, psis))
 
+    def test_near_circle_rows(self):
+        # zeros at 0.999 (1 +- 1e-9) lie inside the recursion's band and are
+        # left to eigvals; zeros at 0.999 (1 +- 1e-5) are decided by the
+        # recursion; every row but the last has zero leading coefficients
+        rim = S._NV_RADII[-1]
+        rest = [1.3, -1.1j, 2.0 * np.exp(1j), 1.7 + 0.4j]  # zeros well outside
+        rows = {
+            "band_out": (_with_zeros([rim * (1 + 1e-9)] + rest), 1, False),
+            "band_in": (_with_zeros([rim * (1 - 1e-9) * 1j] + rest), 0, False),
+            "near_out": (_with_zeros([rim * (1 + 1e-5) * np.exp(2j)] + rest), 2, True),
+            "near_in": (_with_zeros([rim * (1 - 1e-5) * -1j] + rest), 0, True),
+            "far_out": (_with_zeros([3.0, -2.5j]), 3, True),
+            "double": (_with_zeros([0.9995, 0.9995]), 1, True),
+            "constant": (_with_zeros([]), 3, True),
+            "band_only": (_with_zeros([rim * (1 + 1e-9)], width=2), 1, False),
+            "full": (_with_zeros(np.exp(2j * np.pi * np.arange(26) / 26) * 1.01), 2, True),
+        }
+        a2s, psis = zip(*(_exact_u_inputs(q) for q, _, _ in rows.values()))
+        psis = np.array([np.pad(psi, (0, S._BLASCHKE_TRUNC + 1 - psi.size)) for psi in psis])
+        _, passed, inner, _ = S._exact_u_chunk(1.0, np.array(a2s), psis)
+        want = [_scalar_exact_u_passed(1.0, a2, psi) for a2, psi in zip(a2s, psis)]
+        assert passed.tolist() == want == [level for _, level, _ in rows.values()]
+        assert np.isnan(inner).tolist() == [by_recursion for _, _, by_recursion in rows.values()]
+        # eigvals puts the band zeros on the right side of 0.999
+        assert inner[0] > rim > inner[1]
+        assert inner[7] > rim
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.sampled_from(_NEAR_CIRCLE_OFFSETS), st.integers(0, 63)),
+                min_size=1,
+                max_size=26,
+                unique_by=lambda zero: zero[1],
+            ),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    def test_zeros_near_the_circle_match_scalar_reference(self, polys):
+        # each zero sits at 0.999 (1 + offset) at one of 64 distinct angles
+        rim = S._NV_RADII[-1]
+        qs = [
+            _with_zeros([rim * (1 + t) * np.exp(2j * np.pi * k / 64) for t, k in zeros])
+            for zeros in polys
+        ]
+        a2s, psis = zip(*(_exact_u_inputs(q) for q in qs))
+        _, passed, _, _ = S._exact_u_chunk(1.0, np.array(a2s), np.array(psis))
+        want = [_scalar_exact_u_passed(1.0, a2, psi) for a2, psi in zip(a2s, psis)]
+        assert passed.tolist() == want
+
     def test_one_row_filter_notes(self):
         q, ok, note = S._exact_u_filter(0.5, 1.5, [1.0])
         assert not ok and "zero of modulus" in note
         np.testing.assert_array_equal(q, atlas.exact_u_denominator(0.5, 1.5, [1.0]))
         assert S._exact_u_filter(0.5, 1.5, [-1.0])[1:] == (True, "")
+
+
+class TestWholeSearchRootTest:
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
+    def test_every_chunk_matches_eigvals_reference(self, lam, monkeypatch):
+        chunks = []
+        chunk_test = S._exact_u_chunk
+
+        def recording(lam, a2s, psis):
+            out = chunk_test(lam, a2s, psis)
+            chunks.append((np.array(a2s), np.array(psis), out[1], out[2]))
+            return out
+
+        monkeypatch.setattr(S, "_exact_u_chunk", recording)
+        rec = search_max_coeff(lam, 5, "exact_u", budget=2500, seed=11)
+        assert sum(a2s.size for a2s, _, _, _ in chunks) == rec.evaluations
+        rows = by_recursion = 0
+        for a2s, psis, passed, inner in chunks:
+            want = [_scalar_exact_u_passed(lam, a2, psi) for a2, psi in zip(a2s, psis)]
+            assert passed.tolist() == want
+            if a2s.size > 1:
+                rows += a2s.size
+                by_recursion += np.count_nonzero(np.isnan(inner))
+            else:
+                assert not np.isnan(inner).any()
+        # a fallback that sent every row to eigvals would pass the mask check
+        assert rows > 1500 and by_recursion >= 0.99 * rows
 
 
 class TestSearchLog:
@@ -438,3 +546,48 @@ class TestSearchLog:
             rejected = c["rejected_roots"] + c["rejected_grid"] + c["rejected_postcheck"]
             assert rejected + c["accepted"] == loud.evaluations
             assert (rejected > 0) == (family == "exact_u")
+            # every exact_u row reaches the root test; one-row chunks (the
+            # start row and the polish) go to eigvals directly
+            roots = c["roots_by_recursion"] + c["roots_by_eigvals"]
+            assert roots == (loud.evaluations if family == "exact_u" else 0)
+            if family == "exact_u":
+                assert c["roots_by_eigvals"] >= c["start"] + c["polish"]
+
+    @pytest.mark.parametrize(
+        "lam,n,family,budget,phase",
+        [
+            (0.6, 5, "exact_u", 700, "start"),
+            (0.05, 3, "exact_u", 300, "polish"),
+            (0.6, 5, "superset", 300, "polish"),
+        ],
+    )
+    def test_winner_phase_and_index(self, lam, n, family, budget, phase, caplog, monkeypatch):
+        denominators = []  # every candidate's z/f, in offer order
+        if family == "exact_u":
+            chunk_test = S._exact_u_chunk
+
+            def recording(*args):
+                out = chunk_test(*args)
+                denominators.extend(out[0])
+                return out
+
+            monkeypatch.setattr(S, "_exact_u_chunk", recording)
+        else:
+            build = atlas.superset_denominator
+
+            def recording(*args):
+                denominators.append(build(*args))
+                return denominators[-1]
+
+            monkeypatch.setattr(atlas, "superset_denominator", recording)
+        with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
+            rec = search_max_coeff(lam, n, family, budget=budget, seed=4)
+        (record,) = [r for r in caplog.records if r.name == "logcoef.search"]
+        got = re.search(r"random=(\d+) .* winner=(\w+) winner_index=(\d+)$", record.getMessage())
+        random_rows, winner, index = int(got[1]), got[2], int(got[3])
+        assert winner == phase
+        assert winner == (
+            "start" if index == 0 else "random" if index <= random_rows else "polish"
+        )
+        assert len(denominators) == rec.evaluations
+        assert abs(S._coeff_from_denominator(denominators[index], n)) == rec.achieved

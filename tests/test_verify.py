@@ -11,8 +11,8 @@ from logcoef.cli import main
 from logcoef.dilog import PI2_6, li2
 from logcoef.search import _certified_batch, _exact_u_filter, _trim
 from logcoef.verify import (
+    LogCoeffProfile,
     VerifyError,
-    closed_form_profile,
     convex_order_profile,
     f0_weighted_l2_closed_tail,
     f1_l2_alternating_route,
@@ -27,6 +27,16 @@ from logcoef.verify import (
     starlike_order,
     ulambda_l2_bound,
 )
+
+
+def closed_form_profile(spec, order):
+    """Profile from the closed forms, or None if the spec lacks them."""
+    vals = [atlas.gamma_closed_form(spec, n) for n in range(1, order + 1)]
+    if any(v is None for v in vals):
+        return None
+    g = np.array(vals, dtype=np.complex128)
+    g.flags.writeable = False
+    return LogCoeffProfile(gammas=g, source="closed_form", spec=spec)
 
 
 class TestLogCoefficients:
@@ -145,7 +155,7 @@ class TestSharpnessTerms:
 
     def test_integral_representation_of_gap(self):
         # gap = -2 lam * integral_0^1 integrand(lam, t) log(1/t) dt
-        from logcoef.dilog import _adaptive_midpoint, _midpoint_refined
+        from quadrature import _adaptive_midpoint, _midpoint_refined
 
         lam = 0.7
 
