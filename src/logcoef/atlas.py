@@ -22,7 +22,6 @@ import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -517,7 +516,6 @@ def rational_parts(spec: FunctionSpec):
     return None if parts is None else parts(spec)
 
 
-@lru_cache(maxsize=512)
 def fz_series(spec: FunctionSpec, order: int) -> TruncatedSeries:
     """Taylor series of f/z to the given order (constant term 1)."""
     if order < 0:
@@ -545,31 +543,45 @@ def taylor_of(spec: FunctionSpec, order: int) -> TruncatedSeries:
 SERIES_EVAL_ORDER = 256
 
 
-def eval_at(spec: FunctionSpec, z: complex) -> complex:
-    """Value f(z) for |z| < 1: closed form where available, high-order
-    series for the g_family variant."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise SpecError(f"|z| = {abs(z):.6g} not inside the open unit disk")
-    if z == 0:
-        return 0.0 + 0.0j
-    k = spec.kind
-    if k == "k_alpha":
-        alpha = spec.alpha
-        if abs(1.0 - 2.0 * alpha) < ALPHA_HALF_SWITCH:
-            val = -cmath.log(1.0 - z)
+def evaluator(spec: FunctionSpec) -> Callable[[complex], complex]:
+    """z -> f(z) for |z| < 1, by a route chosen once: the closed form for
+    k_alpha, one high-order series for g_family, else the (A, B) parts."""
+    if spec.kind == "k_alpha":
+        power, scale = 2 * spec.alpha - 1, 1.0 - 2.0 * spec.alpha
+        if abs(scale) < ALPHA_HALF_SWITCH:
+            def value(z):
+                return -cmath.log(1.0 - z)
         else:
-            val = (cmath.exp((2 * alpha - 1) * cmath.log(1.0 - z)) - 1.0) / (
-                1.0 - 2.0 * alpha
-            )
-    elif k == "g_family":
-        val = z * complex(eval_raw(fz_series(spec, SERIES_EVAL_ORDER).coeffs, z))
+            def value(z):
+                return (cmath.exp(power * cmath.log(1.0 - z)) - 1.0) / scale
+    elif spec.kind == "g_family":
+        fz = fz_series(spec, SERIES_EVAL_ORDER).coeffs
+
+        def value(z):
+            return z * complex(eval_raw(fz, z))
     else:
         a, b = rational_parts(spec)
-        val = z * complex(eval_raw(a, z)) / complex(eval_raw(b, z))
-    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-        raise SpecError(f"non-finite value of {render(spec)} at {z}")
-    return val
+
+        def value(z):
+            return z * complex(eval_raw(a, z)) / complex(eval_raw(b, z))
+
+    def f(z: complex) -> complex:
+        z = complex(z)
+        if abs(z) >= 1.0:
+            raise SpecError(f"|z| = {abs(z):.6g} not inside the open unit disk")
+        if z == 0:
+            return 0.0 + 0.0j
+        val = value(z)
+        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+            raise SpecError(f"non-finite value of {render(spec)} at {z}")
+        return val
+
+    return f
+
+
+def eval_at(spec: FunctionSpec, z: complex) -> complex:
+    """Value f(z) for |z| < 1, by `evaluator(spec)`."""
+    return evaluator(spec)(z)
 
 
 def gamma_closed_form(spec: FunctionSpec, n: int):

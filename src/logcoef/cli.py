@@ -46,6 +46,10 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+def _grid_text(values) -> str:
+    return ",".join(map(repr, values))
+
+
 def _parse_grid(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(v) for v in text.split(",") if v.strip() != "")
@@ -70,11 +74,9 @@ def curve_points(spec, r: float, m: int) -> np.ndarray:
     if m < 16:
         raise ValueError("need at least 16 curve samples")
     theta = 2.0 * math.pi * np.arange(m) / m
-    points = np.array([atlas.eval_at(spec, r * np.exp(1j * t)) for t in theta])
-    if not np.all(np.isfinite(points)):
-        raise ValueError("non-finite curve point")
-    start = atlas.eval_at(spec, r * np.exp(0j))
-    wrap = atlas.eval_at(spec, r * np.exp(2j * math.pi))
+    f = atlas.evaluator(spec)
+    points = np.array([f(r * np.exp(1j * t)) for t in theta])
+    start, wrap = f(r * np.exp(0j)), f(r * np.exp(2j * math.pi))
     # relative tolerance: near a boundary pole the function magnifies
     # the epsilon-sized angle wrap by its (huge) derivative
     if abs(start - wrap) > 1e-12 * max(1.0, abs(start)):
@@ -176,15 +178,13 @@ def _cmd_gamma(args) -> int:
 def _cmd_member(args) -> int:
     spec = atlas.parse_spec(args.spec)
     radii = _parse_grid(args.radii)
-    if args.cls == "ulambda":
-        threshold = 1.0 if args.threshold is None else args.threshold
-        report = membership.u_deficiency(spec, threshold, radii, args.samples)
-    elif args.cls == "starlike":
-        threshold = 0.0 if args.threshold is None else args.threshold
-        report = membership.min_re_starlike(spec, threshold, radii, args.samples)
-    else:
-        threshold = 1.0 if args.threshold is None else args.threshold
-        report = membership.g_class_sup(spec, threshold, radii, args.samples)
+    query, default = {
+        "ulambda": (membership.u_deficiency, 1.0),
+        "starlike": (membership.min_re_starlike, 0.0),
+        "galpha": (membership.g_class_sup, 1.0),
+    }[args.cls]
+    threshold = default if args.threshold is None else args.threshold
+    report = query(spec, threshold, radii, args.samples)
     print(json.dumps(report.to_dict()))
     return 0
 
@@ -198,9 +198,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the inequality suite")
-    p.add_argument("--lambda-grid", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
-    p.add_argument("--alpha-grid", default="0.25,0.5,0.75,1.0")
-    p.add_argument("--order", type=int, default=128)
+    p.add_argument("--lambda-grid", default=_grid_text(verify.DEFAULT_LAMBDA_GRID))
+    p.add_argument("--alpha-grid", default=_grid_text(verify.DEFAULT_ALPHA_GRID))
+    p.add_argument("--order", type=int, default=verify.DEFAULT_ORDER)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 
@@ -234,8 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("cls", choices=("ulambda", "starlike", "galpha"))
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--radii", default="0.9,0.99,0.999")
-    p.add_argument("--samples", type=int, default=4096)
+    p.add_argument("--radii", default=_grid_text(membership.DEFAULT_RADII))
+    p.add_argument("--samples", type=int, default=membership.DEFAULT_SAMPLES)
     p.set_defaults(func=_cmd_member)
 
     return parser

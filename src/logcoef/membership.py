@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -35,7 +34,6 @@ from .series import eval_raw, exp_raw, log_raw, mul_raw, reciprocal_raw
 DEFAULT_RADII = (0.9, 0.99, 0.999)
 DEFAULT_SAMPLES = 4096
 VERDICT_BAND = 1e-6
-SERIES_ORDER = 256
 SERIES_TAIL_LIMIT = 1e-8
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -112,7 +110,12 @@ def _rational_fvals(spec, z):
 def _u_values(spec, z):
     k = spec.kind
     if k == "k_alpha":
-        f, fp, _ = _kalpha_derivs(spec.alpha, z)
+        alpha, lz = spec.alpha, np.log(1.0 - z)
+        if abs(1.0 - 2.0 * alpha) < atlas.ALPHA_HALF_SWITCH:
+            f = -lz
+        else:
+            f = (np.exp((2 * alpha - 1) * lz) - 1.0) / (1.0 - 2.0 * alpha)
+        fp = np.exp((2 * alpha - 2) * lz)
         if np.any(np.abs(f) < 1e-14 * np.abs(z)):
             raise MembershipError("z/f degenerate at a sample point")
         return (z / f) ** 2 * fp - 1.0
@@ -153,17 +156,6 @@ def _gclass_values(spec, z):
     return 1.0 + z * fpp / fp
 
 
-def _kalpha_derivs(alpha, z):
-    lz = np.log(1.0 - z)
-    if abs(1.0 - 2.0 * alpha) < atlas.ALPHA_HALF_SWITCH:
-        f = -lz
-    else:
-        f = (np.exp((2 * alpha - 1) * lz) - 1.0) / (1.0 - 2.0 * alpha)
-    fp = np.exp((2 * alpha - 2) * lz)
-    fpp = (2.0 - 2.0 * alpha) * np.exp((2 * alpha - 3) * lz)
-    return f, fp, fpp
-
-
 def _g_alpha_kernel(alpha, z):
     """z K_alpha'/K_alpha, the convex-order subordination kernel G_alpha."""
     if abs(1.0 - 2.0 * alpha) < atlas.ALPHA_HALF_SWITCH:
@@ -178,21 +170,23 @@ def _g_alpha_kernel(alpha, z):
 # ---------------------------------------------------------------------------
 # Series route for g_family (U and z f'/f need f itself).
 
-@lru_cache(maxsize=64)
-def _gfamily_series(n: int, order: int):
-    """(U, W) coefficient arrays at the given order: U = (z/f)^2 f' - 1 and
-    W = z f'/f, both as truncated series."""
+def _gfamily_values(spec: FunctionSpec, query: str, z, radii):
+    """Values at z of U = (z/f)^2 f' - 1 (query "ulambda") or of W = z f'/f
+    ("starlike") from their series at atlas.SERIES_EVAL_ORDER, and the
+    largest tail bound of that series over the radii."""
+    n, order = spec.n, atlas.SERIES_EVAL_ORDER
     base = np.zeros(order + 1, dtype=np.complex128)
     base[0] = 1.0
     if n <= order:
         base[n] = -1.0
     fprime = exp_raw(log_raw(base) / n)
-    fz = atlas.fz_series(atlas.g_family(n), order).coeffs
-    inv_fz = reciprocal_raw(fz)
-    u = mul_raw(mul_raw(inv_fz, inv_fz), fprime)
-    u[0] -= 1.0
-    w = mul_raw(fprime, inv_fz)
-    return u, w
+    inv_fz = reciprocal_raw(atlas.fz_series(spec, order).coeffs)
+    if query == "ulambda":
+        coeffs = mul_raw(mul_raw(inv_fz, inv_fz), fprime)
+        coeffs[0] -= 1.0
+    else:
+        coeffs = mul_raw(fprime, inv_fz)
+    return eval_raw(coeffs, z), max(_series_tail_bound(coeffs, r) for r in radii)
 
 
 def _series_tail_bound(coeffs: np.ndarray, r: float) -> float:
@@ -247,12 +241,9 @@ def u_deficiency(
     radii = _check_args(radii, m)
     z = _sample_points(radii, m)
     if spec.kind == "g_family":
-        u_coeffs, _ = _gfamily_series(spec.n, SERIES_ORDER)
-        vals = eval_raw(u_coeffs, z)
-        tail = max(_series_tail_bound(u_coeffs, r) for r in radii)
+        vals, tail = _gfamily_values(spec, "ulambda", z, radii)
     else:
-        vals = _u_values(spec, z)
-        tail = 0.0
+        vals, tail = _u_values(spec, z), 0.0
     _finite_or_fail(vals, "deficiency functional")
     measured = float(np.max(np.abs(vals)))
     return _make_report(spec, "ulambda", lam, radii, m, measured, tail)
@@ -268,12 +259,9 @@ def min_re_starlike(
     radii = _check_args(radii, m)
     z = _sample_points(radii, m)
     if spec.kind == "g_family":
-        _, w_coeffs = _gfamily_series(spec.n, SERIES_ORDER)
-        vals = eval_raw(w_coeffs, z)
-        tail = max(_series_tail_bound(w_coeffs, r) for r in radii)
+        vals, tail = _gfamily_values(spec, "starlike", z, radii)
     else:
-        vals = _star_values(spec, z)
-        tail = 0.0
+        vals, tail = _star_values(spec, z), 0.0
     _finite_or_fail(vals, "starlikeness functional")
     measured = float(np.min(vals.real))
     return _make_report(spec, "starlike", beta, radii, m, measured, tail)

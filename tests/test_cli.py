@@ -2,12 +2,20 @@ import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from logcoef import atlas, verify
-from logcoef.cli import curve_csv, curve_points, curve_svg, main
+from logcoef import atlas, membership, verify
+from logcoef.cli import (
+    _build_parser,
+    _parse_grid,
+    curve_csv,
+    curve_points,
+    curve_svg,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +55,17 @@ class TestGammaCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "n must be an integer" in err
+
+
+def test_option_defaults_are_the_module_defaults():
+    parser = _build_parser()
+    args = parser.parse_args(["verify"])
+    assert _parse_grid(args.lambda_grid) == verify.DEFAULT_LAMBDA_GRID
+    assert _parse_grid(args.alpha_grid) == verify.DEFAULT_ALPHA_GRID
+    assert args.order == verify.DEFAULT_ORDER
+    args = parser.parse_args(["member", "f0()", "starlike"])
+    assert _parse_grid(args.radii) == membership.DEFAULT_RADII
+    assert args.samples == membership.DEFAULT_SAMPLES
 
 
 class TestMemberCommand:
@@ -162,6 +181,41 @@ class TestCurveGeometry:
         root = ET.fromstring(svg)
         paths = [e for e in root.iter() if e.tag.endswith("path")]
         assert len(paths) == 1
+
+    def test_one_series_per_curve(self, monkeypatch):
+        # the route is chosen once per curve, not once per point
+        calls = []
+        original = atlas.fz_series
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(atlas, "fz_series", counted)
+        curve_points(atlas.g_family(5), 0.9, 64)
+        assert len(calls) == 1
+
+
+# sha256 of the stdout of `render <spec> --m 256` (csv and svg) and of
+# `member <spec> <class>` (all three classes), one spec per function kind
+# plus the alpha = 1/2 branch of k_alpha; written once by the per-point
+# eval_at route, never regenerate them
+RENDER_MEMBER_GOLDEN = Path(__file__).parent / "data" / "render_member_sha256.jsonl"
+
+
+def _render_member_cases():
+    rows = [json.loads(line) for line in RENDER_MEMBER_GOLDEN.read_text().splitlines()]
+    return [
+        pytest.param(row["argv"], row["sha256"], id=" ".join(row["argv"]))
+        for row in rows
+    ]
+
+
+@pytest.mark.parametrize("argv,digest", _render_member_cases())
+def test_render_member_bytes(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # sha256 of stdout, the stderr line and the exit code of `logcoef verify`,

@@ -1,6 +1,8 @@
+import gc
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +335,23 @@ class TestSuite:
             checks = run_suite(lambda_grid=(0.5,), alpha_grid=(alpha,))
             assert [c.to_dict() for c in checks if c.status == "violated"] == []
             assert fz_series(atlas.k_alpha(alpha), 64).coeffs[0] == 1.0
+
+    def test_suite_retains_no_series(self):
+        # no series outlives the suite that built it; the warm-up fills the
+        # caches that are kept (dilog values) and settles lazy imports
+        run_suite(order=64)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            checks = run_suite(order=2048)
+            assert len(checks) == 346
+            del checks
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024
 
     def test_json_schema(self, capsys):
         # the CLI report is the bare array of check rows
