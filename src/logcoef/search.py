@@ -56,8 +56,9 @@ equal values the first offered wins), and a coordinate-wise golden-section
 polish with a fixed sweep plan.  Each search logs one DEBUG record on the
 ``logcoef.search`` logger that accounts for its budget: start, random and
 polish evaluations, the root-test rows decided by the recursion and by
-eigvals, the rows rejected by each test of the chunk test, and the
-winner's phase (start, random, polish or none) and offer-order index.
+eigvals, the rows rejected by each test of the chunk test, the largest
+certified-sup factor divided out of a candidate (1.0 when none was), and
+the winner's phase (start, random, polish or none) and offer-order index.
 """
 
 from __future__ import annotations
@@ -211,8 +212,9 @@ def _draw_blaschke_batch(rng, count: int) -> np.ndarray:
     return out
 
 
-def _certified_batch(rng, count: int) -> np.ndarray:
-    """A chunk of certified-Schwarz candidate polynomials (rows)."""
+def _certified_batch(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """A chunk of certified-Schwarz candidate polynomials (rows), and the
+    certified-sup factor divided out of each row (1.0 where none was)."""
     npoly = min(_POLY_PER_CHUNK, count)
     batch = _draw_poly_batch(rng, npoly)
     if count > npoly:
@@ -221,7 +223,7 @@ def _certified_batch(rng, count: int) -> np.ndarray:
         batch = np.vstack([np.pad(batch, pad), blaschke])
     sup = certified_sup_bound(_boundary_matrix(batch.shape[1], CERT_SAMPLES), batch)
     scale = np.where(sup > 1.0, sup, 1.0)
-    return batch / scale[:, None]
+    return batch / scale[:, None], scale
 
 
 def _trim(coeffs: np.ndarray) -> tuple[complex, ...]:
@@ -513,6 +515,7 @@ def search_max_coeff(
     # rows rejected by the root test, the grid and the post-check; accepted
     verdicts = np.zeros(4, dtype=np.int64)
     roots_by_eigvals = 0  # root-test rows the Schur-Cohn recursion left to eigvals
+    max_rescale = 1.0  # largest certified-sup factor divided out of a row
 
     def offer(coeffs, a2s):
         """Evaluate a chunk of candidate rows and offer each row the chunk
@@ -555,8 +558,9 @@ def search_max_coeff(
     random_budget = budget - 1 - polish_budget
     for index in range(0, random_budget, _CHUNK):
         take = min(_CHUNK, random_budget - index)
-        batch = _certified_batch(rng, _CHUNK)[:take]
-        offer(batch, _draw_disk(rng, _CHUNK, 1.0 + lam)[:take] if exact else None)
+        batch, scale = _certified_batch(rng, _CHUNK)
+        max_rescale = max(max_rescale, float(scale[:take].max()))
+        offer(batch[:take], _draw_disk(rng, _CHUNK, 1.0 + lam)[:take] if exact else None)
 
     # Coordinate-wise golden-section polish of the best candidate found.  The
     # point holds its first `width` coefficients and, for exact_u, a2 last;
@@ -570,12 +574,14 @@ def search_max_coeff(
         x = point.view(np.float64)
 
         def line(t, coord):
+            nonlocal max_rescale
             trial = x.copy()
             trial[coord] = t
             c = trial.view(np.complex128)[None, :width]
             sup = certified_sup_bound(_boundary_matrix(width, CERT_SAMPLES), c)[0]
             if sup > 1.0:
                 c = c / sup
+                max_rescale = max(max_rescale, float(sup))
             a2s = None
             if exact:
                 a2 = complex(trial[-2], trial[-1])
@@ -606,10 +612,10 @@ def search_max_coeff(
         "search %s lambda=%r n=%d budget=%d seed=%d: evaluations=%d start=1 "
         "random=%d polish=%d roots_by_recursion=%d roots_by_eigvals=%d "
         "rejected_roots=%d rejected_grid=%d rejected_postcheck=%d accepted=%d "
-        "winner=%s winner_index=%d",
+        "max_rescale=%r winner=%s winner_index=%d",
         family, lam, n, budget, seed, evals, random_budget,
         evals - 1 - random_budget, evals * exact - roots_by_eigvals,
-        roots_by_eigvals, *verdicts, winner, best_index,
+        roots_by_eigvals, *verdicts, max_rescale, winner, best_index,
     )
     if best is None:
         raise SearchError("no valid candidate found within budget")
@@ -682,7 +688,7 @@ def check_prokhorov_szynal(
     remaining = samples
     while remaining > 0:
         take = min(4096, remaining)
-        batch = _certified_batch(rng, take)
+        batch, _ = _certified_batch(rng, take)
         c = np.zeros((take, 3), dtype=np.complex128)
         c[:, : min(3, batch.shape[1])] = batch[:, :3]
         vals = np.abs(c[:, 2] + mu * c[:, 0] * c[:, 1] + nu * c[:, 0] ** 3) / abs(nu)

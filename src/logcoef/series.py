@@ -86,29 +86,42 @@ def mul_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.convolve(a, b)[: a.size]
 
 
+# The recurrences keep the finished terms reversed in a second buffer r
+# (r[n-1-j] = b[j], for log j*b[j]), so each step is one np.dot of two
+# contiguous slices with no per-step temporary.  The slices hold the values,
+# in order, of the operand each step used to build (np.dot's contiguous copy
+# of b[k-1::-1], or log's product array), so zdotu returns the same bits.
+
 def reciprocal_raw(a: np.ndarray) -> np.ndarray:
+    n = a.size
     b = np.empty_like(a)
-    b[0] = 1.0 / a[0]
-    for k in range(1, a.size):
-        b[k] = -np.dot(a[1 : k + 1], b[k - 1 :: -1]) / a[0]
+    r = np.empty_like(a)
+    b[0] = r[n - 1] = 1.0 / a[0]
+    for k in range(1, n):
+        b[k] = r[n - 1 - k] = -np.dot(a[1 : k + 1], r[n - k :]) / a[0]
     return b
 
 
 def log_raw(a: np.ndarray) -> np.ndarray:
     # (log a)' = a'/a solved coefficient by coefficient, c0 = 1 assumed.
+    n = a.size
     b = np.zeros_like(a)
-    for k in range(1, a.size):
-        b[k] = a[k] - np.dot(a[1:k], (np.arange(k - 1, 0, -1) * b[k - 1 : 0 : -1])) / k
+    r = np.zeros_like(a)
+    for k in range(1, n):
+        b[k] = a[k] - np.dot(a[1:k], r[n - k : n - 1]) / k
+        r[n - 1 - k] = k * b[k]
     return b
 
 
 def exp_raw(a: np.ndarray) -> np.ndarray:
     # b' = a' b, c0 = 0 assumed.
+    n = a.size
     b = np.zeros_like(a)
-    b[0] = 1.0
-    ja = np.arange(a.size) * a
-    for k in range(1, a.size):
-        b[k] = np.dot(ja[1 : k + 1], b[k - 1 :: -1]) / k
+    r = np.zeros_like(a)
+    b[0] = r[n - 1] = 1.0
+    ja = np.arange(n) * a
+    for k in range(1, n):
+        b[k] = r[n - 1 - k] = np.dot(ja[1 : k + 1], r[n - k :]) / k
     return b
 
 

@@ -113,14 +113,13 @@ def gamma_l2(profile: LogCoeffProfile, weights: str = "unit") -> L2Sum:
 # Dilogarithm partial sums and closed tails.
 
 def li2_partial(x: float, order: int) -> float:
-    if x == 0.0:
+    # cumprod multiplies in sequence and n*n is exact in float64, so each
+    # term x^n / n^2 has the bits of the running product p *= x divided by
+    # n*n, and fsum rounds their sum once.
+    if x == 0.0 or order < 1:
         return 0.0
-    p = 1.0
-    terms = []
-    for n in range(1, order + 1):
-        p *= x
-        terms.append(p / (n * n))
-    return math.fsum(terms)
+    ns = np.arange(1, order + 1, dtype=np.float64)
+    return math.fsum(np.cumprod(np.full(order, x)) / (ns * ns))
 
 
 def li2_tail(x: float, order: int) -> float:

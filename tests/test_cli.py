@@ -219,7 +219,8 @@ def test_render_member_bytes(capsys, argv, digest):
 
 
 # sha256 of stdout, the stderr line and the exit code of `logcoef verify`,
-# written once by the code before the suite's assembly was rewritten; never
+# written once by the code before the suite's assembly was rewritten (orders
+# 2048 and 4096: before the series recurrences were rewritten); never
 # regenerate them, a mismatch means the report bytes changed
 VERIFY_GOLDEN = [
     (
@@ -231,6 +232,18 @@ VERIFY_GOLDEN = [
     (
         ("--order", "1024"),
         "335ea94b1609f5a2c53f6ad91d06a9e4019b29f8df2f7af971d9d39ecbfcc247",
+        "346 checks, 0 violated\n",
+        0,
+    ),
+    (
+        ("--order", "2048"),
+        "8adbfcdef04302c249d81e390d0cac348a6eff5bf9f6d438f4b2c0bc67559045",
+        "346 checks, 0 violated\n",
+        0,
+    ),
+    (
+        ("--order", "4096"),
+        "eba5356f5c4fdfe15c1eea677cbec273fc896042de060b089170039650a1b034",
         "346 checks, 0 violated\n",
         0,
     ),
@@ -253,7 +266,14 @@ class TestVerifyGoldenReports:
     @pytest.mark.parametrize(
         "argv,digest,err_line,exit_code",
         VERIFY_GOLDEN,
-        ids=["default-128", "default-1024", "alpha-anchors", "small-64"],
+        ids=[
+            "default-128",
+            "default-1024",
+            "default-2048",
+            "default-4096",
+            "alpha-anchors",
+            "small-64",
+        ],
     )
     def test_report_bytes(self, capsys, argv, digest, err_line, exit_code):
         code, out, err = run_cli(capsys, "verify", *argv)

@@ -75,7 +75,7 @@ class TestCertifiedGeneration:
     def test_schwarz_coefficient_inequalities(self):
         rng = np.random.default_rng(123)
         for _ in range(8):
-            batch = S._certified_batch(rng, 256)
+            batch, _ = S._certified_batch(rng, 256)
             c1 = batch[:, 0]
             c2 = batch[:, 1] if batch.shape[1] > 1 else np.zeros(len(batch))
             assert np.all(np.abs(c1) <= 1.0 + 1e-12)
@@ -83,7 +83,7 @@ class TestCertifiedGeneration:
 
     def test_certified_sup_is_an_upper_bound(self):
         rng = np.random.default_rng(7)
-        batch = S._certified_batch(rng, 128)
+        batch, _ = S._certified_batch(rng, 128)
         # dense independent check of the boundary sup
         for row in batch[:32]:
             dense = boundary_sup(S._trim(row), samples=1 << 14)
@@ -91,7 +91,7 @@ class TestCertifiedGeneration:
 
     def test_gate_accepts_generated(self):
         rng = np.random.default_rng(42)
-        batch = S._certified_batch(rng, 64)
+        batch, _ = S._certified_batch(rng, 64)
         for row in batch:
             validate_schwarz(S._trim(row))
 
@@ -182,7 +182,7 @@ class TestDerivedParametrizationIdentity:
         lam = 0.6
         accepted = 0
         while accepted < 40:
-            batch = S._certified_batch(rng, 64)
+            batch, _ = S._certified_batch(rng, 64)
             a2s = (1 + lam) * np.sqrt(rng.random(64)) * np.exp(
                 2j * np.pi * rng.random(64)
             )
@@ -225,7 +225,7 @@ class TestRecursionIdentities:
 
     def test_random_residuals(self):
         rng = np.random.default_rng(17)
-        batch = S._certified_batch(rng, 64)
+        batch, _ = S._certified_batch(rng, 64)
         for row in batch[:40]:
             w = validate_schwarz(S._trim(row))
             r = coefficient_recursion_residuals(0.9, w)
@@ -411,7 +411,7 @@ class TestChunkTest:
     def test_accept_mask_matches_scalar_reference(self, lam):
         rng = np.random.default_rng(31)
         for _ in range(3):
-            psis = S._certified_batch(rng, S._CHUNK)
+            psis, _ = S._certified_batch(rng, S._CHUNK)
             a2s = S._draw_disk(rng, S._CHUNK, 1.0 + lam)
             # the extremal start row: psi = -1, a2 = 1 + lambda
             start = np.zeros((1, psis.shape[1]), dtype=np.complex128)
@@ -552,6 +552,15 @@ class TestSearchLog:
             assert roots == (loud.evaluations if family == "exact_u" else 0)
             if family == "exact_u":
                 assert c["roots_by_eigvals"] >= c["start"] + c["polish"]
+            rescale = float(re.search(r" max_rescale=(\S+) ", record.getMessage())[1])
+            assert rescale >= 1.0
+
+    def test_max_rescale_is_one_without_random_rows(self, caplog):
+        # budget 1 runs only the start row, which is never rescaled
+        with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
+            search_max_coeff(0.6, 5, "superset", budget=1, seed=4)
+        (record,) = [r for r in caplog.records if r.name == "logcoef.search"]
+        assert " max_rescale=1.0 " in record.getMessage()
 
     @pytest.mark.parametrize(
         "lam,n,family,budget,phase",

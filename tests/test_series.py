@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logcoef import series as series_mod
+from logcoef import verify
 from logcoef.series import (
     SeriesError,
+    exp_raw,
+    log_raw,
+    reciprocal_raw,
     TruncatedSeries,
     ts_derivative,
     ts_eval,
@@ -263,3 +268,97 @@ class TestProperties:
         z = 0.9 * complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
         direct = sum(coeffs[k] * z**k for k in range(order + 1))
         assert abs(ts_eval(s, z) - direct) < 1e-13
+
+
+# The recurrences as first written, each step dotting a reversed view of the
+# finished terms (np.dot copies it before BLAS zdotu) or, for log, a fresh
+# product array.  The kernels must reproduce these bits exactly.
+
+def reference_reciprocal(a):
+    b = np.empty_like(a)
+    b[0] = 1.0 / a[0]
+    for k in range(1, a.size):
+        b[k] = -np.dot(a[1 : k + 1], b[k - 1 :: -1]) / a[0]
+    return b
+
+
+def reference_log(a):
+    b = np.zeros_like(a)
+    for k in range(1, a.size):
+        b[k] = a[k] - np.dot(a[1:k], (np.arange(k - 1, 0, -1) * b[k - 1 : 0 : -1])) / k
+    return b
+
+
+def reference_exp(a):
+    b = np.zeros_like(a)
+    b[0] = 1.0
+    ja = np.arange(a.size) * a
+    for k in range(1, a.size):
+        b[k] = np.dot(ja[1 : k + 1], b[k - 1 :: -1]) / k
+    return b
+
+
+KERNELS = {
+    "reciprocal_raw": (reciprocal_raw, reference_reciprocal),
+    "log_raw": (log_raw, reference_log),
+    "exp_raw": (exp_raw, reference_exp),
+}
+
+
+def same_bits(x, y):
+    # bit patterns, so that -0.0 and +0.0 differ
+    return x.dtype == y.dtype and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def random_input(rng, size, name):
+    """Complex input of the kernel's form: c0 = 1 for log, 0 for exp, and
+    sum_{k>0} |c_k| < 1, so reciprocal and log stay bounded at any size."""
+    c = 0.5 * rng.uniform(-1, 1, size) + 0.5j * rng.uniform(-1, 1, size)
+    c /= (np.arange(size) + 1.0) ** 2
+    c[0] = {"reciprocal_raw": 0.5 + 0.3j, "log_raw": 1.0, "exp_raw": 0.0}[name]
+    return c
+
+
+class TestKernelBits:
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_search_sizes(self, name):
+        kernel, reference = KERNELS[name]
+        rng = np.random.default_rng(20)
+        for size in range(1, 7):
+            for _ in range(200):
+                a = random_input(rng, size, name)
+                assert same_bits(kernel(a), reference(a)), (name, a)
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_long_inputs(self, name):
+        kernel, reference = KERNELS[name]
+        rng = np.random.default_rng(21)
+        for _ in range(2):
+            a = random_input(rng, 4096, name)
+            out = kernel(a)
+            assert np.all(np.isfinite(out.view(np.float64)))
+            assert same_bits(out, reference(a))
+
+    def test_suite_inputs(self, monkeypatch):
+        # every input the suite hands a kernel, at short and long orders
+        inputs = {}
+
+        def recording(name, kernel):
+            def wrapper(a):
+                inputs.setdefault((name, a.tobytes()), a.copy())
+                return kernel(a)
+
+            return wrapper
+
+        for name, (kernel, _) in KERNELS.items():
+            monkeypatch.setattr(series_mod, name, recording(name, kernel))
+        for order in (1, 2, 40, 4096):
+            rows = verify.run_suite(order=order)
+            assert all(row.status != "error" for row in rows)
+        sizes = {name: set() for name in KERNELS}
+        for (name, _), a in inputs.items():
+            kernel, reference = KERNELS[name]
+            assert same_bits(kernel(a), reference(a)), (name, a.size)
+            sizes[name].add(a.size)
+        assert {4097, 4098} <= sizes["log_raw"] and {4098} <= sizes["exp_raw"]
+        assert 4097 in sizes["reciprocal_raw"]

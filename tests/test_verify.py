@@ -22,6 +22,7 @@ from logcoef.verify import (
     g_class_bounds,
     gamma_l2,
     glambda_l2_closed_tail,
+    li2_partial,
     li2_tail,
     log_coefficients,
     run_suite,
@@ -101,6 +102,33 @@ class TestGammaL2:
         prof = log_coefficients(atlas.f0(), 4)
         with pytest.raises(VerifyError):
             gamma_l2(prof, "cubed")
+
+
+def reference_li2_partial(x, order):
+    """li2_partial as first written: a running product in a Python loop."""
+    if x == 0.0:
+        return 0.0
+    p = 1.0
+    terms = []
+    for n in range(1, order + 1):
+        p *= x
+        terms.append(p / (n * n))
+    return math.fsum(terms)
+
+
+class TestLi2Partial:
+    FIXED_X = (1.0, -1.0, 0.25, -0.5, 0.999, 1e-3, 1e-160, -1e-200, 5e-324, 0.0)
+
+    ORDERS = tuple(range(1, 65)) + (127, 128, 1000, 2047, 2048, 4095, 4096)
+
+    def test_bits_equal_reference(self):
+        rng = np.random.default_rng(8)
+        xs = list(self.FIXED_X) + list(rng.uniform(-1.0, 1.0, 300))
+        for x in xs:
+            orders = self.ORDERS if x in self.FIXED_X else (1, 2, 40, 128, 4096)
+            for order in orders:
+                assert li2_partial(x, order) == reference_li2_partial(x, order), (x, order)
+        assert li2_partial(0.5, 0) == li2_partial(0.5, -3) == 0.0
 
 
 class TestSharpBound:
@@ -382,7 +410,7 @@ class TestRandomMembersSatisfyBound:
             bound = ulambda_l2_bound(lam)
             accepted = 0
             while accepted < 120:
-                batch = _certified_batch(rng, 64)
+                batch, _ = _certified_batch(rng, 64)
                 a2s = (1.0 + lam) * np.sqrt(rng.random(64)) * np.exp(
                     2j * np.pi * rng.random(64)
                 )
