@@ -12,11 +12,16 @@ decides it up to a tolerance band, and a verdict inside the band is
 reported as inconclusive rather than forced either way.
 
 Rational specs (everything except k_alpha and g_family) are evaluated in
-closed form, so no truncation enters.  k_alpha uses its explicit
-power-function derivatives.  g_family has a closed second-derivative
-functional; its f-dependent functionals come from a high-order series
-whose tail estimate is attached to the report, and a tail too large to
-support the verdict marks the report inconclusive.
+closed form, so no truncation enters.  Sampling cannot see a pole or a zero
+of f inside the circles (for z/(1 - a z) the deficiency is identically 0),
+so a zero of A or B in f = z A / B of modulus at most the largest sampled
+radius makes the verdict "fail", with the modulus in the note.  k_alpha
+uses its explicit power-function derivatives.  g_family has a closed
+second-derivative functional; its f-dependent functionals come from a
+series in z^n whose tail estimate, read over a window holding a full
+period (or bounded in closed form when n exceeds the series order), is
+attached to the report, and a tail too large to support the verdict marks
+the report inconclusive.
 """
 
 from __future__ import annotations
@@ -175,10 +180,13 @@ def _gfamily_values(spec: FunctionSpec, query: str, z, radii):
     ("starlike") from their series at atlas.SERIES_EVAL_ORDER, and the
     largest tail bound of that series over the radii."""
     n, order = spec.n, atlas.SERIES_EVAL_ORDER
+    if n > order:
+        # to this order f = z, so U = 0 and z f'/f = 1: all of it is tail
+        vals = np.zeros_like(z) if query == "ulambda" else np.ones_like(z)
+        return vals, max(_unresolved_tail_bound(query, n, r) for r in radii)
     base = np.zeros(order + 1, dtype=np.complex128)
     base[0] = 1.0
-    if n <= order:
-        base[n] = -1.0
+    base[n] = -1.0
     fprime = exp_raw(log_raw(base) / n)
     inv_fz = reciprocal_raw(atlas.fz_series(spec, order).coeffs)
     if query == "ulambda":
@@ -186,29 +194,65 @@ def _gfamily_values(spec: FunctionSpec, query: str, z, radii):
         coeffs[0] -= 1.0
     else:
         coeffs = mul_raw(fprime, inv_fz)
-    return eval_raw(coeffs, z), max(_series_tail_bound(coeffs, r) for r in radii)
+    return eval_raw(coeffs, z), max(_series_tail_bound(coeffs, r, n) for r in radii)
 
 
-def _series_tail_bound(coeffs: np.ndarray, r: float) -> float:
-    """Crude geometric tail from the magnitude of the trailing coefficients."""
-    m = float(np.max(np.abs(coeffs[-32:])))
+def _series_tail_bound(coeffs: np.ndarray, r: float, period: int) -> float:
+    """Crude geometric tail from the magnitude of the trailing coefficients of
+    a series in z^period; the window holds at least one full period, so it
+    sees a nonzero coefficient."""
+    m = float(np.max(np.abs(coeffs[-max(32, period) :])))
     n = coeffs.size - 1
     return m * r ** (n + 1) / (1.0 - r)
+
+
+def _unresolved_tail_bound(query: str, n: int, r: float) -> float:
+    """Bound on |F - F_N| over |z| = r for g_family(n) with n above the
+    series order N, where F_N is 0 (U) or 1 (z f'/f).  In w = z^n,
+    f' - 1 = (1 - w)^(1/n) - 1 = sum_{j>=1} b_j w^j with every b_j < 0 and
+    f/z - 1 = sum_{j>=1} b_j w^j / (jn + 1), so e = 1 - (1 - r^n)^(1/n) >=
+    |f' - 1| and d = e / (n + 1) >= |f/z - 1|, which give |U| <=
+    (e + d (2 + d)) / (1 - d)^2 and |z f'/f - 1| <= (e + d) / (1 - d)."""
+    e = -math.expm1(math.log1p(-(r**n)) / n)
+    d = e / (n + 1)
+    if query == "ulambda":
+        return (e + d * (2.0 + d)) / (1.0 - d) ** 2
+    return (e + d) / (1.0 - d)
 
 
 # ---------------------------------------------------------------------------
 # Reports.
 
-def _make_report(spec, query, threshold, radii, m, measured, tail, note=""):
+def _interior_zero_note(spec, radii) -> str:
+    """For a spec with (A, B) parts, f = z A / B: a note naming a zero of B
+    (a pole of f) or of A (a zero of f away from 0) of modulus at most the
+    largest sampled radius, or "" when there is none.  A multiple zero on
+    |z| = 1 comes out of the root finder about 1e-8 off the circle, well
+    outside any radius the default grids sample."""
+    parts = atlas.rational_parts(spec)
+    if parts is None:
+        return ""
+    a, b = parts
+    for poly, what in ((b, "a pole"), (a, "a zero")):
+        moduli = np.abs(P.polyroots(poly))
+        if moduli.size and moduli.min() <= max(radii):
+            return f"f has {what} of modulus {moduli.min():.6g} inside the disk"
+    return ""
+
+
+def _make_report(spec, query, threshold, radii, m, measured, tail):
     if query == "ulambda":
         margin = threshold - measured
     elif query == "starlike":
         margin = measured - threshold
     else:
         margin = (1.0 + 0.5 * threshold) - measured
-    if tail > SERIES_TAIL_LIMIT:
+    note = _interior_zero_note(spec, radii)
+    if note:
+        verdict = "fail"
+    elif tail > SERIES_TAIL_LIMIT:
         verdict = "inconclusive"
-        note = note or f"series tail bound {tail:.2e} exceeds {SERIES_TAIL_LIMIT}"
+        note = f"series tail bound {tail:.2e} exceeds {SERIES_TAIL_LIMIT}"
     elif abs(margin) < VERDICT_BAND:
         verdict = "inconclusive"
     elif margin > 0:
@@ -256,6 +300,8 @@ def min_re_starlike(
     m: int = DEFAULT_SAMPLES,
 ) -> ClassMembershipReport:
     """min Re(z f'/f) over the sampled circles, against the order beta."""
+    if not math.isfinite(beta):
+        raise ValueError("beta must be finite")
     radii = _check_args(radii, m)
     z = _sample_points(radii, m)
     if spec.kind == "g_family":

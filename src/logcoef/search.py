@@ -91,9 +91,8 @@ _MAX_POLY_DEGREE = 6
 _BLASCHKE_TRUNC = 24
 _BLASCHKE_MAX_ZEROS = 3
 _BLASCHKE_ZERO_RADIUS = 0.95
-_POLISH_SWEEPS = 3
 _POLISH_ITERS = 12  # golden-section evaluations per coordinate line
-_POLISH_STEPS = (0.25, 0.08, 0.02)
+_POLISH_STEPS = (0.25, 0.08, 0.02)  # line half-widths, one sweep per step
 _MATRIX_CACHE_SIZE = 16  # sample matrices kept, keyed by (ncoeff, samples, radii)
 
 
@@ -212,6 +211,14 @@ def _draw_blaschke_batch(rng, count: int) -> np.ndarray:
     return out
 
 
+def _certify(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `batch` divided by their certified sup bound where it
+    exceeds 1, and the factor divided out of each row (1.0 where none was)."""
+    sup = certified_sup_bound(_boundary_matrix(batch.shape[1], CERT_SAMPLES), batch)
+    scale = np.where(sup > 1.0, sup, 1.0)
+    return batch / scale[:, None], scale
+
+
 def _certified_batch(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
     """A chunk of certified-Schwarz candidate polynomials (rows), and the
     certified-sup factor divided out of each row (1.0 where none was)."""
@@ -221,9 +228,7 @@ def _certified_batch(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
         blaschke = _draw_blaschke_batch(rng, count - npoly)
         pad = ((0, 0), (0, blaschke.shape[1] - batch.shape[1]))
         batch = np.vstack([np.pad(batch, pad), blaschke])
-    sup = certified_sup_bound(_boundary_matrix(batch.shape[1], CERT_SAMPLES), batch)
-    scale = np.where(sup > 1.0, sup, 1.0)
-    return batch / scale[:, None], scale
+    return _certify(batch)
 
 
 def _trim(coeffs: np.ndarray) -> tuple[complex, ...]:
@@ -553,7 +558,7 @@ def search_max_coeff(
 
     # Random multi-start phase; the polish reserve never starves it.
     width = _MAX_POLY_DEGREE + 1
-    full_polish_cost = _POLISH_SWEEPS * _POLISH_ITERS * 2 * (width + exact)
+    full_polish_cost = len(_POLISH_STEPS) * _POLISH_ITERS * 2 * (width + exact)
     polish_budget = min(full_polish_cost, (budget - 1) // 4)
     random_budget = budget - 1 - polish_budget
     for index in range(0, random_budget, _CHUNK):
@@ -577,11 +582,8 @@ def search_max_coeff(
             nonlocal max_rescale
             trial = x.copy()
             trial[coord] = t
-            c = trial.view(np.complex128)[None, :width]
-            sup = certified_sup_bound(_boundary_matrix(width, CERT_SAMPLES), c)[0]
-            if sup > 1.0:
-                c = c / sup
-                max_rescale = max(max_rescale, float(sup))
+            c, scale = _certify(trial.view(np.complex128)[None, :width])
+            max_rescale = max(max_rescale, float(scale[0]))
             a2s = None
             if exact:
                 a2 = complex(trial[-2], trial[-1])
@@ -591,7 +593,7 @@ def search_max_coeff(
             value = offer(c, a2s)
             return -1.0 if value is None else value
 
-        for step in _POLISH_STEPS[:_POLISH_SWEEPS]:
+        for step in _POLISH_STEPS:
             for coord in range(x.size):
                 if evals + _POLISH_ITERS > budget:
                     break

@@ -21,19 +21,19 @@ closed-form geometric or dilogarithm tails.  Results are BoundCheck rows
 with a stable JSON field layout (name, params, lhs, rhs, slack, status, N,
 tail_bound).
 
-run_suite rejects bad input with VerifyError before any check runs, then runs
-an ordered list of blocks, each a plain function returning its rows, in one
-guarded loop: a block that raises contributes one row with status "error" in
-place of its rows, carrying the block's guard name and params plus
-params["error"] = "<ExceptionType>: <message>".  So "violated" only ever
-means that a bound failed numerically.
+run_suite rejects bad input with VerifyError before any check runs.  Every
+row then comes from one ordered list of blocks, each a plain function of the
+order returning its rows, run in one guarded loop: a block that raises
+contributes one row with status "error" in place of its rows, carrying the
+block's guard name and params plus params["error"] = "<ExceptionType>:
+<message>".  So "violated" only ever means that a bound failed numerically.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -79,16 +79,14 @@ def log_coefficients(spec: FunctionSpec, order: int) -> LogCoeffProfile:
     a2 = fz.coeffs[1]
     if abs(2.0 * gammas[0] - a2) > 1e-10:
         raise VerifyError("2 gamma_1 != a_2: inconsistent expansion")
-    g = gammas.copy()
-    g.flags.writeable = False
-    return LogCoeffProfile(gammas=g, source="series", spec=spec)
+    gammas.flags.writeable = False
+    return LogCoeffProfile(gammas=gammas, source="series", spec=spec)
 
 
 @dataclass(frozen=True)
 class L2Sum:
     value: float  # partial sum over n <= N
     order: int
-    weights: str  # "unit" | "n_squared"
     tail_bound: float | None  # None when no generic tail is available
 
 
@@ -106,7 +104,7 @@ def gamma_l2(profile: LogCoeffProfile, weights: str = "unit") -> L2Sum:
         tail = None
     else:
         raise VerifyError(f"unknown weights {weights!r}")
-    return L2Sum(value=value, order=n, weights=weights, tail_bound=tail)
+    return L2Sum(value=value, order=n, tail_bound=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +260,7 @@ def _g_kernel_series(alpha: float, order: int) -> TruncatedSeries:
         v = TruncatedSeries(1.0 / (np.arange(order + 1) + 1.0))
     else:
         ln = ts_log(TruncatedSeries(np.append(one_minus_z, 0.0)))
-        w = ts_exp(x * ln).coeffs.copy()
-        w[0] = 0.0
+        w = ts_exp(x * ln).coeffs
         v = TruncatedSeries(w[1:] / -x)
     return ts_reciprocal(TruncatedSeries(one_minus_z) * v)
 
@@ -297,15 +294,10 @@ class BoundCheck:
     tail_bound: float
 
     def to_dict(self) -> dict:
+        """The fields in declaration order, with `order` written as "N"."""
         return {
-            "name": self.name,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "status": self.status,
-            "N": self.order,
-            "tail_bound": self.tail_bound,
+            "N" if f.name == "order" else f.name: getattr(self, f.name)
+            for f in fields(self)
         }
 
 
@@ -329,25 +321,57 @@ def _check(name, params, lhs, rhs, order, tail_bound=0.0):
     )
 
 
-def _error_check(name, params, order, err):
-    params = dict(params)
-    params["error"] = f"{type(err).__name__}: {err}"
-    return BoundCheck(
-        name=name,
-        params=params,
-        lhs=0.0,
-        rhs=0.0,
-        slack=0.0,
-        status="error",
-        order=order,
-        tail_bound=0.0,
-    )
-
-
 def _l2_check(name, params, spec, rhs, order, tail):
     """sum |gamma_n(spec)|^2 over n <= order plus its exact tail, against rhs."""
     lhs = gamma_l2(log_coefficients(spec, order)).value + tail
     return _check(name, params, lhs, rhs, order, tail)
+
+
+def _anchor_rows(order):
+    """At lambda = 1 the sharp bound is the univalent limit pi^2/6."""
+    return [
+        _check(
+            "dilog_duplication_anchor",
+            {"lambda": 1.0},
+            ulambda_l2_bound(1.0),
+            PI2_6,
+            order,
+        )
+    ]
+
+
+# The univalent-limit rows, one guarded block each, named after its row:
+# (name, params, spec, rhs, closed tail past N), the last three built in the
+# guard, with atlas looked up then.  Koebe attains pi^2/6, the half-plane map
+# a quarter of it, and f1's sum equals its alternating rearrangement.
+_UNIVALENT_LIMITS = (
+    (
+        "log_l2_univalent_koebe",
+        {"spec": "koebe(theta=0.0)"},
+        lambda: atlas.koebe(0.0),
+        lambda: PI2_6,
+        lambda order: li2_tail(1.0, order),
+    ),
+    (
+        "halfplane_l2",
+        {"spec": "half_plane()"},
+        lambda: atlas.half_plane(),
+        lambda: PI2_6 / 4.0,
+        lambda order: 0.25 * li2_tail(1.0, order),
+    ),
+    (
+        "f1_l2_two_routes",
+        {},
+        lambda: atlas.f1(),
+        f1_l2_alternating_route,
+        lambda order: flambda_l2_closed_tail(1.0, order),
+    ),
+)
+
+
+def _univalent_limit_rows(name, params, spec, rhs, tail, order):
+    """The row of one _UNIVALENT_LIMITS entry, with its own copy of params."""
+    return [_l2_check(name, dict(params), spec(), rhs(), order, tail(order))]
 
 
 def _lambda_rows(lam, order):
@@ -393,35 +417,30 @@ def _g_class_rows(order):
     """Bounded-convexity chain at alpha = 1 plus the remark-family rows."""
     alpha = 1.0
     b = g_class_bounds(alpha)
+    # (row name, weights, bound, closed tail of f0's sum past N); the
+    # g_family rows carry no tail
+    l2_rows = (
+        ("gclass_weighted_l2", "n_squared", b.weighted_l2, f0_weighted_l2_closed_tail),
+        ("gclass_l2", "unit", b.plain_l2, lambda n: 0.25 * li2_tail(0.25, n)),
+    )
     rows = []
     specs = [atlas.f0()] + [atlas.g_family(n) for n in range(1, 7)]
     profiles = [log_coefficients(spec, max(order, 40)) for spec in specs]
     for spec, prof in zip(specs, profiles):
         name = atlas.render(spec)
-        w = gamma_l2(prof, "n_squared")
-        tail = f0_weighted_l2_closed_tail(w.order) if spec.kind == "f0" else 0.0
-        rows.append(
-            _check(
-                "gclass_weighted_l2",
-                {"alpha": alpha, "spec": name},
-                w.value + tail,
-                b.weighted_l2,
-                w.order,
-                tail,
+        for row, weights, bound, f0_tail in l2_rows:
+            l2 = gamma_l2(prof, weights)
+            tail = f0_tail(l2.order) if spec.kind == "f0" else 0.0
+            rows.append(
+                _check(
+                    row,
+                    {"alpha": alpha, "spec": name},
+                    l2.value + tail,
+                    bound,
+                    l2.order,
+                    tail,
+                )
             )
-        )
-        u = gamma_l2(prof, "unit")
-        tail = 0.25 * li2_tail(0.25, u.order) if spec.kind == "f0" else 0.0
-        rows.append(
-            _check(
-                "gclass_l2",
-                {"alpha": alpha, "spec": name},
-                u.value + tail,
-                b.plain_l2,
-                u.order,
-                tail,
-            )
-        )
         for n in range(1, 9):
             rows.append(
                 _check(
@@ -543,78 +562,28 @@ def run_suite(
         if not 0.0 <= alpha <= 1.0:
             raise VerifyError(f"alpha {alpha!r} must lie in [0, 1]")
 
-    # (guard name, guard params, block): a block returns its rows, or raises
+    # (guard name, guard params, block): block(order) returns its rows, or raises
     # and is replaced by one "error" row carrying the guard name and params
-    blocks = [
-        (
-            "log_l2_univalent_koebe",
-            {},
-            lambda: [
-                _l2_check(
-                    "log_l2_univalent_koebe",
-                    {"spec": "koebe(theta=0.0)"},
-                    atlas.koebe(0.0),
-                    PI2_6,
-                    order,
-                    li2_tail(1.0, order),
-                )
-            ],
-        ),
-        (
-            "halfplane_l2",
-            {},
-            lambda: [
-                _l2_check(
-                    "halfplane_l2",
-                    {"spec": "half_plane()"},
-                    atlas.half_plane(),
-                    PI2_6 / 4.0,
-                    order,
-                    0.25 * li2_tail(1.0, order),
-                )
-            ],
-        ),
-        (
-            "f1_l2_two_routes",
-            {},
-            lambda: [
-                _l2_check(
-                    "f1_l2_two_routes",
-                    {},
-                    atlas.f1(),
-                    f1_l2_alternating_route(),
-                    order,
-                    flambda_l2_closed_tail(1.0, order),
-                )
-            ],
-        ),
-        ("starlike_coeff_bound", {}, partial(_starlike_rows, order)),
-    ]
+    blocks = [("dilog_duplication_anchor", {"lambda": 1.0}, _anchor_rows)]
+    for limit in _UNIVALENT_LIMITS:
+        blocks.append((limit[0], {}, partial(_univalent_limit_rows, *limit)))
+    blocks.append(("starlike_coeff_bound", {}, _starlike_rows))
     for lam in lambdas:
-        blocks.append(
-            ("lambda_block", {"lambda": lam}, partial(_lambda_rows, lam, order))
-        )
+        blocks.append(("lambda_block", {"lambda": lam}, partial(_lambda_rows, lam)))
     if any(abs(alpha - 1.0) < 1e-12 for alpha in alphas):
-        blocks.append(("gclass_block", {"alpha": 1.0}, partial(_g_class_rows, order)))
+        blocks.append(("gclass_block", {"alpha": 1.0}, _g_class_rows))
     for alpha in alphas:
         if alpha < 1.0:
             blocks.append(
-                ("convex_block", {"alpha": alpha}, partial(_convex_rows, alpha, order))
+                ("convex_block", {"alpha": alpha}, partial(_convex_rows, alpha))
             )
 
-    rows = [
-        _check(
-            "dilog_duplication_anchor",
-            {"lambda": 1.0},
-            ulambda_l2_bound(1.0),
-            PI2_6,
-            order,
-        )
-    ]
+    rows = []
     for name, params, block in blocks:
         try:
-            rows.extend(block())
+            rows.extend(block(order))
         except Exception as err:  # noqa: BLE001 - a crash must surface as an error row
             _log.debug("%s %r raised", name, params, exc_info=True)
-            rows.append(_error_check(name, params, order, err))
+            error = {**params, "error": f"{type(err).__name__}: {err}"}
+            rows.append(replace(_check(name, error, 0.0, 0.0, order), status="error"))
     return rows

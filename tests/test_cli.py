@@ -82,6 +82,23 @@ class TestMemberCommand:
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_non_finite_beta_is_an_input_error(self, capsys, beta):
+        code, out, err = run_cli(
+            capsys, "member", "koebe()", "starlike", "--threshold", beta
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: beta must be finite\n"
+
+    def test_pole_inside_the_disk_fails(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "member", "rational(num=[0,1], den=[1,-3])", "ulambda"
+        )
+        assert code == 0
+        row = json.loads(out)
+        assert row["verdict"] == "fail"
+        assert row["note"] == "f has a pole of modulus 0.333333 inside the disk"
+
 
 class TestRenderCommand:
     def test_csv_rows(self, capsys, tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,20 +8,25 @@ from logcoef.atlas import (
     f0,
     f1,
     f_lambda,
+    fz_series,
     g_family,
     g_lambda,
     half_plane,
     k_alpha,
     koebe,
+    parse_spec,
     render,
     schwarz_superset,
 )
 from logcoef.membership import (
+    DEFAULT_SAMPLES,
     MembershipError,
+    _sample_points,
     g_class_sup,
     min_re_starlike,
     u_deficiency,
 )
+from logcoef.series import eval_raw, exp_raw, log_raw, mul_raw, reciprocal_raw
 
 SMOOTH_SPECS = [
     koebe(0.0),
@@ -71,6 +78,72 @@ class TestUDeficiency:
         rep = u_deficiency(g_family(2), 1.0, radii=[0.9])
         assert rep.tail_bound < 1e-8
         assert rep.verdict == "pass"
+
+
+def reference_g_family(n, z, order=8192):
+    """max |U| and min Re(z f'/f) of g_family(n) at the points z, from
+    series of the given order; at order 8192 the truncation is below
+    rounding for |z| <= 0.99."""
+    base = np.zeros(order + 1, dtype=np.complex128)
+    base[0] = 1.0
+    base[n] = -1.0
+    fprime = exp_raw(log_raw(base) / n)
+    inv_fz = reciprocal_raw(fz_series(g_family(n), order).coeffs)
+    u = mul_raw(mul_raw(inv_fz, inv_fz), fprime)
+    u[0] -= 1.0
+    w = mul_raw(fprime, inv_fz)
+    return np.max(np.abs(eval_raw(u, z))), np.min(eval_raw(w, z).real)
+
+
+class TestGFamilyTail:
+    @pytest.mark.parametrize("n", [50, 100, 200, 300])
+    def test_tail_bound_covers_the_truncation(self, n):
+        # U and z f'/f are series in z^n: the tail estimate must see a
+        # nonzero coefficient, and n above the series order is all tail
+        radii = (0.9, 0.99)
+        z = _sample_points(radii, DEFAULT_SAMPLES)
+        ref_u, ref_w = reference_g_family(n, z)
+        u = u_deficiency(g_family(n), 1.0, radii)
+        w = min_re_starlike(g_family(n), 0.0, radii)
+        for rep, ref in ((u, ref_u), (w, ref_w)):
+            assert math.isfinite(rep.tail_bound)
+            assert rep.tail_bound >= abs(rep.measured - ref)
+
+    def test_blind_window_no_longer_passes(self):
+        # the order-8192 values are 0.02299 and 0.97688
+        assert u_deficiency(g_family(100), 0.015).verdict == "inconclusive"
+        assert min_re_starlike(g_family(100), 0.98).verdict == "inconclusive"
+
+
+POLE_AT_THIRD = "rational(num=[0,1], den=[1,-3])"  # U = 0 for every z/(1 - a z)
+
+
+class TestInteriorZeros:
+    @pytest.mark.parametrize(
+        "text,query,threshold,note",
+        [
+            (POLE_AT_THIRD, u_deficiency, 1.0, "a pole of modulus 0.333333"),
+            (POLE_AT_THIRD, g_class_sup, 1.0, "a pole of modulus 0.333333"),
+            (
+                "exact_u(lambda=0.5, a2=3, psi=[0.5])",
+                u_deficiency,
+                0.5,
+                "a pole of modulus 0.324555",
+            ),
+            # f = z - 2 z^2 vanishes at 1/2, yet Re(z f'/f) > 1.6 for |z| >= 0.9
+            (
+                "rational(num=[0,1,-2], den=[1])",
+                min_re_starlike,
+                0.0,
+                "a zero of modulus 0.5",
+            ),
+        ],
+    )
+    def test_zero_of_a_part_inside_the_disk_fails(self, text, query, threshold, note):
+        # sampling alone passes each of these
+        rep = query(parse_spec(text), threshold)
+        assert rep.verdict == "fail"
+        assert rep.note == f"f has {note} inside the disk"
 
 
 class TestStarlike:
@@ -154,6 +227,9 @@ class TestSamplingPolicy:
             u_deficiency(f0(), 1.5)
         with pytest.raises(ValueError):
             g_class_sup(f0(), 0.0)
+        for beta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="beta must be finite"):
+                min_re_starlike(f0(), beta)
 
     def test_report_dict_fields(self):
         d = u_deficiency(f0(), 1.0).to_dict()

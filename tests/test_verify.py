@@ -350,6 +350,52 @@ class TestSuite:
         i = clean.index(lam_rows[0])
         assert checks[:i] == clean[:i] and checks[i + 1 :] == clean[i + 25 :]
 
+    def test_anchor_failure_becomes_error_row(self, monkeypatch):
+        # the dilogarithm anchor is built inside a guard like every other row
+        def broken(lam):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(verify, "ulambda_l2_bound", broken)
+        checks = run_suite(lambda_grid=(0.5,), alpha_grid=(1.0,))
+        error = "RuntimeError: boom"
+        assert checks[0].name == "dilog_duplication_anchor"
+        assert [(c.name, c.params) for c in checks if c.status == "error"] == [
+            ("dilog_duplication_anchor", {"lambda": 1.0, "error": error}),
+            ("lambda_block", {"lambda": 0.5, "error": error}),
+        ]
+        assert all(c.status != "violated" for c in checks)
+
+    @pytest.mark.parametrize(
+        "builder,name",
+        [
+            ("koebe", "log_l2_univalent_koebe"),
+            ("half_plane", "halfplane_l2"),
+            ("f1", "f1_l2_two_routes"),
+        ],
+    )
+    def test_univalent_limit_failure_is_its_own_error_row(
+        self, monkeypatch, builder, name
+    ):
+        # each univalent-limit row has its own guard, named after the row
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        clean = run_suite(lambda_grid=(), alpha_grid=())
+        monkeypatch.setattr(atlas, builder, broken)
+        checks = run_suite(lambda_grid=(), alpha_grid=())
+        i = [c.name for c in clean].index(name)
+        assert checks[i].to_dict() == {
+            "name": name,
+            "params": {"error": "RuntimeError: boom"},
+            "lhs": 0.0,
+            "rhs": 0.0,
+            "slack": 0.0,
+            "status": "error",
+            "N": verify.DEFAULT_ORDER,
+            "tail_bound": 0.0,
+        }
+        assert checks[:i] == clean[:i]
+
     def test_small_orders_run_every_block(self):
         # the leading-coefficient rows need gamma_n for n up to 6
         for order in (1, 5):
