@@ -391,8 +391,7 @@ def _k_alpha_fz(spec, order):
         # K/z = -log(1-z)/z
         return TruncatedSeries(1.0 / (np.arange(order + 1) + 1.0))
     ln = ts_log(_series_poly([1.0, -1.0], order + 1))
-    u = ts_exp((2.0 * alpha - 1.0) * ln).coeffs.copy()
-    u[0] = 0.0
+    u = ts_exp((2.0 * alpha - 1.0) * ln).coeffs
     fz = u[1:] / (1.0 - 2.0 * alpha)
     fz.real[0] = 1.0  # K/z(0) = 1 exactly; complex x/x can give 0.9999999999999999
     return TruncatedSeries(fz)

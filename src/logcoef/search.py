@@ -40,14 +40,22 @@ that band, or too close to a step's margin, fall back to the stacked
 eigvals verdict min |root| > 0.999 (one eigvals call per trimmed degree
 on companion matrices, the roots np.roots gives row by row); so does a
 one-row chunk, for which eigvals is the faster route.  The superset
-family has no test.  Then |a_n| is
-extracted for each accepted row through reciprocal_raw and offered to the
-running best in row order.  Extraction stays per row on purpose: the
-np.dot inside reciprocal_raw is BLAS zdotu, which sums with several
-accumulators, and every stacked numpy product (einsum, matmul, vecdot)
-sums in another order and moves the last bit of |a_n| on most rows.  The
-start candidate and each polish evaluation take the same path as a random
-chunk, as one-row chunks; validate_exact_u runs the same chunk test.
+family has no test.
+
+Then |a_n| is found by screen, then confirm.  The screen runs the 1/q
+recurrence over all accepted rows of a chunk at once (for the superset
+family on the first n coefficients of q from a batched product) and gives
+each row an estimate of |a_n| and a margin on its distance from the
+per-row value.  Only rows whose estimate plus margin exceeds the running
+best are confirmed: extracted through atlas.superset_denominator (for the
+superset family) and reciprocal_raw and offered to the best in row order.
+A skipped row could not have replaced the best, and every kept |a_n|
+comes from the per-row path, whose bits the batched one does not give:
+the np.dot inside reciprocal_raw is BLAS zdotu, which sums with several
+accumulators, and every stacked numpy product sums in another order.  The
+start candidate and each polish evaluation are one-row chunks, confirmed
+without a screen because the polish needs their exact value;
+validate_exact_u runs the same chunk test.
 
 Searches are deterministic: a fixed chunked generation schedule from a
 seeded generator, a strict-improvement rule applied in offer order (a
@@ -56,9 +64,10 @@ equal values the first offered wins), and a coordinate-wise golden-section
 polish with a fixed sweep plan.  Each search logs one DEBUG record on the
 ``logcoef.search`` logger that accounts for its budget: start, random and
 polish evaluations, the root-test rows decided by the recursion and by
-eigvals, the rows rejected by each test of the chunk test, the largest
-certified-sup factor divided out of a candidate (1.0 when none was), and
-the winner's phase (start, random, polish or none) and offer-order index.
+eigvals, the rows rejected by each test of the chunk test, the random
+rows confirmed after the screen, the largest certified-sup factor divided
+out of a candidate (1.0 when none was), and the winner's phase (start,
+random, polish or none) and offer-order index.
 """
 
 from __future__ import annotations
@@ -94,6 +103,7 @@ _BLASCHKE_ZERO_RADIUS = 0.95
 _POLISH_ITERS = 12  # golden-section evaluations per coordinate line
 _POLISH_STEPS = (0.25, 0.08, 0.02)  # line half-widths, one sweep per step
 _MATRIX_CACHE_SIZE = 16  # sample matrices kept, keyed by (ncoeff, samples, radii)
+_SCREEN_TOL = 1e-12  # scale of _screen's margin on |a_n|
 
 
 _log = logging.getLogger(__name__)
@@ -165,7 +175,7 @@ def certified_sup_bound(matrix_rows: np.ndarray, batch: np.ndarray) -> np.ndarra
     the autocorrelation b of the coefficients.
     """
     samples = matrix_rows.shape[0]
-    gmax = np.max(np.abs(matrix_rows @ batch.T) ** 2, axis=0)
+    gmax = np.max(np.abs(matrix_rows @ batch.T), axis=0) ** 2
     d = batch.shape[1]
     m2 = np.zeros(batch.shape[0])
     for mu in range(1, d):
@@ -419,6 +429,55 @@ def _coeff_from_denominator(q: np.ndarray, n: int) -> complex:
     return complex(reciprocal_raw(qq)[n - 1])
 
 
+def _superset_head(lam: float, omegas: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients 0..n-1 of z/f = 1 - (1 + lam) s + lam s^2, s = z w, for
+    each row w of `omegas`.  Elementwise products and row sums: the values
+    of atlas.superset_denominator to rounding, not its bytes."""
+    s = np.zeros((len(omegas), n), dtype=np.complex128)
+    m = min(n - 1, omegas.shape[1])
+    s[:, 1 : m + 1] = omegas[:, :m]
+    q = -(1.0 + lam) * s
+    q[:, 0] = 1.0
+    for k in range(2, n):
+        q[:, k] += lam * np.sum(s[:, 1:k] * s[:, k - 1 : 0 : -1], axis=1)
+    return q
+
+
+def _screen(q: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate |a_n| of f = z/q for every row of q (q_0 = 1), and a margin
+    on its distance from the per-row value |_coeff_from_denominator|.
+
+    The estimate runs the recurrence of reciprocal_raw, b_k = -sum_{j=1}^k
+    q_j b_{k-j}, over all rows at once, up to k = n - 1.  The margin is
+    _SCREEN_TOL n^3 (1 + M)^2, with M the largest of B_0..B_{n-1} in the
+    majorant recurrence B_0 = 1, B_k = sum_{j=1}^k |q_j| B_{k-j}, which
+    bounds |b_k| and the sum of the moduli of the terms of its step.  To
+    first order in eps = 2^-53, each step's rounded sum is off by at most
+    2 k eps M, and the recurrence carries an error into b_{n-1} with a
+    factor of at most M; so the batched and the per-row b_{n-1} each lie
+    within 2 n^2 eps M^2 of the exact one.  A superset head is within
+    4 (n + 1) eps of each coefficient of the convolved denominator (the
+    product (1 - zw)(1 - lam zw) has coefficient majorant at most 4 for a
+    certified w), which moves b_{n-1} by at most about 2 n^3 eps M^2 more.
+    The margin exceeds the sum by a factor above 10^3.  A non-finite
+    estimate or margin never falls at or below a best, so the caller
+    passes such a row on.
+    """
+    rows = len(q)
+    head = np.zeros((rows, n), dtype=np.complex128)
+    m = min(n, q.shape[1])
+    head[:, :m] = q[:, :m]
+    size = np.abs(head)
+    b = np.empty_like(head)
+    bound = np.empty_like(size)
+    b[:, 0], bound[:, 0] = 1.0, 1.0
+    for k in range(1, n):
+        b[:, k] = -np.sum(head[:, 1 : k + 1] * b[:, k - 1 :: -1], axis=1)
+        bound[:, k] = np.sum(size[:, 1 : k + 1] * bound[:, k - 1 :: -1], axis=1)
+    margin = _SCREEN_TOL * n**3 * (1.0 + bound.max(axis=1)) ** 2
+    return np.abs(b[:, n - 1]), margin
+
+
 @dataclass(frozen=True)
 class SearchRecord:
     lam: float
@@ -521,29 +580,38 @@ def search_max_coeff(
     verdicts = np.zeros(4, dtype=np.int64)
     roots_by_eigvals = 0  # root-test rows the Schur-Cohn recursion left to eigvals
     max_rescale = 1.0  # largest certified-sup factor divided out of a row
+    extracted = 0  # rows whose |a_n| went through reciprocal_raw
 
     def offer(coeffs, a2s):
         """Evaluate a chunk of candidate rows and offer each row the chunk
         test accepts to the running best, in row order; a row replaces the
-        best only on a strictly greater |a_n|.  Returns the last accepted
-        row's |a_n|, or None.  The superset family has no test."""
+        best only on a strictly greater |a_n|.  The superset family has no
+        test.  A chunk of more than one row is screened first: only rows
+        whose _screen estimate plus margin exceeds the best are extracted.
+        Returns the |a_n| of the last row extracted, or None."""
         nonlocal best, best_value, best_index, evals, verdicts, roots_by_eigvals
+        nonlocal extracted
         first = evals
         evals += len(coeffs)
         if exact:
             q, passed, inner, _ = _exact_u_chunk(lam, a2s, coeffs)
             verdicts += np.bincount(passed, minlength=4)
             roots_by_eigvals += int(np.count_nonzero(~np.isnan(inner)))
-            rows = np.flatnonzero(passed == 3).tolist()
+            rows = np.flatnonzero(passed == 3)
         else:
-            q = [atlas.superset_denominator(lam, c) for c in coeffs]
-            rows = range(len(q))
-            verdicts[3] += len(q)
+            rows = np.arange(len(coeffs))
+            verdicts[3] += len(coeffs)
+        if len(coeffs) > 1:
+            head = q[rows] if exact else _superset_head(lam, coeffs, n)
+            estimate, margin = _screen(head, n)
+            rows = rows[~(estimate + margin <= best_value)]
         value = None
-        for i in rows:
+        for i in rows.tolist():
             # One reciprocal_raw per row: its np.dot sums in BLAS zdotu order,
             # which no stacked numpy product reproduces to the last bit.
-            value = abs(_coeff_from_denominator(q[i], n))
+            qi = q[i] if exact else atlas.superset_denominator(lam, coeffs[i])
+            value = abs(_coeff_from_denominator(qi, n))
+            extracted += 1
             if value > best_value:
                 best_value = value
                 best_index = first + i
@@ -561,11 +629,13 @@ def search_max_coeff(
     full_polish_cost = len(_POLISH_STEPS) * _POLISH_ITERS * 2 * (width + exact)
     polish_budget = min(full_polish_cost, (budget - 1) // 4)
     random_budget = budget - 1 - polish_budget
+    started = extracted
     for index in range(0, random_budget, _CHUNK):
         take = min(_CHUNK, random_budget - index)
         batch, scale = _certified_batch(rng, _CHUNK)
         max_rescale = max(max_rescale, float(scale[:take].max()))
         offer(batch[:take], _draw_disk(rng, _CHUNK, 1.0 + lam)[:take] if exact else None)
+    confirmed = extracted - started
 
     # Coordinate-wise golden-section polish of the best candidate found.  The
     # point holds its first `width` coefficients and, for exact_u, a2 last;
@@ -614,10 +684,10 @@ def search_max_coeff(
         "search %s lambda=%r n=%d budget=%d seed=%d: evaluations=%d start=1 "
         "random=%d polish=%d roots_by_recursion=%d roots_by_eigvals=%d "
         "rejected_roots=%d rejected_grid=%d rejected_postcheck=%d accepted=%d "
-        "max_rescale=%r winner=%s winner_index=%d",
+        "confirmed=%d max_rescale=%r winner=%s winner_index=%d",
         family, lam, n, budget, seed, evals, random_budget,
         evals - 1 - random_budget, evals * exact - roots_by_eigvals,
-        roots_by_eigvals, *verdicts, max_rescale, winner, best_index,
+        roots_by_eigvals, *verdicts, confirmed, max_rescale, winner, best_index,
     )
     if best is None:
         raise SearchError("no valid candidate found within budget")

@@ -530,11 +530,31 @@ class TestWholeSearchRootTest:
 
 
 class TestSearchLog:
-    def test_debug_record_accounts_for_budget(self, caplog):
+    def test_debug_record_accounts_for_budget(self, caplog, monkeypatch):
+        extractions = []
+        reciprocal = S.reciprocal_raw
+
+        def counting(a):
+            extractions.append(a.size)
+            return reciprocal(a)
+
+        monkeypatch.setattr(S, "reciprocal_raw", counting)
+        lone_rejects = []  # one-row exact_u chunks the chunk test rejects
+        chunk_test = S._exact_u_chunk
+
+        def recording(lam, a2s, psis):
+            out = chunk_test(lam, a2s, psis)
+            if len(a2s) == 1 and out[1][0] != 3:
+                lone_rejects.append(a2s)
+            return out
+
+        monkeypatch.setattr(S, "_exact_u_chunk", recording)
         for family, budget in (("exact_u", 700), ("superset", 300)):
             caplog.clear()
             quiet = search_max_coeff(0.6, 5, family, budget=budget, seed=4)
             assert not [r for r in caplog.records if r.name == "logcoef.search"]
+            extractions.clear()
+            lone_rejects.clear()
             with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
                 loud = search_max_coeff(0.6, 5, family, budget=budget, seed=4)
             assert loud.to_json_line() == quiet.to_json_line()
@@ -554,6 +574,13 @@ class TestSearchLog:
                 assert c["roots_by_eigvals"] >= c["start"] + c["polish"]
             rescale = float(re.search(r" max_rescale=(\S+) ", record.getMessage())[1])
             assert rescale >= 1.0
+            # the screen passes on only random rows that can still win; the
+            # start row and every polish point the chunk test accepts are
+            # extracted exactly
+            assert c["confirmed"] <= c["accepted"]
+            one_row = c["start"] + c["polish"] - len(lone_rejects)
+            assert one_row + c["confirmed"] == len(extractions)
+            assert (len(lone_rejects) > 0) == (family == "exact_u")
 
     def test_max_rescale_is_one_without_random_rows(self, caplog):
         # budget 1 runs only the start row, which is never rescaled
@@ -571,24 +598,37 @@ class TestSearchLog:
         ],
     )
     def test_winner_phase_and_index(self, lam, n, family, budget, phase, caplog, monkeypatch):
-        denominators = []  # every candidate's z/f, in offer order
+        offered = []  # every candidate row in offer order: z/f for exact_u, w for superset
+        build = atlas.superset_denominator
         if family == "exact_u":
             chunk_test = S._exact_u_chunk
 
             def recording(*args):
                 out = chunk_test(*args)
-                denominators.extend(out[0])
+                offered.extend(out[0])
                 return out
 
             monkeypatch.setattr(S, "_exact_u_chunk", recording)
         else:
-            build = atlas.superset_denominator
+            # atlas.superset_denominator runs for one-row chunks and for the
+            # rows the screen passes on; the latter are views of the chunk
+            # _superset_head saw last, which recorded them already
+            head = S._superset_head
+            chunk = np.empty(0)
 
-            def recording(*args):
-                denominators.append(build(*args))
-                return denominators[-1]
+            def recording_head(lam, omegas, n):
+                nonlocal chunk
+                chunk = omegas
+                offered.extend(omegas)
+                return head(lam, omegas, n)
 
-            monkeypatch.setattr(atlas, "superset_denominator", recording)
+            def recording_build(lam, omega):
+                if not np.shares_memory(omega, chunk):
+                    offered.append(omega)
+                return build(lam, omega)
+
+            monkeypatch.setattr(S, "_superset_head", recording_head)
+            monkeypatch.setattr(atlas, "superset_denominator", recording_build)
         with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
             rec = search_max_coeff(lam, n, family, budget=budget, seed=4)
         (record,) = [r for r in caplog.records if r.name == "logcoef.search"]
@@ -598,5 +638,65 @@ class TestSearchLog:
         assert winner == (
             "start" if index == 0 else "random" if index <= random_rows else "polish"
         )
-        assert len(denominators) == rec.evaluations
-        assert abs(S._coeff_from_denominator(denominators[index], n)) == rec.achieved
+        assert len(offered) == rec.evaluations
+        q = offered[index] if family == "exact_u" else build(lam, offered[index])
+        assert abs(S._coeff_from_denominator(q, n)) == rec.achieved
+
+
+def _debug_fields(caplog):
+    (record,) = [r for r in caplog.records if r.name == "logcoef.search"]
+    return dict(re.findall(r"(\w+)=(\S+)", record.getMessage()))
+
+
+class TestScreen:
+    """The screen of a multi-row chunk only skips rows that could not have
+    replaced the best: each search equals one that extracts every row."""
+
+    @pytest.mark.parametrize(
+        "family,lam,n",
+        [("superset", lam, n) for lam in (0.05, 0.5, 1.0) for n in (2, 4, 5)]
+        + [("exact_u", lam, 5) for lam in (0.05, 0.5, 1.0)],
+    )
+    def test_screen_never_changes_a_search(self, family, lam, n, caplog, monkeypatch):
+        with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
+            screened = search_max_coeff(lam, n, family, budget=2500, seed=5)
+        want = _debug_fields(caplog)
+        screen = S._screen
+
+        def pass_every_row(q, n):
+            estimate, margin = screen(q, n)
+            return estimate, np.full_like(margin, np.inf)
+
+        monkeypatch.setattr(S, "_screen", pass_every_row)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
+            unscreened = search_max_coeff(lam, n, family, budget=2500, seed=5)
+        got = _debug_fields(caplog)
+        assert unscreened.to_json_line() == screened.to_json_line()
+        assert (got["winner"], got["winner_index"]) == (want["winner"], want["winner_index"])
+        # without the screen every accepted random row is extracted
+        accepted_alone = int(got["accepted"]) - int(got["confirmed"])
+        assert 1 <= accepted_alone <= 1 + int(got["polish"])
+        assert int(want["confirmed"]) < int(got["confirmed"])  # the screen skips rows
+
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
+    def test_margin_covers_the_per_row_value(self, lam):
+        rng = np.random.default_rng(23)
+        batch = np.vstack([S._certified_batch(rng, S._CHUNK)[0] for _ in range(2)])
+        # constants w = e^{i theta} tie the extremal to within rounding
+        ties = np.zeros((32, batch.shape[1]), dtype=np.complex128)
+        ties[:, 0] = np.exp(2j * np.pi * np.arange(32) / 32)
+        omegas = np.vstack([batch, ties])
+        a2s = S._draw_disk(rng, len(omegas), 1.0 + lam)
+        exact_u_q = atlas.exact_u_denominator(lam, a2s, omegas)
+        superset = [atlas.superset_denominator(lam, w) for w in omegas]
+        for n in range(2, 9):
+            for heads, per_row in (
+                (S._superset_head(lam, omegas, n), superset),
+                (exact_u_q, exact_u_q),
+            ):
+                estimate, margin = S._screen(heads, n)
+                value = np.array([abs(S._coeff_from_denominator(q, n)) for q in per_row])
+                assert np.all(np.abs(estimate - value) <= 1e-3 * margin), (n, lam)
+            estimate, margin = S._screen(S._superset_head(lam, ties, n), n)
+            assert np.all(np.abs(estimate - conjectured_bound(lam, n)) <= margin)
