@@ -11,8 +11,9 @@ two Schwarz-function parametrizations used by the conjecture search.
 Specs are immutable values.  A small text DSL ("name(key=value, ...)")
 parses to and renders from specs; it is the input format of the CLI.
 Everything known about one kind (its DSL keys, rational parts, series,
-closed-form logarithmic coefficients and 1/n bound) lives in its single
-``KIND_REGISTRY`` entry.
+closed-form logarithmic coefficients, 1/n bound and pointwise f/z, f' and
+f''/f') lives in its single ``KIND_REGISTRY`` entry.  The pointwise values
+serve both `evaluator` (render) and the membership functionals.
 """
 
 from __future__ import annotations
@@ -22,8 +23,11 @@ import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .series import (
     TruncatedSeries,
@@ -408,6 +412,99 @@ def starlike_order(alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Pointwise values: f/z, f' and f''/f' at an array of points.
+
+# Order of the series that gives f/z where it has no closed form.
+SERIES_EVAL_ORDER = 256
+
+
+class Pointwise(NamedTuple):
+    """f/z, f' and f''/f' of one spec at an array of points, each computed
+    when its function is called, so a caller pays only for what it reads.
+    tail() bounds |f/z - fz()| at each point: 0 for a closed form."""
+
+    fz: Callable[[], np.ndarray]
+    fp: Callable[[], np.ndarray]
+    ratio: Callable[[], np.ndarray]
+    tail: Callable[[], np.ndarray | float] = lambda: 0.0
+
+
+def _quotient_points(spec, z) -> Pointwise:
+    """f = z A / B from the kind's (A, B) parts.  With N = z A,
+    f' = (N' B - N B') / B^2 and f''/f' = (N'' B - N B'') / (N' B - N B')
+    - 2 B'/B, where N' = A + z A' and N'' = 2 A' + z A''."""
+    parts = rational_parts(spec)
+
+    @cache
+    def at(k):
+        """A^(k) and B^(k) at z."""
+        return [eval_raw(P.polyder(c, k), z) for c in parts]
+
+    @cache
+    def wronskian():
+        """N' B - N B' = f' B^2."""
+        (a, b), (a1, b1) = at(0), at(1)
+        return (a + z * a1) * b - z * a * b1
+
+    def ratio():
+        (a, b), (a1, b1), (a2, b2) = at(0), at(1), at(2)
+        return ((2.0 * a1 + z * a2) * b - z * a * b2) / wronskian() - 2.0 * b1 / b
+
+    return Pointwise(
+        fz=lambda: at(0)[0] / at(0)[1],
+        fp=lambda: wronskian() / at(0)[1] ** 2,
+        ratio=ratio,
+    )
+
+
+def _k_alpha_points(spec, z) -> Pointwise:
+    """K_alpha with x = 1 - 2 alpha: K/z = ((1 - z)^-x - 1) / (x z), or
+    -log(1 - z)/z at x = 0; K' = (1 - z)^-x / (1 - z) and
+    K''/K' = (1 + x) / (1 - z)."""
+    x = 1.0 - 2.0 * spec.alpha
+    log = cache(lambda: np.log(1.0 - z))
+    # (1 - z)^-x: exactly 1 at alpha = 1/2, with no exp to compute
+    power = cache(lambda: np.exp(-x * log()) if x else 1.0)
+
+    def fz():
+        if abs(x) < ALPHA_HALF_SWITCH:
+            return -log() / z
+        return (power() - 1.0) / (x * z)
+
+    return Pointwise(fz, lambda: power() / (1.0 - z), lambda: (1.0 + x) / (1.0 - z))
+
+
+def _g_family_points(spec, z) -> Pointwise:
+    """f' = (1 - z^n)^(1/n) and f''/f' = -z^(n-1) / (1 - z^n) in closed form.
+    f/z is its order-N series (N = SERIES_EVAL_ORDER), nonzero only at
+    multiples of n: a polynomial in w = z^n.
+
+    The tail bound, up to n = N, is the largest of the last max(32, n)
+    coefficients (a window holding a full period, so it sees a nonzero one)
+    times r^(N+1) / (1 - r): every later coefficient is smaller.  Above N
+    the series is 1.  In w, f' - 1 = sum_{j>=1} b_j w^j with every b_j < 0
+    and f/z - 1 = sum_{j>=1} b_j w^j / (jn + 1), so |f/z - 1| <= e / (n + 1)
+    with e = 1 - (1 - r^n)^(1/n) >= |f' - 1|."""
+    n, order = spec.n, SERIES_EVAL_ORDER
+    zm = cache(lambda: z ** (n - 1))
+    zn = cache(lambda: z * zm())
+    series = cache(lambda: fz_series(spec, order).coeffs)
+
+    def tail():
+        r = np.abs(z)
+        if n <= order:
+            return np.max(np.abs(series()[-max(32, n) :])) * r ** (order + 1) / (1.0 - r)
+        return -np.expm1(np.log1p(-(r**n)) / n) / (n + 1)
+
+    return Pointwise(
+        fz=lambda: eval_raw(series()[::n], zn()),
+        fp=lambda: np.exp(np.log1p(-zn()) / n),
+        ratio=lambda: -zm() / (1.0 - zn()),
+        tail=tail,
+    )
+
+
+# ---------------------------------------------------------------------------
 # The registry: one entry per function kind.
 
 @dataclass(frozen=True)
@@ -420,6 +517,9 @@ class KindEntry:
     series    (spec, order) -> Taylor series of f/z; None means 1/B
     gamma     (spec, n) -> closed-form gamma_n or None; None when there is none
     slope     spec -> c with |gamma_n| <= c/n; None when none is established
+    pointwise (spec, z) -> Pointwise: f/z with its tail bound, f' and f''/f'
+              at the points z, each computed when read; by default from the
+              (A, B) parts
     """
 
     keys: tuple[str, ...] = ()
@@ -428,6 +528,7 @@ class KindEntry:
     series: Callable | None = None
     gamma: Callable | None = None
     slope: Callable | None = None
+    pointwise: Callable = _quotient_points
 
 
 KIND_REGISTRY: dict[str, KindEntry] = {
@@ -473,11 +574,13 @@ KIND_REGISTRY: dict[str, KindEntry] = {
         # only the leading index of f_n has a simple closed form
         gamma=lambda s, n: complex(-1.0 / (2.0 * n * (n + 1))) if n == s.n else None,
         slope=lambda s: 0.25,
+        pointwise=_g_family_points,
     ),
     "k_alpha": KindEntry(
         keys=("alpha",),
         series=_k_alpha_fz,
         slope=lambda s: 1.0 - starlike_order(s.alpha),
+        pointwise=_k_alpha_points,
     ),
     "half_plane": KindEntry(
         parts=lambda s: _over([1.0, -1.0]),
@@ -538,49 +641,37 @@ def taylor_of(spec: FunctionSpec, order: int) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-# Evaluation order used for the variants without closed forms.
-SERIES_EVAL_ORDER = 256
+def pointwise(spec: FunctionSpec, z) -> Pointwise:
+    """f/z, f' and f''/f' of the spec at the points z, from its registry
+    entry."""
+    return KIND_REGISTRY[spec.kind].pointwise(spec, np.asarray(z, dtype=np.complex128))
 
 
-def evaluator(spec: FunctionSpec) -> Callable[[complex], complex]:
-    """z -> f(z) for |z| < 1, by a route chosen once: the closed form for
-    k_alpha, one high-order series for g_family, else the (A, B) parts."""
-    if spec.kind == "k_alpha":
-        power, scale = 2 * spec.alpha - 1, 1.0 - 2.0 * spec.alpha
-        if abs(scale) < ALPHA_HALF_SWITCH:
-            def value(z):
-                return -cmath.log(1.0 - z)
-        else:
-            def value(z):
-                return (cmath.exp(power * cmath.log(1.0 - z)) - 1.0) / scale
-    elif spec.kind == "g_family":
-        fz = fz_series(spec, SERIES_EVAL_ORDER).coeffs
+def evaluator(spec: FunctionSpec) -> Callable:
+    """z -> f(z) = z (f/z) for a point or an array of points in |z| < 1,
+    from the spec's registry entry; f(0) = 0.  Raises SpecError if a point
+    lies outside the open disk or a value is not finite."""
 
-        def value(z):
-            return z * complex(eval_raw(fz, z))
-    else:
-        a, b = rational_parts(spec)
-
-        def value(z):
-            return z * complex(eval_raw(a, z)) / complex(eval_raw(b, z))
-
-    def f(z: complex) -> complex:
-        z = complex(z)
-        if abs(z) >= 1.0:
-            raise SpecError(f"|z| = {abs(z):.6g} not inside the open unit disk")
-        if z == 0:
-            return 0.0 + 0.0j
-        val = value(z)
-        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-            raise SpecError(f"non-finite value of {render(spec)} at {z}")
-        return val
+    def f(z):
+        z = np.asarray(z, dtype=np.complex128)
+        r = np.abs(z)
+        if np.any(r >= 1.0):
+            raise SpecError(f"|z| = {r.max():.6g} not inside the open unit disk")
+        inside = z != 0
+        out = np.zeros_like(z)
+        with np.errstate(divide="ignore", invalid="ignore"):  # refused below
+            out[inside] = z[inside] * pointwise(spec, z[inside]).fz()
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            raise SpecError(f"non-finite value of {render(spec)} at {complex(z[bad][0])}")
+        return out
 
     return f
 
 
 def eval_at(spec: FunctionSpec, z: complex) -> complex:
     """Value f(z) for |z| < 1, by `evaluator(spec)`."""
-    return evaluator(spec)(z)
+    return complex(evaluator(spec)(z))
 
 
 def gamma_closed_form(spec: FunctionSpec, n: int):

@@ -73,10 +73,10 @@ def curve_points(spec, r: float, m: int) -> np.ndarray:
         raise ValueError("radius must lie strictly inside (0, 1)")
     if m < 16:
         raise ValueError("need at least 16 curve samples")
-    theta = 2.0 * math.pi * np.arange(m) / m
-    f = atlas.evaluator(spec)
-    points = np.array([f(r * np.exp(1j * t)) for t in theta])
-    start, wrap = f(r * np.exp(0j)), f(r * np.exp(2j * math.pi))
+    # the m curve angles and theta = 2 pi, in one call
+    theta = 2.0 * math.pi * np.arange(m + 1) / m
+    values = atlas.evaluator(spec)(r * np.exp(1j * theta))
+    points, start, wrap = values[:m], values[0], values[m]
     # relative tolerance: near a boundary pole the function magnifies
     # the epsilon-sized angle wrap by its (huge) derivative
     if abs(start - wrap) > 1e-12 * max(1.0, abs(start)):

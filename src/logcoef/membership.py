@@ -11,35 +11,38 @@ these classes is an open-disk condition; sampling closed circles r <= 0.999
 decides it up to a tolerance band, and a verdict inside the band is
 reported as inconclusive rather than forced either way.
 
-Rational specs (everything except k_alpha and g_family) are evaluated in
-closed form, so no truncation enters.  Sampling cannot see a pole or a zero
-of f inside the circles (for z/(1 - a z) the deficiency is identically 0),
-so a zero of A or B in f = z A / B of modulus at most the largest sampled
-radius makes the verdict "fail", with the modulus in the note.  k_alpha
-uses its explicit power-function derivatives.  g_family has a closed
-second-derivative functional; its f-dependent functionals come from a
-series in z^n whose tail estimate, read over a window holding a full
-period (or bounded in closed form when n exceeds the series order), is
-attached to the report, and a tail too large to support the verdict marks
-the report inconclusive.
+Each functional is one expression in the values that the spec's registry
+entry gives at the sample points (`atlas.pointwise`): f/z, f' and f''/f'.
+A query reads only the values its functional needs.  They are closed forms
+for every kind except g_family's f/z, an order-256 series in z^n whose
+bound t on |f/z - series| is carried into U and z f'/f; a tail too large
+to support the verdict marks the report inconclusive.  Sampling cannot see
+a pole or a zero of f inside the circles (for z/(1 - a z) the deficiency
+is identically 0), so a zero of A or B in f = z A / B of modulus below
+1 - 1e-6 makes the verdict "fail", with the modulus in the note.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import atlas
 from .atlas import FunctionSpec
-from .series import eval_raw, exp_raw, log_raw, mul_raw, reciprocal_raw
+# unused here; bench/tracing.py wraps these names on this module
+from .series import eval_raw, exp_raw, log_raw, mul_raw, reciprocal_raw  # noqa: F401
 
 DEFAULT_RADII = (0.9, 0.99, 0.999)
 DEFAULT_SAMPLES = 4096
 VERDICT_BAND = 1e-6
 SERIES_TAIL_LIMIT = 1e-8
+# A zero of A or B below this modulus is inside the disk; a zero on the
+# circle comes out of the root finder within about 1e-8 of it.
+INTERIOR_ZERO_LIMIT = 1.0 - 1e-6
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
@@ -57,18 +60,8 @@ class ClassMembershipReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "spec": atlas.render(self.spec),
-            "query": self.query,
-            "threshold": self.threshold,
-            "radii": list(self.radii),
-            "samples_per_circle": self.samples_per_circle,
-            "measured": self.measured,
-            "margin": self.margin,
-            "verdict": self.verdict,
-            "tail_bound": self.tail_bound,
-            "note": self.note,
-        }
+        """The fields in declaration order, the spec in its DSL form."""
+        return {**asdict(self), "spec": atlas.render(self.spec), "radii": list(self.radii)}
 
 
 class MembershipError(ValueError):
@@ -79,175 +72,108 @@ def _sample_points(radii, m: int) -> np.ndarray:
     """All sample points, fixed order: per radius, the equiangular grid
     followed by one golden-angle-offset pass (avoids symmetry aliasing)."""
     base = 2.0 * math.pi * np.arange(m) / m
-    angles = np.concatenate([base, base + GOLDEN_ANGLE])
-    return np.concatenate([r * np.exp(1j * angles) for r in radii])
-
-
-def _check_args(radii, m):
-    radii = tuple(float(r) for r in radii)
-    if not radii or not all(0.0 < r < 1.0 for r in radii):
-        raise ValueError("radii must lie in (0, 1)")
-    if m < 64:
-        raise ValueError("need at least 64 samples per circle")
-    return radii
-
-
-def _finite_or_fail(values: np.ndarray, what: str):
-    if not np.all(np.isfinite(values)):
-        raise MembershipError(f"non-finite {what} at a sample point")
+    unit = np.exp(1j * np.concatenate([base, base + GOLDEN_ANGLE]))
+    return np.concatenate([r * unit for r in radii])
 
 
 # ---------------------------------------------------------------------------
-# Pointwise evaluators.  Each returns an array of functional values over z.
+# The three functionals, each one expression in the registry's pointwise
+# values at the points z.  A functional returns its values and the bound
+# that the tail of f/z carries into them.
 
-def _rational_fvals(spec, z):
-    """(N, N', N'', D, D', D'') values for f = N/D with N = z A, D = B."""
-    a, b = atlas.rational_parts(spec)
-    n = P.polymul([0.0, 1.0], a)
-    nd = P.polyder(n)
-    ndd = P.polyder(nd)
-    bd = P.polyder(b)
-    bdd = P.polyder(bd)
-    pv = P.polyval
-    return pv(z, n), pv(z, nd), pv(z, ndd), pv(z, b), pv(z, bd), pv(z, bdd)
-
-
-def _u_values(spec, z):
-    k = spec.kind
-    if k == "k_alpha":
-        alpha, lz = spec.alpha, np.log(1.0 - z)
-        if abs(1.0 - 2.0 * alpha) < atlas.ALPHA_HALF_SWITCH:
-            f = -lz
-        else:
-            f = (np.exp((2 * alpha - 1) * lz) - 1.0) / (1.0 - 2.0 * alpha)
-        fp = np.exp((2 * alpha - 2) * lz)
-        if np.any(np.abs(f) < 1e-14 * np.abs(z)):
-            raise MembershipError("z/f degenerate at a sample point")
-        return (z / f) ** 2 * fp - 1.0
-    nv, ndv, _, dv, ddv, _ = _rational_fvals(spec, z)
-    if np.any(np.abs(dv) < 1e-14):
+def _fp_over_fz(p: atlas.Pointwise, power: int):
+    """f'/(f/z)^power (power 1 or 2), refusing a pole or a zero of f, and
+    the largest change that t = p.tail() >= |f/z - s| (s the evaluated f/z)
+    makes in it: |f'| t / (|s| (|s| - t)), times (2|s| + t) / (|s| (|s| - t))
+    for power 2.  Where t reaches |s| no change is excluded; the largest
+    float stands for that, so the report stays finite."""
+    s = p.fz()
+    size = np.abs(s)
+    if not np.all(size < 1e14):
         raise MembershipError("pole of f at a sample point (z/f vanishes)")
-    if np.any(np.abs(nv) < 1e-14 * np.abs(z)):
+    if np.any(size < 1e-14):
         raise MembershipError("f vanishes at a sample point away from 0")
-    # (z/f)^2 f' = z^2 (N'D - ND') / N^2
-    return z * z * (ndv * dv - nv * ddv) / (nv * nv) - 1.0
+    fp, t = p.fp(), p.tail()
+    values = fp / s if power == 1 else fp / (s * s)
+    if not np.any(t):
+        return values, 0.0
+    gap = size - t
+    if np.any(gap <= 0.0):
+        return values, sys.float_info.max
+    bound = np.abs(fp) * t / (size * gap)
+    if power == 2:
+        bound *= (2.0 * size + t) / (size * gap)
+    return values, float(np.max(bound))
 
 
-def _star_values(spec, z):
-    k = spec.kind
-    if k == "k_alpha":
-        return _g_alpha_kernel(spec.alpha, z)
-    nv, ndv, _, dv, ddv, _ = _rational_fvals(spec, z)
-    if np.any(np.abs(nv) < 1e-14 * np.abs(z)):
-        raise MembershipError("f vanishes at a sample point away from 0")
-    return z * (ndv * dv - nv * ddv) / (dv * nv)
+def _deficiency(p: atlas.Pointwise, z):
+    """U = (z/f)^2 f' - 1 = f'/(f/z)^2 - 1."""
+    values, tail = _fp_over_fz(p, 2)
+    return values - 1.0, tail
 
 
-def _gclass_values(spec, z):
-    k = spec.kind
-    if k == "k_alpha":
-        alpha = spec.alpha
-        return 1.0 + (2.0 - 2.0 * alpha) * z / (1.0 - z)
-    if k == "g_family":
-        zn = z**spec.n
-        return (1.0 - 2.0 * zn) / (1.0 - zn)
-    nv, ndv, nddv, dv, ddv, dddv = _rational_fvals(spec, z)
-    fp = (ndv * dv - nv * ddv) / (dv * dv)
-    if np.any(np.abs(fp) < 1e-14):
+def _starlikeness(p: atlas.Pointwise, z):
+    """z f'/f = f'/(f/z)."""
+    return _fp_over_fz(p, 1)
+
+
+def _convexity(p: atlas.Pointwise, z):
+    """1 + z f''/f'; |f''/f'| >= 1e14 puts f' within 1e-14 |f''| of 0."""
+    ratio = p.ratio()
+    if np.any(np.abs(ratio) >= 1e14):
         raise MembershipError("f' vanishes at a sample point (not locally univalent)")
-    fpp = (nddv * dv - nv * dddv) / (dv * dv) - 2.0 * ddv * (
-        ndv * dv - nv * ddv
-    ) / (dv**3)
-    return 1.0 + z * fpp / fp
+    return 1.0 + z * ratio, 0.0
 
 
-def _g_alpha_kernel(alpha, z):
-    """z K_alpha'/K_alpha, the convex-order subordination kernel G_alpha."""
-    if abs(1.0 - 2.0 * alpha) < atlas.ALPHA_HALF_SWITCH:
-        return -z / ((1.0 - z) * np.log(1.0 - z))
-    return (
-        (2.0 * alpha - 1.0)
-        * z
-        / ((1.0 - z) * (np.exp((1.0 - 2.0 * alpha) * np.log(1.0 - z)) - 1.0))
-    )
-
-
-# ---------------------------------------------------------------------------
-# Series route for g_family (U and z f'/f need f itself).
-
-def _gfamily_values(spec: FunctionSpec, query: str, z, radii):
-    """Values at z of U = (z/f)^2 f' - 1 (query "ulambda") or of W = z f'/f
-    ("starlike") from their series at atlas.SERIES_EVAL_ORDER, and the
-    largest tail bound of that series over the radii."""
-    n, order = spec.n, atlas.SERIES_EVAL_ORDER
-    if n > order:
-        # to this order f = z, so U = 0 and z f'/f = 1: all of it is tail
-        vals = np.zeros_like(z) if query == "ulambda" else np.ones_like(z)
-        return vals, max(_unresolved_tail_bound(query, n, r) for r in radii)
-    base = np.zeros(order + 1, dtype=np.complex128)
-    base[0] = 1.0
-    base[n] = -1.0
-    fprime = exp_raw(log_raw(base) / n)
-    inv_fz = reciprocal_raw(atlas.fz_series(spec, order).coeffs)
-    if query == "ulambda":
-        coeffs = mul_raw(mul_raw(inv_fz, inv_fz), fprime)
-        coeffs[0] -= 1.0
-    else:
-        coeffs = mul_raw(fprime, inv_fz)
-    return eval_raw(coeffs, z), max(_series_tail_bound(coeffs, r, n) for r in radii)
-
-
-def _series_tail_bound(coeffs: np.ndarray, r: float, period: int) -> float:
-    """Crude geometric tail from the magnitude of the trailing coefficients of
-    a series in z^period; the window holds at least one full period, so it
-    sees a nonzero coefficient."""
-    m = float(np.max(np.abs(coeffs[-max(32, period) :])))
-    n = coeffs.size - 1
-    return m * r ** (n + 1) / (1.0 - r)
-
-
-def _unresolved_tail_bound(query: str, n: int, r: float) -> float:
-    """Bound on |F - F_N| over |z| = r for g_family(n) with n above the
-    series order N, where F_N is 0 (U) or 1 (z f'/f).  In w = z^n,
-    f' - 1 = (1 - w)^(1/n) - 1 = sum_{j>=1} b_j w^j with every b_j < 0 and
-    f/z - 1 = sum_{j>=1} b_j w^j / (jn + 1), so e = 1 - (1 - r^n)^(1/n) >=
-    |f' - 1| and d = e / (n + 1) >= |f/z - 1|, which give |U| <=
-    (e + d (2 + d)) / (1 - d)^2 and |z f'/f - 1| <= (e + d) / (1 - d)."""
-    e = -math.expm1(math.log1p(-(r**n)) / n)
-    d = e / (n + 1)
-    if query == "ulambda":
-        return (e + d * (2.0 + d)) / (1.0 - d) ** 2
-    return (e + d) / (1.0 - d)
+# query -> (functional, its name in errors, extremum over the points,
+#           margin of (threshold, measured))
+_QUERIES = {
+    "ulambda": (_deficiency, "deficiency functional",
+                lambda v: np.max(np.abs(v)), lambda lam, x: lam - x),
+    "starlike": (_starlikeness, "starlikeness functional",
+                 lambda v: np.min(v.real), lambda beta, x: x - beta),
+    "galpha": (_convexity, "convexity functional",
+               lambda v: np.max(v.real), lambda alpha, x: 1.0 + 0.5 * alpha - x),
+}
 
 
 # ---------------------------------------------------------------------------
 # Reports.
 
-def _interior_zero_note(spec, radii) -> str:
+def _interior_zero_note(spec) -> str:
     """For a spec with (A, B) parts, f = z A / B: a note naming a zero of B
-    (a pole of f) or of A (a zero of f away from 0) of modulus at most the
-    largest sampled radius, or "" when there is none.  A multiple zero on
-    |z| = 1 comes out of the root finder about 1e-8 off the circle, well
-    outside any radius the default grids sample."""
+    (a pole of f) or of A (a zero of f away from 0) of modulus below
+    INTERIOR_ZERO_LIMIT, or "" when there is none.  A multiple zero on
+    |z| = 1 comes out of the root finder about 1e-8 off the circle, inside
+    the limit's band."""
     parts = atlas.rational_parts(spec)
     if parts is None:
         return ""
     a, b = parts
     for poly, what in ((b, "a pole"), (a, "a zero")):
         moduli = np.abs(P.polyroots(poly))
-        if moduli.size and moduli.min() <= max(radii):
+        if moduli.size and moduli.min() < INTERIOR_ZERO_LIMIT:
             return f"f has {what} of modulus {moduli.min():.6g} inside the disk"
     return ""
 
 
-def _make_report(spec, query, threshold, radii, m, measured, tail):
-    if query == "ulambda":
-        margin = threshold - measured
-    elif query == "starlike":
-        margin = measured - threshold
-    else:
-        margin = (1.0 + 0.5 * threshold) - measured
-    note = _interior_zero_note(spec, radii)
+def _measure(spec, query, threshold, radii, m) -> ClassMembershipReport:
+    """Sample the circles, evaluate the query's functional on the spec's
+    pointwise values, and turn its extremum into a verdict."""
+    functional, what, extremum, margin_of = _QUERIES[query]
+    radii = tuple(float(r) for r in radii)
+    if not radii or not all(0.0 < r < 1.0 for r in radii):
+        raise ValueError("radii must lie in (0, 1)")
+    if m < 64:
+        raise ValueError("need at least 64 samples per circle")
+    z = _sample_points(radii, m)
+    with np.errstate(divide="ignore", invalid="ignore"):  # refused below
+        values, tail = functional(atlas.pointwise(spec, z), z)
+    if not np.all(np.isfinite(values)):
+        raise MembershipError(f"non-finite {what} at a sample point")
+    measured = float(extremum(values))
+    margin = margin_of(threshold, measured)
+    note = _interior_zero_note(spec)
     if note:
         verdict = "fail"
     elif tail > SERIES_TAIL_LIMIT:
@@ -265,7 +191,7 @@ def _make_report(spec, query, threshold, radii, m, measured, tail):
         threshold=float(threshold),
         radii=radii,
         samples_per_circle=m,
-        measured=float(measured),
+        measured=measured,
         margin=float(margin),
         verdict=verdict,
         tail_bound=float(tail),
@@ -282,15 +208,7 @@ def u_deficiency(
     """max |(z/f)^2 f' - 1| over the sampled circles, against lambda."""
     if not (0.0 < lam <= 1.0):
         raise ValueError("lambda must lie in (0, 1]")
-    radii = _check_args(radii, m)
-    z = _sample_points(radii, m)
-    if spec.kind == "g_family":
-        vals, tail = _gfamily_values(spec, "ulambda", z, radii)
-    else:
-        vals, tail = _u_values(spec, z), 0.0
-    _finite_or_fail(vals, "deficiency functional")
-    measured = float(np.max(np.abs(vals)))
-    return _make_report(spec, "ulambda", lam, radii, m, measured, tail)
+    return _measure(spec, "ulambda", lam, radii, m)
 
 
 def min_re_starlike(
@@ -302,15 +220,7 @@ def min_re_starlike(
     """min Re(z f'/f) over the sampled circles, against the order beta."""
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
-    radii = _check_args(radii, m)
-    z = _sample_points(radii, m)
-    if spec.kind == "g_family":
-        vals, tail = _gfamily_values(spec, "starlike", z, radii)
-    else:
-        vals, tail = _star_values(spec, z), 0.0
-    _finite_or_fail(vals, "starlikeness functional")
-    measured = float(np.min(vals.real))
-    return _make_report(spec, "starlike", beta, radii, m, measured, tail)
+    return _measure(spec, "starlike", beta, radii, m)
 
 
 def g_class_sup(
@@ -322,9 +232,4 @@ def g_class_sup(
     """max Re(1 + z f''/f') over the sampled circles, against 1 + alpha/2."""
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
-    radii = _check_args(radii, m)
-    z = _sample_points(radii, m)
-    vals = _gclass_values(spec, z)
-    _finite_or_fail(vals, "convexity functional")
-    measured = float(np.max(vals.real))
-    return _make_report(spec, "galpha", alpha, radii, m, measured, 0.0)
+    return _measure(spec, "galpha", alpha, radii, m)

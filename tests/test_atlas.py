@@ -30,7 +30,7 @@ from logcoef.atlas import (
     schwarz_superset,
     taylor_of,
 )
-from logcoef.series import ts_eval
+from logcoef.series import eval_raw, ts_eval
 from logcoef.verify import log_coefficients
 
 ALL_SPECS = [
@@ -179,6 +179,37 @@ class TestEval:
         t = taylor_of(spec, 256)
         for z in (0.3, -0.5 + 0.4j, 0.62j, -0.85, 0.9):
             assert abs(eval_at(spec, z) - ts_eval(t, z)) < 1e-8
+
+    def test_array_with_one_bad_point(self):
+        with pytest.raises(SpecError, match="not inside the open unit disk"):
+            atlas.evaluator(f0())(np.array([0.1, 0.5j, 1.0, 0.2]))
+        pole = atlas.evaluator(rational([0, 1], [1, -2]))  # f has a pole at 1/2
+        with pytest.raises(SpecError, match="non-finite value"):
+            pole(np.array([0.1, 0.5, 0.2j]))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=render)
+    def test_zero_inside_an_array(self, spec):
+        values = atlas.evaluator(spec)(np.array([0.3, 0.0, -0.2j]))
+        assert values[1] == 0.0
+        assert np.all(np.isfinite(values))
+
+
+POINTWISE_SPECS = [
+    next(s for s in ALL_SPECS if s.kind == kind) for kind in atlas.KINDS
+] + [k_alpha(0.5)]
+
+
+@pytest.mark.parametrize("spec", POINTWISE_SPECS, ids=render)
+def test_pointwise_values_match_the_series(spec):
+    # each registry entry's f/z, f' and f''/f' against its own Taylor series
+    z = 0.5 * np.sqrt(np.arange(1, 17) / 16.0) * np.exp(2.3j * np.arange(16))
+    c = taylor_of(spec, 200).coeffs
+    k = np.arange(c.size)
+    fp = eval_raw(k[1:] * c[1:], z)
+    fpp = eval_raw(k[2:] * (k[2:] - 1) * c[2:], z)
+    p = atlas.pointwise(spec, z)
+    for got, want in ((p.fz(), eval_raw(c[1:], z)), (p.fp(), fp), (p.ratio(), fpp / fp)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestGammaClosedForm:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -96,10 +97,10 @@ def reference_g_family(n, z, order=8192):
 
 
 class TestGFamilyTail:
-    @pytest.mark.parametrize("n", [50, 100, 200, 300])
+    @pytest.mark.parametrize("n", [2, 5, 50, 100, 200, 256, 257, 300])
     def test_tail_bound_covers_the_truncation(self, n):
-        # U and z f'/f are series in z^n: the tail estimate must see a
-        # nonzero coefficient, and n above the series order is all tail
+        # f/z is a series in z^n: the tail estimate must see a nonzero
+        # coefficient, and above the series order (256) f/z - 1 is all tail
         radii = (0.9, 0.99)
         z = _sample_points(radii, DEFAULT_SAMPLES)
         ref_u, ref_w = reference_g_family(n, z)
@@ -260,3 +261,24 @@ class TestHardFailures:
         spec = exact_u(0.5, 1.5, [1.0])
         with pytest.raises(MembershipError, match="z/f vanishes"):
             u_deficiency(spec, 0.5, radii=[root])
+
+    def test_sample_on_a_zero_of_f_prime(self):
+        # f' = 1 + (10/9) z vanishes at z = -0.9, a sample point of r = 0.9
+        spec = parse_spec("rational(num=[0,1,0.5555555555555556], den=[1])")
+        with pytest.raises(MembershipError, match="f' vanishes at a sample point"):
+            g_class_sup(spec, 1.0, radii=[0.9])
+
+    @pytest.mark.parametrize("query", [u_deficiency, min_re_starlike])
+    def test_sample_on_a_zero_of_f(self, query):
+        # f = z - 2 z^2 vanishes at z = 1/2, a sample point of r = 1/2
+        spec = parse_spec("rational(num=[0,1,-2], den=[1])")
+        with pytest.raises(MembershipError, match="f vanishes at a sample point away from 0"):
+            query(spec, 0.5, radii=[0.5])
+
+    def test_tail_reaching_f_over_z_stays_finite(self):
+        # at r = 1 - 1e-7 the order-256 tail bound of g_family(2) exceeds
+        # |f/z|, so no change of U is excluded
+        rep = u_deficiency(g_family(2), 1.0, radii=[1.0 - 1e-7])
+        assert rep.verdict == "inconclusive"
+        assert math.isfinite(rep.tail_bound)
+        json.loads(json.dumps(rep.to_dict(), allow_nan=False))
