@@ -40,6 +40,11 @@ from .series import (
 )
 
 NORMALIZATION_TOL = 1e-12
+# A zero of A or B in f = z A / B below this modulus is inside the open unit
+# disk.  Eigvals puts a simple zero within about 1e-15 of its place and a
+# double zero on |z| = 1 about 1e-8 off the circle, so a zero on the circle
+# (the extremal's at z = 1) stays admissible.
+INTERIOR_ZERO_LIMIT = 1.0 - 1e-6
 
 # Below this distance from alpha = 1/2 the logarithmic branch of K_alpha
 # and G_alpha is used (the generic closed form has a removable singularity).
@@ -329,6 +334,24 @@ def superset_denominator(lam: float, omega) -> np.ndarray:
     v = -lam * zw
     v[0] += 1.0
     return np.convolve(u, v)
+
+
+def min_root_modulus(q: np.ndarray) -> np.ndarray:
+    """Smallest root modulus of each row of q, coefficients lowest first
+    (inf for a constant row): one eigvals call per trimmed degree on stacked
+    companion matrices gives the roots that np.roots gives row by row.  A
+    row has a zero inside the disk when this is below INTERIOR_ZERO_LIMIT."""
+    rows, width = q.shape
+    degree = width - 1 - np.argmax(q[:, ::-1] != 0, axis=1)
+    inner = np.full(rows, np.inf)
+    for d in np.unique(degree[degree > 0]):
+        sel = np.flatnonzero(degree == d)
+        p = q[sel, d::-1]  # highest coefficient first, as np.roots takes it
+        companion = np.zeros((sel.size, d, d), dtype=np.complex128)
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        inner[sel] = np.min(np.abs(np.linalg.eigvals(companion)), axis=1)
+    return inner
 
 
 # ---------------------------------------------------------------------------

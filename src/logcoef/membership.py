@@ -19,7 +19,8 @@ bound t on |f/z - series| is carried into U and z f'/f; a tail too large
 to support the verdict marks the report inconclusive.  Sampling cannot see
 a pole or a zero of f inside the circles (for z/(1 - a z) the deficiency
 is identically 0), so a zero of A or B in f = z A / B of modulus below
-1 - 1e-6 makes the verdict "fail", with the modulus in the note.
+atlas.INTERIOR_ZERO_LIMIT = 1 - 1e-6 makes the verdict "fail", with the
+modulus in the note; the exact_u search admits a denominator by that rule.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from . import atlas
 from .atlas import FunctionSpec
@@ -40,9 +40,6 @@ DEFAULT_RADII = (0.9, 0.99, 0.999)
 DEFAULT_SAMPLES = 4096
 VERDICT_BAND = 1e-6
 SERIES_TAIL_LIMIT = 1e-8
-# A zero of A or B below this modulus is inside the disk; a zero on the
-# circle comes out of the root finder within about 1e-8 of it.
-INTERIOR_ZERO_LIMIT = 1.0 - 1e-6
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
@@ -143,17 +140,15 @@ _QUERIES = {
 def _interior_zero_note(spec) -> str:
     """For a spec with (A, B) parts, f = z A / B: a note naming a zero of B
     (a pole of f) or of A (a zero of f away from 0) of modulus below
-    INTERIOR_ZERO_LIMIT, or "" when there is none.  A multiple zero on
-    |z| = 1 comes out of the root finder about 1e-8 off the circle, inside
-    the limit's band."""
+    atlas.INTERIOR_ZERO_LIMIT, or "" when there is none."""
     parts = atlas.rational_parts(spec)
     if parts is None:
         return ""
     a, b = parts
     for poly, what in ((b, "a pole"), (a, "a zero")):
-        moduli = np.abs(P.polyroots(poly))
-        if moduli.size and moduli.min() < INTERIOR_ZERO_LIMIT:
-            return f"f has {what} of modulus {moduli.min():.6g} inside the disk"
+        inner = atlas.min_root_modulus(poly[None, :])[0]
+        if inner < atlas.INTERIOR_ZERO_LIMIT:
+            return f"f has {what} of modulus {inner:.6g} inside the disk"
     return ""
 
 

@@ -8,7 +8,7 @@ sum_{k<n} lambda^k:
     bounded-deficiency class), and
   * an exact parametrization of the class itself,
     z/f = 1 - a2 z - lambda z * integral_0^z psi(t) dt with |psi| <= 1,
-    filtered for z/f nonvanishing so that f is analytic.
+    filtered for z/f without a zero in the disk so that f is analytic.
 
 The exact parametrization rests on the identity
 
@@ -28,19 +28,21 @@ gap estimate from the autocorrelation of the coefficients.
 
 Candidates are tested a chunk of 256 rows at a time.  For the exact
 parametrization the chunk test builds every denominator z/f = q of the
-chunk at once and runs three tests, each on the survivors of the one
-before: the root test (no zero of q in |z| <= 0.999), the grid test (min
-|q| over five circles) and the post-check; the last two are products with
-cached sample matrices.  The root test is a batched Schur-Cohn recursion
-(Henrici, Applied and Computational Complex Analysis I, section 6.8) on
-q(rho z) at rho = 0.999 (1 +- 1e-6): a row is decided when every step
-passes at the outer radius (no zero) or a step fails at the inner one (a
-zero), each step with a relative margin of 1e-9.  Rows with a zero in
+chunk at once and runs two tests, the second on the survivors of the
+first: the root test (no zero of q in the open unit disk) and the
+post-check, a product with a cached sample matrix.  The root test applies
+the rule that membership applies to every rational spec: a zero below
+atlas.INTERIOR_ZERO_LIMIT = 1 - tau, tau = 1e-6, is inside, and a zero on
+the circle (the extremal's at z = 1) is admitted.  It is a batched
+Schur-Cohn recursion (Henrici, Applied and Computational Complex Analysis
+I, section 6.8) on q(rho z) at rho = 1 +- tau: a row is decided when every
+step passes at the outer radius (no zero) or a step fails at the inner one
+(a zero), each step with a relative margin of 1e-9.  Rows with a zero in
 that band, or too close to a step's margin, fall back to the stacked
-eigvals verdict min |root| > 0.999 (one eigvals call per trimmed degree
-on companion matrices, the roots np.roots gives row by row); so does a
-one-row chunk, for which eigvals is the faster route.  The superset
-family has no test.
+eigvals verdict min |root| >= 1 - tau (atlas.min_root_modulus: one
+eigvals call per trimmed degree on companion matrices, the roots np.roots
+gives row by row); so does a one-row chunk, for which eigvals is the
+faster route.  The superset family has no test.
 
 Then |a_n| is found by screen, then confirm.  The screen runs the 1/q
 recurrence over all accepted rows of a chunk at once (for the superset
@@ -64,7 +66,7 @@ equal values the first offered wins), and a coordinate-wise golden-section
 polish with a fixed sweep plan.  Each search logs one DEBUG record on the
 ``logcoef.search`` logger that accounts for its budget: start, random and
 polish evaluations, the root-test rows decided by the recursion and by
-eigvals, the rows rejected by each test of the chunk test, the random
+eigvals, the rows rejected by each of the two tests, the random
 rows confirmed after the screen, the largest certified-sup factor divided
 out of a candidate (1.0 when none was), and the winner's phase (start,
 random, polish or none) and offer-order index.
@@ -86,13 +88,9 @@ from .series import TruncatedSeries, reciprocal_raw
 SCHWARZ_GATE_TOL = 1e-10  # sampled boundary sup may exceed 1 by at most this
 VALIDATION_SAMPLES = 2048  # boundary samples for the public validation gate
 CERT_SAMPLES = 1024  # boundary samples inside the candidate generator
-NONVANISHING_MIN = 1e-6 * (1.0 - 1e-3)  # keeps the boundary extremal admissible
 POSTCHECK_RADIUS = 0.99
 POSTCHECK_TOL = 1e-6
 _POSTCHECK_SAMPLES = 256
-_NV_RADII = (0.3, 0.6, 0.9, 0.99, 0.999)
-_NV_ANGLES = 128
-_SC_BAND = 1e-6  # relative band around |z| = 0.999 left to eigvals
 _SC_TOL = 1e-9  # relative margin of |p_0| against |p_m| in the recursion
 _CHUNK = 256
 _POLY_PER_CHUNK = 192  # remainder of each chunk is Blaschke-truncation draws
@@ -130,7 +128,6 @@ class ExactUParams:
     a2: complex
     psi: tuple[complex, ...]
     validated: bool = False
-    nonvanishing_ok: bool = False
 
 
 @lru_cache(maxsize=_MATRIX_CACHE_SIZE)
@@ -263,27 +260,10 @@ def build_superset_function(
     return atlas.taylor_of(atlas.schwarz_superset(lam, omega.coeffs), order)
 
 
-def _min_root_modulus(q: np.ndarray) -> np.ndarray:
-    """Smallest root modulus of each row of q (inf for a constant row): one
-    eigvals call per trimmed degree on stacked companion matrices gives the
-    roots that np.roots gives row by row."""
-    rows, width = q.shape
-    degree = width - 1 - np.argmax(q[:, ::-1] != 0, axis=1)
-    inner = np.full(rows, np.inf)
-    for d in np.unique(degree[degree > 0]):
-        sel = np.flatnonzero(degree == d)
-        p = q[sel, d::-1]  # highest coefficient first, as np.roots takes it
-        companion = np.zeros((sel.size, d, d), dtype=np.complex128)
-        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-        inner[sel] = np.min(np.abs(np.linalg.eigvals(companion)), axis=1)
-    return inner
-
-
 def _schur_cohn(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Schur-Cohn recursion (Henrici, Applied and Computational Complex
-    Analysis I, section 6.8) on the rows of q at the two radii
-    rho = 0.999 (1 +- _SC_BAND), stacked into one batch.
+    Analysis I, section 6.8) on the rows of q at the two radii rho = 1 +- tau,
+    tau = 1 - atlas.INTERIOR_ZERO_LIMIT, stacked into one batch.
 
     p(z) = q(rho z) has formal degree m = width - 1, so a zero leading
     coefficient is a zero at infinity.  While |p_0| > |p_m|, p has as many
@@ -292,11 +272,12 @@ def _schur_cohn(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the disk.  A row passes a step when |p_0| > |p_m| (1 + _SC_TOL) and
     fails when |p_0| < |p_m| (1 - _SC_TOL); the first step that does
     neither leaves it undecided.  Returns (accept, reject): q has no zero
-    of modulus <= 0.999 (1 + _SC_BAND), resp. a zero of modulus <=
-    0.999 (1 - _SC_BAND).  Rows in neither are left to eigvals.
+    of modulus <= 1 + tau, resp. a zero of modulus <= 1 - tau.  Rows in
+    neither are left to eigvals.
     """
     rows, width = q.shape
-    rho = _NV_RADII[-1] * np.array([[1.0 + _SC_BAND], [1.0 - _SC_BAND]])
+    tau = 1.0 - atlas.INTERIOR_ZERO_LIMIT
+    rho = np.array([[1.0 + tau], [1.0 - tau]])
     # coefficient k of every row at both radii is p[k]: row i at the outer
     # radius is column i, at the inner radius column rows + i
     p = (rho ** np.arange(width)[:, None, None] * q.T[:, None, :]).reshape(width, -1)
@@ -316,24 +297,23 @@ def _schur_cohn(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _exact_u_chunk(lam: float, a2s, psis):
     """The exact_u acceptance test on a chunk of candidates (rows).
 
-    Each test runs only on the survivors of the one before: the root test
-    (q = z/f has no zero of modulus <= 0.999), the grid test (min |q| on
-    the disk grid > NONVANISHING_MIN) and the post-check (max |q - z q' - 1|
+    The root test (q = z/f has no zero in the open unit disk, by the rule
+    atlas.min_root_modulus(q) >= atlas.INTERIOR_ZERO_LIMIT that membership
+    also applies), then, on its survivors, the post-check (max |q - z q' - 1|
     at POSTCHECK_RADIUS <= lambda + POSTCHECK_TOL, where q - z q' - 1 has
     k-th coefficient (1 - k) q_k since q_0 = 1).
 
     The root test runs the batched Schur-Cohn recursion on a chunk of more
-    than one row.  It decides every row with no zero within a relative
-    band _SC_BAND of the circle |z| = 0.999; the rows it leaves undecided
-    get the stacked eigvals verdict min |root| > 0.999.  A one-row chunk
-    (the start row, each polish evaluation, validate_exact_u) goes to
-    eigvals directly, which is faster for one row and gives the root
-    modulus that _exact_u_filter's note reports.
+    than one row.  It decides every row with no zero within a relative band
+    tau = 1 - INTERIOR_ZERO_LIMIT of the unit circle; the rows it leaves
+    undecided get the stacked eigvals verdict.  A one-row chunk (the start
+    row, each polish evaluation, validate_exact_u) goes to eigvals
+    directly, which is faster for one row and gives the root modulus that
+    validate_exact_u reports.
 
-    Returns q, the number of tests each row passed (3 = accepted), each
+    Returns q, the number of tests each row passed (2 = accepted), and each
     row's smallest root modulus where eigvals ran (inf for a constant q)
-    and nan where the recursion decided, and its grid minimum (nan where
-    the grid test did not run).
+    and nan where the recursion decided.
     """
     q = atlas.exact_u_denominator(lam, a2s, psis)
     rows, width = q.shape
@@ -345,56 +325,32 @@ def _exact_u_chunk(lam: float, a2s, psis):
         accept, reject = _schur_cohn(q)
     undecided = ~(accept | reject)
     inner = np.full(rows, np.nan)
-    inner[undecided] = _min_root_modulus(q[undecided])
-    passed[accept | (undecided & (inner > _NV_RADII[-1]))] = 1
+    inner[undecided] = atlas.min_root_modulus(q[undecided])
+    passed[accept | (undecided & (inner >= atlas.INTERIOR_ZERO_LIMIT))] = 1
 
-    grid_min = np.full(rows, np.nan)
     alive = np.flatnonzero(passed == 1)
-    grid = _boundary_matrix(width, _NV_ANGLES, _NV_RADII)
-    grid_min[alive] = np.min(np.abs(grid @ q[alive].T), axis=0, initial=np.inf)
-    passed[alive[grid_min[alive] > NONVANISHING_MIN]] = 2
-
-    alive = np.flatnonzero(passed == 2)
     u = q[alive] * (1.0 - np.arange(width))
     u[:, 0] -= 1.0
     post = _boundary_matrix(width, _POSTCHECK_SAMPLES, (POSTCHECK_RADIUS,))
     post_max = np.max(np.abs(post @ u.T), axis=0, initial=0.0)
-    passed[alive[post_max <= lam + POSTCHECK_TOL]] = 3
-    return q, passed, inner, grid_min
-
-
-def _exact_u_filter(lam: float, a2: complex, psi) -> tuple[np.ndarray, bool, str]:
-    """Denominator polynomial of z/f plus the nonvanishing verdict (tests 1
-    and 2 of the chunk test) for one candidate.
-
-    The grid minimum alone can miss a zero sitting between the sampled
-    circles (which would silently hand back a function with a pole inside
-    the disk), which is why the root test runs as well.
-    """
-    psis = np.asarray(psi, dtype=np.complex128)[None, :]
-    q, passed, inner, grid_min = _exact_u_chunk(lam, [a2], psis)
-    if passed[0] == 0:
-        return q[0], False, f"z/f has a zero of modulus {inner[0]:.6f} in the disk"
-    if passed[0] == 1:
-        return q[0], False, f"z/f modulus {grid_min[0]:.3e} at grid minimum"
-    return q[0], True, ""
+    passed[alive[post_max <= lam + POSTCHECK_TOL]] = 2
+    return q, passed, inner
 
 
 def validate_exact_u(lam: float, a2: complex, psi) -> ExactUParams:
     """Validate an exact-parametrization candidate: psi bounded, |a2| in
-    range, and z/f nonvanishing on the disk grid."""
+    range, and z/f without a zero in the open disk (the root test of the
+    chunk test, on one row)."""
     if not (0.0 < lam <= 1.0):
         raise SearchError("lambda must lie in (0, 1]")
     a2 = complex(a2)
     if abs(a2) > (1.0 + lam) * (1.0 + 1e-12):
         raise SearchError(f"|a2| = {abs(a2):.6g} exceeds 1 + lambda")
     w = validate_schwarz(psi)
-    _, ok, note = _exact_u_filter(lam, a2, w.coeffs)
-    if not ok:
-        raise SearchError(f"z/f vanishes on the disk grid ({note})")
-    return ExactUParams(
-        lam=lam, a2=a2, psi=w.coeffs, validated=True, nonvanishing_ok=True
-    )
+    _, passed, inner = _exact_u_chunk(lam, [a2], np.array([w.coeffs]))
+    if passed[0] == 0:
+        raise SearchError(f"z/f vanishes inside the disk: a zero of modulus {inner[0]:.6g}")
+    return ExactUParams(lam=lam, a2=a2, psi=w.coeffs, validated=True)
 
 
 def build_exact_u_function(p: ExactUParams, order: int) -> TruncatedSeries:
@@ -404,8 +360,8 @@ def build_exact_u_function(p: ExactUParams, order: int) -> TruncatedSeries:
     must not exceed lambda + 1e-6) and raises if it fails; the derived
     parametrization never ships a function without this safety net.
     """
-    if not (p.validated and p.nonvanishing_ok):
-        raise SearchError("exact-parametrization candidate is not fully validated")
+    if not p.validated:
+        raise SearchError("exact-parametrization candidate is not validated")
     spec = atlas.exact_u(p.lam, p.a2, p.psi)
     report = membership.u_deficiency(
         spec, p.lam, radii=[POSTCHECK_RADIUS], m=256
@@ -576,8 +532,8 @@ def search_max_coeff(
     best_value = -1.0
     best_index = -1  # position of the best row in offer order
     evals = 0
-    # rows rejected by the root test, the grid and the post-check; accepted
-    verdicts = np.zeros(4, dtype=np.int64)
+    # rows rejected by the root test and by the post-check; accepted
+    verdicts = np.zeros(3, dtype=np.int64)
     roots_by_eigvals = 0  # root-test rows the Schur-Cohn recursion left to eigvals
     max_rescale = 1.0  # largest certified-sup factor divided out of a row
     extracted = 0  # rows whose |a_n| went through reciprocal_raw
@@ -594,13 +550,13 @@ def search_max_coeff(
         first = evals
         evals += len(coeffs)
         if exact:
-            q, passed, inner, _ = _exact_u_chunk(lam, a2s, coeffs)
-            verdicts += np.bincount(passed, minlength=4)
+            q, passed, inner = _exact_u_chunk(lam, a2s, coeffs)
+            verdicts += np.bincount(passed, minlength=3)
             roots_by_eigvals += int(np.count_nonzero(~np.isnan(inner)))
-            rows = np.flatnonzero(passed == 3)
+            rows = np.flatnonzero(passed == 2)
         else:
             rows = np.arange(len(coeffs))
-            verdicts[3] += len(coeffs)
+            verdicts[2] += len(coeffs)
         if len(coeffs) > 1:
             head = q[rows] if exact else _superset_head(lam, coeffs, n)
             estimate, margin = _screen(head, n)
@@ -683,7 +639,7 @@ def search_max_coeff(
     _log.debug(
         "search %s lambda=%r n=%d budget=%d seed=%d: evaluations=%d start=1 "
         "random=%d polish=%d roots_by_recursion=%d roots_by_eigvals=%d "
-        "rejected_roots=%d rejected_grid=%d rejected_postcheck=%d accepted=%d "
+        "rejected_roots=%d rejected_postcheck=%d accepted=%d "
         "confirmed=%d max_rescale=%r winner=%s winner_index=%d",
         family, lam, n, budget, seed, evals, random_budget,
         evals - 1 - random_budget, evals * exact - roots_by_eigvals,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logcoef import atlas, membership
+from logcoef import atlas, cli, membership
 from logcoef import search as S
 from logcoef.search import (
     SearchError,
@@ -50,7 +50,7 @@ class TestValidation:
 
     def test_exact_u_validation(self):
         p = validate_exact_u(0.5, 1.5, [-1.0])
-        assert p.validated and p.nonvanishing_ok
+        assert p.validated
         with pytest.raises(SearchError, match="a2"):
             validate_exact_u(0.5, 1.6, [-1.0])
         # psi = 1 with extremal a2 puts a zero of z/f inside the disk
@@ -129,7 +129,7 @@ class TestBuilders:
     def test_exact_u_requires_flags(self):
         from logcoef.search import ExactUParams
 
-        p = ExactUParams(lam=0.5, a2=0.0, psi=(0.0,), validated=True)
+        p = ExactUParams(lam=0.5, a2=0.0, psi=(0.0,), validated=False)
         with pytest.raises(SearchError, match="validated"):
             build_exact_u_function(p, 3)
 
@@ -334,7 +334,10 @@ class TestGoldenRecords:
     """Records pinned byte for byte: both families, lambda in {0.05, 0.5, 1},
     n in {2, 4, 5}, budgets 1000 and 2500 (not a multiple of the chunk
     size).  The file was written once by the per-candidate search that the
-    chunk test replaced; a moved byte is a fault in the code, not in the file."""
+    chunk test replaced; a moved byte is a fault in the code, not in the file.
+    The four exact_u records at lambda = 0.05, n = 4 and 5 were re-recorded
+    when the root test moved from |z| <= 0.999 to the unit circle: their old
+    winner (_OLD_WINNER) has a pole inside the disk."""
 
     @pytest.mark.parametrize("budget,line", _golden_cases())
     def test_record_bytes(self, budget, line):
@@ -362,26 +365,21 @@ class TestGoldenRecords:
 
 
 def _scalar_exact_u_passed(lam, a2, psi):
-    """Reference for the chunk test: one candidate at a time with np.roots,
-    a Horner grid and a Horner post-check, at the same thresholds and in the
-    same order.  Returns the number of tests passed (3 = accepted)."""
+    """Reference for the chunk test: one candidate at a time with the
+    np.roots rule at atlas.INTERIOR_ZERO_LIMIT and a Horner post-check, in
+    the same order.  Returns the number of tests passed (2 = accepted)."""
     pv = np.polynomial.polynomial.polyval
     q = atlas.exact_u_denominator(lam, a2, psi)
     qt = np.trim_zeros(q, "b")
-    if qt.size > 1 and np.min(np.abs(np.roots(qt[::-1]))) <= S._NV_RADII[-1]:
+    if qt.size > 1 and np.min(np.abs(np.roots(qt[::-1]))) < atlas.INTERIOR_ZERO_LIMIT:
         return 0
-    zs = np.concatenate(
-        [r * np.exp(2j * np.pi * np.arange(S._NV_ANGLES) / S._NV_ANGLES) for r in S._NV_RADII]
-    )
-    if np.min(np.abs(pv(zs, q))) <= S.NONVANISHING_MIN:
-        return 1
     zs = S.POSTCHECK_RADIUS * np.exp(2j * np.pi * np.arange(256) / 256)
     u = pv(zs, q) - zs * pv(zs, np.polynomial.polynomial.polyder(q)) - 1.0
-    return 3 if np.max(np.abs(u)) <= lam + S.POSTCHECK_TOL else 2
+    return 2 if np.max(np.abs(u)) <= lam + S.POSTCHECK_TOL else 1
 
 
 def _scalar_exact_u_verdict(lam, a2, psi):
-    return _scalar_exact_u_passed(lam, a2, psi) == 3
+    return _scalar_exact_u_passed(lam, a2, psi) == 2
 
 
 def _exact_u_inputs(q, lam=1.0):
@@ -401,9 +399,14 @@ def _with_zeros(zeros, width=S._BLASCHKE_TRUNC + 3):
     return q
 
 
-# relative offsets of zeros from |z| = 0.999, inside and outside the
-# recursion's 1e-6 band
-_NEAR_CIRCLE_OFFSETS = [-0.1, -1e-3, -1e-5, -1e-7, -1e-9, 1e-9, 1e-7, 1e-5, 1e-3, 0.1]
+# tau: a zero of modulus below 1 - tau is inside the disk, and the root
+# test's recursion runs at the radii 1 +- tau
+_TAU = 1.0 - atlas.INTERIOR_ZERO_LIMIT
+# relative offsets of zeros from |z| = 1: outside the recursion's band, in
+# it on either side of the circle, and on either side of the limit 1 - tau
+_NEAR_CIRCLE_OFFSETS = [
+    -0.1, -1e-3, -1e-5, -1.001 * _TAU, -0.999 * _TAU, -1e-7, -1e-9, 1e-9, 1e-7, 1e-5, 1e-3, 0.1
+]
 
 
 class TestChunkTest:
@@ -418,57 +421,62 @@ class TestChunkTest:
             start[0, 0] = -1.0
             psis = np.vstack([psis, start])
             a2s = np.append(a2s, 1.0 + lam)
-            _, passed, _, _ = S._exact_u_chunk(lam, a2s, psis)
+            _, passed, _ = S._exact_u_chunk(lam, a2s, psis)
             want = [_scalar_exact_u_passed(lam, a2, psi) for a2, psi in zip(a2s, psis)]
             assert passed.tolist() == want
-            assert want[-1] == 3 and min(want) < 3
+            assert want[-1] == 2 and min(want) < 2
 
-    def test_extremal_row_tightest_grid_margin(self):
-        # at lambda = 1, z/f = (1 - z)^2 reads 1e-6 at z = 0.999 against a
-        # threshold of 0.999e-6
+    def test_extremal_row_is_accepted(self):
+        # at lambda = 1, z/f = (1 - z)^2 has a double zero at z = 1, which
+        # eigvals puts about 1e-8 off the circle: alone (eigvals directly) and
+        # beside a second row (the recursion leaves it to eigvals)
         assert _scalar_exact_u_verdict(1.0, 2.0, [-1.0])
-        _, passed, inner, grid_min = S._exact_u_chunk(1.0, [2.0], [[-1.0]])
-        assert passed.tolist() == [3]
-        assert inner[0] > S._NV_RADII[-1]
-        assert S.NONVANISHING_MIN < grid_min[0] < 1.0000001e-6
+        for a2s, psis in (([2.0], [[-1.0]]), ([2.0, 0.0], [[-1.0], [0.0]])):
+            _, passed, inner = S._exact_u_chunk(1.0, a2s, psis)
+            assert passed.tolist() == [2] * len(a2s)
+            assert atlas.INTERIOR_ZERO_LIMIT < 1.0 - 1e-7 < inner[0] < 1.0 + 1e-7
 
-    def test_grid_and_postcheck_reject_on_their_own(self):
-        # z/f = (1 - z/0.9995)^2 has its zeros outside |z| <= 0.999 but reads
-        # 2.5e-7 at z = 0.999; z/f = 1 + 0.52 z^3 has no zero in the disk but
-        # its deficiency 1.04 |z|^3 exceeds 1 + 1e-6 at r = 0.99
+    def test_root_test_and_postcheck_reject_on_their_own(self):
+        # z/f = (1 - z/0.9995)^2 has a double zero inside the disk;
+        # z/f = 1 + 0.52 z^3 has no zero in the disk but its deficiency
+        # 1.04 |z|^3 exceeds 1 + 1e-6 at r = 0.99
         r = 0.9995
         a2s = [2.0 / r, 0.0]
         psis = [[-1.0 / r**2, 0.0], [0.0, -1.04]]
-        _, passed, _, _ = S._exact_u_chunk(1.0, a2s, psis)
-        assert passed.tolist() == [1, 2]
+        _, passed, _ = S._exact_u_chunk(1.0, a2s, psis)
+        assert passed.tolist() == [0, 1]
         assert not any(_scalar_exact_u_verdict(1.0, a2, psi) for a2, psi in zip(a2s, psis))
 
     def test_near_circle_rows(self):
-        # zeros at 0.999 (1 +- 1e-9) lie inside the recursion's band and are
-        # left to eigvals; zeros at 0.999 (1 +- 1e-5) are decided by the
-        # recursion; every row but the last has zero leading coefficients
-        rim = S._NV_RADII[-1]
+        # zeros at 1 +- 1e-9 lie inside the recursion's band 1 +- tau and are
+        # left to eigvals, which admits both; a zero just below 1 - tau is
+        # too close to the inner radius for the recursion and eigvals rejects
+        # it; zeros at 1 +- 1e-5 are decided by the recursion; every row but
+        # the last has zero leading coefficients
+        edge = atlas.INTERIOR_ZERO_LIMIT
         rest = [1.3, -1.1j, 2.0 * np.exp(1j), 1.7 + 0.4j]  # zeros well outside
         rows = {
-            "band_out": (_with_zeros([rim * (1 + 1e-9)] + rest), 1, False),
-            "band_in": (_with_zeros([rim * (1 - 1e-9) * 1j] + rest), 0, False),
-            "near_out": (_with_zeros([rim * (1 + 1e-5) * np.exp(2j)] + rest), 2, True),
-            "near_in": (_with_zeros([rim * (1 - 1e-5) * -1j] + rest), 0, True),
-            "far_out": (_with_zeros([3.0, -2.5j]), 3, True),
-            "double": (_with_zeros([0.9995, 0.9995]), 1, True),
-            "constant": (_with_zeros([]), 3, True),
-            "band_only": (_with_zeros([rim * (1 + 1e-9)], width=2), 1, False),
-            "full": (_with_zeros(np.exp(2j * np.pi * np.arange(26) / 26) * 1.01), 2, True),
+            "band_out": (_with_zeros([1 + 1e-9] + rest), 1, False),
+            "band_in": (_with_zeros([(1 - 1e-9) * 1j] + rest), 1, False),
+            "edge_in": (_with_zeros([edge * (1 - 1e-12) * -1] + rest), 0, False),
+            "near_out": (_with_zeros([(1 + 1e-5) * np.exp(2j)] + rest), 1, True),
+            "near_in": (_with_zeros([(1 - 1e-5) * -1j] + rest), 0, True),
+            "far_out": (_with_zeros([3.0, -2.5j]), 2, True),
+            "double": (_with_zeros([0.9995, 0.9995]), 0, True),
+            "constant": (_with_zeros([]), 2, True),
+            "band_only": (_with_zeros([1 + 1e-9], width=2), 2, False),
+            "full": (_with_zeros(np.exp(2j * np.pi * np.arange(26) / 26) * 1.01), 1, True),
         }
         a2s, psis = zip(*(_exact_u_inputs(q) for q, _, _ in rows.values()))
         psis = np.array([np.pad(psi, (0, S._BLASCHKE_TRUNC + 1 - psi.size)) for psi in psis])
-        _, passed, inner, _ = S._exact_u_chunk(1.0, np.array(a2s), psis)
+        _, passed, inner = S._exact_u_chunk(1.0, np.array(a2s), psis)
         want = [_scalar_exact_u_passed(1.0, a2, psi) for a2, psi in zip(a2s, psis)]
         assert passed.tolist() == want == [level for _, level, _ in rows.values()]
         assert np.isnan(inner).tolist() == [by_recursion for _, _, by_recursion in rows.values()]
-        # eigvals puts the band zeros on the right side of 0.999
-        assert inner[0] > rim > inner[1]
-        assert inner[7] > rim
+        # eigvals puts the band zeros and the edge zero on the right side of
+        # the limit, and the lone band zero outside the circle
+        assert min(inner[0], inner[1]) >= edge > inner[2]
+        assert inner[8] > 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -484,22 +492,96 @@ class TestChunkTest:
         )
     )
     def test_zeros_near_the_circle_match_scalar_reference(self, polys):
-        # each zero sits at 0.999 (1 + offset) at one of 64 distinct angles
-        rim = S._NV_RADII[-1]
+        # each zero sits at 1 + offset at one of 64 distinct angles
         qs = [
-            _with_zeros([rim * (1 + t) * np.exp(2j * np.pi * k / 64) for t, k in zeros])
+            _with_zeros([(1 + t) * np.exp(2j * np.pi * k / 64) for t, k in zeros])
             for zeros in polys
         ]
         a2s, psis = zip(*(_exact_u_inputs(q) for q in qs))
-        _, passed, _, _ = S._exact_u_chunk(1.0, np.array(a2s), np.array(psis))
+        _, passed, _ = S._exact_u_chunk(1.0, np.array(a2s), np.array(psis))
         want = [_scalar_exact_u_passed(1.0, a2, psi) for a2, psi in zip(a2s, psis)]
         assert passed.tolist() == want
 
     def test_one_row_filter_notes(self):
-        q, ok, note = S._exact_u_filter(0.5, 1.5, [1.0])
-        assert not ok and "zero of modulus" in note
-        np.testing.assert_array_equal(q, atlas.exact_u_denominator(0.5, 1.5, [1.0]))
-        assert S._exact_u_filter(0.5, 1.5, [-1.0])[1:] == (True, "")
+        # validate_exact_u runs the root test on one row and names the
+        # modulus of the zero it found: z/f = 1 - 1.5 z - 0.5 z^2
+        modulus = np.min(np.abs(np.roots([-0.5, -1.5, 1.0])))
+        with pytest.raises(SearchError, match=f"zero of modulus {modulus:.6g}$"):
+            validate_exact_u(0.5, 1.5, [1.0])
+        _, passed, inner = S._exact_u_chunk(0.5, [1.5], [[1.0]])
+        assert passed.tolist() == [0] and inner[0] == modulus
+        assert validate_exact_u(0.5, 1.5, [-1.0]).validated
+
+
+# the winner of the four exact_u records at lambda = 0.05 (n = 4 and 5,
+# seeds 20 to 23) under the root test that looked only at |z| <= 0.999:
+# z/f has a zero of modulus 0.999014, a pole of f inside the disk
+_OLD_WINNER = (0.05, 1.05, [-0.9838420111968765 - 0.17903881423893905j])
+
+
+def _member_ulambda(capsys, lam, a2, psi):
+    """The report of `logcoef member <exact_u spec> ulambda`."""
+    spec = atlas.render(atlas.exact_u(lam, a2, psi))
+    assert cli.main(["member", spec, "ulambda", "--threshold", repr(lam)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+class TestOneZeroRule:
+    """The chunk test, validate_exact_u and `member ... ulambda` read one
+    rule: z/f may have no zero of modulus below atlas.INTERIOR_ZERO_LIMIT."""
+
+    @pytest.mark.parametrize("modulus,admitted", [(1 - 2 * _TAU, False), (1 - _TAU / 2, True)])
+    def test_three_callers_agree(self, modulus, admitted, capsys):
+        # z/f = (1 - z/zeta)(1 - c z) = 1 - (1/zeta + c) z + (c/zeta) z^2:
+        # a2 = 1/zeta + c and psi = -c/(lambda zeta); the other zero is 1/c
+        lam, c = 0.5, 0.25
+        zeta = modulus * np.exp(0.7j)
+        a2, psi = 1 / zeta + c, [-c / (lam * zeta)]
+        # one row (eigvals directly) and beside a second row (the recursion)
+        _, alone, _ = S._exact_u_chunk(lam, [a2], [psi])
+        _, pair, _ = S._exact_u_chunk(lam, [a2, 0.0], [psi, [0.0]])
+        assert alone[0] == pair[0] == (2 if admitted else 0)
+        report = _member_ulambda(capsys, lam, a2, psi)
+        if admitted:
+            assert validate_exact_u(lam, a2, psi).validated
+            assert report["verdict"] == "pass"
+        else:
+            with pytest.raises(SearchError, match=f"zero of modulus {modulus:.6g}$"):
+                validate_exact_u(lam, a2, psi)
+            assert report["verdict"] == "fail"
+            assert report["note"] == f"f has a pole of modulus {modulus:.6g} inside the disk"
+
+    def test_old_winner_is_refused(self, capsys):
+        with pytest.raises(SearchError, match="zero of modulus 0.999014$"):
+            validate_exact_u(*_OLD_WINNER)
+        report = _member_ulambda(capsys, *_OLD_WINNER)
+        assert report["verdict"] == "fail"
+        assert report["note"] == "f has a pole of modulus 0.999014 inside the disk"
+
+
+class TestPaperTheorem:
+    """The paper proves |a_n| <= sum_{k<n} lambda^k on U(lambda) for
+    n = 2, 3, 4, so the exact_u search may beat the bound by no more than
+    its own tolerance eps.
+
+    The root test admits a z/f whose zeros have modulus >= 1 - tau.  Then
+    g(z) = f((1 - tau) z) / (1 - tau) has z/g without a zero in the disk and
+    (z/g)^2 g' - 1 = lambda w^2 psi(w), w = (1 - tau) z, of modulus below
+    lambda, so g is in U(lambda) and |a_n| (1 - tau)^(n-1) = |g_n| <= bound.
+    This puts |a_n| at most bound ((1 - tau)^(1-n) - 1) above the bound.
+    The search reads |a_n| from reciprocal_raw, within 2 n^2 2^-53 M^2 of
+    the exact value (search._screen), where M is the largest coefficient of
+    the majorant recurrence on |q_k|.  Here |q_1| = |a2| <= 1 + lambda <= 2
+    and |q_{k+2}| <= lambda |psi_k| / (k + 1) <= 1 / (k + 1), so M <= 12.5
+    for n <= 4 and the rounding is below 6e-13; 1e-12 also covers the
+    rounding of the bound's own sum."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("lam", [0.01, 0.05, 0.1, 0.2, 0.5, 1.0])
+    def test_exact_u_search_respects_the_bound(self, lam, n):
+        rec = search_max_coeff(lam, n, "exact_u", budget=10_000, seed=0)
+        eps = rec.bound * ((1.0 - _TAU) ** (1 - n) - 1.0) + 1e-12
+        assert rec.margin >= -eps
 
 
 class TestWholeSearchRootTest:
@@ -510,7 +592,7 @@ class TestWholeSearchRootTest:
 
         def recording(lam, a2s, psis):
             out = chunk_test(lam, a2s, psis)
-            chunks.append((np.array(a2s), np.array(psis), out[1], out[2]))
+            chunks.append((np.array(a2s), np.array(psis), *out[1:]))
             return out
 
         monkeypatch.setattr(S, "_exact_u_chunk", recording)
@@ -544,7 +626,7 @@ class TestSearchLog:
 
         def recording(lam, a2s, psis):
             out = chunk_test(lam, a2s, psis)
-            if len(a2s) == 1 and out[1][0] != 3:
+            if len(a2s) == 1 and out[1][0] != 2:
                 lone_rejects.append(a2s)
             return out
 
@@ -563,7 +645,7 @@ class TestSearchLog:
             c = {k: int(v) for k, v in pairs}
             assert c["evaluations"] == loud.evaluations
             assert c["start"] + c["random"] + c["polish"] == loud.evaluations
-            rejected = c["rejected_roots"] + c["rejected_grid"] + c["rejected_postcheck"]
+            rejected = c["rejected_roots"] + c["rejected_postcheck"]
             assert rejected + c["accepted"] == loud.evaluations
             assert (rejected > 0) == (family == "exact_u")
             # every exact_u row reaches the root test; one-row chunks (the
@@ -593,7 +675,9 @@ class TestSearchLog:
         "lam,n,family,budget,phase",
         [
             (0.6, 5, "exact_u", 700, "start"),
-            (0.05, 3, "exact_u", 300, "polish"),
+            # the polish reaches psi = -(1 - 2^-53), which ties the extremal
+            # start row and beats it by rounding
+            (0.6, 3, "exact_u", 300, "polish"),
             (0.6, 5, "superset", 300, "polish"),
         ],
     )

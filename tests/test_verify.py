@@ -11,7 +11,7 @@ from logcoef import atlas, verify
 from logcoef.atlas import fz_series
 from logcoef.cli import main
 from logcoef.dilog import PI2_6, li2
-from logcoef.search import _certified_batch, _exact_u_filter, _trim
+from logcoef.search import _certified_batch, _exact_u_chunk, _trim
 from logcoef.verify import (
     LogCoeffProfile,
     VerifyError,
@@ -460,10 +460,8 @@ class TestRandomMembersSatisfyBound:
                 a2s = (1.0 + lam) * np.sqrt(rng.random(64)) * np.exp(
                     2j * np.pi * rng.random(64)
                 )
-                for psi, a2 in zip(batch, a2s):
-                    _, ok, _ = _exact_u_filter(lam, complex(a2), _trim(psi))
-                    if not ok:
-                        continue
+                _, passed, _ = _exact_u_chunk(lam, a2s, batch)
+                for psi, a2 in zip(batch[passed == 2], a2s[passed == 2]):
                     spec = atlas.exact_u(lam, complex(a2), _trim(psi))
                     prof = log_coefficients(spec, 64)
                     assert gamma_l2(prof).value <= bound + 1e-9
