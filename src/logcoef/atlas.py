@@ -14,6 +14,8 @@ Everything known about one kind (its DSL keys, rational parts, series,
 closed-form logarithmic coefficients, 1/n bound and pointwise f/z, f' and
 f''/f') lives in its single ``KIND_REGISTRY`` entry.  The pointwise values
 serve both `evaluator` (render) and the membership functionals.
+No series goes through exp or log: g_family and k_alpha write theirs from
+closed-form ratio recurrences, the rational kinds as A times 1/B.
 """
 
 from __future__ import annotations
@@ -29,15 +31,9 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .series import (
-    TruncatedSeries,
-    eval_raw,
-    shift_down,
-    ts_exp,
-    ts_integrate,
-    ts_log,
-    ts_reciprocal,
-)
+from .series import TruncatedSeries, eval_raw, ts_reciprocal
+# unused here; bench/tracing.py wraps these names on this module
+from .series import shift_down, ts_exp, ts_integrate, ts_log  # noqa: F401
 
 NORMALIZATION_TOL = 1e-12
 # A zero of A or B in f = z A / B below this modulus is inside the open unit
@@ -46,8 +42,9 @@ NORMALIZATION_TOL = 1e-12
 # (the extremal's at z = 1) stays admissible.
 INTERIOR_ZERO_LIMIT = 1.0 - 1e-6
 
-# Below this distance from alpha = 1/2 the logarithmic branch of K_alpha
-# and G_alpha is used (the generic closed form has a removable singularity).
+# For |1 - 2 alpha| below this, the pointwise K_alpha/z and the starlike
+# order take their logarithmic limit (the generic closed form has a
+# removable singularity at alpha = 1/2); the series needs no such branch.
 ALPHA_HALF_SWITCH = 1e-8
 
 
@@ -402,26 +399,29 @@ def _rational_fz(spec, order):
     return (1.0 / c0) * fz if c0 != 1.0 else fz
 
 
+def _g_family_coeffs(n: int, count: int) -> np.ndarray:
+    """c_0 .. c_{count-1} of f' = (1 - w)^(1/n) = sum c_j w^j, w = z^n:
+    c_0 = 1 and c_j = c_{j-1} (j - 1 - 1/n) / j, so |c_j| decreases for
+    j >= 1 and sum_{j>=1} |c_j| = 1.  Each factor is the quotient of the
+    integers (j - 1) n - 1 and jn, so it is rounded once."""
+    j = np.arange(1, count)
+    return np.cumprod(np.concatenate(([1.0], ((j - 1) * n - 1.0) / (j * n))))
+
+
 def _g_family_fz(spec, order):
+    """f/z = sum c_j z^(jn) / (jn + 1), written at the multiples of n."""
     n = spec.n
-    base = np.zeros(order + 2, dtype=np.complex128)
-    base[0] = 1.0
-    if n <= order + 1:
-        base[n] = -1.0
-    fprime = ts_exp((1.0 / n) * ts_log(TruncatedSeries(base)))
-    return shift_down(ts_integrate(fprime))
+    jn = n * np.arange(order // n + 1)
+    fz = np.zeros(order + 1, dtype=np.complex128)
+    fz[jn] = _g_family_coeffs(n, jn.size) / (jn + 1)
+    return TruncatedSeries(fz)
 
 
 def _k_alpha_fz(spec, order):
-    alpha = spec.alpha
-    if abs(1.0 - 2.0 * alpha) < ALPHA_HALF_SWITCH:
-        # K/z = -log(1-z)/z
-        return TruncatedSeries(1.0 / (np.arange(order + 1) + 1.0))
-    ln = ts_log(_series_poly([1.0, -1.0], order + 1))
-    u = ts_exp((2.0 * alpha - 1.0) * ln).coeffs
-    fz = u[1:] / (1.0 - 2.0 * alpha)
-    fz.real[0] = 1.0  # K/z(0) = 1 exactly; complex x/x can give 0.9999999999999999
-    return TruncatedSeries(fz)
+    """K/z = sum p_m z^m with p_0 = 1 and p_m = p_{m-1} (x + m) / (m + 1),
+    x = 1 - 2 alpha; each factor is written 1 - 2 alpha / (m + 1)."""
+    factors = 1.0 - 2.0 * spec.alpha / np.arange(2, order + 2)
+    return TruncatedSeries(np.cumprod(np.concatenate(([1.0], factors))))
 
 
 def starlike_order(alpha: float) -> float:
@@ -498,16 +498,19 @@ def _k_alpha_points(spec, z) -> Pointwise:
 
 
 def _g_family_points(spec, z) -> Pointwise:
-    """f' = (1 - z^n)^(1/n) and f''/f' = -z^(n-1) / (1 - z^n) in closed form.
-    f/z is its order-N series (N = SERIES_EVAL_ORDER), nonzero only at
-    multiples of n: a polynomial in w = z^n.
+    """f' = (1 - z^n)^(1/n) and f''/f' = -z^(n-1) / (1 - z^n) in closed form;
+    f/z is its order-N series s (N = SERIES_EVAL_ORDER), a polynomial in
+    w = z^n with coefficients a_j = c_j / (jn + 1), j <= J = floor(N/n).
 
-    The tail bound, up to n = N, is the largest of the last max(32, n)
-    coefficients (a window holding a full period, so it sees a nonzero one)
-    times r^(N+1) / (1 - r): every later coefficient is smaller.  Above N
-    the series is 1.  In w, f' - 1 = sum_{j>=1} b_j w^j with every b_j < 0
-    and f/z - 1 = sum_{j>=1} b_j w^j / (jn + 1), so |f/z - 1| <= e / (n + 1)
-    with e = 1 - (1 - r^n)^(1/n) >= |f' - 1|."""
+    tail() bounds |f/z - s| at |z| = r.  As |c_j| / (jn + 1) decreases, the
+    truncation is at most |c_{J+1}| r^((J+1)n) / (((J+1)n + 1)(1 - r^n)).
+    Rounding, to first order in u = 2^-53, with
+    d = sum_{j>=1} |c_j| r^(jn) = 1 - (1 - r^n)^(1/n): a_j carries 2j + 1
+    roundings and Horner's j complex steps at most 4j + 1 more; numpy's
+    z^(n-1) (repeated squaring below 100, exp((n-1) log z) above) times z
+    errs by |eta| <= 5n u for r >= 1/e (r^n in d covers smaller r), moving
+    s by |eta| sum_j j |a_j| r^(jn).  As j |a_j| <= |c_j| / n and
+    sum_j |a_j| r^(jn) <= 1 + d, that is at most (2 + 13 d) u."""
     n, order = spec.n, SERIES_EVAL_ORDER
     zm = cache(lambda: z ** (n - 1))
     zn = cache(lambda: z * zm())
@@ -515,9 +518,11 @@ def _g_family_points(spec, z) -> Pointwise:
 
     def tail():
         r = np.abs(z)
-        if n <= order:
-            return np.max(np.abs(series()[-max(32, n) :])) * r ** (order + 1) / (1.0 - r)
-        return -np.expm1(np.log1p(-(r**n)) / n) / (n + 1)
+        rn = r**n
+        k = (order // n + 1) * n  # the first index past the series
+        lead = abs(_g_family_coeffs(n, k // n + 1)[-1]) / (k + 1)
+        d = -np.expm1(np.log1p(-rn) / n)
+        return lead * r**k / (1.0 - rn) + (2.0 + 13.0 * d) * 2.0**-53
 
     return Pointwise(
         fz=lambda: eval_raw(series()[::n], zn()),

@@ -57,7 +57,7 @@ the np.dot inside reciprocal_raw is BLAS zdotu, which sums with several
 accumulators, and every stacked numpy product sums in another order.  The
 start candidate and each polish evaluation are one-row chunks, confirmed
 without a screen because the polish needs their exact value;
-validate_exact_u runs the same chunk test.
+validate_exact_u applies the root test's eigvals verdict alone.
 
 Searches are deterministic: a fixed chunked generation schedule from a
 seeded generator, a strict-improvement rule applied in offer order (a
@@ -307,9 +307,8 @@ def _exact_u_chunk(lam: float, a2s, psis):
     than one row.  It decides every row with no zero within a relative band
     tau = 1 - INTERIOR_ZERO_LIMIT of the unit circle; the rows it leaves
     undecided get the stacked eigvals verdict.  A one-row chunk (the start
-    row, each polish evaluation, validate_exact_u) goes to eigvals
-    directly, which is faster for one row and gives the root modulus that
-    validate_exact_u reports.
+    row, each polish evaluation) goes to eigvals directly, which is faster
+    for one row; validate_exact_u applies the same eigvals verdict alone.
 
     Returns q, the number of tests each row passed (2 = accepted), and each
     row's smallest root modulus where eigvals ran (inf for a constant q)
@@ -339,17 +338,18 @@ def _exact_u_chunk(lam: float, a2s, psis):
 
 def validate_exact_u(lam: float, a2: complex, psi) -> ExactUParams:
     """Validate an exact-parametrization candidate: psi bounded, |a2| in
-    range, and z/f without a zero in the open disk (the root test of the
-    chunk test, on one row)."""
+    range, and z/f without a zero in the open disk (the root test's eigvals
+    verdict, atlas.min_root_modulus(q) >= atlas.INTERIOR_ZERO_LIMIT)."""
     if not (0.0 < lam <= 1.0):
         raise SearchError("lambda must lie in (0, 1]")
     a2 = complex(a2)
     if abs(a2) > (1.0 + lam) * (1.0 + 1e-12):
         raise SearchError(f"|a2| = {abs(a2):.6g} exceeds 1 + lambda")
     w = validate_schwarz(psi)
-    _, passed, inner = _exact_u_chunk(lam, [a2], np.array([w.coeffs]))
-    if passed[0] == 0:
-        raise SearchError(f"z/f vanishes inside the disk: a zero of modulus {inner[0]:.6g}")
+    q = atlas.exact_u_denominator(lam, a2, w.coeffs)
+    inner = atlas.min_root_modulus(q[None, :])[0]
+    if not inner >= atlas.INTERIOR_ZERO_LIMIT:
+        raise SearchError(f"z/f vanishes inside the disk: a zero of modulus {inner:.6g}")
     return ExactUParams(lam=lam, a2=a2, psi=w.coeffs, validated=True)
 
 

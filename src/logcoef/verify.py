@@ -41,7 +41,9 @@ import numpy as np
 from . import atlas
 from .atlas import FunctionSpec
 from .dilog import PI2_6, li2
-from .series import TruncatedSeries, ts_exp, ts_log, ts_reciprocal
+from .series import TruncatedSeries, ts_log, ts_reciprocal
+# unused here; bench/tracing.py wraps this name on this module
+from .series import ts_exp  # noqa: F401
 
 EQUALITY_TOL = 1e-9
 VIOLATION_TOL = 1e-9
@@ -249,26 +251,13 @@ class ConvexOrderProfile:
     gamma_l2: float  # (1/4) sum delta_n^2 / n^2 over n <= N
 
 
-def _g_kernel_series(alpha: float, order: int) -> TruncatedSeries:
-    """Series of the subordination kernel G_alpha = z K_alpha'/K_alpha."""
-    one_minus_z = np.zeros(order + 1, dtype=np.complex128)
-    one_minus_z[0] = 1.0
-    if order >= 1:
-        one_minus_z[1] = -1.0
-    x = 1.0 - 2.0 * alpha
-    if abs(x) < atlas.ALPHA_HALF_SWITCH:
-        v = TruncatedSeries(1.0 / (np.arange(order + 1) + 1.0))
-    else:
-        ln = ts_log(TruncatedSeries(np.append(one_minus_z, 0.0)))
-        w = ts_exp(x * ln).coeffs
-        v = TruncatedSeries(w[1:] / -x)
-    return ts_reciprocal(TruncatedSeries(one_minus_z) * v)
-
-
 def convex_order_profile(alpha: float, order: int) -> ConvexOrderProfile:
-    """delta coefficients of G_alpha - 1 and the induced l2 quantity."""
+    """delta coefficients of G_alpha - 1 and the induced l2 quantity, with
+    the subordination kernel G_alpha = z K'/K = K'/(K/z) read from the
+    registry's series of K/z = sum p_m z^m, so K' = sum (m + 1) p_m z^m."""
     beta = starlike_order(alpha)
-    g = _g_kernel_series(alpha, order)
+    kz = atlas.fz_series(atlas.k_alpha(alpha), order)
+    g = TruncatedSeries(kz.coeffs * np.arange(1, order + 2)) * ts_reciprocal(kz)
     delta_c = g.coeffs[1:]
     if np.max(np.abs(delta_c.imag)) > 1e-12:
         raise VerifyError("delta coefficients acquired an imaginary part")

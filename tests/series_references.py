@@ -1,0 +1,140 @@
+"""References for the closed-form series of g_family and k_alpha and for
+the subordination kernel G_alpha built from k_alpha's series.
+
+Two kinds of reference: the exp/log routes the closed forms replaced, kept
+here as they stood, and mpmath values at 30 digits from the rising
+factorial, which share no recurrence with the package.
+
+Allowed error, relative: each coefficient is a running product of m <= N
+factors, and each step rounds at most twice, once in the product and once
+in its factor.  g_family's factor is the quotient of the exact integers
+(j - 1) n - 1 and jn, rounded once (N / n <= 2048 factors for n >= 2; for
+n = 1 the coefficients are exact).  k_alpha's factor 1 - 2 alpha / (m + 1)
+is rounded once, and its division moves it by a further
+2 alpha / (m + 1 - 2 alpha) units in the last place, about
+(2 ln N + alpha / (1 - alpha)) 2^-53 over all factors, below 30 2^-53 for
+alpha <= 0.9.  So the m-th coefficient errs by at most
+(1 + 2^-53)^(2m) - 1 ~ 2m 2^-53 = 9.1e-13 at m = 4096, plus 30 2^-53, and
+one more rounding for g_family's division by jn + 1: below 1e-12.
+"""
+
+import mpmath
+import numpy as np
+
+from logcoef import atlas
+from logcoef.series import (
+    TruncatedSeries,
+    shift_down,
+    ts_exp,
+    ts_integrate,
+    ts_log,
+    ts_reciprocal,
+)
+
+SERIES_RTOL = 1e-12
+
+G_FAMILY_NS = [1, 2, 3, 5, 64, 255, 256, 257, 1000]
+K_ALPHAS = [0.0, 0.25, 0.5, 0.5 - 1e-9, 0.5 + 1e-9, 0.5 - 1e-7, 0.5 + 1e-7, 0.75, 0.9]
+
+
+# ---------------------------------------------------------------------------
+# The deleted exp/log routes.
+
+def deleted_g_family_fz(n: int, order: int) -> np.ndarray:
+    """f/z of g_family(n) from f' = exp(log(1 - z^n) / n), integrated and
+    divided by z."""
+    base = np.zeros(order + 2, dtype=np.complex128)
+    base[0] = 1.0
+    if n <= order + 1:
+        base[n] = -1.0
+    fprime = ts_exp((1.0 / n) * ts_log(TruncatedSeries(base)))
+    return shift_down(ts_integrate(fprime)).coeffs
+
+
+def deleted_k_alpha_fz(alpha: float, order: int) -> np.ndarray:
+    """K/z = ((1 - z)^-x - 1) / (x z), x = 1 - 2 alpha, from
+    (1 - z)^(-x) = exp(-x log(1 - z)); -log(1 - z)/z within
+    atlas.ALPHA_HALF_SWITCH of x = 0."""
+    if abs(1.0 - 2.0 * alpha) < atlas.ALPHA_HALF_SWITCH:
+        return 1.0 / (np.arange(order + 1) + 1.0) + 0j
+    one_minus_z = np.zeros(order + 2, dtype=np.complex128)
+    one_minus_z[:2] = [1.0, -1.0]
+    u = ts_exp((2.0 * alpha - 1.0) * ts_log(TruncatedSeries(one_minus_z))).coeffs
+    fz = u[1:] / (1.0 - 2.0 * alpha)
+    fz.real[0] = 1.0  # K/z(0) = 1 exactly; complex x/x can give 0.9999999999999999
+    return fz
+
+
+def deleted_g_kernel(alpha: float, order: int) -> np.ndarray:
+    """G_alpha = z K'/K as 1 / ((1 - z) v), v = (1 - (1 - z)^x) / (x z), or
+    v = -log(1 - z)/z within atlas.ALPHA_HALF_SWITCH of x = 0."""
+    one_minus_z = np.zeros(order + 1, dtype=np.complex128)
+    one_minus_z[0] = 1.0
+    if order >= 1:
+        one_minus_z[1] = -1.0
+    x = 1.0 - 2.0 * alpha
+    if abs(x) < atlas.ALPHA_HALF_SWITCH:
+        v = TruncatedSeries(1.0 / (np.arange(order + 1) + 1.0))
+    else:
+        ln = ts_log(TruncatedSeries(np.append(one_minus_z, 0.0)))
+        w = ts_exp(x * ln).coeffs
+        v = TruncatedSeries(w[1:] / -x)
+    return ts_reciprocal(TruncatedSeries(one_minus_z) * v).coeffs
+
+
+# ---------------------------------------------------------------------------
+# mpmath at 30 digits, rounded to float64 at the end.
+
+def _mp_k_alpha(alpha: float, order: int) -> list:
+    """p_m = rf(x + 1, m) / (m + 1)!, the coefficients of
+    ((1 - z)^-x - 1) / (x z) with no division by x."""
+    x = 1 - 2 * mpmath.mpf(alpha)
+    return [mpmath.rf(x + 1, m) / mpmath.factorial(m + 1) for m in range(order + 1)]
+
+
+def mp_g_family_fz(n: int, order: int) -> np.ndarray:
+    """c_j / (jn + 1) at index jn, c_j = rf(-1/n, j) / j! the coefficients
+    of (1 - w)^(1/n)."""
+    out = np.zeros(order + 1)
+    with mpmath.workdps(30):
+        for j in range(order // n + 1):
+            c = mpmath.rf(-1 / mpmath.mpf(n), j) / mpmath.factorial(j)
+            out[j * n] = float(c / (j * n + 1))
+    return out
+
+
+def mp_k_alpha_fz(alpha: float, order: int) -> np.ndarray:
+    with mpmath.workdps(30):
+        return np.array([float(p) for p in _mp_k_alpha(alpha, order)])
+
+
+def mp_g_kernel(alpha: float, order: int) -> np.ndarray:
+    """G_alpha from K' = sum (m + 1) p_m z^m divided by K/z term by term:
+    O(order^2) at 30 digits, so kept to short orders."""
+    with mpmath.workdps(30):
+        p = _mp_k_alpha(alpha, order)
+        g = []
+        for k in range(order + 1):
+            g.append((k + 1) * p[k] - mpmath.fdot(p[1 : k + 1], g[::-1]))
+        return np.array([float(v) for v in g])
+
+
+def rel_err(got: np.ndarray, ref: np.ndarray) -> float:
+    """Largest |got - ref| / |ref|: 0 where they are equal, inf where ref is
+    0 and got is not."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.abs(got - ref) / np.abs(ref)
+    return float(np.max(np.where(got == ref, 0.0, err)))
+
+
+def check_series(got: np.ndarray, ref: np.ndarray, old: np.ndarray):
+    """got is within SERIES_RTOL of the mpmath values ref.  It is within
+    SERIES_RTOL of the deleted route's old where that route is itself within
+    SERIES_RTOL of ref, and closer to ref than old where it is not."""
+    err = rel_err(got, ref)
+    assert err <= SERIES_RTOL
+    old_err = rel_err(old, ref)
+    if old_err <= SERIES_RTOL:
+        assert rel_err(got, old) <= SERIES_RTOL
+    else:
+        assert err < old_err

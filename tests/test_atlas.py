@@ -32,6 +32,15 @@ from logcoef.atlas import (
 )
 from logcoef.series import eval_raw, ts_eval
 from logcoef.verify import log_coefficients
+from series_references import (
+    G_FAMILY_NS,
+    K_ALPHAS,
+    check_series,
+    deleted_g_family_fz,
+    deleted_k_alpha_fz,
+    mp_g_family_fz,
+    mp_k_alpha_fz,
+)
 
 ALL_SPECS = [
     koebe(0.0),
@@ -292,6 +301,29 @@ class TestIdentifications:
             prof = log_coefficients(spec, 8)
             a2 = taylor_of(spec, 2).coeffs[2]
             assert abs(2.0 * prof.gammas[0] - a2) <= 1e-10
+
+
+class TestClosedFormSeries:
+    """g_family's and k_alpha's f/z series against mpmath and against the
+    exp/log routes they replaced.  Where a deleted route misses by more
+    than the allowed error, the new series must be closer: the old
+    g_family(1) route leaves 1e-21 where the series is 0, the old
+    alpha = 1/2 branch drops the x log term (1.8e-8 at alpha = 1/2 -+ 1e-9),
+    and the old k_alpha exp/log drifts at alpha = 0.9 (1.6e-12 at order
+    4096)."""
+
+    @pytest.mark.parametrize("order", [256, 4096])
+    @pytest.mark.parametrize("n", G_FAMILY_NS)
+    def test_g_family(self, n, order):
+        got = fz_series(g_family(n), order).coeffs
+        check_series(got, mp_g_family_fz(n, order), deleted_g_family_fz(n, order))
+
+    @pytest.mark.parametrize("order", [256, 4096])
+    @pytest.mark.parametrize("alpha", K_ALPHAS)
+    def test_k_alpha(self, alpha, order):
+        got = fz_series(k_alpha(alpha), order).coeffs
+        assert got[0] == 1.0
+        check_series(got, mp_k_alpha_fz(alpha, order), deleted_k_alpha_fz(alpha, order))
 
 
 class TestSlope:

@@ -57,6 +57,17 @@ class TestValidation:
         with pytest.raises(SearchError, match="vanishes"):
             validate_exact_u(0.5, 1.5, [1.0])
 
+    def test_exact_u_validation_runs_no_chunk_test(self, monkeypatch):
+        # the root test alone decides; the post-check is
+        # build_exact_u_function's
+        def chunk_test(*args):
+            raise AssertionError("validate_exact_u ran the chunk test")
+
+        monkeypatch.setattr(S, "_exact_u_chunk", chunk_test)
+        assert validate_exact_u(0.5, 1.5, [-1.0]).validated
+        with pytest.raises(SearchError, match="vanishes"):
+            validate_exact_u(0.5, 1.5, [1.0])
+
     def test_boundary_matrix_cache_is_bounded(self):
         limit = S._boundary_matrix.cache_info().maxsize
         for k in range(limit + 8):
@@ -503,8 +514,8 @@ class TestChunkTest:
         assert passed.tolist() == want
 
     def test_one_row_filter_notes(self):
-        # validate_exact_u runs the root test on one row and names the
-        # modulus of the zero it found: z/f = 1 - 1.5 z - 0.5 z^2
+        # validate_exact_u and a one-row chunk give the root test's eigvals
+        # verdict and name the modulus of the zero: z/f = 1 - 1.5 z - 0.5 z^2
         modulus = np.min(np.abs(np.roots([-0.5, -1.5, 1.0])))
         with pytest.raises(SearchError, match=f"zero of modulus {modulus:.6g}$"):
             validate_exact_u(0.5, 1.5, [1.0])

@@ -30,6 +30,14 @@ from logcoef.verify import (
     starlike_order,
     ulambda_l2_bound,
 )
+from series_references import (
+    K_ALPHAS,
+    SERIES_RTOL,
+    check_series,
+    deleted_g_kernel,
+    mp_g_kernel,
+    rel_err,
+)
 
 
 def closed_form_profile(spec, order):
@@ -270,6 +278,25 @@ class TestConvexOrderProfile:
     def test_deltas_real(self):
         p = convex_order_profile(0.3, 40)
         assert p.delta.dtype == np.float64
+
+    @pytest.mark.parametrize("alpha", K_ALPHAS)
+    def test_kernel_against_mpmath_and_the_deleted_route(self, alpha):
+        # G_alpha = K'/(K/z) inherits K/z's error (series_references.py);
+        # the reciprocal and the product add about 1e-14 at this order
+        got = np.concatenate(([1.0], convex_order_profile(alpha, 256).delta))
+        check_series(got, mp_g_kernel(alpha, 256), deleted_g_kernel(alpha, 256).real)
+
+    # mpmath's division takes about 8 s per alpha at order 4096, so the long
+    # order is checked against the deleted route alone, except where
+    # 0 < |1 - 2 alpha| < atlas.ALPHA_HALF_SWITCH: there that route gave
+    # G_{1/2}
+    @pytest.mark.parametrize(
+        "alpha",
+        [a for a in K_ALPHAS if not 0.0 < abs(1.0 - 2.0 * a) < atlas.ALPHA_HALF_SWITCH],
+    )
+    def test_kernel_long_order_matches_the_deleted_route(self, alpha):
+        got = np.concatenate(([1.0], convex_order_profile(alpha, 4096).delta))
+        assert rel_err(got, deleted_g_kernel(alpha, 4096).real) <= SERIES_RTOL
 
 
 class TestF1Routes:
