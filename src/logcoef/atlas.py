@@ -510,7 +510,10 @@ def _g_family_points(spec, z) -> Pointwise:
     z^(n-1) (repeated squaring below 100, exp((n-1) log z) above) times z
     errs by |eta| <= 5n u for r >= 1/e (r^n in d covers smaller r), moving
     s by |eta| sum_j j |a_j| r^(jn).  As j |a_j| <= |c_j| / n and
-    sum_j |a_j| r^(jn) <= 1 + d, that is at most (2 + 13 d) u."""
+    sum_j |a_j| r^(jn) <= 1 + d, that is at most (2 + 13 d) u.
+
+    For n > N (J = 0) s is 1 and f/z - 1 = sum_{j>=1} c_j w^j / (jn + 1) is
+    also at most d / (n + 1); the truncation term is the smaller of the two."""
     n, order = spec.n, SERIES_EVAL_ORDER
     zm = cache(lambda: z ** (n - 1))
     zn = cache(lambda: z * zm())
@@ -522,7 +525,10 @@ def _g_family_points(spec, z) -> Pointwise:
         k = (order // n + 1) * n  # the first index past the series
         lead = abs(_g_family_coeffs(n, k // n + 1)[-1]) / (k + 1)
         d = -np.expm1(np.log1p(-rn) / n)
-        return lead * r**k / (1.0 - rn) + (2.0 + 13.0 * d) * 2.0**-53
+        truncation = lead * r**k / (1.0 - rn)
+        if k == n:
+            truncation = np.minimum(truncation, d / (n + 1))
+        return truncation + (2.0 + 13.0 * d) * 2.0**-53
 
     return Pointwise(
         fz=lambda: eval_raw(series()[::n], zn()),

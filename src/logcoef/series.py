@@ -125,6 +125,62 @@ def exp_raw(a: np.ndarray) -> np.ndarray:
     return b
 
 
+# power_sums takes this many terms one at a time, and the rest in blocks of
+# this many (or d, if larger)
+POWER_SUMS_BLOCK = 64
+
+
+def power_sums(coeffs: np.ndarray, count: int) -> np.ndarray:
+    """p_1..p_count with log P = -sum_k p_k z^k / k, for the polynomial
+    P = coeffs / coeffs[0] = 1 + b_1 z + ... + b_d z^d, by Newton's
+    identities p_k = -k b_k - sum_{j=1}^{min(k-1, d)} b_j p_{k-j} (b_k = 0
+    past d), in O(count * d).
+
+    Past k = d the recurrence is homogeneous with d taps, so after the first
+    terms, taken one at a time, each block of terms is the recurrence's
+    impulse-response matrix applied to the d terms before it.  Only complex
+    scalars and elementwise numpy products are used, no BLAS, so the bits
+    do not depend on the BLAS kernel."""
+    b = np.trim_zeros(np.asarray(coeffs, dtype=np.complex128) / coeffs[0], "b")
+    taps = b[1:].tolist()
+    d = len(taps)
+    out = np.zeros(count, dtype=np.complex128)
+    if d == 0:
+        return out
+
+    def step(x, k):
+        """-k b_k - sum_j b_j x_{k-j}, where x holds x_1 .. x_{k-1}."""
+        acc = -k * taps[k - 1] if k <= d else 0j
+        for j in range(1, min(k - 1, d) + 1):
+            acc -= taps[j - 1] * x[k - 1 - j]
+        return acc
+
+    block = max(d, POWER_SUMS_BLOCK)
+    head = min(count, block)
+    p = []
+    for k in range(1, head + 1):
+        p.append(step(p, k))
+    out[:head] = p
+    if head == count:
+        return out
+    # response[i]: the `block` terms that follow d terms equal to 0, except
+    # 1 at i places before the last
+    response = np.empty((d, block), dtype=np.complex128)
+    for i in range(d):
+        x = [0j] * d
+        x[d - 1 - i] = 1.0 + 0j
+        for k in range(d + 1, d + block + 1):
+            x.append(step(x, k))
+        response[i] = x[d:]
+    for start in range(head, count, block):
+        m = min(block, count - start)
+        acc = response[0, :m] * out[start - 1]
+        for i in range(1, d):
+            acc = acc + response[i, :m] * out[start - 1 - i]
+        out[start : start + m] = acc
+    return out
+
+
 def eval_raw(coeffs: np.ndarray, z):
     """Horner evaluation; scalar or array z."""
     acc = np.zeros_like(np.asarray(z), dtype=np.complex128) + coeffs[-1]

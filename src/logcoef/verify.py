@@ -16,10 +16,22 @@ The module reproduces, on parameter grids, every bound the package tracks:
     the starlike order of convex functions of order alpha, and the l2
     consequences, with equality for the kernel primitive itself.
 
+The logarithmic coefficients gamma_1..gamma_N (log_coefficients) take one
+of three routes, chosen from the spec's registry entry and series:
+
+  * rational parts, f/z = A/B (every kind but g_family and k_alpha): the
+    power sums of A and B by Newton's identities, O(N d) for degree d, with
+    no series log or reciprocal and no BLAS call;
+  * a series in w = z^s, s > 1 (g_family(n), s = n): the series log of its
+    N/s + 1 coefficients in w, spread back to the multiples of s,
+    O((N/s)^2);
+  * any other series (k_alpha): the series log of f/z, O(N^2).
+
 Every partial-sum check carries an explicit tail bound; equality checks use
 closed-form geometric or dilogarithm tails.  Results are BoundCheck rows
 with a stable JSON field layout (name, params, lhs, rhs, slack, status, N,
-tail_bound).
+tail_bound, route), where route names the tail added into lhs:
+"closed_form" or "none".
 
 run_suite rejects bad input with VerifyError before any check runs.  Every
 row then comes from one ordered list of blocks, each a plain function of the
@@ -41,7 +53,7 @@ import numpy as np
 from . import atlas
 from .atlas import FunctionSpec
 from .dilog import PI2_6, li2
-from .series import TruncatedSeries, ts_log, ts_reciprocal
+from .series import SeriesError, TruncatedSeries, power_sums, ts_log, ts_reciprocal
 # unused here; bench/tracing.py wraps this name on this module
 from .series import ts_exp  # noqa: F401
 
@@ -66,23 +78,49 @@ class VerifyError(ValueError):
 @dataclass(frozen=True)
 class LogCoeffProfile:
     gammas: np.ndarray  # gamma_1 .. gamma_N
-    source: str  # "series" | "closed_form"
+    source: str  # "parts" | "series" | "closed_form"
     spec: FunctionSpec
 
 
 def log_coefficients(spec: FunctionSpec, order: int) -> LogCoeffProfile:
-    """gamma_1..gamma_N from the series log of f/z (gamma_n = [z^n] log(f/z) / 2)."""
+    """gamma_1..gamma_N, gamma_n = [z^n] log(f/z) / 2.
+
+    A spec with rational parts f/z = A/B (A(0) = B(0)) takes the "parts"
+    route: gamma_n = (p_n(B) - p_n(A)) / (2n) from the power sums of A and B,
+    in O(N d).  Any other spec takes the "series" route: the series log of
+    its f/z series, in O((N/s)^2) when that series is one in w = z^s."""
     if order < 1:
         raise VerifyError("order must be >= 1")
-    fz = atlas.fz_series(spec, order)
+    parts = atlas.rational_parts(spec)
+    fz = atlas.fz_series(spec, order if parts is None else 1)
     if fz.coeffs[0] != 1.0:
         raise VerifyError("f/z fails the c0 = 1 normalization")
-    gammas = 0.5 * ts_log(fz).coeffs[1:]
+    if parts is None:
+        gammas = 0.5 * _strided_log(fz.coeffs)[1:]
+        source = "series"
+    else:
+        a, b = parts
+        ns = np.arange(1, order + 1)
+        gammas = (power_sums(b, order) - power_sums(a, order)) / (2.0 * ns)
+        if not np.all(np.isfinite(gammas.view(np.float64))):
+            raise SeriesError("non-finite coefficient")
+        source = "parts"
     a2 = fz.coeffs[1]
     if abs(2.0 * gammas[0] - a2) > 1e-10:
         raise VerifyError("2 gamma_1 != a_2: inconsistent expansion")
     gammas.flags.writeable = False
-    return LogCoeffProfile(gammas=gammas, source="series", spec=spec)
+    return LogCoeffProfile(gammas=gammas, source=source, spec=spec)
+
+
+def _strided_log(c: np.ndarray) -> np.ndarray:
+    """log of the series c (c0 = 1).  When c is a series in w = z^s (s the
+    gcd of the indices of its nonzero terms, or the length of c when c0 is
+    the only one; g_family's f/z has s = n), the log is taken in w and
+    spread back to the multiples of s."""
+    s = int(np.gcd.reduce(np.flatnonzero(c))) or c.size
+    log = np.zeros_like(c)
+    log[::s] = ts_log(TruncatedSeries(c[::s])).coeffs
+    return log
 
 
 @dataclass(frozen=True)
@@ -281,6 +319,7 @@ class BoundCheck:
     status: str  # "holds" | "equality" | "violated" | "error"
     order: int
     tail_bound: float
+    route: str  # the tail in lhs: "closed_form" (past N, exact) | "none"
 
     def to_dict(self) -> dict:
         """The fields in declaration order, with `order` written as "N"."""
@@ -290,7 +329,7 @@ class BoundCheck:
         }
 
 
-def _check(name, params, lhs, rhs, order, tail_bound=0.0):
+def _check(name, params, lhs, rhs, order, tail_bound=0.0, route="none"):
     slack = rhs - lhs
     if abs(slack) <= EQUALITY_TOL:
         status = "equality"
@@ -307,13 +346,14 @@ def _check(name, params, lhs, rhs, order, tail_bound=0.0):
         status=status,
         order=order,
         tail_bound=float(tail_bound),
+        route=route,
     )
 
 
 def _l2_check(name, params, spec, rhs, order, tail):
     """sum |gamma_n(spec)|^2 over n <= order plus its exact tail, against rhs."""
     lhs = gamma_l2(log_coefficients(spec, order)).value + tail
-    return _check(name, params, lhs, rhs, order, tail)
+    return _check(name, params, lhs, rhs, order, tail, "closed_form")
 
 
 def _anchor_rows(order):
@@ -419,7 +459,9 @@ def _g_class_rows(order):
         name = atlas.render(spec)
         for row, weights, bound, f0_tail in l2_rows:
             l2 = gamma_l2(prof, weights)
-            tail = f0_tail(l2.order) if spec.kind == "f0" else 0.0
+            tail, route = 0.0, "none"
+            if spec.kind == "f0":
+                tail, route = f0_tail(l2.order), "closed_form"
             rows.append(
                 _check(
                     row,
@@ -428,6 +470,7 @@ def _g_class_rows(order):
                     bound,
                     l2.order,
                     tail,
+                    route,
                 )
             )
         for n in range(1, 9):

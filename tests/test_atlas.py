@@ -285,7 +285,7 @@ class TestIdentifications:
         b = fz_series(half_plane(), 32).coeffs
         assert np.max(np.abs(a - b)) < 1e-13
 
-    def test_k_alpha_branch_continuity(self):
+    def test_k_alpha_series_continuous_at_alpha_half(self):
         a = fz_series(k_alpha(0.5 - 1e-9), 32).coeffs
         b = fz_series(k_alpha(0.5), 32).coeffs
         assert np.max(np.abs(a - b)) < 1e-7

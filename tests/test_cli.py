@@ -259,42 +259,46 @@ def test_render_member_bytes(capsys, argv, digest):
 # re-recorded once, deliberately, for every grid with a g_family or k_alpha
 # row that moved when their series (and G_alpha, read from k_alpha's) moved
 # to closed-form coefficients: at most 4 rows per report, each by at most
-# 1.1e-15 relative, none changing status.  Never regenerate them otherwise;
-# a mismatch means the report bytes changed
+# 1.1e-15 relative, none changing status; and once more when every row
+# gained its `route` field and the gammas of rational specs moved to the
+# power sums of their (A, B) parts (g_family's to a log in z^n): at most 21
+# rows per report, |lhs change| at most 2.0e-12 (Koebe's n |gamma_n|, now
+# exactly 1), none changing status.  Never regenerate them otherwise; a
+# mismatch means the report bytes changed
 VERIFY_GOLDEN = [
     (
         ("--order", "128"),
-        "666dbd2b554b80c7ac92558c3e58094ec36c4db9807b4bb82f029c6b8e7b1f0a",
+        "69d9c432e5c1c7c569652f14d0ebaa1bf979bd79848529f1dddd9a698825f115",
         "346 checks, 0 violated\n",
         0,
     ),
     (
         ("--order", "1024"),
-        "8f952c610c6a6bfee95867549e676a2c568dfd9de9a152cadcc162b52e7b94fe",
+        "d8360b06a0b51c8c8ee0ef8cc9a4b5dbd082850a4034c0a7d10c0c0f07aef196",
         "346 checks, 0 violated\n",
         0,
     ),
     (
         ("--order", "2048"),
-        "f6829fb035d00ef0e6f209b4c2cc98e523bf321cc8c05bf5943674125b3d29c3",
+        "b39075a13b2fde2d8ef6674ce46bdd3ecd73a2998a20c5a13ee68fa19094e2f9",
         "346 checks, 0 violated\n",
         0,
     ),
     (
         ("--order", "4096"),
-        "0ff871eb5d4082a67a8795c8992ad536e3da12e2a4c2416f44f6c1a344a0b70c",
+        "5f4803d61c96ac5111900fb91e2ae505ce121972f4c36f471126f5f0ea004f8b",
         "346 checks, 0 violated\n",
         0,
     ),
     (
         ("--lambda-grid", "0.5", "--alpha-grid", "0.0,0.5,0.37765"),
-        "d8d46ccecb963e0d600afb1199cf1ef01cbab95adce372e461162d2d946526c8",
+        "91a770c41bf06bdb87191a600d5fe971dbfb4779b7674404a67ed2b4479202c9",
         "42 checks, 0 violated\n",
         0,
     ),
     (
         ("--lambda-grid", "0.3,0.7", "--alpha-grid", "0.25", "--order", "64"),
-        "5f4225e163d427846bf499100c00ddb7cba2edf7b80506f4abd3251472bf2e82",
+        "afcdcafb6af0bd756e7d92e35dfe72f81bf3e63193d736ef0876f83e81fba38b",
         "59 checks, 0 violated\n",
         0,
     ),
@@ -348,6 +352,7 @@ class TestVerifyCommand:
                 "status",
                 "N",
                 "tail_bound",
+                "route",
             }
         sharp = [c for c in checks if c["name"] == "log_l2_sharp_ulambda"]
         assert sharp and all(c["status"] == "equality" for c in sharp)

@@ -129,6 +129,14 @@ class TestGFamilyTail:
         for rep, err in _tail_case(n):
             assert rep.tail_bound <= 10.0 * err
 
+    def test_above_the_series_order_the_smaller_bound_is_taken(self):
+        # n > 256: f/z - 1 is all tail, and d/(n + 1) (9.90e-9 here) is
+        # below the first-omitted-term bound (1.01e-8), which alone would
+        # leave the verdict inconclusive at SERIES_TAIL_LIMIT = 1e-8
+        rep = u_deficiency(g_family(3080), 1.0, m=64)
+        assert rep.tail_bound < 1e-8
+        assert rep.verdict == "pass"
+
     def test_blind_window_no_longer_passes(self):
         # the order-8192 values are 0.02299 and 0.97688
         assert u_deficiency(g_family(100), 0.015).verdict == "inconclusive"

@@ -342,7 +342,9 @@ class TestKernelBits:
     def test_suite_inputs(self, monkeypatch):
         # every input the suite hands a kernel, at short and long orders; no
         # catalog series goes through exp, so the suite never calls exp_raw
-        # (test_search_sizes and test_long_inputs cover it)
+        # (test_search_sizes and test_long_inputs cover it), and rational
+        # specs take their gammas from power_sums: log_raw sees k_alpha's f/z
+        # (N + 1 terms) and g_family(n)'s in w = z^n (max(N, 40) // n + 1)
         inputs = {}
 
         def recording(name, kernel):
@@ -364,6 +366,97 @@ class TestKernelBits:
             sizes[name].add(a.size)
         assert sizes == {
             "reciprocal_raw": {2, 3, 41, 4097},
-            "log_raw": {2, 3, 41, 101, 4097},
+            "log_raw": {2, 3, 7, 9, 11, 14, 21, 41, 683, 820, 1025, 1366, 2049, 4097},
             "exp_raw": set(),
         }
+
+
+def reference_power_sums(coeffs, count):
+    """Newton's identities one term at a time, as power_sums takes its
+    first terms."""
+    taps = (np.asarray(coeffs, dtype=complex) / coeffs[0])[1:].tolist()
+    d = len(taps)
+    p = []
+    for k in range(1, count + 1):
+        acc = -k * taps[k - 1] if k <= d else 0j
+        for j in range(1, min(k - 1, d) + 1):
+            acc -= taps[j - 1] * p[k - 1 - j]
+        p.append(acc)
+    return np.array(p, dtype=complex)
+
+
+def from_roots(rho):
+    """(0.5 - 0.25i) prod_i (1 - rho_i z): a polynomial with constant term
+    0.5 - 0.25i whose power sums are p_k = sum_i rho_i^k."""
+    poly = np.array([0.5 - 0.25j])
+    for r in rho:
+        poly = np.convolve(poly, [1.0, -r])
+    return poly
+
+
+def on_circle(rng, d):
+    """d points of modulus 1 at least pi/d apart, so the roots are well
+    conditioned."""
+    return np.exp(2j * np.pi * (np.arange(d) + 0.5 * rng.uniform(0, 1, d)) / d)
+
+
+def assert_close(got, want):
+    # the error grows about linearly along the recurrence, by a few units of
+    # 2^-52 of the largest term per step (simple roots); 16 leaves room
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    assert got.shape == want.shape
+    err = np.max(np.abs(got - want), initial=0.0)
+    assert err <= 16 * 2.0**-52 * got.size * scale
+
+
+class TestPowerSums:
+    # the counts straddle the one-at-a-time head (max(d, 64) terms) and whole
+    # and partial blocks after it
+    COUNTS = (0, 1, 9, 64, 65, 128, 129, 1000)
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 9])
+    def test_roots_on_the_circle(self, d):
+        rng = np.random.default_rng(d)
+        rho = on_circle(rng, d)
+        for count in self.COUNTS:
+            got = series_mod.power_sums(from_roots(rho), count)
+            want = np.array([np.sum(rho**k) for k in range(1, count + 1)], complex)
+            assert_close(got, want)
+
+    @pytest.mark.parametrize("d", [63, 64, 65, 100])
+    def test_equally_spaced_roots(self, d):
+        # 1 - sigma^d z^d has the d roots sigma w^j (w^d = 1), so p_k is
+        # d sigma^k where d divides k and 0 elsewhere; a factor 1 - z/2 adds
+        # 2^-k, and a block then spans d terms
+        sigma = np.exp(2j * np.pi * np.random.default_rng(d).uniform())
+        poly = np.zeros(d + 1, dtype=complex)
+        poly[0], poly[d] = 1.0, -(sigma**d)
+        poly = np.convolve(poly, [0.5 - 0.25j, -0.25 + 0.125j])
+        for count in self.COUNTS + (d, d + 1, 2 * d + 1):
+            ks = np.arange(1, count + 1)
+            want = np.where(ks % d == 0, d * sigma**ks, 0) + 0.5**ks
+            assert_close(series_mod.power_sums(poly, count), want)
+
+    @pytest.mark.parametrize("d", [1, 3, 9, 65])
+    def test_head_is_the_stepwise_recurrence(self, d):
+        rng = np.random.default_rng(30 + d)
+        poly = from_roots(0.3 * on_circle(rng, d))
+        head = max(d, series_mod.POWER_SUMS_BLOCK)
+        got = series_mod.power_sums(poly, head)
+        assert same_bits(got, reference_power_sums(poly, head))
+
+    def test_trailing_zeros_are_no_taps(self):
+        poly = np.array([2.0, -1.0, 0.5, 0.0, 0.0], dtype=complex)
+        assert same_bits(
+            series_mod.power_sums(poly, 300), series_mod.power_sums(poly[:3], 300)
+        )
+
+    def test_log_of_a_polynomial(self):
+        # log P = -sum_k p_k z^k / k
+        poly = from_roots(0.8 * on_circle(np.random.default_rng(40), 5))
+        a = np.zeros(400, dtype=complex)
+        a[:6] = poly / poly[0]
+        k = np.arange(1, 400)
+        np.testing.assert_allclose(
+            -series_mod.power_sums(poly, 399) / k, log_raw(a)[1:], rtol=0, atol=1e-14
+        )

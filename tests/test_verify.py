@@ -2,16 +2,22 @@ import gc
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from logcoef import atlas, verify
+from logcoef import series as series_mod
 from logcoef.atlas import fz_series
 from logcoef.cli import main
 from logcoef.dilog import PI2_6, li2
 from logcoef.search import _certified_batch, _exact_u_chunk, _trim
+from logcoef.series import SeriesError, ts_log
 from logcoef.verify import (
     LogCoeffProfile,
     VerifyError,
@@ -56,7 +62,7 @@ class TestLogCoefficients:
         np.testing.assert_allclose(
             prof.gammas.real, [1, 1 / 2, 1 / 3, 1 / 4, 1 / 5], atol=1e-14
         )
-        assert prof.source == "series"
+        assert prof.source == "parts"
 
     def test_g_lambda(self):
         prof = log_coefficients(atlas.g_lambda(0.5), 2)
@@ -75,6 +81,138 @@ class TestLogCoefficients:
             prof.gammas.real, 1.0 / (2 * np.arange(1, 7)), atol=1e-16
         )
         assert closed_form_profile(atlas.k_alpha(0.3), 4) is None
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# (spec, bound on max |gamma_n - closed form| over n <= 4096): four times
+# the error measured on the spec's route, rounded up, and 0 where the route
+# is exact (integer or half taps; g_family's leading index).  The series log
+# that the parts route replaced missed by 1.9e-9 at koebe(theta=1.234),
+# 9.3e-10 at theta = -0.7, and 2.4e-12 at koebe(0) and g_lambda(1).
+GAMMA_GATE = [
+    ("koebe(theta=0.0)", 0.0),
+    ("koebe(theta=1.234)", 8e-12),
+    ("koebe(theta=-0.7)", 2e-12),
+    ("koebe(theta=3.0)", 1.5e-11),
+    ("g_lambda(lambda=0.5)", 1e-16),
+    ("g_lambda(lambda=0.9)", 3e-15),
+    ("g_lambda(lambda=1.0)", 0.0),
+    ("f_lambda(lambda=0.5)", 5e-16),
+    ("f_lambda(lambda=0.9)", 6e-15),
+    ("f_lambda(lambda=1.0)", 2.5e-14),
+    ("f0()", 0.0),
+    ("f1()", 2.5e-14),
+    ("half_plane()", 0.0),
+    ("g_family(n=2)", 0.0),
+    ("g_family(n=5)", 0.0),
+    ("g_family(n=257)", 0.0),
+]
+
+# f/z = A/B with both parts of degree 2, and an exact_u f whose z/f has
+# degree 9 and its nearest zero at |z| = 1.048
+PARTS_AGAINST_SERIES_LOG = [
+    "rational(num=[0,1,0.25-0.5i], den=[1,-0.6+0.3i,0.2i])",
+    "exact_u(lambda=0.6, a2=-0.59-0.18i, psi=[0.14-0.22i,-0.35+0.32i,0.04+0.3i,"
+    "-0.18-0.39i,0.3+0.17i,-0.35-0.4i,0.14,0.3-0.05i])",
+]
+
+# one spec of each kind with rational parts
+PARTS_SPECS = [
+    "koebe(theta=1.2)",
+    "g_lambda(lambda=0.5)",
+    "f_lambda(lambda=0.5)",
+    "f0()",
+    "f1()",
+    "half_plane()",
+    "rational(num=[0,1,0.5], den=[1,-0.25])",
+    "schwarz_superset(lambda=0.5, omega=[0.5,0.25i])",
+    "exact_u(lambda=0.5, a2=0.8, psi=[0.3,-0.4])",
+]
+
+
+class TestLogCoefficientRoutes:
+    @pytest.mark.parametrize("text,bound", GAMMA_GATE)
+    def test_closed_form_gate(self, text, bound):
+        spec = atlas.parse_spec(text)
+        gammas = log_coefficients(spec, 4096).gammas
+        ns = [spec.n] if spec.kind == "g_family" else range(1, 4097)
+        err = max(abs(gammas[n - 1] - atlas.gamma_closed_form(spec, n)) for n in ns)
+        assert err <= bound
+
+    @pytest.mark.parametrize("text", PARTS_AGAINST_SERIES_LOG)
+    def test_parts_route_agrees_with_the_series_log(self, text):
+        spec = atlas.parse_spec(text)
+        prof = log_coefficients(spec, 4096)
+        series_log = 0.5 * ts_log(fz_series(spec, 4096)).coeffs[1:]
+        assert prof.source == "parts"
+        assert np.max(np.abs(prof.gammas - series_log)) <= 1e-12
+
+    @pytest.mark.parametrize("text", PARTS_SPECS)
+    def test_parts_route_takes_no_series_log_or_reciprocal(self, monkeypatch, text):
+        sizes = {"log_raw": [], "reciprocal_raw": []}
+        for name in sizes:
+
+            def recording(a, name=name, kernel=getattr(series_mod, name)):
+                sizes[name].append(a.size)
+                return kernel(a)
+
+            monkeypatch.setattr(series_mod, name, recording)
+        prof = log_coefficients(atlas.parse_spec(text), 512)
+        assert prof.source == "parts"
+        # the 2 gamma_1 = a_2 check reads the order-1 series of f/z, a
+        # 2-term reciprocal for a kind with no series of its own
+        assert sizes["log_raw"] == []
+        assert all(size <= 2 for size in sizes["reciprocal_raw"])
+
+    def test_parts_route_bits_do_not_depend_on_the_blas_kernel(self):
+        # power_sums calls no BLAS, so the suite's rational profiles keep
+        # their bytes under any OpenBLAS core type (the series log's zdotu
+        # does not)
+        code = (
+            "import hashlib, sys\n"
+            "from logcoef import atlas, verify\n"
+            "h = hashlib.sha256()\n"
+            "for text in sys.argv[1:]:\n"
+            "    spec = atlas.parse_spec(text)\n"
+            "    h.update(verify.log_coefficients(spec, 4096).gammas.tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        specs = [text for text, _ in GAMMA_GATE if "g_family" not in text]
+        env = dict(os.environ)
+        env.pop("OPENBLAS_CORETYPE", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        digests = set()
+        for coretype in (None, "Prescott", "Haswell"):
+            extra = {} if coretype is None else {"OPENBLAS_CORETYPE": coretype}
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *specs, *PARTS_AGAINST_SERIES_LOG],
+                env={**env, **extra},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout)
+        assert len(digests) == 1
+
+    def test_overflow_is_a_series_error(self):
+        # z/f has a zero of modulus 0.32, so gamma_n grows like 3.1^n
+        spec = atlas.parse_spec("exact_u(lambda=0.5, a2=3, psi=[0.5])")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SeriesError, match="^non-finite coefficient$"):
+                log_coefficients(spec, 1000)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 100])
+    def test_g_family_log_is_taken_in_z_to_the_n(self, n):
+        spec = atlas.g_family(n)
+        prof = log_coefficients(spec, 1024)
+        full = 0.5 * ts_log(fz_series(spec, 1024)).coeffs[1:]
+        assert prof.source == "series"
+        assert np.all(prof.gammas[np.arange(1, 1025) % n != 0] == 0.0)
+        assert np.max(np.abs(prof.gammas - full)) <= 1e-18
 
 
 class TestGammaL2:
@@ -259,7 +397,7 @@ class TestConvexOrderProfile:
         p = convex_order_profile(0.5, 8)
         assert p.delta[0] == pytest.approx(0.5, abs=1e-14)
 
-    def test_two_expansion_routes_agree(self):
+    def test_delta_continuous_at_alpha_half(self):
         a = convex_order_profile(0.5, 32).delta
         b = convex_order_profile(0.5 + 1e-9, 32).delta
         assert np.max(np.abs(a - b)) < 1e-7
@@ -420,8 +558,29 @@ class TestSuite:
             "status": "error",
             "N": verify.DEFAULT_ORDER,
             "tail_bound": 0.0,
+            "route": "none",
         }
         assert checks[:i] == clean[:i]
+
+    def test_route_names_the_tail_in_lhs(self):
+        # the l2 rows add a closed-form tail past N (f0's only, in the
+        # bounded-convexity block); every other row carries none.  A closed
+        # tail may round to 0 (f0's gclass_l2 tail at N = 64), so the route
+        # is not read off tail_bound
+        closed = {
+            "log_l2_univalent_koebe",
+            "halfplane_l2",
+            "f1_l2_two_routes",
+            "log_l2_sharp_ulambda",
+            "log_l2_ulambda_counterexample",
+        }
+        for row in run_suite(lambda_grid=(0.5,), alpha_grid=(0.5, 1.0), order=64):
+            tail = row.name in closed or (
+                row.name in ("gclass_weighted_l2", "gclass_l2")
+                and row.params["spec"] == "f0()"
+            )
+            assert row.route == ("closed_form" if tail else "none"), row.name
+            assert tail or row.tail_bound == 0.0, row.name
 
     def test_small_orders_run_every_block(self):
         # the leading-coefficient rows need gamma_n for n up to 6
@@ -471,6 +630,7 @@ class TestSuite:
                 "status",
                 "N",
                 "tail_bound",
+                "route",
             }
 
 
