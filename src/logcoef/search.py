@@ -26,36 +26,40 @@ their boundary sup, so every candidate used is genuinely bounded by one:
 the bound combines the sampled boundary maximum with a second-derivative
 gap estimate from the autocorrelation of the coefficients.
 
-Candidates are tested a chunk of 256 rows at a time.  For the exact
-parametrization the chunk test builds every denominator z/f = q of the
-chunk at once and runs two tests, the second on the survivors of the
-first: the root test (no zero of q in the open unit disk) and the
-post-check, a product with a cached sample matrix.  The root test applies
-the rule that membership applies to every rational spec: a zero below
-atlas.INTERIOR_ZERO_LIMIT = 1 - tau, tau = 1e-6, is inside, and a zero on
-the circle (the extremal's at z = 1) is admitted.  It is a batched
-Schur-Cohn recursion (Henrici, Applied and Computational Complex Analysis
-I, section 6.8) on q(rho z) at rho = 1 +- tau: a row is decided when every
-step passes at the outer radius (no zero) or a step fails at the inner one
-(a zero), each step with a relative margin of 1e-9.  Rows with a zero in
-that band, or too close to a step's margin, fall back to the stacked
-eigvals verdict min |root| >= 1 - tau (atlas.min_root_modulus: one
-eigvals call per trimmed degree on companion matrices, the roots np.roots
-gives row by row); so does a one-row chunk, for which eigvals is the
-faster route.  The superset family has no test.
+Random candidates come in chunks of 256 rows, drawn and tested as two
+blocks, each at its own width: 192 polynomials of degree at most 6 (7
+columns), then 64 Blaschke truncations (25 columns).  Each block is
+certified on its own and offered to the best as one batch, in row order.
+For the exact parametrization the chunk test builds every denominator
+z/f = q of a block at once and runs two tests, the second on the
+survivors of the first: the root test (no zero of q in the open unit
+disk) and the post-check, a product with a cached sample matrix.  The
+root test applies the rule that membership applies to every rational
+spec: a zero below atlas.INTERIOR_ZERO_LIMIT = 1 - tau, tau = 1e-6, is
+inside, and a zero on the circle (the extremal's at z = 1) is admitted.
+It is a batched Schur-Cohn recursion (Henrici, Applied and Computational
+Complex Analysis I, section 6.8) on q(rho z) at rho = 1 +- tau: a row is
+decided when every step passes at the outer radius (no zero) or a step
+fails at the inner one (a zero), each step with a relative margin of
+1e-9.  Rows with a zero in that band, or too close to a step's margin,
+fall back to the stacked eigvals verdict min |root| >= 1 - tau
+(atlas.min_root_modulus: one eigvals call per trimmed degree on companion
+matrices, the roots np.roots gives row by row); so does a one-row batch,
+for which eigvals is the faster route.  The superset family has no test.
 
 Then |a_n| is found by screen, then confirm.  The screen runs the 1/q
-recurrence over all accepted rows of a chunk at once (for the superset
+recurrence over all accepted rows of a block at once (for the superset
 family on the first n coefficients of q from a batched product) and gives
 each row an estimate of |a_n| and a margin on its distance from the
 per-row value.  Only rows whose estimate plus margin exceeds the running
-best are confirmed: extracted through atlas.superset_denominator (for the
+best, which the chunk's first block may already have raised, are
+confirmed: extracted through atlas.superset_denominator (for the
 superset family) and reciprocal_raw and offered to the best in row order.
 A skipped row could not have replaced the best, and every kept |a_n|
 comes from the per-row path, whose bits the batched one does not give:
 the np.dot inside reciprocal_raw is BLAS zdotu, which sums with several
 accumulators, and every stacked numpy product sums in another order.  The
-start candidate and each polish evaluation are one-row chunks, confirmed
+start candidate and each polish evaluation are one-row batches, confirmed
 without a screen because the polish needs their exact value;
 validate_exact_u applies the root test's eigvals verdict alone.
 
@@ -66,10 +70,12 @@ equal values the first offered wins), and a coordinate-wise golden-section
 polish with a fixed sweep plan.  Each search logs one DEBUG record on the
 ``logcoef.search`` logger that accounts for its budget: start, random and
 polish evaluations, the root-test rows decided by the recursion and by
-eigvals, the rows rejected by each of the two tests, the random
-rows confirmed after the screen, the largest certified-sup factor divided
-out of a candidate (1.0 when none was), and the winner's phase (start,
-random, polish or none) and offer-order index.
+eigvals, the rows rejected by each of the two tests, the random rows
+confirmed after the screen (never more than one screen of the whole
+chunk would confirm, as the best can rise between a chunk's blocks), the
+largest certified-sup factor divided out of a candidate (1.0 when none
+was), and the winner's phase (start, random, polish or none) and
+offer-order index.
 """
 
 from __future__ import annotations
@@ -164,22 +170,37 @@ def validate_schwarz(coeffs) -> SchwarzParams:
     return SchwarzParams(coeffs=coeffs, validated=True)
 
 
+def _curvature_bound(batch: np.ndarray) -> np.ndarray:
+    """sum_{mu != 0} mu^2 |b_mu| for each row of `batch`, b its
+    autocorrelation b_mu = sum_j c_{mu+j} conj(c_j): a bound on sup|g''|
+    for g(theta) = |w(e^{i theta})|^2.  Every shift mu >= 1 comes from one
+    einsum over the rows shifted in a zero-padded copy; the sum runs shift
+    by shift."""
+    rows, d = batch.shape
+    padded = np.zeros((rows, 2 * d - 1), dtype=np.complex128)
+    padded[:, :d] = batch
+    step = padded.strides[1]
+    shifted = np.lib.stride_tricks.as_strided(
+        padded[:, 1:], (rows, d - 1, d), (padded.strides[0], step, step), writeable=False
+    )
+    beta = np.abs(np.einsum("imj,ij->mi", shifted, batch.conj()))
+    m2 = np.zeros(rows)
+    for mu in range(1, d):
+        m2 += 2.0 * mu * mu * beta[mu - 1]
+    return m2
+
+
 def certified_sup_bound(matrix_rows: np.ndarray, batch: np.ndarray) -> np.ndarray:
     """Upper bound on the true boundary sup for each row of `batch`.
 
     Combines the sampled max of |w|^2 with a gap term (h/2)^2/2 * sup|g''|
     where g(theta) = |w(e^{i theta})|^2 and sup|g''| <= sum mu^2 |b_mu| over
-    the autocorrelation b of the coefficients.
+    the autocorrelation b of the coefficients (_curvature_bound).
     """
     samples = matrix_rows.shape[0]
     gmax = np.max(np.abs(matrix_rows @ batch.T), axis=0) ** 2
-    d = batch.shape[1]
-    m2 = np.zeros(batch.shape[0])
-    for mu in range(1, d):
-        beta = np.einsum("ij,ij->i", batch[:, mu:], batch[:, : d - mu].conj())
-        m2 += 2.0 * mu * mu * np.abs(beta)
     h = 2.0 * math.pi / samples
-    return np.sqrt(gmax + m2 * h * h / 8.0)
+    return np.sqrt(gmax + _curvature_bound(batch) * h * h / 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,22 +220,29 @@ def _draw_poly_batch(rng, count: int) -> np.ndarray:
 
 
 def _draw_blaschke_batch(rng, count: int) -> np.ndarray:
-    """Taylor truncations of random finite Blaschke products."""
-    out = np.zeros((count, _BLASCHKE_TRUNC + 1), dtype=np.complex128)
+    """Taylor truncations of random finite Blaschke products.
+
+    Zero j multiplies every row that has one by (z - a)/(1 - conj(a) z) =
+    -a + (1 - |a|^2) sum_{k>=1} conj(a)^(k-1) z^k, all those rows at once:
+    x becomes y_k = -a x_k + (1 - |a|^2) s_k with s_0 = 0 and
+    s_k = conj(a) s_{k-1} + x_{k-1}.
+    """
     nz = rng.integers(1, _BLASCHKE_MAX_ZEROS + 1, size=count)
     zeros = _draw_disk(rng, (count, _BLASCHKE_MAX_ZEROS), _BLASCHKE_ZERO_RADIUS)
     phases = np.exp(2j * math.pi * rng.random(count))
-    ks = np.arange(_BLASCHKE_TRUNC + 1)
-    for i in range(count):
-        acc = np.zeros(_BLASCHKE_TRUNC + 1, dtype=np.complex128)
-        acc[0] = phases[i]
-        for a in zeros[i, : nz[i]]:
-            # (z - a)/(1 - conj(a) z) = -a + (1-|a|^2) sum_k conj(a)^(k-1) z^k
-            fac = np.empty(_BLASCHKE_TRUNC + 1, dtype=np.complex128)
-            fac[0] = -a
-            fac[1:] = (1.0 - abs(a) ** 2) * np.conj(a) ** ks[:-1]
-            acc = np.convolve(acc, fac)[: _BLASCHKE_TRUNC + 1]
-        out[i] = acc
+    out = np.zeros((count, _BLASCHKE_TRUNC + 1), dtype=np.complex128)
+    out[:, 0] = phases
+    for j in range(_BLASCHKE_MAX_ZEROS):
+        rows = np.flatnonzero(nz > j)
+        a = zeros[rows, j]
+        x = out[rows]
+        y = -a[:, None] * x
+        gain, a_bar = 1.0 - np.abs(a) ** 2, a.conj()
+        s = np.zeros_like(a)
+        for k in range(1, _BLASCHKE_TRUNC + 1):
+            s = a_bar * s + x[:, k - 1]
+            y[:, k] += gain * s
+        out[rows] = y
     return out
 
 
@@ -226,16 +254,26 @@ def _certify(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return batch / scale[:, None], scale
 
 
-def _certified_batch(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """A chunk of certified-Schwarz candidate polynomials (rows), and the
-    certified-sup factor divided out of each row (1.0 where none was)."""
+def _candidate_blocks(rng, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A chunk of `count` certified-Schwarz candidate polynomials as blocks
+    of rows, each certified at its own width: up to _POLY_PER_CHUNK random
+    polynomials (_MAX_POLY_DEGREE + 1 columns), then Blaschke truncations
+    (_BLASCHKE_TRUNC + 1 columns).  Each block comes with the certified-sup
+    factor divided out of each row (1.0 where none was)."""
     npoly = min(_POLY_PER_CHUNK, count)
-    batch = _draw_poly_batch(rng, npoly)
+    blocks = [_draw_poly_batch(rng, npoly)]
     if count > npoly:
-        blaschke = _draw_blaschke_batch(rng, count - npoly)
-        pad = ((0, 0), (0, blaschke.shape[1] - batch.shape[1]))
-        batch = np.vstack([np.pad(batch, pad), blaschke])
-    return _certify(batch)
+        blocks.append(_draw_blaschke_batch(rng, count - npoly))
+    return [_certify(block) for block in blocks]
+
+
+def _certified_batch(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of _candidate_blocks padded with zero columns and stacked
+    into one chunk of rows, and the factor divided out of each row."""
+    blocks = _candidate_blocks(rng, count)
+    width = blocks[-1][0].shape[1]
+    batch = np.vstack([np.pad(b, ((0, 0), (0, width - b.shape[1]))) for b, _ in blocks])
+    return batch, np.concatenate([scale for _, scale in blocks])
 
 
 def _trim(coeffs: np.ndarray) -> tuple[complex, ...]:
@@ -538,11 +576,12 @@ def search_max_coeff(
     max_rescale = 1.0  # largest certified-sup factor divided out of a row
     extracted = 0  # rows whose |a_n| went through reciprocal_raw
 
-    def offer(coeffs, a2s):
-        """Evaluate a chunk of candidate rows and offer each row the chunk
-        test accepts to the running best, in row order; a row replaces the
-        best only on a strictly greater |a_n|.  The superset family has no
-        test.  A chunk of more than one row is screened first: only rows
+    def offer(coeffs, a2s, screen=False):
+        """Evaluate a batch of candidate rows (a block of a random chunk,
+        or one row) and offer each row the chunk test accepts to the
+        running best, in row order; a row replaces the best only on a
+        strictly greater |a_n|.  The superset family has no test.  With
+        `screen` (a random block) the rows are screened first: only rows
         whose _screen estimate plus margin exceeds the best are extracted.
         Returns the |a_n| of the last row extracted, or None."""
         nonlocal best, best_value, best_index, evals, verdicts, roots_by_eigvals
@@ -557,7 +596,7 @@ def search_max_coeff(
         else:
             rows = np.arange(len(coeffs))
             verdicts[2] += len(coeffs)
-        if len(coeffs) > 1:
+        if screen:
             head = q[rows] if exact else _superset_head(lam, coeffs, n)
             estimate, margin = _screen(head, n)
             rows = rows[~(estimate + margin <= best_value)]
@@ -588,9 +627,15 @@ def search_max_coeff(
     started = extracted
     for index in range(0, random_budget, _CHUNK):
         take = min(_CHUNK, random_budget - index)
-        batch, scale = _certified_batch(rng, _CHUNK)
-        max_rescale = max(max_rescale, float(scale[:take].max()))
-        offer(batch[:take], _draw_disk(rng, _CHUNK, 1.0 + lam)[:take] if exact else None)
+        blocks = _candidate_blocks(rng, _CHUNK)
+        a2s = _draw_disk(rng, _CHUNK, 1.0 + lam) if exact else None
+        start = 0
+        for batch, scale in blocks:
+            keep = min(len(batch), take - start)  # `take` may end inside a block
+            if keep > 0:
+                max_rescale = max(max_rescale, float(scale[:keep].max()))
+                offer(batch[:keep], a2s[start : start + keep] if exact else None, True)
+            start += len(batch)
     confirmed = extracted - started
 
     # Coordinate-wise golden-section polish of the best candidate found.  The

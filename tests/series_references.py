@@ -1,5 +1,6 @@
-"""References for the closed-form series of g_family and k_alpha and for
-the subordination kernel G_alpha built from k_alpha's series.
+"""References for the closed-form series of g_family and k_alpha, for
+the subordination kernel G_alpha built from k_alpha's series, and for the
+search's stacked candidate draw and curvature bound.
 
 Two kinds of reference: the exp/log routes the closed forms replaced, kept
 here as they stood, and mpmath values at 30 digits from the rising
@@ -18,10 +19,13 @@ alpha <= 0.9.  So the m-th coefficient errs by at most
 one more rounding for g_family's division by jn + 1: below 1e-12.
 """
 
+import math
+
 import mpmath
 import numpy as np
 
 from logcoef import atlas
+from logcoef import search as S
 from logcoef.series import (
     TruncatedSeries,
     shift_down,
@@ -138,3 +142,37 @@ def check_series(got: np.ndarray, ref: np.ndarray, old: np.ndarray):
         assert rel_err(got, old) <= SERIES_RTOL
     else:
         assert err < old_err
+
+
+# ---------------------------------------------------------------------------
+# The search's per-row candidate routes, as they stood before they stacked.
+
+def convolved_blaschke_batch(rng, count: int) -> np.ndarray:
+    """search._draw_blaschke_batch with each row built alone: one
+    np.convolve per zero.  It draws from rng in the same order."""
+    out = np.zeros((count, S._BLASCHKE_TRUNC + 1), dtype=np.complex128)
+    nz = rng.integers(1, S._BLASCHKE_MAX_ZEROS + 1, size=count)
+    zeros = S._draw_disk(rng, (count, S._BLASCHKE_MAX_ZEROS), S._BLASCHKE_ZERO_RADIUS)
+    phases = np.exp(2j * math.pi * rng.random(count))
+    ks = np.arange(S._BLASCHKE_TRUNC + 1)
+    for i in range(count):
+        acc = np.zeros(S._BLASCHKE_TRUNC + 1, dtype=np.complex128)
+        acc[0] = phases[i]
+        for a in zeros[i, : nz[i]]:
+            # (z - a)/(1 - conj(a) z) = -a + (1-|a|^2) sum_k conj(a)^(k-1) z^k
+            fac = np.empty(S._BLASCHKE_TRUNC + 1, dtype=np.complex128)
+            fac[0] = -a
+            fac[1:] = (1.0 - abs(a) ** 2) * np.conj(a) ** ks[:-1]
+            acc = np.convolve(acc, fac)[: S._BLASCHKE_TRUNC + 1]
+        out[i] = acc
+    return out
+
+
+def per_shift_curvature_bound(batch: np.ndarray) -> np.ndarray:
+    """search._curvature_bound with one einsum per shift."""
+    d = batch.shape[1]
+    m2 = np.zeros(batch.shape[0])
+    for mu in range(1, d):
+        beta = np.einsum("ij,ij->i", batch[:, mu:], batch[:, : d - mu].conj())
+        m2 += 2.0 * mu * mu * np.abs(beta)
+    return m2

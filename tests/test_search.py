@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from series_references import convolved_blaschke_batch, per_shift_curvature_bound
 
 from logcoef import atlas, cli, membership
 from logcoef import search as S
@@ -105,6 +106,48 @@ class TestCertifiedGeneration:
         batch, _ = S._certified_batch(rng, 64)
         for row in batch:
             validate_schwarz(S._trim(row))
+
+
+class TestStackedCandidates:
+    """The stacked Blaschke draw and curvature bound against the per-row
+    and per-shift routes they replaced (tests/series_references.py)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("count", [1, 64, 300])
+    def test_blaschke_rows_match_the_convolution(self, seed, count):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = S._draw_blaschke_batch(rng, count)
+        want = convolved_blaschke_batch(ref_rng, count)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 25])
+    @pytest.mark.parametrize("rows", [1, 64])
+    def test_curvature_bound_bits(self, width, rows):
+        rng = np.random.default_rng(width * 100 + rows)
+        batch = S._draw_disk(rng, (rows, width))
+        got = S._curvature_bound(batch)
+        want = per_shift_curvature_bound(batch)
+        assert got.shape == (rows,)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_curvature_bound_bits_on_candidate_blocks(self):
+        rng = np.random.default_rng(9)
+        for block, _ in S._candidate_blocks(rng, S._CHUNK):
+            for rows in (block, block[:1]):
+                got = S._curvature_bound(rows)
+                want = per_shift_curvature_bound(rows)
+                assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_blocks_keep_their_widths(self):
+        blocks = S._candidate_blocks(np.random.default_rng(3), S._CHUNK)
+        assert [b.shape for b, _ in blocks] == [
+            (S._POLY_PER_CHUNK, S._MAX_POLY_DEGREE + 1),
+            (S._CHUNK - S._POLY_PER_CHUNK, S._BLASCHKE_TRUNC + 1),
+        ]
+        (poly, _), = S._candidate_blocks(np.random.default_rng(3), 100)
+        assert poly.shape == (100, S._MAX_POLY_DEGREE + 1)
 
 
 class TestBuilders:
@@ -795,3 +838,71 @@ class TestScreen:
                 assert np.all(np.abs(estimate - value) <= 1e-3 * margin), (n, lam)
             estimate, margin = S._screen(S._superset_head(lam, ties, n), n)
             assert np.all(np.abs(estimate - conjectured_bound(lam, n)) <= margin)
+
+
+def _one_padded_chunk(rng, count):
+    """The random chunk as one block: the draws of _candidate_blocks,
+    padded to the Blaschke width and certified together."""
+    poly = S._draw_poly_batch(rng, S._POLY_PER_CHUNK)
+    blaschke = S._draw_blaschke_batch(rng, count - S._POLY_PER_CHUNK)
+    pad = ((0, 0), (0, blaschke.shape[1] - poly.shape[1]))
+    return [S._certify(np.vstack([np.pad(poly, pad), blaschke]))]
+
+
+class TestBlockSplit:
+    """A random chunk drawn, certified and offered as two blocks at their
+    own widths gives the search of one padded chunk, also where the
+    budget's last chunk ends inside either block."""
+
+    @staticmethod
+    def _search(lam, family, budget, caplog, one_chunk, screen):
+        """The record, the DEBUG fields and every extracted a_n in order."""
+        values = []
+        coeff, screen_rows = S._coeff_from_denominator, S._screen
+
+        def recording(q, n):
+            values.append(coeff(q, n))
+            return values[-1]
+
+        def pass_every_row(q, n):
+            estimate, margin = screen_rows(q, n)
+            return estimate, np.full_like(margin, np.inf)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(S, "_coeff_from_denominator", recording)
+            if one_chunk:
+                mp.setattr(S, "_candidate_blocks", _one_padded_chunk)
+            if not screen:
+                mp.setattr(S, "_screen", pass_every_row)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
+                rec = search_max_coeff(lam, 5, family, budget=budget, seed=6)
+        return rec, _debug_fields(caplog), values
+
+    @pytest.mark.parametrize(
+        "family,budget,last_block",
+        [
+            ("superset", 900, "poly"),
+            ("superset", 1000, "blaschke"),
+            ("exact_u", 900, "poly"),
+            ("exact_u", 1000, "blaschke"),
+        ],
+    )
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
+    def test_blocks_give_the_padded_chunk_search(self, family, budget, last_block, lam, caplog):
+        blocks, got, _ = self._search(lam, family, budget, caplog, False, True)
+        padded, want, _ = self._search(lam, family, budget, caplog, True, True)
+        tail = int(got["random"]) % S._CHUNK
+        assert tail > 0 and (tail <= S._POLY_PER_CHUNK) == (last_block == "poly")
+        assert blocks.to_json_line() == padded.to_json_line()
+        assert (got["winner"], got["winner_index"]) == (want["winner"], want["winner_index"])
+        assert got["max_rescale"] == want["max_rescale"]
+        # the second block is screened against a best the first may have
+        # raised, so the blocks never confirm more rows
+        assert int(got["confirmed"]) <= int(want["confirmed"])
+        # without the screen both extract every accepted row, with the
+        # same a_n in the same order
+        _, got, got_values = self._search(lam, family, budget, caplog, False, False)
+        _, want, want_values = self._search(lam, family, budget, caplog, True, False)
+        assert got_values == want_values
+        assert got == want
