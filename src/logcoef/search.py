@@ -44,38 +44,44 @@ fails at the inner one (a zero), each step with a relative margin of
 1e-9.  Rows with a zero in that band, or too close to a step's margin,
 fall back to the stacked eigvals verdict min |root| >= 1 - tau
 (atlas.min_root_modulus: one eigvals call per trimmed degree on companion
-matrices, the roots np.roots gives row by row); so does a one-row batch,
-for which eigvals is the faster route.  The superset family has no test.
+matrices, the roots np.roots gives row by row); so does the one-row start
+batch, for which eigvals is the faster route.  The superset family has no test.
 
-Then |a_n| is found by screen, then confirm.  The screen runs the 1/q
-recurrence over all accepted rows of a block at once (for the superset
-family on the first n coefficients of q from a batched product) and gives
-each row an estimate of |a_n| and a margin on its distance from the
-per-row value.  Only rows whose estimate plus margin exceeds the running
-best, which the chunk's first block may already have raised, are
-confirmed: extracted through atlas.superset_denominator (for the
-superset family) and reciprocal_raw and offered to the best in row order.
-A skipped row could not have replaced the best, and every kept |a_n|
-comes from the per-row path, whose bits the batched one does not give:
-the np.dot inside reciprocal_raw is BLAS zdotu, which sums with several
-accumulators, and every stacked numpy product sums in another order.  The
-start candidate and each polish evaluation are one-row batches, confirmed
-without a screen because the polish needs their exact value;
-validate_exact_u applies the root test's eigvals verdict alone.
+Every offered batch (the start row, a block of a random chunk, a polish
+line) is scored on one value path.  The chunk test runs on every row; then
+the screen runs the 1/q recurrence over all accepted rows at once (for the
+superset family on the first n coefficients of q from a batched product)
+and gives each row its |a_n| and a proven bar on its distance from the
+exact value (_screen).  The rows are offered to the best in row order
+under the tie rule: a row replaces the best only if its value minus its
+bar exceeds the best's value plus the best's bar, so of rows tied within
+rounding the first offered wins, and a winner other than the extremal
+start row beats it by more than rounding.  The rows at or below the best
+plus both bars are skipped at once (_pick).  The record reports the
+winner's |a_n| as the builders give it (atlas.taylor_of of the named
+function, the value a rebuild of the record gets), which lies within the
+winner's bar of the screen's value.  validate_exact_u applies the root
+test's eigvals verdict alone.
+
+The root test admits a zero of z/f in the band [1 - tau, 1), so an
+exact_u winner may beat the bound by up to bound ((1 - tau)^(1-n) - 1),
+about 4e-6 bound at n = 5: g(z) = f((1 - tau) z)/(1 - tau) is then in the
+class, so |a_n| (1 - tau)^(n-1) = |g_n| <= bound.  A margin in that range
+with a zero in the band is such a winner, not a counterexample.
 
 Searches are deterministic: a fixed chunked generation schedule from a
-seeded generator, a strict-improvement rule applied in offer order (a
-candidate replaces the best only if its |a_n| is strictly greater, so of
-equal values the first offered wins), and a coordinate-wise golden-section
-polish with a fixed sweep plan.  Each search logs one DEBUG record on the
-``logcoef.search`` logger that accounts for its budget: start, random and
-polish evaluations, the root-test rows decided by the recursion and by
-eigvals, the rows rejected by each of the two tests, the random rows
-confirmed after the screen (never more than one screen of the whole
-chunk would confirm, as the best can rise between a chunk's blocks), the
+seeded generator, the tie rule applied in offer order, and a
+coordinate-wise polish with a fixed sweep plan: each coordinate line is
+one batch of _POLISH_ITERS equispaced points, certified together, and the
+point moves to the row that replaced the best, if one did.  The last
+random chunk draws all its rows but certifies only those the budget
+offers.  Each search logs one DEBUG record on the ``logcoef.search``
+logger that accounts for its budget: start, random and polish
+evaluations, the root-test rows decided by the recursion and by eigvals,
+the rows rejected by each of the two tests and the rows accepted, the
 largest certified-sup factor divided out of a candidate (1.0 when none
-was), and the winner's phase (start, random, polish or none) and
-offer-order index.
+was), the winner's phase (start, random, polish or none) and offer-order
+index, and the winner's bar.
 """
 
 from __future__ import annotations
@@ -89,7 +95,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import atlas, membership
-from .series import TruncatedSeries, reciprocal_raw
+from .series import TruncatedSeries, reciprocal_raw  # noqa: F401  (bench/tracing.py wraps it)
 
 SCHWARZ_GATE_TOL = 1e-10  # sampled boundary sup may exceed 1 by at most this
 VALIDATION_SAMPLES = 2048  # boundary samples for the public validation gate
@@ -104,10 +110,10 @@ _MAX_POLY_DEGREE = 6
 _BLASCHKE_TRUNC = 24
 _BLASCHKE_MAX_ZEROS = 3
 _BLASCHKE_ZERO_RADIUS = 0.95
-_POLISH_ITERS = 12  # golden-section evaluations per coordinate line
+_POLISH_ITERS = 12  # equispaced points per coordinate line, offered as one batch
 _POLISH_STEPS = (0.25, 0.08, 0.02)  # line half-widths, one sweep per step
 _MATRIX_CACHE_SIZE = 16  # sample matrices kept, keyed by (ncoeff, samples, radii)
-_SCREEN_TOL = 1e-12  # scale of _screen's margin on |a_n|
+_EPS = 2.0**-53  # unit roundoff of float64
 
 
 _log = logging.getLogger(__name__)
@@ -254,26 +260,27 @@ def _certify(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return batch / scale[:, None], scale
 
 
-def _candidate_blocks(rng, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """A chunk of `count` certified-Schwarz candidate polynomials as blocks
-    of rows, each certified at its own width: up to _POLY_PER_CHUNK random
-    polynomials (_MAX_POLY_DEGREE + 1 columns), then Blaschke truncations
-    (_BLASCHKE_TRUNC + 1 columns).  Each block comes with the certified-sup
-    factor divided out of each row (1.0 where none was)."""
+def _candidate_blocks(
+    rng, count: int, take: int | None = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A chunk of `count` candidate polynomials drawn as blocks of rows: up
+    to _POLY_PER_CHUNK random polynomials (_MAX_POLY_DEGREE + 1 columns),
+    then Blaschke truncations (_BLASCHKE_TRUNC + 1 columns).  Only the first
+    `take` rows (all by default) are certified, each block at its own width
+    and cut to the rows it holds of them; every row is drawn, so the rng
+    stream does not depend on `take`.  Each block comes with the
+    certified-sup factor divided out of each row (1.0 where none was)."""
     npoly = min(_POLY_PER_CHUNK, count)
-    blocks = [_draw_poly_batch(rng, npoly)]
+    drawn = [_draw_poly_batch(rng, npoly)]
     if count > npoly:
-        blocks.append(_draw_blaschke_batch(rng, count - npoly))
-    return [_certify(block) for block in blocks]
-
-
-def _certified_batch(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks of _candidate_blocks padded with zero columns and stacked
-    into one chunk of rows, and the factor divided out of each row."""
-    blocks = _candidate_blocks(rng, count)
-    width = blocks[-1][0].shape[1]
-    batch = np.vstack([np.pad(b, ((0, 0), (0, width - b.shape[1]))) for b, _ in blocks])
-    return batch, np.concatenate([scale for _, scale in blocks])
+        drawn.append(_draw_blaschke_batch(rng, count - npoly))
+    left = count if take is None else take
+    blocks = []
+    for block in drawn:
+        if left > 0:
+            blocks.append(_certify(block[:left]))
+        left -= len(block)
+    return blocks
 
 
 def _trim(coeffs: np.ndarray) -> tuple[complex, ...]:
@@ -345,8 +352,8 @@ def _exact_u_chunk(lam: float, a2s, psis):
     than one row.  It decides every row with no zero within a relative band
     tau = 1 - INTERIOR_ZERO_LIMIT of the unit circle; the rows it leaves
     undecided get the stacked eigvals verdict.  A one-row chunk (the start
-    row, each polish evaluation) goes to eigvals directly, which is faster
-    for one row; validate_exact_u applies the same eigvals verdict alone.
+    row) goes to eigvals directly, which is faster for one row;
+    validate_exact_u applies the same eigvals verdict alone.
 
     Returns q, the number of tests each row passed (2 = accepted), and each
     row's smallest root modulus where eigvals ran (inf for a constant q)
@@ -415,14 +422,6 @@ def build_exact_u_function(p: ExactUParams, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 # Coefficient extraction (search objective).
 
-def _coeff_from_denominator(q: np.ndarray, n: int) -> complex:
-    """a_n of f = z / q(z): coefficient n-1 of 1/q."""
-    qq = np.zeros(n, dtype=np.complex128)
-    m = min(n, q.size)
-    qq[:m] = q[:m]
-    return complex(reciprocal_raw(qq)[n - 1])
-
-
 def _superset_head(lam: float, omegas: np.ndarray, n: int) -> np.ndarray:
     """Coefficients 0..n-1 of z/f = 1 - (1 + lam) s + lam s^2, s = z w, for
     each row w of `omegas`.  Elementwise products and row sums: the values
@@ -437,25 +436,24 @@ def _superset_head(lam: float, omegas: np.ndarray, n: int) -> np.ndarray:
     return q
 
 
-def _screen(q: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate |a_n| of f = z/q for every row of q (q_0 = 1), and a margin
-    on its distance from the per-row value |_coeff_from_denominator|.
+def _screen(q: np.ndarray, n: int, superset: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """|a_n| of f = z/q for every row of q (q_0 = 1), and a proven bar on
+    its distance from the exact value.
 
-    The estimate runs the recurrence of reciprocal_raw, b_k = -sum_{j=1}^k
-    q_j b_{k-j}, over all rows at once, up to k = n - 1.  The margin is
-    _SCREEN_TOL n^3 (1 + M)^2, with M the largest of B_0..B_{n-1} in the
+    The value runs the recurrence b_k = -sum_{j=1}^k q_j b_{k-j} over all
+    rows at once, up to k = n - 1, with elementwise products and row sums,
+    so a row's value does not depend on the batch it came in.  The bar is
+    2 n^2 eps M^2, eps = 2^-53, with M the largest of B_0..B_{n-1} in the
     majorant recurrence B_0 = 1, B_k = sum_{j=1}^k |q_j| B_{k-j}, which
     bounds |b_k| and the sum of the moduli of the terms of its step.  To
-    first order in eps = 2^-53, each step's rounded sum is off by at most
-    2 k eps M, and the recurrence carries an error into b_{n-1} with a
-    factor of at most M; so the batched and the per-row b_{n-1} each lie
-    within 2 n^2 eps M^2 of the exact one.  A superset head is within
-    4 (n + 1) eps of each coefficient of the convolved denominator (the
-    product (1 - zw)(1 - lam zw) has coefficient majorant at most 4 for a
-    certified w), which moves b_{n-1} by at most about 2 n^3 eps M^2 more.
-    The margin exceeds the sum by a factor above 10^3.  A non-finite
-    estimate or margin never falls at or below a best, so the caller
-    passes such a row on.
+    first order in eps, each step's rounded sum is off by at most 2 k eps M,
+    and the recurrence carries an error into b_{n-1} with a factor of at
+    most M; so b_{n-1} lies within 2 n^2 eps M^2 of the exact one.  With
+    `superset`, q is a _superset_head, within 4 (n + 1) eps of each
+    coefficient of the convolved denominator (the product (1 - zw)(1 - lam
+    zw) has coefficient majorant at most 4 for a certified w), which moves
+    b_{n-1} by at most about 2 n^3 eps M^2 more; that head term is added.
+    A non-finite value or bar never passes the tie rule (_pick).
     """
     rows = len(q)
     head = np.zeros((rows, n), dtype=np.complex128)
@@ -468,8 +466,24 @@ def _screen(q: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     for k in range(1, n):
         b[:, k] = -np.sum(head[:, 1 : k + 1] * b[:, k - 1 :: -1], axis=1)
         bound[:, k] = np.sum(size[:, 1 : k + 1] * bound[:, k - 1 :: -1], axis=1)
-    margin = _SCREEN_TOL * n**3 * (1.0 + bound.max(axis=1)) ** 2
-    return np.abs(b[:, n - 1]), margin
+    bar = 2.0 * n * n * (1.0 + n * superset) * _EPS * bound.max(axis=1) ** 2
+    return np.abs(b[:, n - 1]), bar
+
+
+def _pick(values: np.ndarray, bars: np.ndarray, best: float, best_bar: float) -> int:
+    """The row that holds the best after the rows are offered in order under
+    the tie rule, or -1 if the best (best, best_bar) keeps it.  A row
+    replaces the best only if value - bar > best + best_bar, so of rows
+    tied within their bars the first offered wins.  The threshold
+    best + best_bar only rises as rows replace the best (the new one is
+    above the old by more than twice the row's bar), so a row at or below
+    the first threshold never replaces it: the loop runs over the rows
+    above it alone."""
+    winner = -1
+    for i in np.flatnonzero(values - bars > best + best_bar).tolist():
+        if values[i] - bars[i] > best + best_bar:
+            winner, best, best_bar = i, values[i], bars[i]
+    return winner
 
 
 @dataclass(frozen=True)
@@ -515,31 +529,6 @@ def _pack_params(family, coeffs, a2=None):
     return {"a2": c2pair(a2), "psi": [c2pair(c) for c in coeffs]}
 
 
-def _golden_max(fn, lo, hi, iters):
-    """Golden-section scan for a maximum of fn on [lo, hi]; returns the
-    best (x, value) among all evaluated points."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    best_x, best_v = (c, fc) if fc >= fd else (d, fd)
-    for _ in range(iters - 2):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-            if fc > best_v:
-                best_x, best_v = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-            if fd > best_v:
-                best_x, best_v = d, fd
-    return best_x, best_v
-
-
 def search_max_coeff(
     lam: float,
     n: int,
@@ -552,8 +541,9 @@ def search_max_coeff(
     Start #0 is always the known extremal candidate (w = 1, or psi = -1
     with a2 = 1 + lambda, which reproduces z/((1-z)(1-lambda z))); random
     multi-start follows, and the remaining budget drives a coordinate-wise
-    golden-section polish of the best candidate found.  Deterministic for
-    fixed (lambda, n, family, budget, seed).
+    polish of the best candidate found, one batch of equispaced points per
+    coordinate line.  Deterministic for fixed (lambda, n, family, budget,
+    seed).
     """
     if n < 2:
         raise SearchError("coefficient index must be >= 2")
@@ -567,25 +557,21 @@ def search_max_coeff(
     exact = family == "exact_u"
     rng = np.random.default_rng(seed)
     best = None  # (coeffs, a2) of the best row so far
-    best_value = -1.0
+    best_value, best_bar = -1.0, 0.0
     best_index = -1  # position of the best row in offer order
     evals = 0
     # rows rejected by the root test and by the post-check; accepted
     verdicts = np.zeros(3, dtype=np.int64)
     roots_by_eigvals = 0  # root-test rows the Schur-Cohn recursion left to eigvals
     max_rescale = 1.0  # largest certified-sup factor divided out of a row
-    extracted = 0  # rows whose |a_n| went through reciprocal_raw
 
-    def offer(coeffs, a2s, screen=False):
-        """Evaluate a batch of candidate rows (a block of a random chunk,
-        or one row) and offer each row the chunk test accepts to the
-        running best, in row order; a row replaces the best only on a
-        strictly greater |a_n|.  The superset family has no test.  With
-        `screen` (a random block) the rows are screened first: only rows
-        whose _screen estimate plus margin exceeds the best are extracted.
-        Returns the |a_n| of the last row extracted, or None."""
-        nonlocal best, best_value, best_index, evals, verdicts, roots_by_eigvals
-        nonlocal extracted
+    def offer(coeffs, a2s):
+        """Score a batch of candidate rows (the start row, a block of a
+        random chunk or a polish line) and offer the rows the chunk test
+        accepts to the running best, in row order, under the tie rule
+        (_pick).  The superset family has no test.  Returns the batch index
+        of the row that became the best, or None."""
+        nonlocal best, best_value, best_bar, best_index, evals, verdicts, roots_by_eigvals
         first = evals
         evals += len(coeffs)
         if exact:
@@ -593,25 +579,20 @@ def search_max_coeff(
             verdicts += np.bincount(passed, minlength=3)
             roots_by_eigvals += int(np.count_nonzero(~np.isnan(inner)))
             rows = np.flatnonzero(passed == 2)
+            head = q[rows]
         else:
             rows = np.arange(len(coeffs))
             verdicts[2] += len(coeffs)
-        if screen:
-            head = q[rows] if exact else _superset_head(lam, coeffs, n)
-            estimate, margin = _screen(head, n)
-            rows = rows[~(estimate + margin <= best_value)]
-        value = None
-        for i in rows.tolist():
-            # One reciprocal_raw per row: its np.dot sums in BLAS zdotu order,
-            # which no stacked numpy product reproduces to the last bit.
-            qi = q[i] if exact else atlas.superset_denominator(lam, coeffs[i])
-            value = abs(_coeff_from_denominator(qi, n))
-            extracted += 1
-            if value > best_value:
-                best_value = value
-                best_index = first + i
-                best = (coeffs[i].copy(), complex(a2s[i]) if exact else None)
-        return value
+            head = _superset_head(lam, coeffs, n)
+        values, bars = _screen(head, n, superset=not exact)
+        k = _pick(values, bars, best_value, best_bar)
+        if k < 0:
+            return None
+        i = int(rows[k])
+        best_value, best_bar = float(values[k]), float(bars[k])
+        best_index = first + i
+        best = (coeffs[i].copy(), complex(a2s[i]) if exact else None)
+        return i
 
     # Start #0: the known extremal is never lost.
     if exact:
@@ -624,23 +605,21 @@ def search_max_coeff(
     full_polish_cost = len(_POLISH_STEPS) * _POLISH_ITERS * 2 * (width + exact)
     polish_budget = min(full_polish_cost, (budget - 1) // 4)
     random_budget = budget - 1 - polish_budget
-    started = extracted
     for index in range(0, random_budget, _CHUNK):
-        take = min(_CHUNK, random_budget - index)
-        blocks = _candidate_blocks(rng, _CHUNK)
+        take = min(_CHUNK, random_budget - index)  # the last chunk may end early
+        blocks = _candidate_blocks(rng, _CHUNK, take)
         a2s = _draw_disk(rng, _CHUNK, 1.0 + lam) if exact else None
         start = 0
         for batch, scale in blocks:
-            keep = min(len(batch), take - start)  # `take` may end inside a block
-            if keep > 0:
-                max_rescale = max(max_rescale, float(scale[:keep].max()))
-                offer(batch[:keep], a2s[start : start + keep] if exact else None, True)
+            max_rescale = max(max_rescale, float(scale.max()))
+            offer(batch, a2s[start : start + len(batch)] if exact else None)
             start += len(batch)
-    confirmed = extracted - started
 
-    # Coordinate-wise golden-section polish of the best candidate found.  The
-    # point holds its first `width` coefficients and, for exact_u, a2 last;
-    # each real and imaginary part is one coordinate.
+    # Coordinate-wise polish of the best candidate found.  The point holds
+    # its first `width` coefficients and, for exact_u, a2 last; each real and
+    # imaginary part is one coordinate.  A line is _POLISH_ITERS equispaced
+    # points on [x - step, x + step], certified and offered as one batch; x
+    # moves to the point that replaced the best, if one did.
     if best is not None:
         coeffs, a2 = best
         point = np.zeros(width + exact, dtype=np.complex128)
@@ -648,32 +627,25 @@ def search_max_coeff(
         if exact:
             point[-1] = a2
         x = point.view(np.float64)
-
-        def line(t, coord):
-            nonlocal max_rescale
-            trial = x.copy()
-            trial[coord] = t
-            c, scale = _certify(trial.view(np.complex128)[None, :width])
-            max_rescale = max(max_rescale, float(scale[0]))
-            a2s = None
-            if exact:
-                a2 = complex(trial[-2], trial[-1])
-                if abs(a2) > 1.0 + lam:
-                    a2 = a2 * (1.0 + lam) / abs(a2)
-                a2s = [a2]
-            value = offer(c, a2s)
-            return -1.0 if value is None else value
-
         for step in _POLISH_STEPS:
             for coord in range(x.size):
                 if evals + _POLISH_ITERS > budget:
                     break
-                x[coord], _ = _golden_max(
-                    lambda t: line(t, coord),
-                    x[coord] - step,
-                    x[coord] + step,
-                    _POLISH_ITERS,
-                )
+                ts = np.linspace(x[coord] - step, x[coord] + step, _POLISH_ITERS)
+                trials = np.repeat(x[None, :], _POLISH_ITERS, axis=0)
+                trials[:, coord] = ts
+                trials = trials.view(np.complex128)
+                c, scale = _certify(trials[:, :width])
+                max_rescale = max(max_rescale, float(scale.max()))
+                a2s = None
+                if exact:
+                    a2s = trials[:, -1].copy()
+                    size = np.abs(a2s)
+                    over = size > 1.0 + lam
+                    a2s[over] *= (1.0 + lam) / size[over]
+                i = offer(c, a2s)
+                if i is not None:
+                    x[coord] = ts[i]
 
     if best_index < 0:
         winner = "none"
@@ -685,16 +657,18 @@ def search_max_coeff(
         "search %s lambda=%r n=%d budget=%d seed=%d: evaluations=%d start=1 "
         "random=%d polish=%d roots_by_recursion=%d roots_by_eigvals=%d "
         "rejected_roots=%d rejected_postcheck=%d accepted=%d "
-        "confirmed=%d max_rescale=%r winner=%s winner_index=%d",
+        "max_rescale=%r winner=%s winner_index=%d winner_bar=%r",
         family, lam, n, budget, seed, evals, random_budget,
         evals - 1 - random_budget, evals * exact - roots_by_eigvals,
-        roots_by_eigvals, *verdicts, confirmed, max_rescale, winner, best_index,
+        roots_by_eigvals, *verdicts, max_rescale, winner, best_index, best_bar,
     )
     if best is None:
         raise SearchError("no valid candidate found within budget")
     coeffs, a2 = best
+    coeffs = _trim(coeffs)
+    spec = atlas.exact_u(lam, a2, coeffs) if exact else atlas.schwarz_superset(lam, coeffs)
     bound = conjectured_bound(lam, n)
-    achieved = float(best_value)
+    achieved = float(abs(atlas.taylor_of(spec, n).coeffs[n]))
     return SearchRecord(
         lam=lam,
         n=n,
@@ -703,7 +677,7 @@ def search_max_coeff(
         achieved=achieved,
         bound=bound,
         margin=bound - achieved,
-        params=_pack_params(family, _trim(coeffs), a2),
+        params=_pack_params(family, coeffs, a2),
         evaluations=evals,
     )
 
@@ -761,13 +735,13 @@ def check_prokhorov_szynal(
     remaining = samples
     while remaining > 0:
         take = min(4096, remaining)
-        batch, _ = _certified_batch(rng, take)
-        c = np.zeros((take, 3), dtype=np.complex128)
-        c[:, : min(3, batch.shape[1])] = batch[:, :3]
-        vals = np.abs(c[:, 2] + mu * c[:, 0] * c[:, 1] + nu * c[:, 0] ** 3) / abs(nu)
-        i = int(np.argmax(vals))
-        if vals[i] > worst:
-            worst = float(vals[i])
-            worst_coeffs = batch[i]
+        for batch, _ in _candidate_blocks(rng, take):
+            c = np.zeros((len(batch), 3), dtype=np.complex128)
+            c[:, : min(3, batch.shape[1])] = batch[:, :3]
+            vals = np.abs(c[:, 2] + mu * c[:, 0] * c[:, 1] + nu * c[:, 0] ** 3) / abs(nu)
+            i = int(np.argmax(vals))
+            if vals[i] > worst:
+                worst = float(vals[i])
+                worst_coeffs = batch[i]
         remaining -= take
     return worst, SchwarzParams(coeffs=_trim(worst_coeffs), validated=True)

@@ -1,6 +1,7 @@
 """References for the closed-form series of g_family and k_alpha, for
-the subordination kernel G_alpha built from k_alpha's series, and for the
-search's stacked candidate draw and curvature bound.
+the subordination kernel G_alpha built from k_alpha's series, for the
+search's stacked candidate draw and curvature bound, and for the search's
+coefficient values.
 
 Two kinds of reference: the exp/log routes the closed forms replaced, kept
 here as they stood, and mpmath values at 30 digits from the rising
@@ -28,6 +29,7 @@ from logcoef import atlas
 from logcoef import search as S
 from logcoef.series import (
     TruncatedSeries,
+    reciprocal_raw,
     shift_down,
     ts_exp,
     ts_integrate,
@@ -176,3 +178,53 @@ def per_shift_curvature_bound(batch: np.ndarray) -> np.ndarray:
         beta = np.einsum("ij,ij->i", batch[:, mu:], batch[:, : d - mu].conj())
         m2 += 2.0 * mu * mu * np.abs(beta)
     return m2
+
+
+def certified_batch(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of search._candidate_blocks padded with zero columns and
+    stacked into one chunk of rows, and the factor divided out of each row."""
+    blocks = S._candidate_blocks(rng, count)
+    width = blocks[-1][0].shape[1]
+    batch = np.vstack([np.pad(b, ((0, 0), (0, width - b.shape[1]))) for b, _ in blocks])
+    return batch, np.concatenate([scale for _, scale in blocks])
+
+
+# ---------------------------------------------------------------------------
+# |a_n| of f = z/q: the per-row route the screen replaced, and the exact
+# value of the float inputs at 30 digits.
+
+def per_row_coeff(q: np.ndarray, n: int) -> float:
+    """|a_n| from reciprocal_raw on the first n coefficients of q."""
+    qq = np.zeros(n, dtype=np.complex128)
+    m = min(n, q.size)
+    qq[:m] = q[:m]
+    return abs(complex(reciprocal_raw(qq)[n - 1]))
+
+
+def _mp_coeff(q: list, n: int):
+    """|coefficient n - 1 of 1/q| for mpmath coefficients q (q_0 = 1)."""
+    q = q[:n] + [mpmath.mpc(0)] * (n - len(q))
+    b = [mpmath.mpc(1)]
+    for k in range(1, n):
+        b.append(-mpmath.fsum(q[j] * b[k - j] for j in range(1, k + 1)))
+    return abs(b[n - 1])
+
+
+def mp_coeff(q: np.ndarray, n: int):
+    """|a_n| of f = z/q for the float coefficients q, at 30 digits."""
+    with mpmath.workdps(30):
+        return _mp_coeff([mpmath.mpc(c.real, c.imag) for c in q], n)
+
+
+def mp_superset_coeff(lam: float, omega: np.ndarray, n: int):
+    """|a_n| of f = z / ((1 - z w)(1 - lam z w)) for the float coefficients
+    of w and the float lam, at 30 digits: the denominator's product is
+    taken at 30 digits too."""
+    with mpmath.workdps(30):
+        zw = [mpmath.mpc(0)] + [mpmath.mpc(c.real, c.imag) for c in omega[: n - 1]]
+        u = [-c for c in zw]
+        v = [-mpmath.mpf(lam) * c for c in zw]
+        u[0] += 1
+        v[0] += 1
+        q = [mpmath.fsum(u[j] * v[k - j] for j in range(k + 1)) for k in range(len(zw))]
+        return _mp_coeff(q, n)

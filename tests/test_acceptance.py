@@ -42,6 +42,7 @@ from logcoef.verify import (
     starlike_order,
     ulambda_l2_bound,
 )
+from series_references import certified_batch
 
 LAMBDA_GRID_4 = (0.25, 0.5, 0.75, 1.0)
 
@@ -200,7 +201,7 @@ def test_criterion_08_prokhorov_szynal_property():
     remaining = 100_000
     while remaining > 0:
         take = min(4096, remaining)
-        batch, _ = S._certified_batch(rng, take)
+        batch, _ = certified_batch(rng, take)
         c1 = batch[:, 0]
         c2 = batch[:, 1]
         c3 = batch[:, 2]
@@ -213,7 +214,7 @@ def test_criterion_08_prokhorov_szynal_property():
     worst_resid = 0.0
     for _ in range(10):
         lams = 0.05 + 0.9 * rng.random(100)
-        batch, _ = S._certified_batch(rng, 100)
+        batch, _ = certified_batch(rng, 100)
         for lam, row in zip(lams, batch):
             w = validate_schwarz(S._trim(row))
             worst_resid = max(

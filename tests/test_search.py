@@ -3,11 +3,19 @@ import logging
 import re
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from series_references import convolved_blaschke_batch, per_shift_curvature_bound
+from series_references import (
+    certified_batch,
+    convolved_blaschke_batch,
+    mp_coeff,
+    mp_superset_coeff,
+    per_row_coeff,
+    per_shift_curvature_bound,
+)
 
 from logcoef import atlas, cli, membership
 from logcoef import search as S
@@ -87,7 +95,7 @@ class TestCertifiedGeneration:
     def test_schwarz_coefficient_inequalities(self):
         rng = np.random.default_rng(123)
         for _ in range(8):
-            batch, _ = S._certified_batch(rng, 256)
+            batch, _ = certified_batch(rng, 256)
             c1 = batch[:, 0]
             c2 = batch[:, 1] if batch.shape[1] > 1 else np.zeros(len(batch))
             assert np.all(np.abs(c1) <= 1.0 + 1e-12)
@@ -95,7 +103,7 @@ class TestCertifiedGeneration:
 
     def test_certified_sup_is_an_upper_bound(self):
         rng = np.random.default_rng(7)
-        batch, _ = S._certified_batch(rng, 128)
+        batch, _ = certified_batch(rng, 128)
         # dense independent check of the boundary sup
         for row in batch[:32]:
             dense = boundary_sup(S._trim(row), samples=1 << 14)
@@ -103,7 +111,7 @@ class TestCertifiedGeneration:
 
     def test_gate_accepts_generated(self):
         rng = np.random.default_rng(42)
-        batch, _ = S._certified_batch(rng, 64)
+        batch, _ = certified_batch(rng, 64)
         for row in batch:
             validate_schwarz(S._trim(row))
 
@@ -148,6 +156,23 @@ class TestStackedCandidates:
         ]
         (poly, _), = S._candidate_blocks(np.random.default_rng(3), 100)
         assert poly.shape == (100, S._MAX_POLY_DEGREE + 1)
+
+    @pytest.mark.parametrize("take", [1, 100, S._POLY_PER_CHUNK, 200, S._CHUNK - 1])
+    def test_take_certifies_only_the_offered_rows(self, take):
+        # every row is drawn, so the rng stream is that of the whole chunk;
+        # the certified rows are the first `take` of the whole chunk's, to
+        # the rounding of the sampled sup (its product runs on fewer rows)
+        rng, whole_rng = np.random.default_rng(4), np.random.default_rng(4)
+        part = S._candidate_blocks(rng, S._CHUNK, take)
+        whole = S._candidate_blocks(whole_rng, S._CHUNK)
+        assert rng.bit_generator.state == whole_rng.bit_generator.state
+        assert sum(len(block) for block, _ in part) == take
+        for (block, scale), (want, want_scale) in zip(part, whole):
+            rows = len(block)
+            np.testing.assert_allclose(scale, want_scale[:rows], rtol=1e-15, atol=0)
+            np.testing.assert_allclose(block, want[:rows], rtol=0, atol=1e-15)
+            unscaled = (scale == 1.0) & (want_scale[:rows] == 1.0)
+            assert block[unscaled].tobytes() == want[:rows][unscaled].tobytes()
 
 
 class TestBuilders:
@@ -236,7 +261,7 @@ class TestDerivedParametrizationIdentity:
         lam = 0.6
         accepted = 0
         while accepted < 40:
-            batch, _ = S._certified_batch(rng, 64)
+            batch, _ = certified_batch(rng, 64)
             a2s = (1 + lam) * np.sqrt(rng.random(64)) * np.exp(
                 2j * np.pi * rng.random(64)
             )
@@ -279,7 +304,7 @@ class TestRecursionIdentities:
 
     def test_random_residuals(self):
         rng = np.random.default_rng(17)
-        batch, _ = S._certified_batch(rng, 64)
+        batch, _ = certified_batch(rng, 64)
         for row in batch[:40]:
             w = validate_schwarz(S._trim(row))
             r = coefficient_recursion_residuals(0.9, w)
@@ -391,7 +416,13 @@ class TestGoldenRecords:
     chunk test replaced; a moved byte is a fault in the code, not in the file.
     The four exact_u records at lambda = 0.05, n = 4 and 5 were re-recorded
     when the root test moved from |z| <= 0.999 to the unit circle: their old
-    winner (_OLD_WINNER) has a pole inside the disk."""
+    winner (_OLD_WINNER) has a pole inside the disk.  Twenty records were
+    re-recorded when a row had to beat the best by more than the two bars
+    (the tie rule) and the polish became batches of equispaced points: the
+    18 superset records name the extremal w = 1 in place of a unimodular
+    constant that tied it, and the exact_u records at lambda = 0.05, n = 4
+    seed 21 and n = 5 seed 23 name a polish winner with a zero of z/f in
+    the band [1 - tau, 1) (TestTieRule)."""
 
     @pytest.mark.parametrize("budget,line", _golden_cases())
     def test_record_bytes(self, budget, line):
@@ -468,7 +499,7 @@ class TestChunkTest:
     def test_accept_mask_matches_scalar_reference(self, lam):
         rng = np.random.default_rng(31)
         for _ in range(3):
-            psis, _ = S._certified_batch(rng, S._CHUNK)
+            psis, _ = certified_batch(rng, S._CHUNK)
             a2s = S._draw_disk(rng, S._CHUNK, 1.0 + lam)
             # the extremal start row: psi = -1, a2 = 1 + lambda
             start = np.zeros((1, psis.shape[1]), dtype=np.complex128)
@@ -623,12 +654,12 @@ class TestPaperTheorem:
     (z/g)^2 g' - 1 = lambda w^2 psi(w), w = (1 - tau) z, of modulus below
     lambda, so g is in U(lambda) and |a_n| (1 - tau)^(n-1) = |g_n| <= bound.
     This puts |a_n| at most bound ((1 - tau)^(1-n) - 1) above the bound.
-    The search reads |a_n| from reciprocal_raw, within 2 n^2 2^-53 M^2 of
-    the exact value (search._screen), where M is the largest coefficient of
-    the majorant recurrence on |q_k|.  Here |q_1| = |a2| <= 1 + lambda <= 2
-    and |q_{k+2}| <= lambda |psi_k| / (k + 1) <= 1 / (k + 1), so M <= 12.5
-    for n <= 4 and the rounding is below 6e-13; 1e-12 also covers the
-    rounding of the bound's own sum."""
+    The search reads |a_n| from the screen's recurrence, within
+    2 n^2 2^-53 M^2 of the exact value (search._screen), where M is the
+    largest coefficient of the majorant recurrence on |q_k|.  Here
+    |q_1| = |a2| <= 1 + lambda <= 2 and |q_{k+2}| <= lambda |psi_k| / (k + 1)
+    <= 1 / (k + 1), so M <= 12.5 for n <= 4 and the rounding is below
+    6e-13; 1e-12 also covers the rounding of the bound's own sum."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("lam", [0.01, 0.05, 0.1, 0.2, 0.5, 1.0])
@@ -638,9 +669,14 @@ class TestPaperTheorem:
         assert rec.margin >= -eps
 
 
+def _debug_fields(caplog):
+    (record,) = [r for r in caplog.records if r.name == "logcoef.search"]
+    return dict(re.findall(r"(\w+)=(\S+)", record.getMessage()))
+
+
 class TestWholeSearchRootTest:
     @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
-    def test_every_chunk_matches_eigvals_reference(self, lam, monkeypatch):
+    def test_every_chunk_matches_eigvals_reference(self, lam, caplog, monkeypatch):
         chunks = []
         chunk_test = S._exact_u_chunk
 
@@ -650,38 +686,44 @@ class TestWholeSearchRootTest:
             return out
 
         monkeypatch.setattr(S, "_exact_u_chunk", recording)
-        rec = search_max_coeff(lam, 5, "exact_u", budget=2500, seed=11)
+        with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
+            rec = search_max_coeff(lam, 5, "exact_u", budget=2500, seed=11)
+        random_end = 1 + int(_debug_fields(caplog)["random"])
         assert sum(a2s.size for a2s, _, _, _ in chunks) == rec.evaluations
-        rows = by_recursion = 0
+        offset = rows = by_recursion = 0
         for a2s, psis, passed, inner in chunks:
             want = [_scalar_exact_u_passed(lam, a2, psi) for a2, psi in zip(a2s, psis)]
             assert passed.tolist() == want
-            if a2s.size > 1:
+            if offset == 0:  # the start row goes to eigvals directly
+                assert a2s.size == 1 and not np.isnan(inner).any()
+            elif offset < random_end:
                 rows += a2s.size
                 by_recursion += np.count_nonzero(np.isnan(inner))
-            else:
-                assert not np.isnan(inner).any()
-        # a fallback that sent every row to eigvals would pass the mask check
+            else:  # a polish line
+                assert a2s.size == S._POLISH_ITERS
+            offset += a2s.size
+        # a fallback that sent every row to eigvals would pass the mask check;
+        # the share is taken over the random phase, as polish lines near the
+        # extremal hold rows with a zero in the recursion's band
         assert rows > 1500 and by_recursion >= 0.99 * rows
 
 
 class TestSearchLog:
     def test_debug_record_accounts_for_budget(self, caplog, monkeypatch):
-        extractions = []
-        reciprocal = S.reciprocal_raw
+        scored = []  # rows scored by each _screen call
+        screen = S._screen
 
-        def counting(a):
-            extractions.append(a.size)
-            return reciprocal(a)
+        def counting(q, n, superset=False):
+            scored.append(len(q))
+            return screen(q, n, superset)
 
-        monkeypatch.setattr(S, "reciprocal_raw", counting)
-        lone_rejects = []  # one-row exact_u chunks the chunk test rejects
+        monkeypatch.setattr(S, "_screen", counting)
+        chunks = []  # (rows, rows rejected) of each exact_u chunk test
         chunk_test = S._exact_u_chunk
 
         def recording(lam, a2s, psis):
             out = chunk_test(lam, a2s, psis)
-            if len(a2s) == 1 and out[1][0] != 2:
-                lone_rejects.append(a2s)
+            chunks.append((len(a2s), int(np.count_nonzero(out[1] != 2))))
             return out
 
         monkeypatch.setattr(S, "_exact_u_chunk", recording)
@@ -689,8 +731,8 @@ class TestSearchLog:
             caplog.clear()
             quiet = search_max_coeff(0.6, 5, family, budget=budget, seed=4)
             assert not [r for r in caplog.records if r.name == "logcoef.search"]
-            extractions.clear()
-            lone_rejects.clear()
+            scored.clear()
+            chunks.clear()
             with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
                 loud = search_max_coeff(0.6, 5, family, budget=budget, seed=4)
             assert loud.to_json_line() == quiet.to_json_line()
@@ -702,21 +744,25 @@ class TestSearchLog:
             rejected = c["rejected_roots"] + c["rejected_postcheck"]
             assert rejected + c["accepted"] == loud.evaluations
             assert (rejected > 0) == (family == "exact_u")
-            # every exact_u row reaches the root test; one-row chunks (the
-            # start row and the polish) go to eigvals directly
+            # every exact_u row reaches the root test; the one-row start
+            # chunk goes to eigvals directly
             roots = c["roots_by_recursion"] + c["roots_by_eigvals"]
             assert roots == (loud.evaluations if family == "exact_u" else 0)
             if family == "exact_u":
-                assert c["roots_by_eigvals"] >= c["start"] + c["polish"]
+                assert c["roots_by_eigvals"] >= c["start"]
             rescale = float(re.search(r" max_rescale=(\S+) ", record.getMessage())[1])
             assert rescale >= 1.0
-            # the screen passes on only random rows that can still win; the
-            # start row and every polish point the chunk test accepts are
-            # extracted exactly
-            assert c["confirmed"] <= c["accepted"]
-            one_row = c["start"] + c["polish"] - len(lone_rejects)
-            assert one_row + c["confirmed"] == len(extractions)
-            assert (len(lone_rejects) > 0) == (family == "exact_u")
+            # every accepted row, in every phase, is scored once
+            assert sum(scored) == c["accepted"]
+            bar = float(re.search(r" winner_bar=(\S+)$", record.getMessage())[1])
+            assert 0.0 < bar < 1e-9
+            # the polish offers whole lines, and the chunk test rejects
+            # some of their exact_u rows
+            lines, rest = divmod(c["polish"], S._POLISH_ITERS)
+            assert lines > 0 and rest == 0
+            polish = chunks[len(chunks) - lines :] if chunks else []
+            assert all(rows == S._POLISH_ITERS for rows, _ in polish)
+            assert (sum(rejects for _, rejects in polish) > 0) == (family == "exact_u")
 
     def test_max_rescale_is_one_without_random_rows(self, caplog):
         # budget 1 runs only the start row, which is never rescaled
@@ -726,18 +772,20 @@ class TestSearchLog:
         assert " max_rescale=1.0 " in record.getMessage()
 
     @pytest.mark.parametrize(
-        "lam,n,family,budget,phase",
+        "lam,n,family,budget,seed,phase",
         [
-            (0.6, 5, "exact_u", 700, "start"),
-            # the polish reaches psi = -(1 - 2^-53), which ties the extremal
-            # start row and beats it by rounding
-            (0.6, 3, "exact_u", 300, "polish"),
-            (0.6, 5, "superset", 300, "polish"),
+            (0.6, 5, "exact_u", 700, 4, "start"),
+            # a golden record's winner: z/f has a zero in the band [1 - tau, 1)
+            (0.05, 4, "exact_u", 2500, 21, "polish"),
+            # no superset row beats the extremal w = 1 by more than the bars
+            (0.6, 5, "superset", 300, 4, "start"),
         ],
     )
-    def test_winner_phase_and_index(self, lam, n, family, budget, phase, caplog, monkeypatch):
+    def test_winner_phase_and_index(
+        self, lam, n, family, budget, seed, phase, caplog, monkeypatch
+    ):
         offered = []  # every candidate row in offer order: z/f for exact_u, w for superset
-        build = atlas.superset_denominator
+        head = S._superset_head
         if family == "exact_u":
             chunk_test = S._exact_u_chunk
 
@@ -748,47 +796,54 @@ class TestSearchLog:
 
             monkeypatch.setattr(S, "_exact_u_chunk", recording)
         else:
-            # atlas.superset_denominator runs for one-row chunks and for the
-            # rows the screen passes on; the latter are views of the chunk
-            # _superset_head saw last, which recorded them already
-            head = S._superset_head
-            chunk = np.empty(0)
 
             def recording_head(lam, omegas, n):
-                nonlocal chunk
-                chunk = omegas
                 offered.extend(omegas)
                 return head(lam, omegas, n)
 
-            def recording_build(lam, omega):
-                if not np.shares_memory(omega, chunk):
-                    offered.append(omega)
-                return build(lam, omega)
-
             monkeypatch.setattr(S, "_superset_head", recording_head)
-            monkeypatch.setattr(atlas, "superset_denominator", recording_build)
         with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
-            rec = search_max_coeff(lam, n, family, budget=budget, seed=4)
-        (record,) = [r for r in caplog.records if r.name == "logcoef.search"]
-        got = re.search(r"random=(\d+) .* winner=(\w+) winner_index=(\d+)$", record.getMessage())
-        random_rows, winner, index = int(got[1]), got[2], int(got[3])
+            rec = search_max_coeff(lam, n, family, budget=budget, seed=seed)
+        fields = _debug_fields(caplog)
+        random_rows, winner = int(fields["random"]), fields["winner"]
+        index, bar = int(fields["winner_index"]), float(fields["winner_bar"])
         assert winner == phase
         assert winner == (
             "start" if index == 0 else "random" if index <= random_rows else "polish"
         )
         assert len(offered) == rec.evaluations
-        q = offered[index] if family == "exact_u" else build(lam, offered[index])
-        assert abs(S._coeff_from_denominator(q, n)) == rec.achieved
+
+        def scored(i):
+            if family == "exact_u":
+                return S._screen(offered[i][None, :], n)
+            return S._screen(head(lam, offered[i][None, :], n), n, True)
+
+        (value,), (row_bar,) = scored(index)
+        assert row_bar == bar and abs(value - rec.achieved) <= bar
+        # the record reports the winner's value from the per-row route
+        q = offered[index]
+        if family == "superset":
+            q = atlas.superset_denominator(lam, q)
+        assert per_row_coeff(q, n) == rec.achieved
+        # a winner other than the start row beats it by more than both bars
+        (start,), (start_bar,) = scored(0)
+        assert (value - bar > start + start_bar) == (index > 0)
 
 
-def _debug_fields(caplog):
-    (record,) = [r for r in caplog.records if r.name == "logcoef.search"]
-    return dict(re.findall(r"(\w+)=(\S+)", record.getMessage()))
+def _sequential_pick(values, bars, best, best_bar):
+    """search._pick without its preselection: every row in turn."""
+    winner = -1
+    for i in range(len(values)):
+        if values[i] - bars[i] > best + best_bar:
+            winner, best, best_bar = i, values[i], bars[i]
+    return winner
 
 
 class TestScreen:
-    """The screen of a multi-row chunk only skips rows that could not have
-    replaced the best: each search equals one that extracts every row."""
+    """The screen scores every accepted row with a value and a proven bar,
+    and the tie rule's preselection (search._pick) only skips rows that
+    could not have replaced the best: each search equals one that scans
+    every accepted row in turn."""
 
     @pytest.mark.parametrize(
         "family,lam,n",
@@ -796,31 +851,52 @@ class TestScreen:
         + [("exact_u", lam, 5) for lam in (0.05, 0.5, 1.0)],
     )
     def test_screen_never_changes_a_search(self, family, lam, n, caplog, monkeypatch):
+        rows = above = 0  # rows offered, and rows above the threshold at entry
+        pick = S._pick
+
+        def counting(values, bars, best, best_bar):
+            nonlocal rows, above
+            rows += len(values)
+            above += int(np.count_nonzero(values - bars > best + best_bar))
+            return pick(values, bars, best, best_bar)
+
+        monkeypatch.setattr(S, "_pick", counting)
         with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
             screened = search_max_coeff(lam, n, family, budget=2500, seed=5)
         want = _debug_fields(caplog)
-        screen = S._screen
-
-        def pass_every_row(q, n):
-            estimate, margin = screen(q, n)
-            return estimate, np.full_like(margin, np.inf)
-
-        monkeypatch.setattr(S, "_screen", pass_every_row)
+        monkeypatch.setattr(S, "_pick", _sequential_pick)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
-            unscreened = search_max_coeff(lam, n, family, budget=2500, seed=5)
+            scanned = search_max_coeff(lam, n, family, budget=2500, seed=5)
         got = _debug_fields(caplog)
-        assert unscreened.to_json_line() == screened.to_json_line()
+        assert scanned.to_json_line() == screened.to_json_line()
         assert (got["winner"], got["winner_index"]) == (want["winner"], want["winner_index"])
-        # without the screen every accepted random row is extracted
-        accepted_alone = int(got["accepted"]) - int(got["confirmed"])
-        assert 1 <= accepted_alone <= 1 + int(got["polish"])
-        assert int(want["confirmed"]) < int(got["confirmed"])  # the screen skips rows
+        assert got == want
+        # every accepted row is offered; the preselection passes on the
+        # start row and at most the polish rows, and skips the rest
+        assert rows == int(want["accepted"])
+        assert 1 <= above <= 1 + int(want["polish"]) and above < rows
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0.5, 1.0, 1.0001, 1.0003, 1.001, 2.0]),
+                      st.sampled_from([0.0, 1e-4, 2e-4])),
+            max_size=40,
+        ),
+        st.sampled_from([-1.0, 1.0, 1.0002]),
+        st.sampled_from([0.0, 1e-4]),
+    )
+    def test_pick_is_a_sequential_scan(self, rows, best, best_bar):
+        values = np.array([v for v, _ in rows], dtype=float)
+        bars = np.array([e for _, e in rows], dtype=float)
+        want = _sequential_pick(values, bars, best, best_bar)
+        assert S._pick(values, bars, best, best_bar) == want
 
     @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
     def test_margin_covers_the_per_row_value(self, lam):
         rng = np.random.default_rng(23)
-        batch = np.vstack([S._certified_batch(rng, S._CHUNK)[0] for _ in range(2)])
+        batch = np.vstack([certified_batch(rng, S._CHUNK)[0] for _ in range(2)])
         # constants w = e^{i theta} tie the extremal to within rounding
         ties = np.zeros((32, batch.shape[1]), dtype=np.complex128)
         ties[:, 0] = np.exp(2j * np.pi * np.arange(32) / 32)
@@ -829,24 +905,129 @@ class TestScreen:
         exact_u_q = atlas.exact_u_denominator(lam, a2s, omegas)
         superset = [atlas.superset_denominator(lam, w) for w in omegas]
         for n in range(2, 9):
-            for heads, per_row in (
-                (S._superset_head(lam, omegas, n), superset),
-                (exact_u_q, exact_u_q),
+            for heads, per_row, head_term in (
+                (S._superset_head(lam, omegas, n), superset, True),
+                (exact_u_q, exact_u_q, False),
             ):
-                estimate, margin = S._screen(heads, n)
-                value = np.array([abs(S._coeff_from_denominator(q, n)) for q in per_row])
-                assert np.all(np.abs(estimate - value) <= 1e-3 * margin), (n, lam)
-            estimate, margin = S._screen(S._superset_head(lam, ties, n), n)
-            assert np.all(np.abs(estimate - conjectured_bound(lam, n)) <= margin)
+                value, bar = S._screen(heads, n, head_term)
+                want = np.array([per_row_coeff(q, n) for q in per_row])
+                assert np.all(np.abs(value - want) <= bar), (n, lam)
+            value, bar = S._screen(S._superset_head(lam, ties, n), n, True)
+            assert np.all(np.abs(value - conjectured_bound(lam, n)) <= bar)
+
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
+    def test_bar_covers_the_exact_value(self, lam):
+        """|value - exact| <= bar for n = 2..8 on random certified rows,
+        the 32 unimodular ties and the extremal, the exact value taken at
+        30 digits from the float inputs."""
+        rng = np.random.default_rng(29)
+        batch, _ = certified_batch(rng, S._CHUNK)
+        turns = np.exp(2j * np.pi * np.arange(32) / 32)
+        # superset: w = e^{i theta} and w = 1
+        ties = np.zeros((33, batch.shape[1]), dtype=np.complex128)
+        ties[:, 0] = np.append(turns, 1.0)
+        omegas = np.vstack([batch, ties])
+        # exact_u: the rotations e^{-i theta} f(e^{i theta} z) of the
+        # extremal, a2 = (1 + lambda) e^{i theta} and psi = -e^{2 i theta},
+        # and the extremal itself
+        a2s = np.concatenate([S._draw_disk(rng, len(batch), 1.0 + lam), (1.0 + lam) * ties[:, 0]])
+        psis = np.vstack([batch, -ties**2])
+        exact_u_q = atlas.exact_u_denominator(lam, a2s, psis)
+        with mpmath.workdps(30):
+            for n in range(2, 9):
+                value, bar = S._screen(S._superset_head(lam, omegas, n), n, True)
+                for v, e, w in zip(value, bar, omegas):
+                    assert abs(mpmath.mpf(v) - mp_superset_coeff(lam, w, n)) <= e, (n, lam)
+                value, bar = S._screen(exact_u_q, n)
+                for v, e, q in zip(value, bar, exact_u_q):
+                    assert abs(mpmath.mpf(v) - mp_coeff(q, n)) <= e, (n, lam)
 
 
-def _one_padded_chunk(rng, count):
+def _is_extremal(rec):
+    """The record names the start row: w = 1, or a2 = 1 + lambda, psi = -1."""
+    if rec["family"] == "superset":
+        return rec["params"] == {"omega": [[1.0, 0.0]]}
+    return rec["params"] == {"a2": [1.0 + rec["lambda"], 0.0], "psi": [[-1.0, 0.0]]}
+
+
+class TestTieRule:
+    """A row replaces the best only if its value minus its bar exceeds the
+    best's value plus the best's bar."""
+
+    @pytest.mark.parametrize("budget,line", _golden_cases())
+    def test_golden_winner_is_the_extremal_or_a_band_zero(self, budget, line, caplog):
+        """Each golden configuration names the extremal start row, or an
+        exact_u polish winner whose z/f has its smallest zero in the band
+        [1 - tau, 1) that the root test admits, with a margin within
+        TestPaperTheorem's allowance bound ((1 - tau)^(1-n) - 1)."""
+        rec = json.loads(line)
+        if _is_extremal(rec):
+            return
+        lam, n = rec["lambda"], rec["n"]
+        assert rec["family"] == "exact_u"
+        psi = [complex(*c) for c in rec["params"]["psi"]]
+        q = atlas.exact_u_denominator(lam, complex(*rec["params"]["a2"]), psi)
+        inner = atlas.min_root_modulus(q[None, :])[0]
+        assert atlas.INTERIOR_ZERO_LIMIT <= inner < 1.0
+        allowance = rec["bound"] * ((1.0 - _TAU) ** (1 - n) - 1.0) + 1e-12
+        assert -allowance <= rec["margin"] < 0.0
+        with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
+            search_max_coeff(lam, n, "exact_u", budget=budget, seed=rec["seed"])
+        assert _debug_fields(caplog)["winner"] == "polish"
+
+    @staticmethod
+    def _search(monkeypatch, caplog, lam, n, omegas):
+        """A superset search at budget 50 (the start row, 37 random rows and
+        one polish line) whose random rows are the constants `omegas`, then
+        zeros."""
+
+        def blocks(rng, count, take):
+            rows = np.zeros((take, 1), dtype=np.complex128)
+            rows[: len(omegas), 0] = omegas
+            return [(rows, np.ones(take))]
+
+        monkeypatch.setattr(S, "_candidate_blocks", blocks)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
+            rec = search_max_coeff(lam, n, "superset", budget=50, seed=0)
+        return rec, _debug_fields(caplog)
+
+    def test_hand_built_rows(self, monkeypatch, caplog):
+        # w = c, a constant: a_n = c^(n-1) sum_{k<n} lambda^k, so c = 1 + d
+        # raises the value by about (n - 1) d times the bound
+        lam, n = 0.5, 5
+
+        def scored(c):
+            (value,), (bar,) = S._screen(S._superset_head(lam, np.array([[c]]), n), n, True)
+            return value, bar
+
+        start, start_bar = scored(1.0)
+        d = 2.0 * start_bar / ((n - 1) * start)
+        beyond, beyond_bar = scored(1.0 + 2.0 * d)
+        within, within_bar = scored(1.0 + d / 4.0)
+        assert beyond - beyond_bar > start + start_bar
+        # the strict > rule would have taken this row
+        assert start < within and not within - within_bar > start + start_bar
+
+        rec, fields = self._search(monkeypatch, caplog, lam, n, [0.0, 0.0, 0.0, 1.0 + d / 4.0])
+        assert (fields["winner"], fields["winner_index"]) == ("start", "0")
+        assert rec.params == {"omega": [[1.0, 0.0]]}
+
+        omegas = [0.0, 0.0, 0.0, 1.0 + d / 4.0, 0.0, 1.0 + 2.0 * d]
+        rec, fields = self._search(monkeypatch, caplog, lam, n, omegas)
+        assert (fields["winner"], fields["winner_index"]) == ("random", "6")
+        assert rec.params == {"omega": [[1.0 + 2.0 * d, 0.0]]}
+        assert float(fields["winner_bar"]) == beyond_bar
+
+
+def _one_padded_chunk(rng, count, take=None):
     """The random chunk as one block: the draws of _candidate_blocks,
-    padded to the Blaschke width and certified together."""
+    padded to the Blaschke width, with its first `take` rows certified
+    together."""
     poly = S._draw_poly_batch(rng, S._POLY_PER_CHUNK)
     blaschke = S._draw_blaschke_batch(rng, count - S._POLY_PER_CHUNK)
     pad = ((0, 0), (0, blaschke.shape[1] - poly.shape[1]))
-    return [S._certify(np.vstack([np.pad(poly, pad), blaschke]))]
+    return [S._certify(np.vstack([np.pad(poly, pad), blaschke])[:take])]
 
 
 class TestBlockSplit:
@@ -855,29 +1036,25 @@ class TestBlockSplit:
     budget's last chunk ends inside either block."""
 
     @staticmethod
-    def _search(lam, family, budget, caplog, one_chunk, screen):
-        """The record, the DEBUG fields and every extracted a_n in order."""
-        values = []
-        coeff, screen_rows = S._coeff_from_denominator, S._screen
+    def _search(lam, family, budget, caplog, one_chunk):
+        """The record, the DEBUG fields, and the bytes of every screened
+        value and bar in order."""
+        scored = []
+        screen = S._screen
 
-        def recording(q, n):
-            values.append(coeff(q, n))
-            return values[-1]
-
-        def pass_every_row(q, n):
-            estimate, margin = screen_rows(q, n)
-            return estimate, np.full_like(margin, np.inf)
+        def recording(q, n, superset=False):
+            scored.append(screen(q, n, superset))
+            return scored[-1]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(S, "_coeff_from_denominator", recording)
+            mp.setattr(S, "_screen", recording)
             if one_chunk:
                 mp.setattr(S, "_candidate_blocks", _one_padded_chunk)
-            if not screen:
-                mp.setattr(S, "_screen", pass_every_row)
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
                 rec = search_max_coeff(lam, 5, family, budget=budget, seed=6)
-        return rec, _debug_fields(caplog), values
+        values, bars = (np.concatenate(part).tobytes() for part in zip(*scored))
+        return rec, _debug_fields(caplog), (values, bars)
 
     @pytest.mark.parametrize(
         "family,budget,last_block",
@@ -890,19 +1067,14 @@ class TestBlockSplit:
     )
     @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
     def test_blocks_give_the_padded_chunk_search(self, family, budget, last_block, lam, caplog):
-        blocks, got, _ = self._search(lam, family, budget, caplog, False, True)
-        padded, want, _ = self._search(lam, family, budget, caplog, True, True)
+        blocks, got, got_scored = self._search(lam, family, budget, caplog, False)
+        padded, want, want_scored = self._search(lam, family, budget, caplog, True)
         tail = int(got["random"]) % S._CHUNK
         assert tail > 0 and (tail <= S._POLY_PER_CHUNK) == (last_block == "poly")
         assert blocks.to_json_line() == padded.to_json_line()
         assert (got["winner"], got["winner_index"]) == (want["winner"], want["winner_index"])
         assert got["max_rescale"] == want["max_rescale"]
-        # the second block is screened against a best the first may have
-        # raised, so the blocks never confirm more rows
-        assert int(got["confirmed"]) <= int(want["confirmed"])
-        # without the screen both extract every accepted row, with the
-        # same a_n in the same order
-        _, got, got_values = self._search(lam, family, budget, caplog, False, False)
-        _, want, want_values = self._search(lam, family, budget, caplog, True, False)
-        assert got_values == want_values
+        # both score every accepted row, with the same values and bars in
+        # the same order, and give the same DEBUG record
+        assert got_scored == want_scored
         assert got == want

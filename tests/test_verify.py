@@ -16,7 +16,7 @@ from logcoef import series as series_mod
 from logcoef.atlas import fz_series
 from logcoef.cli import main
 from logcoef.dilog import PI2_6, li2
-from logcoef.search import _certified_batch, _exact_u_chunk, _trim
+from logcoef.search import _exact_u_chunk, _trim
 from logcoef.series import SeriesError, ts_log
 from logcoef.verify import (
     LogCoeffProfile,
@@ -39,6 +39,7 @@ from logcoef.verify import (
 from series_references import (
     K_ALPHAS,
     SERIES_RTOL,
+    certified_batch,
     check_series,
     deleted_g_kernel,
     mp_g_kernel,
@@ -643,7 +644,7 @@ class TestRandomMembersSatisfyBound:
             bound = ulambda_l2_bound(lam)
             accepted = 0
             while accepted < 120:
-                batch, _ = _certified_batch(rng, 64)
+                batch, _ = certified_batch(rng, 64)
                 a2s = (1.0 + lam) * np.sqrt(rng.random(64)) * np.exp(
                     2j * np.pi * rng.random(64)
                 )
