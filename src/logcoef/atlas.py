@@ -324,13 +324,24 @@ def exact_u_denominator(lam: float, a2, psi) -> np.ndarray:
 
 
 def superset_denominator(lam: float, omega) -> np.ndarray:
-    """z/f = (1 - z w(z)) (1 - lam z w(z)) as a polynomial, w = omega."""
-    zw = np.concatenate(([0.0], np.asarray(omega, dtype=np.complex128)))
-    u = -zw
-    u[0] += 1.0
-    v = -lam * zw
-    v[0] += 1.0
-    return np.convolve(u, v)
+    """z/f = (1 - z w(z)) (1 - lam z w(z)) as a polynomial, w = omega.
+
+    Stacks: `omega` of shape S + (m,) gives the denominators as rows of
+    shape S + (2m + 1,).  With u = 1 - zw and v = 1 - lam zw, coefficient k
+    is the sum of the elementwise products u_j v_(k-j) added in the order
+    j = 0, 1, ..., so each row has the bytes of its one-row call, and
+    coefficients 0..k read only w_0..w_(k-1).
+    """
+    omega = np.asarray(omega, dtype=np.complex128)
+    m = omega.shape[-1]
+    u = np.ones(omega.shape[:-1] + (m + 1,), dtype=np.complex128)
+    v = u.copy()
+    u[..., 1:] = -omega
+    v[..., 1:] = -lam * omega
+    q = np.zeros(omega.shape[:-1] + (2 * m + 1,), dtype=np.complex128)
+    for j in range(m + 1):
+        q[..., j : j + m + 1] += u[..., j, None] * v
+    return q
 
 
 def min_root_modulus(q: np.ndarray) -> np.ndarray:
@@ -428,6 +439,8 @@ def starlike_order(alpha: float) -> float:
     """The order of starlikeness guaranteed for convex functions of order
     alpha in [0, 1): (1-2a) / (2 (2^(1-2a) - 1)), with the removable point
     at alpha = 1/2 equal to 1/(2 log 2)."""
+    if not (0.0 <= alpha < 1.0):
+        raise SpecError("alpha must lie in [0, 1)")
     x = 1.0 - 2.0 * alpha
     if abs(x) < ALPHA_HALF_SWITCH:
         return 1.0 / (2.0 * math.log(2.0))

@@ -44,20 +44,22 @@ fails at the inner one (a zero), each step with a relative margin of
 1e-9.  Rows with a zero in that band, or too close to a step's margin,
 fall back to the stacked eigvals verdict min |root| >= 1 - tau
 (atlas.min_root_modulus: one eigvals call per trimmed degree on companion
-matrices, the roots np.roots gives row by row); so does the one-row start
-batch, for which eigvals is the faster route.  The superset family has no test.
+matrices, the roots np.roots gives row by row).  The start row's zero at
+z = 1 lies in the band, so it always reaches eigvals.  The superset family
+has no test.
 
 Every offered batch (the start row, a block of a random chunk, a polish
 line) is scored on one value path.  The chunk test runs on every row; then
 the screen runs the 1/q recurrence over all accepted rows at once (for the
-superset family on the first n coefficients of q from a batched product)
-and gives each row its |a_n| and a proven bar on its distance from the
-exact value (_screen).  The rows are offered to the best in row order
-under the tie rule: a row replaces the best only if its value minus its
-bar exceeds the best's value plus the best's bar, so of rows tied within
-rounding the first offered wins, and a winner other than the extremal
-start row beats it by more than rounding.  The rows at or below the best
-plus both bars are skipped at once (_pick).  The record reports the
+superset family on atlas.superset_denominator of the first n - 1
+coefficients of w, the product a rebuild of the record reads) and gives
+each row its |a_n| and a proven bar on its distance from the exact value
+(_screen).  The rows are offered to the best in row order under the tie
+rule: a row replaces the best only if its value minus its bar exceeds the
+best's value plus the best's bar, so of rows tied within rounding the
+first offered wins, and a winner other than the extremal start row beats
+it by more than rounding.  The rows at or below the best plus both bars
+are skipped at once (_pick).  The record reports the
 winner's |a_n| as the builders give it (atlas.taylor_of of the named
 function, the value a rebuild of the record gets), which lies within the
 winner's bar of the screen's value.  validate_exact_u applies the root
@@ -89,7 +91,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -348,11 +350,10 @@ def _exact_u_chunk(lam: float, a2s, psis):
     at POSTCHECK_RADIUS <= lambda + POSTCHECK_TOL, where q - z q' - 1 has
     k-th coefficient (1 - k) q_k since q_0 = 1).
 
-    The root test runs the batched Schur-Cohn recursion on a chunk of more
-    than one row.  It decides every row with no zero within a relative band
+    The root test runs the batched Schur-Cohn recursion on the chunk.  It
+    decides every row with no zero within a relative band
     tau = 1 - INTERIOR_ZERO_LIMIT of the unit circle; the rows it leaves
-    undecided get the stacked eigvals verdict.  A one-row chunk (the start
-    row) goes to eigvals directly, which is faster for one row;
+    undecided, the start row among them, get the stacked eigvals verdict.
     validate_exact_u applies the same eigvals verdict alone.
 
     Returns q, the number of tests each row passed (2 = accepted), and each
@@ -363,10 +364,7 @@ def _exact_u_chunk(lam: float, a2s, psis):
     rows, width = q.shape
     passed = np.zeros(rows, dtype=np.int64)
 
-    if rows == 1:
-        accept = reject = np.zeros(1, dtype=bool)
-    else:
-        accept, reject = _schur_cohn(q)
+    accept, reject = _schur_cohn(q)
     undecided = ~(accept | reject)
     inner = np.full(rows, np.nan)
     inner[undecided] = atlas.min_root_modulus(q[undecided])
@@ -422,20 +420,6 @@ def build_exact_u_function(p: ExactUParams, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 # Coefficient extraction (search objective).
 
-def _superset_head(lam: float, omegas: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients 0..n-1 of z/f = 1 - (1 + lam) s + lam s^2, s = z w, for
-    each row w of `omegas`.  Elementwise products and row sums: the values
-    of atlas.superset_denominator to rounding, not its bytes."""
-    s = np.zeros((len(omegas), n), dtype=np.complex128)
-    m = min(n - 1, omegas.shape[1])
-    s[:, 1 : m + 1] = omegas[:, :m]
-    q = -(1.0 + lam) * s
-    q[:, 0] = 1.0
-    for k in range(2, n):
-        q[:, k] += lam * np.sum(s[:, 1:k] * s[:, k - 1 : 0 : -1], axis=1)
-    return q
-
-
 def _screen(q: np.ndarray, n: int, superset: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """|a_n| of f = z/q for every row of q (q_0 = 1), and a proven bar on
     its distance from the exact value.
@@ -449,11 +433,17 @@ def _screen(q: np.ndarray, n: int, superset: bool = False) -> tuple[np.ndarray, 
     first order in eps, each step's rounded sum is off by at most 2 k eps M,
     and the recurrence carries an error into b_{n-1} with a factor of at
     most M; so b_{n-1} lies within 2 n^2 eps M^2 of the exact one.  With
-    `superset`, q is a _superset_head, within 4 (n + 1) eps of each
-    coefficient of the convolved denominator (the product (1 - zw)(1 - lam
-    zw) has coefficient majorant at most 4 for a certified w), which moves
-    b_{n-1} by at most about 2 n^3 eps M^2 more; that head term is added.
-    A non-finite value or bar never passes the tie rule (_pick).
+    `superset`, q is the float product atlas.superset_denominator of w, and
+    the exact value is that of the exact product.  Its q_k (k < n) sums
+    k + 1 products u_j v_{k-j}, u = 1 - zw and v = 1 - lam zw, each off by
+    at most sqrt(5) eps of its modulus, in k additions each off by at most
+    eps of the running sum; so q_k is within (k + 3) eps sum_j |u_j||v_{k-j}|
+    <= 4 (n + 1) eps of the exact one, as for a certified w (sum |w_j|^2 <= 1)
+    that sum is at most 1 + 2 lam <= 3 by Cauchy-Schwarz.  To first order an
+    error d in q moves b = 1/q by -b^2 d, whose coefficient n - 1 sums at
+    most n (n - 1) / 2 products B_i |d_j| B_l: 2 n (n^2 - 1) eps M^2, below
+    the head term 2 n^3 eps M^2 that is added.  A non-finite value or bar
+    never passes the tie rule (_pick).
     """
     rows = len(q)
     head = np.zeros((rows, n), dtype=np.complex128)
@@ -499,16 +489,10 @@ class SearchRecord:
     evaluations: int
 
     def to_dict(self) -> dict:
+        """The fields in declaration order, with `lam` written as "lambda"."""
         return {
-            "lambda": self.lam,
-            "n": self.n,
-            "family": self.family,
-            "seed": self.seed,
-            "achieved": self.achieved,
-            "bound": self.bound,
-            "margin": self.margin,
-            "params": self.params,
-            "evaluations": self.evaluations,
+            "lambda" if f.name == "lam" else f.name: getattr(self, f.name)
+            for f in fields(self)
         }
 
     def to_json_line(self) -> str:
@@ -583,7 +567,7 @@ def search_max_coeff(
         else:
             rows = np.arange(len(coeffs))
             verdicts[2] += len(coeffs)
-            head = _superset_head(lam, coeffs, n)
+            head = atlas.superset_denominator(lam, coeffs[:, : n - 1])
         values, bars = _screen(head, n, superset=not exact)
         k = _pick(values, bars, best_value, best_bar)
         if k < 0:

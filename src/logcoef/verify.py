@@ -51,7 +51,7 @@ from functools import partial
 import numpy as np
 
 from . import atlas
-from .atlas import FunctionSpec
+from .atlas import FunctionSpec, starlike_order
 from .dilog import PI2_6, li2
 from .series import SeriesError, TruncatedSeries, power_sums, ts_log, ts_reciprocal
 # unused here; bench/tracing.py wraps this name on this module
@@ -271,15 +271,6 @@ def g_class_bounds(alpha: float) -> GClassBounds:
 
 # ---------------------------------------------------------------------------
 # Convex functions of order alpha.
-
-def starlike_order(alpha: float) -> float:
-    """The order of starlikeness guaranteed for convex functions of order
-    alpha: (1-2a) / (2 (2^(1-2a) - 1)), with the removable point at
-    alpha = 1/2 equal to 1/(2 log 2)."""
-    if not (0.0 <= alpha < 1.0):
-        raise VerifyError("alpha must lie in [0, 1)")
-    return atlas.starlike_order(alpha)
-
 
 @dataclass(frozen=True)
 class ConvexOrderProfile:

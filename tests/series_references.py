@@ -1,7 +1,7 @@
 """References for the closed-form series of g_family and k_alpha, for
 the subordination kernel G_alpha built from k_alpha's series, for the
-search's stacked candidate draw and curvature bound, and for the search's
-coefficient values.
+search's stacked candidate draw and curvature bound, for the superset
+denominator, and for the search's coefficient values.
 
 Two kinds of reference: the exp/log routes the closed forms replaced, kept
 here as they stood, and mpmath values at 30 digits from the rising
@@ -170,6 +170,17 @@ def convolved_blaschke_batch(rng, count: int) -> np.ndarray:
     return out
 
 
+def convolved_superset_denominator(lam: float, omega) -> np.ndarray:
+    """atlas.superset_denominator of one row as np.convolve of its two
+    factors, the route it had before it stacked."""
+    zw = np.concatenate(([0.0], np.asarray(omega, dtype=np.complex128)))
+    u = -zw
+    u[0] += 1.0
+    v = -lam * zw
+    v[0] += 1.0
+    return np.convolve(u, v)
+
+
 def per_shift_curvature_bound(batch: np.ndarray) -> np.ndarray:
     """search._curvature_bound with one einsum per shift."""
     d = batch.shape[1]
@@ -216,15 +227,25 @@ def mp_coeff(q: np.ndarray, n: int):
         return _mp_coeff([mpmath.mpc(c.real, c.imag) for c in q], n)
 
 
+def mp_superset_denominator(lam: float, omega: np.ndarray, count: int) -> list:
+    """Coefficients 0..count-1 of (1 - z w)(1 - lam z w) for the float
+    coefficients of w and the float lam, as mpmath values at the working
+    precision."""
+    zw = [mpmath.mpc(0)] + [mpmath.mpc(c.real, c.imag) for c in omega[: count - 1]]
+    u = [-c for c in zw]
+    v = [-mpmath.mpf(lam) * c for c in zw]
+    u[0] += 1
+    v[0] += 1
+    m = len(zw)
+    return [
+        mpmath.fsum(u[j] * v[k - j] for j in range(max(0, k - m + 1), min(k + 1, m)))
+        for k in range(min(count, 2 * m - 1))
+    ]
+
+
 def mp_superset_coeff(lam: float, omega: np.ndarray, n: int):
     """|a_n| of f = z / ((1 - z w)(1 - lam z w)) for the float coefficients
     of w and the float lam, at 30 digits: the denominator's product is
     taken at 30 digits too."""
     with mpmath.workdps(30):
-        zw = [mpmath.mpc(0)] + [mpmath.mpc(c.real, c.imag) for c in omega[: n - 1]]
-        u = [-c for c in zw]
-        v = [-mpmath.mpf(lam) * c for c in zw]
-        u[0] += 1
-        v[0] += 1
-        q = [mpmath.fsum(u[j] * v[k - j] for j in range(k + 1)) for k in range(len(zw))]
-        return _mp_coeff(q, n)
+        return _mp_coeff(mp_superset_denominator(lam, omega, n), n)

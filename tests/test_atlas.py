@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logcoef import atlas
+from logcoef import search as S
 from logcoef.atlas import (
     ParseError,
     SpecError,
@@ -35,11 +36,13 @@ from logcoef.verify import log_coefficients
 from series_references import (
     G_FAMILY_NS,
     K_ALPHAS,
+    certified_batch,
     check_series,
     deleted_g_family_fz,
     deleted_k_alpha_fz,
     mp_g_family_fz,
     mp_k_alpha_fz,
+    mp_superset_denominator,
 )
 
 ALL_SPECS = [
@@ -324,6 +327,66 @@ class TestClosedFormSeries:
         got = fz_series(k_alpha(alpha), order).coeffs
         assert got[0] == 1.0
         check_series(got, mp_k_alpha_fz(alpha, order), deleted_k_alpha_fz(alpha, order))
+
+
+_EPS = 2.0**-53
+
+
+class TestStackedDenominators:
+    """The two search denominators stack: w of shape S + (m,) gives rows of
+    shape S + (width,).  Each row is checked against the float inputs'
+    product at 30 digits, within these bounds on coefficient k:
+
+      * superset: q_k sums k + 1 products u_j v_{k-j}, u = 1 - zw and
+        v = 1 - lam zw, each off by at most sqrt(5) eps of its modulus, in
+        k additions that each round by at most eps of the running sum, so q_k
+        is off by at most (k + 3) eps sum_j |u_j| |v_{k-j}|;
+      * exact_u: q_0 and q_1 are exact, and q_{k+2} = -lam psi_k / (k + 1)
+        rounds three times (the product lam psi_k, and 1/(k + 1) and the
+        product by it in complex division), so it is off by at most
+        4 eps |q_{k+2}|."""
+
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "denominator",
+        [atlas.superset_denominator, atlas.exact_u_denominator],
+        ids=["superset", "exact_u"],
+    )
+    def test_rows_are_one_row_calls_within_the_rounding_bound(self, denominator, lam):
+        superset = denominator is atlas.superset_denominator
+        rng = np.random.default_rng(43)
+        w, _ = certified_batch(rng, 256)  # 192 polynomials, 64 Blaschke rows
+        a2s = S._draw_disk(rng, len(w), 1.0 + lam)
+
+        def build(rows, a2):
+            return denominator(lam, rows) if superset else denominator(lam, a2, rows)
+
+        q = build(w, a2s)
+        m = w.shape[1]
+        assert q.shape == (len(w), 2 * m + 1 if superset else m + 2)
+        grid = build(w.reshape(16, 16, m), a2s.reshape(16, 16))
+        assert grid.tobytes() == q.tobytes()
+        for row, a2, got in zip(w, a2s, q):
+            assert build(row, a2).tobytes() == got.tobytes()
+        if superset:
+            # coefficients 0..n-1 read only w_0..w_{n-2}
+            for n in range(2, 9):
+                assert build(w[:, : n - 1], a2s)[:, :n].tobytes() == q[:, :n].tobytes()
+        with mpmath.workdps(30):
+            for row, a2, got in zip(w[::8], a2s[::8], q[::8]):
+                if superset:
+                    exact = mp_superset_denominator(lam, row, got.size)
+                    u = np.abs(np.concatenate(([1.0], row)))
+                    v = np.abs(np.concatenate(([1.0], lam * row)))
+                    bound = (np.arange(got.size) + 3) * _EPS * np.convolve(u, v)
+                else:
+                    exact = [mpmath.mpc(1), -mpmath.mpc(a2.real, a2.imag)] + [
+                        -mpmath.mpf(lam) * mpmath.mpc(c.real, c.imag) / (k + 1)
+                        for k, c in enumerate(row)
+                    ]
+                    bound = 4.0 * _EPS * np.abs(got)
+                for g, e, b in zip(got, exact, bound):
+                    assert abs(mpmath.mpc(g.real, g.imag) - e) <= b
 
 
 class TestSlope:

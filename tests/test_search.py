@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from series_references import (
     certified_batch,
     convolved_blaschke_batch,
+    convolved_superset_denominator,
     mp_coeff,
     mp_superset_coeff,
     per_row_coeff,
@@ -513,8 +514,8 @@ class TestChunkTest:
 
     def test_extremal_row_is_accepted(self):
         # at lambda = 1, z/f = (1 - z)^2 has a double zero at z = 1, which
-        # eigvals puts about 1e-8 off the circle: alone (eigvals directly) and
-        # beside a second row (the recursion leaves it to eigvals)
+        # eigvals puts about 1e-8 off the circle; alone and beside a second
+        # row, the recursion leaves it to eigvals
         assert _scalar_exact_u_verdict(1.0, 2.0, [-1.0])
         for a2s, psis in (([2.0], [[-1.0]]), ([2.0, 0.0], [[-1.0], [0.0]])):
             _, passed, inner = S._exact_u_chunk(1.0, a2s, psis)
@@ -588,13 +589,14 @@ class TestChunkTest:
         assert passed.tolist() == want
 
     def test_one_row_filter_notes(self):
-        # validate_exact_u and a one-row chunk give the root test's eigvals
-        # verdict and name the modulus of the zero: z/f = 1 - 1.5 z - 0.5 z^2
+        # validate_exact_u gives the root test's eigvals verdict and names
+        # the modulus of the zero: z/f = 1 - 1.5 z - 0.5 z^2; a one-row
+        # chunk rejects the row too, by the recursion
         modulus = np.min(np.abs(np.roots([-0.5, -1.5, 1.0])))
         with pytest.raises(SearchError, match=f"zero of modulus {modulus:.6g}$"):
             validate_exact_u(0.5, 1.5, [1.0])
         _, passed, inner = S._exact_u_chunk(0.5, [1.5], [[1.0]])
-        assert passed.tolist() == [0] and inner[0] == modulus
+        assert passed.tolist() == [0] and np.isnan(inner[0])
         assert validate_exact_u(0.5, 1.5, [-1.0]).validated
 
 
@@ -622,7 +624,7 @@ class TestOneZeroRule:
         lam, c = 0.5, 0.25
         zeta = modulus * np.exp(0.7j)
         a2, psi = 1 / zeta + c, [-c / (lam * zeta)]
-        # one row (eigvals directly) and beside a second row (the recursion)
+        # one row alone and beside a second row
         _, alone, _ = S._exact_u_chunk(lam, [a2], [psi])
         _, pair, _ = S._exact_u_chunk(lam, [a2, 0.0], [psi, [0.0]])
         assert alone[0] == pair[0] == (2 if admitted else 0)
@@ -694,7 +696,7 @@ class TestWholeSearchRootTest:
         for a2s, psis, passed, inner in chunks:
             want = [_scalar_exact_u_passed(lam, a2, psi) for a2, psi in zip(a2s, psis)]
             assert passed.tolist() == want
-            if offset == 0:  # the start row goes to eigvals directly
+            if offset == 0:  # the start row's zero at z = 1 leaves it to eigvals
                 assert a2s.size == 1 and not np.isnan(inner).any()
             elif offset < random_end:
                 rows += a2s.size
@@ -744,8 +746,8 @@ class TestSearchLog:
             rejected = c["rejected_roots"] + c["rejected_postcheck"]
             assert rejected + c["accepted"] == loud.evaluations
             assert (rejected > 0) == (family == "exact_u")
-            # every exact_u row reaches the root test; the one-row start
-            # chunk goes to eigvals directly
+            # every exact_u row reaches the root test; the start row's zero
+            # at z = 1 leaves it to eigvals
             roots = c["roots_by_recursion"] + c["roots_by_eigvals"]
             assert roots == (loud.evaluations if family == "exact_u" else 0)
             if family == "exact_u":
@@ -784,8 +786,10 @@ class TestSearchLog:
     def test_winner_phase_and_index(
         self, lam, n, family, budget, seed, phase, caplog, monkeypatch
     ):
-        offered = []  # every candidate row in offer order: z/f for exact_u, w for superset
-        head = S._superset_head
+        # every candidate row in offer order: z/f for exact_u, and for
+        # superset the first n - 1 coefficients of w that the screen reads
+        offered = []
+        product = atlas.superset_denominator
         if family == "exact_u":
             chunk_test = S._exact_u_chunk
 
@@ -797,11 +801,12 @@ class TestSearchLog:
             monkeypatch.setattr(S, "_exact_u_chunk", recording)
         else:
 
-            def recording_head(lam, omegas, n):
-                offered.extend(omegas)
-                return head(lam, omegas, n)
+            def recording_product(lam, omega):
+                if np.ndim(omega) == 2:  # not the record's one-row rebuild
+                    offered.extend(omega)
+                return product(lam, omega)
 
-            monkeypatch.setattr(S, "_superset_head", recording_head)
+            monkeypatch.setattr(atlas, "superset_denominator", recording_product)
         with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
             rec = search_max_coeff(lam, n, family, budget=budget, seed=seed)
         fields = _debug_fields(caplog)
@@ -816,14 +821,14 @@ class TestSearchLog:
         def scored(i):
             if family == "exact_u":
                 return S._screen(offered[i][None, :], n)
-            return S._screen(head(lam, offered[i][None, :], n), n, True)
+            return S._screen(product(lam, offered[i][None, :]), n, True)
 
         (value,), (row_bar,) = scored(index)
         assert row_bar == bar and abs(value - rec.achieved) <= bar
         # the record reports the winner's value from the per-row route
         q = offered[index]
         if family == "superset":
-            q = atlas.superset_denominator(lam, q)
+            q = product(lam, q)
         assert per_row_coeff(q, n) == rec.achieved
         # a winner other than the start row beats it by more than both bars
         (start,), (start_bar,) = scored(0)
@@ -903,16 +908,16 @@ class TestScreen:
         omegas = np.vstack([batch, ties])
         a2s = S._draw_disk(rng, len(omegas), 1.0 + lam)
         exact_u_q = atlas.exact_u_denominator(lam, a2s, omegas)
-        superset = [atlas.superset_denominator(lam, w) for w in omegas]
+        superset = [convolved_superset_denominator(lam, w) for w in omegas]
         for n in range(2, 9):
             for heads, per_row, head_term in (
-                (S._superset_head(lam, omegas, n), superset, True),
+                (atlas.superset_denominator(lam, omegas[:, : n - 1]), superset, True),
                 (exact_u_q, exact_u_q, False),
             ):
                 value, bar = S._screen(heads, n, head_term)
                 want = np.array([per_row_coeff(q, n) for q in per_row])
                 assert np.all(np.abs(value - want) <= bar), (n, lam)
-            value, bar = S._screen(S._superset_head(lam, ties, n), n, True)
+            value, bar = S._screen(atlas.superset_denominator(lam, ties[:, : n - 1]), n, True)
             assert np.all(np.abs(value - conjectured_bound(lam, n)) <= bar)
 
     @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
@@ -935,7 +940,8 @@ class TestScreen:
         exact_u_q = atlas.exact_u_denominator(lam, a2s, psis)
         with mpmath.workdps(30):
             for n in range(2, 9):
-                value, bar = S._screen(S._superset_head(lam, omegas, n), n, True)
+                q = atlas.superset_denominator(lam, omegas[:, : n - 1])
+                value, bar = S._screen(q, n, True)
                 for v, e, w in zip(value, bar, omegas):
                     assert abs(mpmath.mpf(v) - mp_superset_coeff(lam, w, n)) <= e, (n, lam)
                 value, bar = S._screen(exact_u_q, n)
@@ -998,7 +1004,7 @@ class TestTieRule:
         lam, n = 0.5, 5
 
         def scored(c):
-            (value,), (bar,) = S._screen(S._superset_head(lam, np.array([[c]]), n), n, True)
+            (value,), (bar,) = S._screen(atlas.superset_denominator(lam, [[c]]), n, True)
             return value, bar
 
         start, start_bar = scored(1.0)

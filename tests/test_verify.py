@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import logcoef
 from logcoef import atlas, verify
 from logcoef import series as series_mod
 from logcoef.atlas import fz_series
@@ -382,6 +383,18 @@ class TestStarlikeOrder:
     def test_increasing_in_alpha(self):
         vals = [starlike_order(a / 20) for a in range(20)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("alpha", [1.0, -0.1])
+    @pytest.mark.parametrize(
+        "order",
+        [starlike_order, logcoef.starlike_order, atlas.starlike_order],
+        ids=["verify", "logcoef", "atlas"],
+    )
+    def test_out_of_range_alpha_raises(self, order, alpha):
+        # one function under every name: verify's is atlas's
+        assert order is atlas.starlike_order
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\)"):
+            order(alpha)
 
 
 class TestConvexOrderProfile:
