@@ -26,6 +26,7 @@ import math
 import os
 import sys
 import tempfile
+from functools import cache
 
 import numpy as np
 
@@ -87,17 +88,17 @@ def curve_points(spec, r: float, m: int) -> np.ndarray:
 def curve_csv(points: np.ndarray) -> str:
     m = points.size
     lines = ["theta,re,im"]
-    for k in range(m):
+    for k, (x, y) in enumerate(zip(points.real.tolist(), points.imag.tolist())):
         theta = 2.0 * math.pi * k / m
-        lines.append(f"{theta!r},{float(points[k].real)!r},{float(points[k].imag)!r}")
+        lines.append(f"{theta!r},{x!r},{y!r}")
     return "\n".join(lines) + "\n"
 
 
 def curve_svg(points: np.ndarray) -> str:
-    xs = points.real
-    ys = -points.imag  # SVG's y axis points down
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
+    xs = points.real.tolist()
+    ys = (-points.imag).tolist()  # SVG's y axis points down
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
     w = max(x1 - x0, 1e-9)
     h = max(y1 - y0, 1e-9)
     mx, my = 0.05 * w, 0.05 * h
@@ -170,8 +171,12 @@ def _cmd_li2(args) -> int:
 def _cmd_gamma(args) -> int:
     spec = atlas.parse_spec(args.spec)
     profile = verify.log_coefficients(spec, args.n)
-    for i, g in enumerate(profile.gammas, start=1):
-        print(json.dumps({"n": i, "re": g.real, "im": g.imag}))
+    # float repr is json.dumps' text for a finite float, and
+    # log_coefficients refuses a non-finite gamma
+    sys.stdout.write("".join(
+        f'{{"n": {i}, "re": {g.real!r}, "im": {g.imag!r}}}\n'
+        for i, g in enumerate(profile.gammas.tolist(), start=1)
+    ))
     return 0
 
 
@@ -189,7 +194,9 @@ def _cmd_member(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="logcoef",
         description="Logarithmic coefficients of univalent functions: "

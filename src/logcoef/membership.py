@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,12 +66,15 @@ class MembershipError(ValueError):
     """Hard failure while evaluating a membership functional."""
 
 
-def _sample_points(radii, m: int) -> np.ndarray:
+@lru_cache(maxsize=4)
+def _sample_points(radii: tuple[float, ...], m: int) -> np.ndarray:
     """All sample points, fixed order: per radius, the equiangular grid
     followed by one golden-angle-offset pass (avoids symmetry aliasing)."""
     base = 2.0 * math.pi * np.arange(m) / m
     unit = np.exp(1j * np.concatenate([base, base + GOLDEN_ANGLE]))
-    return np.concatenate([r * unit for r in radii])
+    points = np.concatenate([r * unit for r in radii])
+    points.flags.writeable = False  # shared by every caller of the cache
+    return points
 
 
 # ---------------------------------------------------------------------------

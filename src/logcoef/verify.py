@@ -46,7 +46,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, fields, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -150,6 +150,8 @@ def gamma_l2(profile: LogCoeffProfile, weights: str = "unit") -> L2Sum:
 # ---------------------------------------------------------------------------
 # Dilogarithm partial sums and closed tails.
 
+# one suite asks for about 47 distinct (x, N), x = 1 alone 27 times
+@lru_cache(maxsize=64)
 def li2_partial(x: float, order: int) -> float:
     # cumprod multiplies in sequence and n*n is exact in float64, so each
     # term x^n / n^2 has the bits of the running product p *= x divided by

@@ -46,6 +46,25 @@ class TestGammaCommand:
             {"n": 2, "re": 0.3125, "im": 0.0},
         ]
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["koebe(theta=0.0)", "f_lambda(lambda=0.5)", "k_alpha(alpha=0.3)", "g_family(n=3)"],
+    )
+    def test_lines_are_the_json_dumps_bytes(self, capsys, spec):
+        """Each line is json.dumps of {"n", "re", "im"}; koebe(theta=0.0)
+        has a -0.0 imaginary part and k_alpha and g_family take the series
+        route of log_coefficients."""
+        gammas = verify.log_coefficients(atlas.parse_spec(spec), 300).gammas
+        want = "".join(
+            json.dumps({"n": i, "re": g.real, "im": g.imag}) + "\n"
+            for i, g in enumerate(gammas, start=1)
+        )
+        code, out, _ = run_cli(capsys, "gamma", spec, "300")
+        assert code == 0
+        assert out == want
+        if spec == "koebe(theta=0.0)":
+            assert '"im": -0.0}' in out
+
     def test_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "gamma", "g_lambda(lambda=2)", "2")
         assert code == 2
@@ -66,6 +85,29 @@ def test_option_defaults_are_the_module_defaults():
     args = parser.parse_args(["member", "f0()", "starlike"])
     assert _parse_grid(args.radii) == membership.DEFAULT_RADII
     assert args.samples == membership.DEFAULT_SAMPLES
+
+
+def test_main_runs_repeatedly_in_one_process(capsys):
+    """One parser serves every call, a call that argparse rejects leaves
+    no state behind, and each command prints what its first call did."""
+    assert _build_parser() is _build_parser()
+    commands = [
+        ("li2", "0.5"),
+        ("member", "f_lambda(lambda=0.5)", "ulambda", "--threshold", "0.5"),
+        ("verify", "--order", "64"),
+    ]
+    first = [run_cli(capsys, *argv) for argv in commands]
+    for rejected in (["member", "f0()", "convex"], ["verify", "--order", "x"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(rejected)
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        assert [run_cli(capsys, *argv) for argv in commands] == first
+    grid = (membership.DEFAULT_RADII, membership.DEFAULT_SAMPLES)
+    z = membership._sample_points(*grid)
+    assert not z.flags.writeable
+    assert z is membership._sample_points(*grid)
+    assert np.array_equal(z, membership._sample_points.__wrapped__(*grid))
 
 
 class TestMemberCommand:

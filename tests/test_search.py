@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import re
 from pathlib import Path
 
@@ -947,6 +948,31 @@ class TestScreen:
                 value, bar = S._screen(exact_u_q, n)
                 for v, e, q in zip(value, bar, exact_u_q):
                     assert abs(mpmath.mpf(v) - mp_coeff(q, n)) <= e, (n, lam)
+
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
+    def test_bar_is_the_majorant_bound(self, lam):
+        """The bar is 2 n^2 (1 + n) eps M^2 for superset rows and
+        2 n^2 eps M^2 for exact_u rows, with M the largest of B_0..B_{n-1}
+        of the majorant recurrence, recomputed here one row at a time."""
+
+        def majorant(q, n):
+            size = [abs(complex(c)) for c in q[:n]] + [0.0] * (n - len(q))
+            b = [1.0]
+            for k in range(1, n):
+                b.append(math.fsum(size[j] * b[k - j] for j in range(1, k + 1)))
+            return max(b)
+
+        rng = np.random.default_rng(31)
+        omegas, _ = certified_batch(rng, 64)
+        exact_u_q = atlas.exact_u_denominator(
+            lam, S._draw_disk(rng, len(omegas), 1.0 + lam), omegas
+        )
+        for n in range(2, 9):
+            superset_q = atlas.superset_denominator(lam, omegas[:, : n - 1])
+            for q, head in ((superset_q, 1 + n), (exact_u_q, 1)):
+                _, bar = S._screen(q, n, head > 1)
+                want = [2.0 * n * n * head * S._EPS * majorant(row, n) ** 2 for row in q]
+                assert bar == pytest.approx(want, rel=1e-12, abs=0.0), (n, lam, head)
 
 
 def _is_extremal(rec):

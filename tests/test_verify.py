@@ -278,6 +278,15 @@ class TestLi2Partial:
                 assert li2_partial(x, order) == reference_li2_partial(x, order), (x, order)
         assert li2_partial(0.5, 0) == li2_partial(0.5, -3) == 0.0
 
+    def test_suite_computes_each_sum_once(self):
+        """The partial sums are cached: one suite computes each distinct
+        (x, N) it asks for once, and evicts none of them."""
+        li2_partial.cache_clear()
+        run_suite(order=256)
+        info = li2_partial.cache_info()
+        assert info.hits > 0
+        assert info.misses == info.currsize < info.maxsize
+
 
 class TestSharpBound:
     def test_at_one(self):
