@@ -26,7 +26,7 @@ import math
 import os
 import sys
 import tempfile
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -85,12 +85,18 @@ def curve_points(spec, r: float, m: int) -> np.ndarray:
     return points
 
 
+@lru_cache(maxsize=4)
+def _theta_column(m: int) -> tuple[str, ...]:
+    """The repr of theta = 2 pi k / m for k < m: the CSV's first column,
+    the same for every curve of m points."""
+    return tuple(repr(2.0 * math.pi * k / m) for k in range(m))
+
+
 def curve_csv(points: np.ndarray) -> str:
-    m = points.size
     lines = ["theta,re,im"]
-    for k, (x, y) in enumerate(zip(points.real.tolist(), points.imag.tolist())):
-        theta = 2.0 * math.pi * k / m
-        lines.append(f"{theta!r},{x!r},{y!r}")
+    xs, ys = points.real.tolist(), points.imag.tolist()
+    for theta, x, y in zip(_theta_column(points.size), xs, ys):
+        lines.append(f"{theta},{x!r},{y!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -24,7 +24,10 @@ in the unit polydisk (plus truncated Blaschke products, which live near the
 boundary where extremals sit) and rescaled by a certified upper bound on
 their boundary sup, so every candidate used is genuinely bounded by one:
 the bound combines the sampled boundary maximum with a second-derivative
-gap estimate from the autocorrelation of the coefficients.
+gap estimate, both from the autocorrelation b of the coefficients.  The
+samples of g = |w|^2 are one real product of [b_0, Re b_mu, Im b_mu]
+with a cached cosine-sine matrix, run on whole tiles of 8 rows, so a
+row's bound does not depend on the rows certified beside it.
 
 Random candidates come in chunks of 256 rows, drawn and tested as two
 blocks, each at its own width: 192 polynomials of degree at most 6 (7
@@ -114,7 +117,7 @@ _BLASCHKE_MAX_ZEROS = 3
 _BLASCHKE_ZERO_RADIUS = 0.95
 _POLISH_ITERS = 12  # equispaced points per coordinate line, offered as one batch
 _POLISH_STEPS = (0.25, 0.08, 0.02)  # line half-widths, one sweep per step
-_MATRIX_CACHE_SIZE = 16  # sample matrices kept, keyed by (ncoeff, samples, radii)
+_MATRIX_CACHE_SIZE = 16  # sample matrices kept by each of the two caches
 _EPS = 2.0**-53  # unit roundoff of float64
 
 
@@ -178,37 +181,68 @@ def validate_schwarz(coeffs) -> SchwarzParams:
     return SchwarzParams(coeffs=coeffs, validated=True)
 
 
-def _curvature_bound(batch: np.ndarray) -> np.ndarray:
-    """sum_{mu != 0} mu^2 |b_mu| for each row of `batch`, b its
-    autocorrelation b_mu = sum_j c_{mu+j} conj(c_j): a bound on sup|g''|
-    for g(theta) = |w(e^{i theta})|^2.  Every shift mu >= 1 comes from one
-    einsum over the rows shifted in a zero-padded copy; the sum runs shift
-    by shift."""
+@lru_cache(maxsize=_MATRIX_CACHE_SIZE)
+def _cosine_matrix(ncoeff: int, samples: int) -> np.ndarray:
+    """The real (2 ncoeff - 1) x samples matrix with rows 1, then
+    2 cos(mu theta_j) and -2 sin(mu theta_j) for mu = 1 .. ncoeff - 1, over
+    `samples` equispaced angles.  The row [b_0, Re b_1, Im b_1, ...] of
+    an autocorrelation b times it is g(theta_j) = |w(e^{i theta_j})|^2."""
+    theta = 2.0 * math.pi * np.arange(samples) / samples
+    phase = np.exp(1j * np.outer(np.arange(1, ncoeff), theta))
+    matrix = np.empty((2 * ncoeff - 1, samples))
+    matrix[0] = 1.0
+    matrix[1::2] = 2.0 * phase.real
+    matrix[2::2] = -2.0 * phase.imag
+    matrix.flags.writeable = False  # shared by every caller of the cache
+    return matrix
+
+
+def _autocorrelation(batch: np.ndarray) -> np.ndarray:
+    """b_mu = sum_j c_{mu+j} conj(c_j) for mu = 0 .. d - 1 and each row c
+    of `batch`, shape (rows, d): one einsum over the rows shifted in a
+    zero-padded copy."""
     rows, d = batch.shape
     padded = np.zeros((rows, 2 * d - 1), dtype=np.complex128)
     padded[:, :d] = batch
     step = padded.strides[1]
     shifted = np.lib.stride_tricks.as_strided(
-        padded[:, 1:], (rows, d - 1, d), (padded.strides[0], step, step), writeable=False
+        padded, (rows, d, d), (padded.strides[0], step, step), writeable=False
     )
-    beta = np.abs(np.einsum("imj,ij->mi", shifted, batch.conj()))
-    m2 = np.zeros(rows)
-    for mu in range(1, d):
-        m2 += 2.0 * mu * mu * beta[mu - 1]
+    return np.einsum("imj,ij->im", shifted, batch.conj())
+
+
+def _curvature_bound(b: np.ndarray) -> np.ndarray:
+    """sum_{mu != 0} mu^2 |b_mu| for each row of the autocorrelation `b`
+    (_autocorrelation): a bound on sup|g''| for g(theta) =
+    |w(e^{i theta})|^2.  The sum runs shift by shift."""
+    beta = np.abs(b)
+    m2 = np.zeros(len(b))
+    for mu in range(1, b.shape[1]):
+        m2 += 2.0 * mu * mu * beta[:, mu]
     return m2
 
 
-def certified_sup_bound(matrix_rows: np.ndarray, batch: np.ndarray) -> np.ndarray:
+def certified_sup_bound(batch: np.ndarray) -> np.ndarray:
     """Upper bound on the true boundary sup for each row of `batch`.
 
-    Combines the sampled max of |w|^2 with a gap term (h/2)^2/2 * sup|g''|
-    where g(theta) = |w(e^{i theta})|^2 and sup|g''| <= sum mu^2 |b_mu| over
-    the autocorrelation b of the coefficients (_curvature_bound).
+    Combines the sampled max of g(theta) = |w(e^{i theta})|^2 over
+    CERT_SAMPLES angles with a gap term (h/2)^2/2 * sup|g''|, where
+    sup|g''| <= sum mu^2 |b_mu| over the autocorrelation b of the
+    coefficients (_curvature_bound).  The samples come from b too:
+    g = b_0 + 2 sum_{mu>=1} (Re b_mu cos mu theta - Im b_mu sin mu theta),
+    one real product with _cosine_matrix.  The product runs on whole
+    tiles of 8 rows, the last one zero-padded, so a row's bits do not
+    depend on how many rows share the call.
     """
-    samples = matrix_rows.shape[0]
-    gmax = np.max(np.abs(matrix_rows @ batch.T), axis=0) ** 2
-    h = 2.0 * math.pi / samples
-    return np.sqrt(gmax + _curvature_bound(batch) * h * h / 8.0)
+    rows, d = batch.shape
+    b = _autocorrelation(batch)
+    v = np.zeros((-(-rows // 8) * 8, 2 * d - 1))
+    v[:rows, 0] = b[:, 0].real
+    v[:rows, 1::2] = b[:, 1:].real
+    v[:rows, 2::2] = b[:, 1:].imag
+    gmax = np.max(v @ _cosine_matrix(d, CERT_SAMPLES), axis=1)[:rows]
+    h = 2.0 * math.pi / CERT_SAMPLES
+    return np.sqrt(gmax + _curvature_bound(b) * h * h / 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +291,7 @@ def _draw_blaschke_batch(rng, count: int) -> np.ndarray:
 def _certify(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of `batch` divided by their certified sup bound where it
     exceeds 1, and the factor divided out of each row (1.0 where none was)."""
-    sup = certified_sup_bound(_boundary_matrix(batch.shape[1], CERT_SAMPLES), batch)
+    sup = certified_sup_bound(batch)
     scale = np.where(sup > 1.0, sup, 1.0)
     return batch / scale[:, None], scale
 

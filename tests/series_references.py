@@ -1,7 +1,7 @@
 """References for the closed-form series of g_family and k_alpha, for
 the subordination kernel G_alpha built from k_alpha's series, for the
-search's stacked candidate draw and curvature bound, for the superset
-denominator, and for the search's coefficient values.
+search's stacked candidate draw, curvature bound and certified sup, for
+the superset denominator, and for the search's coefficient values.
 
 Two kinds of reference: the exp/log routes the closed forms replaced, kept
 here as they stood, and mpmath values at 30 digits from the rising
@@ -189,6 +189,16 @@ def per_shift_curvature_bound(batch: np.ndarray) -> np.ndarray:
         beta = np.einsum("ij,ij->i", batch[:, mu:], batch[:, : d - mu].conj())
         m2 += 2.0 * mu * mu * np.abs(beta)
     return m2
+
+
+def sampled_sup_bound(batch: np.ndarray) -> np.ndarray:
+    """search.certified_sup_bound by the route it replaced: the sampled max
+    of |w| from the complex product with search._boundary_matrix, squared,
+    plus the same gap term."""
+    matrix = S._boundary_matrix(batch.shape[1], S.CERT_SAMPLES)
+    gmax = np.max(np.abs(matrix @ batch.T), axis=0) ** 2
+    h = 2.0 * math.pi / S.CERT_SAMPLES
+    return np.sqrt(gmax + per_shift_curvature_bound(batch) * h * h / 8.0)
 
 
 def certified_batch(rng, count: int) -> tuple[np.ndarray, np.ndarray]:

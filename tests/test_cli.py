@@ -241,6 +241,19 @@ class TestCurveGeometry:
         text = curve_csv(curve_points(atlas.f0(), 0.5, 16))
         assert text.splitlines()[0] == "theta,re,im"
 
+    @pytest.mark.parametrize("m", [1, 3, 2048])
+    def test_csv_bytes(self, m):
+        # the cached theta column gives the bytes of the inline formula,
+        # on a first render and on a repeat
+        rng = np.random.default_rng(m)
+        points = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        want = "theta,re,im\n" + "".join(
+            f"{2.0 * math.pi * k / m!r},{float(z.real)!r},{float(z.imag)!r}\n"
+            for k, z in enumerate(points)
+        )
+        assert curve_csv(points) == want
+        assert curve_csv(points) == want
+
     @pytest.mark.parametrize("lam", [0.25, 0.5, 0.75, 1.0])
     def test_figure_curves_render(self, lam):
         # qualitative reproduction: one closed SVG path per family member

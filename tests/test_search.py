@@ -17,6 +17,7 @@ from series_references import (
     mp_superset_coeff,
     per_row_coeff,
     per_shift_curvature_bound,
+    sampled_sup_bound,
 )
 
 from logcoef import atlas, cli, membership
@@ -83,7 +84,9 @@ class TestValidation:
         limit = S._boundary_matrix.cache_info().maxsize
         for k in range(limit + 8):
             boundary_sup([0.5], samples=1024 + k)
+            S.certified_sup_bound(np.full((1, k + 1), 0.5 + 0j))
         assert S._boundary_matrix.cache_info().currsize <= limit
+        assert S._cosine_matrix.cache_info().currsize <= limit
 
     def test_boundary_sup_values(self):
         assert boundary_sup([0.5]) == pytest.approx(0.5)
@@ -106,8 +109,9 @@ class TestCertifiedGeneration:
     def test_certified_sup_is_an_upper_bound(self):
         rng = np.random.default_rng(7)
         batch, _ = certified_batch(rng, 128)
+        blaschke, _ = S._certify(S._draw_blaschke_batch(rng, 32))
         # dense independent check of the boundary sup
-        for row in batch[:32]:
+        for row in [*batch[:32], *blaschke]:
             dense = boundary_sup(S._trim(row), samples=1 << 14)
             assert dense <= 1.0 + 1e-10
 
@@ -137,7 +141,7 @@ class TestStackedCandidates:
     def test_curvature_bound_bits(self, width, rows):
         rng = np.random.default_rng(width * 100 + rows)
         batch = S._draw_disk(rng, (rows, width))
-        got = S._curvature_bound(batch)
+        got = S._curvature_bound(S._autocorrelation(batch))
         want = per_shift_curvature_bound(batch)
         assert got.shape == (rows,)
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
@@ -146,7 +150,7 @@ class TestStackedCandidates:
         rng = np.random.default_rng(9)
         for block, _ in S._candidate_blocks(rng, S._CHUNK):
             for rows in (block, block[:1]):
-                got = S._curvature_bound(rows)
+                got = S._curvature_bound(S._autocorrelation(rows))
                 want = per_shift_curvature_bound(rows)
                 assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
@@ -162,8 +166,8 @@ class TestStackedCandidates:
     @pytest.mark.parametrize("take", [1, 100, S._POLY_PER_CHUNK, 200, S._CHUNK - 1])
     def test_take_certifies_only_the_offered_rows(self, take):
         # every row is drawn, so the rng stream is that of the whole chunk;
-        # the certified rows are the first `take` of the whole chunk's, to
-        # the rounding of the sampled sup (its product runs on fewer rows)
+        # the certified rows are the first `take` of the whole chunk's, bit
+        # for bit
         rng, whole_rng = np.random.default_rng(4), np.random.default_rng(4)
         part = S._candidate_blocks(rng, S._CHUNK, take)
         whole = S._candidate_blocks(whole_rng, S._CHUNK)
@@ -171,10 +175,47 @@ class TestStackedCandidates:
         assert sum(len(block) for block, _ in part) == take
         for (block, scale), (want, want_scale) in zip(part, whole):
             rows = len(block)
-            np.testing.assert_allclose(scale, want_scale[:rows], rtol=1e-15, atol=0)
-            np.testing.assert_allclose(block, want[:rows], rtol=0, atol=1e-15)
-            unscaled = (scale == 1.0) & (want_scale[:rows] == 1.0)
-            assert block[unscaled].tobytes() == want[:rows][unscaled].tobytes()
+            assert scale.tobytes() == want_scale[:rows].tobytes()
+            assert block.tobytes() == want[:rows].tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sup_bits_do_not_depend_on_the_batch(self, seed):
+        # a row's bound has the same bits alone, in its block, in the chunk
+        # padded to the Blaschke width, and in every cut of its block
+        rng = np.random.default_rng(seed)
+        poly = S._draw_poly_batch(rng, S._POLY_PER_CHUNK)
+        blaschke = S._draw_blaschke_batch(rng, S._CHUNK - S._POLY_PER_CHUNK)
+        pad = ((0, 0), (0, blaschke.shape[1] - poly.shape[1]))
+        chunk = S.certified_sup_bound(np.vstack([np.pad(poly, pad), blaschke]))
+        for block, in_chunk in ((poly, chunk[: len(poly)]), (blaschke, chunk[len(poly) :])):
+            whole = S.certified_sup_bound(block).view(np.uint64)
+            assert in_chunk.view(np.uint64).tolist() == whole.tolist()
+            alone = [S.certified_sup_bound(row[None, :]).view(np.uint64)[0] for row in block]
+            assert alone == whole.tolist()
+            for take in range(1, len(block)):
+                cut = S.certified_sup_bound(block[:take]).view(np.uint64)
+                assert cut.tolist() == whole[:take].tolist()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_sup_bound_matches_the_sampled_modulus(self, seed):
+        # the bound from the autocorrelation's samples against the route
+        # it replaced (complex product, modulus, max) on candidate blocks
+        # and on rows of width 1
+        rng = np.random.default_rng(seed)
+        blocks = [
+            S._draw_poly_batch(rng, S._POLY_PER_CHUNK),
+            S._draw_blaschke_batch(rng, S._CHUNK - S._POLY_PER_CHUNK),
+            S._draw_disk(rng, (16, 1)),
+        ]
+        for block in blocks:
+            got, want = S.certified_sup_bound(block), sampled_sup_bound(block)
+            assert np.max(np.abs(got - want) / want) <= 1e-14
+
+    @pytest.mark.parametrize("width", [1, 7, 25])
+    def test_sup_bound_of_zero_rows(self, width):
+        zeros = np.zeros((3, width), dtype=np.complex128)
+        assert S.certified_sup_bound(zeros).tolist() == [0.0] * 3
+        assert sampled_sup_bound(zeros).tolist() == [0.0] * 3
 
 
 class TestBuilders:
