@@ -27,7 +27,8 @@ the bound combines the sampled boundary maximum with a second-derivative
 gap estimate, both from the autocorrelation b of the coefficients.  The
 samples of g = |w|^2 are one real product of [b_0, Re b_mu, Im b_mu]
 with a cached cosine-sine matrix, run on whole tiles of 8 rows, so a
-row's bound does not depend on the rows certified beside it.
+row's bound does not depend on the rows certified beside it.  Every
+sampled sup of the module is that product (_sampled_gmax).
 
 Random candidates come in chunks of 256 rows, drawn and tested as two
 blocks, each at its own width: 192 polynomials of degree at most 6 (7
@@ -36,7 +37,7 @@ certified on its own and offered to the best as one batch, in row order.
 For the exact parametrization the chunk test builds every denominator
 z/f = q of a block at once and runs two tests, the second on the
 survivors of the first: the root test (no zero of q in the open unit
-disk) and the post-check, a product with a cached sample matrix.  The
+disk) and the post-check, max |q - z q' - 1| at r = 0.99.  The
 root test applies the rule that membership applies to every rational
 spec: a zero below atlas.INTERIOR_ZERO_LIMIT = 1 - tau, tau = 1e-6, is
 inside, and a zero on the circle (the extremal's at z = 1) is admitted.
@@ -99,7 +100,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import atlas, membership
+from . import atlas
 from .series import TruncatedSeries, reciprocal_raw  # noqa: F401  (bench/tracing.py wraps it)
 
 SCHWARZ_GATE_TOL = 1e-10  # sampled boundary sup may exceed 1 by at most this
@@ -117,7 +118,7 @@ _BLASCHKE_MAX_ZEROS = 3
 _BLASCHKE_ZERO_RADIUS = 0.95
 _POLISH_ITERS = 12  # equispaced points per coordinate line, offered as one batch
 _POLISH_STEPS = (0.25, 0.08, 0.02)  # line half-widths, one sweep per step
-_MATRIX_CACHE_SIZE = 16  # sample matrices kept by each of the two caches
+_MATRIX_CACHE_SIZE = 16  # cosine-sine sample matrices kept by _cosine_matrix
 _EPS = 2.0**-53  # unit roundoff of float64
 
 
@@ -147,23 +148,12 @@ class ExactUParams:
     validated: bool = False
 
 
-@lru_cache(maxsize=_MATRIX_CACHE_SIZE)
-def _boundary_matrix(
-    ncoeff: int, samples: int, radii: tuple[float, ...] = (1.0,)
-) -> np.ndarray:
-    """(r e^{i theta_j})^k for k < ncoeff over `samples` equispaced angles,
-    one block of `samples` rows per radius r in `radii`."""
-    theta = 2.0 * math.pi * np.arange(samples) / samples
-    circle = np.exp(1j * np.outer(theta, np.arange(ncoeff)))
-    matrix = np.concatenate([circle * r ** np.arange(ncoeff) for r in radii])
-    matrix.flags.writeable = False  # shared by every caller of the cache
-    return matrix
-
-
 def boundary_sup(coeffs, samples: int = VALIDATION_SAMPLES) -> float:
-    """max |w| over `samples` equispaced boundary points."""
+    """max |w| over `samples` equispaced boundary points, the square root of
+    _sampled_gmax: nan or inf for a non-finite or huge coefficient."""
     c = np.asarray(coeffs, dtype=np.complex128)
-    return float(np.max(np.abs(_boundary_matrix(c.size, samples) @ c)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sqrt(_sampled_gmax(c[None, :], samples)[0][0]))
 
 
 def validate_schwarz(coeffs) -> SchwarzParams:
@@ -222,25 +212,27 @@ def _curvature_bound(b: np.ndarray) -> np.ndarray:
     return m2
 
 
-def certified_sup_bound(batch: np.ndarray) -> np.ndarray:
-    """Upper bound on the true boundary sup for each row of `batch`.
-
-    Combines the sampled max of g(theta) = |w(e^{i theta})|^2 over
-    CERT_SAMPLES angles with a gap term (h/2)^2/2 * sup|g''|, where
-    sup|g''| <= sum mu^2 |b_mu| over the autocorrelation b of the
-    coefficients (_curvature_bound).  The samples come from b too:
-    g = b_0 + 2 sum_{mu>=1} (Re b_mu cos mu theta - Im b_mu sin mu theta),
-    one real product with _cosine_matrix.  The product runs on whole
-    tiles of 8 rows, the last one zero-padded, so a row's bits do not
-    depend on how many rows share the call.
-    """
+def _sampled_gmax(batch: np.ndarray, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """max of g(theta) = |w(e^{i theta})|^2 over `samples` equispaced angles
+    for each row w of `batch`, and the rows' autocorrelation b.  The samples
+    g = b_0 + 2 sum_{mu>=1} (Re b_mu cos mu theta - Im b_mu sin mu theta) are
+    one real product with _cosine_matrix on whole tiles of 8 rows (the last
+    zero-padded), so a row's bits do not depend on the rows beside it."""
     rows, d = batch.shape
     b = _autocorrelation(batch)
     v = np.zeros((-(-rows // 8) * 8, 2 * d - 1))
     v[:rows, 0] = b[:, 0].real
     v[:rows, 1::2] = b[:, 1:].real
     v[:rows, 2::2] = b[:, 1:].imag
-    gmax = np.max(v @ _cosine_matrix(d, CERT_SAMPLES), axis=1)[:rows]
+    return np.max(v @ _cosine_matrix(d, samples), axis=1)[:rows], b
+
+
+def certified_sup_bound(batch: np.ndarray) -> np.ndarray:
+    """Upper bound on the true boundary sup for each row of `batch`: the
+    sampled max of g = |w|^2 over CERT_SAMPLES angles (_sampled_gmax) plus
+    a gap term (h/2)^2/2 * sup|g''|, where sup|g''| <= sum mu^2 |b_mu| over
+    the autocorrelation b (_curvature_bound)."""
+    gmax, b = _sampled_gmax(batch, CERT_SAMPLES)
     h = 2.0 * math.pi / CERT_SAMPLES
     return np.sqrt(gmax + _curvature_bound(b) * h * h / 8.0)
 
@@ -375,14 +367,23 @@ def _schur_cohn(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return accept & ~reject, reject & ~accept
 
 
+def _postcheck_sup(q: np.ndarray, samples: int) -> np.ndarray:
+    """max |q - z q' - 1| = |(z/f)^2 f' - 1| over `samples` equispaced points
+    of |z| = POSTCHECK_RADIUS for each row q = z/f (q_0 = 1): _sampled_gmax
+    of the coefficients (1 - k) q_k r^k."""
+    k = np.arange(q.shape[1])
+    u = q * ((1.0 - k) * POSTCHECK_RADIUS**k)
+    u[:, 0] -= 1.0
+    return np.sqrt(_sampled_gmax(u, samples)[0])
+
+
 def _exact_u_chunk(lam: float, a2s, psis):
     """The exact_u acceptance test on a chunk of candidates (rows).
 
     The root test (q = z/f has no zero in the open unit disk, by the rule
     atlas.min_root_modulus(q) >= atlas.INTERIOR_ZERO_LIMIT that membership
-    also applies), then, on its survivors, the post-check (max |q - z q' - 1|
-    at POSTCHECK_RADIUS <= lambda + POSTCHECK_TOL, where q - z q' - 1 has
-    k-th coefficient (1 - k) q_k since q_0 = 1).
+    also applies), then, on its survivors, the post-check (_postcheck_sup
+    at _POSTCHECK_SAMPLES points <= lambda + POSTCHECK_TOL).
 
     The root test runs the batched Schur-Cohn recursion on the chunk.  It
     decides every row with no zero within a relative band
@@ -395,7 +396,7 @@ def _exact_u_chunk(lam: float, a2s, psis):
     and nan where the recursion decided.
     """
     q = atlas.exact_u_denominator(lam, a2s, psis)
-    rows, width = q.shape
+    rows = len(q)
     passed = np.zeros(rows, dtype=np.int64)
 
     accept, reject = _schur_cohn(q)
@@ -405,11 +406,8 @@ def _exact_u_chunk(lam: float, a2s, psis):
     passed[accept | (undecided & (inner >= atlas.INTERIOR_ZERO_LIMIT))] = 1
 
     alive = np.flatnonzero(passed == 1)
-    u = q[alive] * (1.0 - np.arange(width))
-    u[:, 0] -= 1.0
-    post = _boundary_matrix(width, _POSTCHECK_SAMPLES, (POSTCHECK_RADIUS,))
-    post_max = np.max(np.abs(post @ u.T), axis=0, initial=0.0)
-    passed[alive[post_max <= lam + POSTCHECK_TOL]] = 2
+    post = _postcheck_sup(q[alive], _POSTCHECK_SAMPLES)
+    passed[alive[post <= lam + POSTCHECK_TOL]] = 2
     return q, passed, inner
 
 
@@ -433,22 +431,20 @@ def validate_exact_u(lam: float, a2: complex, psi) -> ExactUParams:
 def build_exact_u_function(p: ExactUParams, order: int) -> TruncatedSeries:
     """Taylor series of f with z/f = 1 - a2 z - lambda z int_0^z psi.
 
-    Runs the class-deficiency post-check (max |(z/f)^2 f' - 1| at r = 0.99
-    must not exceed lambda + 1e-6) and raises if it fails; the derived
-    parametrization never ships a function without this safety net.
+    Runs the class-deficiency post-check (max |(z/f)^2 f' - 1| over 512
+    points at r = 0.99 must not exceed lambda + 1e-6) and raises if it
+    fails; the derived parametrization never ships a function without it.
     """
     if not p.validated:
         raise SearchError("exact-parametrization candidate is not validated")
-    spec = atlas.exact_u(p.lam, p.a2, p.psi)
-    report = membership.u_deficiency(
-        spec, p.lam, radii=[POSTCHECK_RADIUS], m=256
-    )
-    if report.measured > p.lam + POSTCHECK_TOL:
+    q = atlas.exact_u_denominator(p.lam, p.a2, p.psi)
+    measured = _postcheck_sup(q[None, :], 512)[0]
+    if measured > p.lam + POSTCHECK_TOL:
         raise SearchError(
-            f"post-check failed: deficiency {report.measured:.9g} exceeds "
+            f"post-check failed: deficiency {measured:.9g} exceeds "
             f"lambda + {POSTCHECK_TOL}"
         )
-    return atlas.taylor_of(spec, order)
+    return atlas.taylor_of(atlas.exact_u(p.lam, p.a2, p.psi), order)
 
 
 # ---------------------------------------------------------------------------

@@ -191,12 +191,19 @@ def per_shift_curvature_bound(batch: np.ndarray) -> np.ndarray:
     return m2
 
 
+def sampled_modulus_max(batch: np.ndarray, samples: int) -> np.ndarray:
+    """max |w| over `samples` equispaced points of the unit circle for each
+    row w of `batch`, by the route the search's sampler replaced: the
+    complex product with the matrix e^{i k theta_j}, then the modulus."""
+    theta = 2.0 * math.pi * np.arange(samples) / samples
+    matrix = np.exp(1j * np.outer(theta, np.arange(batch.shape[1])))
+    return np.max(np.abs(matrix @ batch.T), axis=0)
+
+
 def sampled_sup_bound(batch: np.ndarray) -> np.ndarray:
     """search.certified_sup_bound by the route it replaced: the sampled max
-    of |w| from the complex product with search._boundary_matrix, squared,
-    plus the same gap term."""
-    matrix = S._boundary_matrix(batch.shape[1], S.CERT_SAMPLES)
-    gmax = np.max(np.abs(matrix @ batch.T), axis=0) ** 2
+    of |w| (sampled_modulus_max), squared, plus the same gap term."""
+    gmax = sampled_modulus_max(batch, S.CERT_SAMPLES) ** 2
     h = 2.0 * math.pi / S.CERT_SAMPLES
     return np.sqrt(gmax + per_shift_curvature_bound(batch) * h * h / 8.0)
 

@@ -17,6 +17,7 @@ from series_references import (
     mp_superset_coeff,
     per_row_coeff,
     per_shift_curvature_bound,
+    sampled_modulus_max,
     sampled_sup_bound,
 )
 
@@ -24,6 +25,7 @@ from logcoef import atlas, cli, membership
 from logcoef import search as S
 from logcoef.search import (
     SearchError,
+    ExactUParams,
     SchwarzParams,
     boundary_sup,
     build_exact_u_function,
@@ -80,12 +82,29 @@ class TestValidation:
         with pytest.raises(SearchError, match="vanishes"):
             validate_exact_u(0.5, 1.5, [1.0])
 
-    def test_boundary_matrix_cache_is_bounded(self):
-        limit = S._boundary_matrix.cache_info().maxsize
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[math.nan], [math.inf], [-math.inf], [1e200], [1e200, 1e200], [0.5, complex(0.0, math.nan)]],
+    )
+    def test_rejects_non_finite_and_huge(self, coeffs):
+        # the sup is the square root of a sampled max of |w|^2: nan and inf
+        # (|w|^2 overflows for 1e200) must not pass the gate, and the gate
+        # rejects them without a floating-point warning
+        with pytest.raises(SearchError, match="exceeds 1"):
+            validate_schwarz(coeffs)
+
+    @pytest.mark.parametrize("coeffs", [[0.0], [1e-200]])
+    def test_accepts_zero_and_tiny(self, coeffs):
+        # |w|^2 is 0 or underflows to 0; its square root must not be nan
+        assert validate_schwarz(coeffs).validated
+        assert boundary_sup(coeffs) == 0.0
+
+    def test_sample_matrix_cache_is_bounded(self):
+        limit = S._cosine_matrix.cache_info().maxsize
         for k in range(limit + 8):
             boundary_sup([0.5], samples=1024 + k)
             S.certified_sup_bound(np.full((1, k + 1), 0.5 + 0j))
-        assert S._boundary_matrix.cache_info().currsize <= limit
         assert S._cosine_matrix.cache_info().currsize <= limit
 
     def test_boundary_sup_values(self):
@@ -110,10 +129,10 @@ class TestCertifiedGeneration:
         rng = np.random.default_rng(7)
         batch, _ = certified_batch(rng, 128)
         blaschke, _ = S._certify(S._draw_blaschke_batch(rng, 32))
-        # dense independent check of the boundary sup
-        for row in [*batch[:32], *blaschke]:
-            dense = boundary_sup(S._trim(row), samples=1 << 14)
-            assert dense <= 1.0 + 1e-10
+        # dense check of the boundary sup by the complex route, which shares
+        # no code with the sampler under test
+        for rows in (batch[:32], blaschke):
+            assert np.all(sampled_modulus_max(rows, 1 << 14) <= 1.0 + 1e-10)
 
     def test_gate_accepts_generated(self):
         rng = np.random.default_rng(42)
@@ -646,6 +665,75 @@ class TestChunkTest:
 # seeds 20 to 23) under the root test that looked only at |z| <= 0.999:
 # z/f has a zero of modulus 0.999014, a pole of f inside the disk
 _OLD_WINNER = (0.05, 1.05, [-0.9838420111968765 - 0.17903881423893905j])
+
+
+class TestPostcheck:
+    """The exact_u post-check, max |q - z q' - 1| at POSTCHECK_RADIUS, as the
+    chunk test and the builder both run it (search._postcheck_sup)."""
+
+    @staticmethod
+    def _chunk(lam, seed):
+        rng = np.random.default_rng(seed)
+        psis, _ = certified_batch(rng, S._CHUNK)
+        return S._draw_disk(rng, S._CHUNK, 1.0 + lam), psis
+
+    def test_value_bits_alone_among_survivors_and_in_the_builder(self, monkeypatch):
+        lam = 0.5
+        a2s, psis = self._chunk(lam, 17)
+        postcheck = S._postcheck_sup
+        calls = []
+
+        def recording(q, samples):
+            out = postcheck(q, samples)
+            calls.append((q.copy(), samples, out))
+            return out
+
+        monkeypatch.setattr(S, "_postcheck_sup", recording)
+        _, passed, _ = S._exact_u_chunk(lam, a2s, psis)
+        [(survivors, samples, values)] = calls
+        assert samples == 256 and len(survivors) == np.count_nonzero(passed >= 1) > 8
+        alone = [postcheck(row[None, :], 256).view(np.uint64)[0] for row in survivors]
+        assert alone == values.view(np.uint64).tolist()
+
+        # the builder checks one row at 512 points; a Blaschke row keeps the
+        # chunk's width after trimming, so its value has the same bits as
+        # among the chunk's survivors at 512 points
+        survivor = np.flatnonzero(passed >= 1)
+        j = int(np.flatnonzero(survivor >= S._POLY_PER_CHUNK)[0])
+        i = survivor[j]
+        p = validate_exact_u(lam, complex(a2s[i]), S._trim(psis[i]))
+        calls.clear()
+        build_exact_u_function(p, 5)
+        [(row, samples, value)] = calls
+        assert samples == 512 and row.tolist() == [survivors[j].tolist()]
+        among = postcheck(survivors, 512).view(np.uint64)
+        assert value.view(np.uint64).tolist() == [among[j]]
+
+    @pytest.mark.parametrize("lam", [0.05, 1.0])
+    def test_value_matches_horner(self, lam):
+        # Horner on the coefficients (1 - k) q_k of q - z q' - 1 at the 256
+        # points of |z| = POSTCHECK_RADIUS.  q and z q' are each of size
+        # about |a2| while their difference is lambda z^2 psi, so evaluating
+        # them apart would lose up to 1e-13 relative at lambda = 0.05
+        a2s, psis = self._chunk(lam, 23)
+        q = atlas.exact_u_denominator(lam, a2s, psis)
+        got = S._postcheck_sup(q, 256)
+        u = q * (1.0 - np.arange(q.shape[1]))
+        u[:, 0] -= 1.0
+        zs = S.POSTCHECK_RADIUS * np.exp(2j * np.pi * np.arange(256) / 256)
+        want = np.max(np.abs(np.polynomial.polynomial.polyval(zs, u.T)), axis=1)
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
+    def test_builder_raises_when_the_postcheck_fails(self):
+        # z/f = 1 - 0.75 z^2 has no zero in the disk, but its deficiency
+        # 0.75 |z|^2 exceeds lambda = 0.5 at r = 0.99
+        p = ExactUParams(lam=0.5, a2=0, psi=(1.5,), validated=True)
+        with pytest.raises(SearchError, match="post-check failed"):
+            build_exact_u_function(p, 4)
+
+    def test_search_does_not_import_membership(self):
+        # membership may import the search's samplers without a cycle
+        assert not hasattr(S, "membership")
 
 
 def _member_ulambda(capsys, lam, a2, psi):
