@@ -661,12 +661,6 @@ class TestChunkTest:
         assert validate_exact_u(0.5, 1.5, [-1.0]).validated
 
 
-# the winner of the four exact_u records at lambda = 0.05 (n = 4 and 5,
-# seeds 20 to 23) under the root test that looked only at |z| <= 0.999:
-# z/f has a zero of modulus 0.999014, a pole of f inside the disk
-_OLD_WINNER = (0.05, 1.05, [-0.9838420111968765 - 0.17903881423893905j])
-
-
 class TestPostcheck:
     """The exact_u post-check, max |q - z q' - 1| at POSTCHECK_RADIUS, as the
     chunk test and the builder both run it (search._postcheck_sup)."""
@@ -734,6 +728,12 @@ class TestPostcheck:
     def test_search_does_not_import_membership(self):
         # membership may import the search's samplers without a cycle
         assert not hasattr(S, "membership")
+
+
+# the winner of the four exact_u records at lambda = 0.05 (n = 4 and 5,
+# seeds 20 to 23) under the root test that looked only at |z| <= 0.999:
+# z/f has a zero of modulus 0.999014, a pole of f inside the disk
+_OLD_WINNER = (0.05, 1.05, [-0.9838420111968765 - 0.17903881423893905j])
 
 
 def _member_ulambda(capsys, lam, a2, psi):
