@@ -27,13 +27,21 @@ the bound combines the sampled boundary maximum with a second-derivative
 gap estimate, both from the autocorrelation b of the coefficients.  The
 samples of g = |w|^2 are one real product of [b_0, Re b_mu, Im b_mu]
 with a cached cosine-sine matrix, run on whole tiles of 8 rows, so a
-row's bound does not depend on the rows certified beside it.  Every
+row's bound does not depend on the rows certified beside it, and on at
+most _PRODUCT_ROWS rows per product, so its memory is bounded.  Every
 sampled sup of the module is that product (_sampled_gmax).
 
-Random candidates come in chunks of 256 rows, drawn and tested as two
-blocks, each at its own width: 192 polynomials of degree at most 6 (7
-columns), then 64 Blaschke truncations (25 columns).  Each block is
-certified on its own and offered to the best as one batch, in row order.
+Random candidates are drawn in chunks of 256 rows: 192 polynomials of
+degree at most 6 (7 columns), then the randoms of 64 Blaschke truncations
+(25 columns), then, for the exact parametrization, each row's a2.  The
+rows are built, certified, tested and screened a slab of _SLAB_CHUNKS
+chunks at a time, as two blocks, one per width: the polynomials of every
+chunk of the slab, then its Blaschke truncations.  The slab's accepted
+rows are then offered to the best as one batch, in offer order (chunk 0's
+polynomials, chunk 0's Blaschke rows, chunk 1's polynomials, ...).  Each
+step gives a row the same bits whatever rows are beside it, and the tie
+rule below names the same winner however the rows are cut into offers, so
+the slab's size changes no search; it is capped to bound memory.
 For the exact parametrization the chunk test builds every denominator
 z/f = q of a block at once and runs two tests, the second on the
 survivors of the first: the root test (no zero of q in the open unit
@@ -52,13 +60,13 @@ matrices, the roots np.roots gives row by row).  The start row's zero at
 z = 1 lies in the band, so it always reaches eigvals.  The superset family
 has no test.
 
-Every offered batch (the start row, a block of a random chunk, a polish
+Every offered batch (the start row, a slab of random chunks, a polish
 line) is scored on one value path.  The chunk test runs on every row; then
-the screen runs the 1/q recurrence over all accepted rows at once (for the
-superset family on atlas.superset_denominator of the first n - 1
-coefficients of w, the product a rebuild of the record reads) and gives
+the screen runs the 1/q recurrence over all accepted rows of a block at
+once (for the superset family on atlas.superset_denominator of the first
+n - 1 coefficients of w, the product a rebuild of the record reads) and gives
 each row its |a_n| and a proven bar on its distance from the exact value
-(_screen).  The rows are offered to the best in row order under the tie
+(_screen).  The rows are offered to the best in offer order under the tie
 rule: a row replaces the best only if its value minus its bar exceeds the
 best's value plus the best's bar, so of rows tied within rounding the
 first offered wins, and a winner other than the extremal start row beats
@@ -75,14 +83,14 @@ about 4e-6 bound at n = 5: g(z) = f((1 - tau) z)/(1 - tau) is then in the
 class, so |a_n| (1 - tau)^(n-1) = |g_n| <= bound.  A margin in that range
 with a zero in the band is such a winner, not a counterexample.
 
-Searches are deterministic: a fixed chunked generation schedule from a
+Searches are deterministic: a fixed chunked draw schedule from a
 seeded generator, the tie rule applied in offer order, and a
 coordinate-wise polish with a fixed sweep plan: each coordinate line is
 one batch of _POLISH_ITERS equispaced points, certified together, and the
 point moves to the row that replaced the best, if one did.  The last
-random chunk draws all its rows but certifies only those the budget
-offers.  Each search logs one DEBUG record on the ``logcoef.search``
-logger that accounts for its budget: start, random and polish
+random chunk draws the randoms of all its rows but builds and certifies
+only those the budget offers.  Each search logs one DEBUG record on the
+``logcoef.search`` logger that accounts for its budget: start, random and polish
 evaluations, the root-test rows decided by the recursion and by eigvals,
 the rows rejected by each of the two tests and the rows accepted, the
 largest certified-sup factor divided out of a candidate (1.0 when none
@@ -111,6 +119,8 @@ POSTCHECK_TOL = 1e-6
 _POSTCHECK_SAMPLES = 256
 _SC_TOL = 1e-9  # relative margin of |p_0| against |p_m| in the recursion
 _CHUNK = 256
+_SLAB_CHUNKS = 4  # random chunks built, certified, tested and screened together
+_PRODUCT_ROWS = 64  # rows of one certification product, a multiple of 8
 _POLY_PER_CHUNK = 192  # remainder of each chunk is Blaschke-truncation draws
 _MAX_POLY_DEGREE = 6
 _BLASCHKE_TRUNC = 24
@@ -217,14 +227,19 @@ def _sampled_gmax(batch: np.ndarray, samples: int) -> tuple[np.ndarray, np.ndarr
     for each row w of `batch`, and the rows' autocorrelation b.  The samples
     g = b_0 + 2 sum_{mu>=1} (Re b_mu cos mu theta - Im b_mu sin mu theta) are
     one real product with _cosine_matrix on whole tiles of 8 rows (the last
-    zero-padded), so a row's bits do not depend on the rows beside it."""
+    zero-padded), so a row's bits do not depend on the rows beside it, run
+    on at most _PRODUCT_ROWS rows at a time."""
     rows, d = batch.shape
     b = _autocorrelation(batch)
     v = np.zeros((-(-rows // 8) * 8, 2 * d - 1))
     v[:rows, 0] = b[:, 0].real
     v[:rows, 1::2] = b[:, 1:].real
     v[:rows, 2::2] = b[:, 1:].imag
-    return np.max(v @ _cosine_matrix(d, samples), axis=1)[:rows], b
+    matrix = _cosine_matrix(d, samples)
+    gmax = np.empty(len(v))
+    for i in range(0, len(v), _PRODUCT_ROWS):  # bounds the product's memory
+        gmax[i : i + _PRODUCT_ROWS] = np.max(v[i : i + _PRODUCT_ROWS] @ matrix, axis=1)
+    return gmax[:rows], b
 
 
 def certified_sup_bound(batch: np.ndarray) -> np.ndarray:
@@ -253,18 +268,25 @@ def _draw_poly_batch(rng, count: int) -> np.ndarray:
     return np.where(mask, c, 0.0)
 
 
-def _draw_blaschke_batch(rng, count: int) -> np.ndarray:
-    """Taylor truncations of random finite Blaschke products.
+def _draw_blaschke(rng, count: int):
+    """The randoms of `count` Blaschke products, in rng order: zero counts,
+    zeros and phases (_blaschke_rows builds them)."""
+    nz = rng.integers(1, _BLASCHKE_MAX_ZEROS + 1, size=count)
+    zeros = _draw_disk(rng, (count, _BLASCHKE_MAX_ZEROS), _BLASCHKE_ZERO_RADIUS)
+    phases = np.exp(2j * math.pi * rng.random(count))
+    return nz, zeros, phases
+
+
+def _blaschke_rows(nz, zeros, phases) -> np.ndarray:
+    """Taylor truncations of the finite Blaschke products drawn by
+    _draw_blaschke.
 
     Zero j multiplies every row that has one by (z - a)/(1 - conj(a) z) =
     -a + (1 - |a|^2) sum_{k>=1} conj(a)^(k-1) z^k, all those rows at once:
     x becomes y_k = -a x_k + (1 - |a|^2) s_k with s_0 = 0 and
     s_k = conj(a) s_{k-1} + x_{k-1}.
     """
-    nz = rng.integers(1, _BLASCHKE_MAX_ZEROS + 1, size=count)
-    zeros = _draw_disk(rng, (count, _BLASCHKE_MAX_ZEROS), _BLASCHKE_ZERO_RADIUS)
-    phases = np.exp(2j * math.pi * rng.random(count))
-    out = np.zeros((count, _BLASCHKE_TRUNC + 1), dtype=np.complex128)
+    out = np.zeros((len(nz), _BLASCHKE_TRUNC + 1), dtype=np.complex128)
     out[:, 0] = phases
     for j in range(_BLASCHKE_MAX_ZEROS):
         rows = np.flatnonzero(nz > j)
@@ -288,27 +310,38 @@ def _certify(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return batch / scale[:, None], scale
 
 
-def _candidate_blocks(
-    rng, count: int, take: int | None = None
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """A chunk of `count` candidate polynomials drawn as blocks of rows: up
-    to _POLY_PER_CHUNK random polynomials (_MAX_POLY_DEGREE + 1 columns),
-    then Blaschke truncations (_BLASCHKE_TRUNC + 1 columns).  Only the first
-    `take` rows (all by default) are certified, each block at its own width
-    and cut to the rows it holds of them; every row is drawn, so the rng
-    stream does not depend on `take`.  Each block comes with the
-    certified-sup factor divided out of each row (1.0 where none was)."""
+def _draw_chunk(rng, count: int):
+    """The randoms of a chunk of `count` candidates, in rng order: up to
+    _POLY_PER_CHUNK random polynomials (_draw_poly_batch), then the
+    Blaschke randoms of the rest (_draw_blaschke), None if there is none."""
     npoly = min(_POLY_PER_CHUNK, count)
-    drawn = [_draw_poly_batch(rng, npoly)]
-    if count > npoly:
-        drawn.append(_draw_blaschke_batch(rng, count - npoly))
-    left = count if take is None else take
-    blocks = []
-    for block in drawn:
-        if left > 0:
-            blocks.append(_certify(block[:left]))
-        left -= len(block)
-    return blocks
+    poly = _draw_poly_batch(rng, npoly)
+    return poly, _draw_blaschke(rng, count - npoly) if count > npoly else None
+
+
+def _candidate_blocks(chunks, takes) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The first takes[c] rows of each drawn chunk c (_draw_chunk) as one
+    block per width: the polynomials of every chunk (_MAX_POLY_DEGREE + 1
+    columns), then their Blaschke truncations (_BLASCHKE_TRUNC + 1 columns),
+    built at once.  Only those rows are built and certified.  Each block
+    comes with the certified-sup factor divided out of each row (1.0 where
+    none was) and each row's index among the rows taken, counted chunk by
+    chunk and in a chunk the polynomials first: the order the search offers
+    them in."""
+    polys, draws, at = [], [], ([], [])
+    offset = 0
+    for (poly, blaschke), take in zip(chunks, takes):
+        npoly = min(len(poly), take)
+        polys.append(poly[:npoly])
+        at[0].append(np.arange(offset, offset + npoly))
+        if take > npoly:
+            draws.append([x[: take - npoly] for x in blaschke])
+            at[1].append(np.arange(offset + npoly, offset + take))
+        offset += take
+    blocks = [np.concatenate(polys)]
+    if draws:
+        blocks.append(_blaschke_rows(*(np.concatenate(x) for x in zip(*draws))))
+    return [(*_certify(block), np.concatenate(a)) for block, a in zip(blocks, at)]
 
 
 def _trim(coeffs: np.ndarray) -> tuple[complex, ...]:
@@ -378,14 +411,14 @@ def _postcheck_sup(q: np.ndarray, samples: int) -> np.ndarray:
 
 
 def _exact_u_chunk(lam: float, a2s, psis):
-    """The exact_u acceptance test on a chunk of candidates (rows).
+    """The exact_u acceptance test on a batch of candidates (rows).
 
     The root test (q = z/f has no zero in the open unit disk, by the rule
     atlas.min_root_modulus(q) >= atlas.INTERIOR_ZERO_LIMIT that membership
     also applies), then, on its survivors, the post-check (_postcheck_sup
     at _POSTCHECK_SAMPLES points <= lambda + POSTCHECK_TOL).
 
-    The root test runs the batched Schur-Cohn recursion on the chunk.  It
+    The root test runs the batched Schur-Cohn recursion on the batch.  It
     decides every row with no zero within a relative band
     tau = 1 - INTERIOR_ZERO_LIMIT of the unit circle; the rows it leaves
     undecided, the start row among them, get the stacked eigvals verdict.
@@ -579,55 +612,69 @@ def search_max_coeff(
     roots_by_eigvals = 0  # root-test rows the Schur-Cohn recursion left to eigvals
     max_rescale = 1.0  # largest certified-sup factor divided out of a row
 
-    def offer(coeffs, a2s):
-        """Score a batch of candidate rows (the start row, a block of a
-        random chunk or a polish line) and offer the rows the chunk test
-        accepts to the running best, in row order, under the tie rule
-        (_pick).  The superset family has no test.  Returns the batch index
-        of the row that became the best, or None."""
+    def offer(blocks):
+        """Score blocks (coeffs, a2s, at) of candidate rows (the start row,
+        a slab of random chunks as one block per width, or a polish line),
+        row j of a block with offer index at[j] (ascending), and offer the
+        rows the chunk test accepts to the running best in offer order
+        under the tie rule (_pick).  The superset family has no test.
+        Returns the offer index of the row that became the best, or None."""
         nonlocal best, best_value, best_bar, best_index, evals, verdicts, roots_by_eigvals
         first = evals
-        evals += len(coeffs)
-        if exact:
-            q, passed, inner = _exact_u_chunk(lam, a2s, coeffs)
-            verdicts += np.bincount(passed, minlength=3)
-            roots_by_eigvals += int(np.count_nonzero(~np.isnan(inner)))
-            rows = np.flatnonzero(passed == 2)
-            head = q[rows]
-        else:
-            rows = np.arange(len(coeffs))
-            verdicts[2] += len(coeffs)
-            head = atlas.superset_denominator(lam, coeffs[:, : n - 1])
-        values, bars = _screen(head, n, superset=not exact)
+        evals += sum(len(coeffs) for coeffs, _, _ in blocks)
+        scored = []  # per block: the offer index, value and bar of each accepted row
+        for coeffs, a2s, at in blocks:
+            if exact:
+                q, passed, inner = _exact_u_chunk(lam, a2s, coeffs)
+                verdicts += np.bincount(passed, minlength=3)
+                roots_by_eigvals += int(np.count_nonzero(~np.isnan(inner)))
+                rows = np.flatnonzero(passed == 2)
+                head = q[rows]
+            else:
+                rows = np.arange(len(coeffs))
+                verdicts[2] += len(coeffs)
+                head = atlas.superset_denominator(lam, coeffs[:, : n - 1])
+            scored.append((at[rows], *_screen(head, n, superset=not exact)))
+        indices, values, bars = (np.concatenate(part) for part in zip(*scored))
+        order = np.argsort(indices)
+        indices, values, bars = indices[order], values[order], bars[order]
         k = _pick(values, bars, best_value, best_bar)
         if k < 0:
             return None
-        i = int(rows[k])
+        index = int(indices[k])
+        coeffs, a2s, at = next(block for block in blocks if index in block[2])
+        i = int(np.searchsorted(at, index))
         best_value, best_bar = float(values[k]), float(bars[k])
-        best_index = first + i
+        best_index = first + index
         best = (coeffs[i].copy(), complex(a2s[i]) if exact else None)
-        return i
+        return index
 
     # Start #0: the known extremal is never lost.
     if exact:
-        offer(np.array([[-1.0 + 0j]]), [complex(1.0 + lam)])
+        offer([(np.array([[-1.0 + 0j]]), [complex(1.0 + lam)], np.arange(1))])
     else:
-        offer(np.array([[1.0 + 0j]]), None)
+        offer([(np.array([[1.0 + 0j]]), None, np.arange(1))])
 
-    # Random multi-start phase; the polish reserve never starves it.
+    # Random multi-start phase; the polish reserve never starves it.  The
+    # randoms are drawn chunk by chunk (a2 last), and each slab of
+    # _SLAB_CHUNKS chunks is built and offered at once.
     width = _MAX_POLY_DEGREE + 1
     full_polish_cost = len(_POLISH_STEPS) * _POLISH_ITERS * 2 * (width + exact)
     polish_budget = min(full_polish_cost, (budget - 1) // 4)
     random_budget = budget - 1 - polish_budget
-    for index in range(0, random_budget, _CHUNK):
-        take = min(_CHUNK, random_budget - index)  # the last chunk may end early
-        blocks = _candidate_blocks(rng, _CHUNK, take)
-        a2s = _draw_disk(rng, _CHUNK, 1.0 + lam) if exact else None
-        start = 0
-        for batch, scale in blocks:
-            max_rescale = max(max_rescale, float(scale.max()))
-            offer(batch, a2s[start : start + len(batch)] if exact else None)
-            start += len(batch)
+    for slab in range(0, random_budget, _CHUNK * _SLAB_CHUNKS):
+        end = min(slab + _CHUNK * _SLAB_CHUNKS, random_budget)
+        # the rows each chunk offers: the budget's last chunk may end early
+        takes = [min(_CHUNK, end - i) for i in range(slab, end, _CHUNK)]
+        chunks, a2s = [], []
+        for take in takes:
+            chunks.append(_draw_chunk(rng, _CHUNK))
+            if exact:
+                a2s.append(_draw_disk(rng, _CHUNK, 1.0 + lam)[:take])
+        blocks = _candidate_blocks(chunks, takes)
+        max_rescale = max(max_rescale, *(float(scale.max()) for _, scale, _ in blocks))
+        a2s = np.concatenate(a2s) if exact else None
+        offer([(batch, a2s[at] if exact else None, at) for batch, _, at in blocks])
 
     # Coordinate-wise polish of the best candidate found.  The point holds
     # its first `width` coefficients and, for exact_u, a2 last; each real and
@@ -657,7 +704,7 @@ def search_max_coeff(
                     size = np.abs(a2s)
                     over = size > 1.0 + lam
                     a2s[over] *= (1.0 + lam) / size[over]
-                i = offer(c, a2s)
+                i = offer([(c, a2s, np.arange(_POLISH_ITERS))])
                 if i is not None:
                     x[coord] = ts[i]
 
@@ -749,7 +796,7 @@ def check_prokhorov_szynal(
     remaining = samples
     while remaining > 0:
         take = min(4096, remaining)
-        for batch, _ in _candidate_blocks(rng, take):
+        for batch, _, _ in _candidate_blocks([_draw_chunk(rng, take)], [take]):
             c = np.zeros((len(batch), 3), dtype=np.complex128)
             c[:, : min(3, batch.shape[1])] = batch[:, :3]
             vals = np.abs(c[:, 2] + mu * c[:, 0] * c[:, 1] + nu * c[:, 0] ** 3) / abs(nu)

@@ -150,8 +150,8 @@ def check_series(got: np.ndarray, ref: np.ndarray, old: np.ndarray):
 # The search's per-row candidate routes, as they stood before they stacked.
 
 def convolved_blaschke_batch(rng, count: int) -> np.ndarray:
-    """search._draw_blaschke_batch with each row built alone: one
-    np.convolve per zero.  It draws from rng in the same order."""
+    """blaschke_batch with each row built alone: one np.convolve per zero.
+    It draws from rng in the same order."""
     out = np.zeros((count, S._BLASCHKE_TRUNC + 1), dtype=np.complex128)
     nz = rng.integers(1, S._BLASCHKE_MAX_ZEROS + 1, size=count)
     zeros = S._draw_disk(rng, (count, S._BLASCHKE_MAX_ZEROS), S._BLASCHKE_ZERO_RADIUS)
@@ -208,10 +208,23 @@ def sampled_sup_bound(batch: np.ndarray) -> np.ndarray:
     return np.sqrt(gmax + per_shift_curvature_bound(batch) * h * h / 8.0)
 
 
+def blaschke_batch(rng, count: int) -> np.ndarray:
+    """`count` Blaschke truncations drawn and built by the search."""
+    return S._blaschke_rows(*S._draw_blaschke(rng, count))
+
+
+def chunk_blocks(rng, count: int, take: int | None = None) -> list:
+    """The (rows, factor) blocks of one chunk of `count` candidates drawn by
+    the search (search._draw_chunk), its first `take` rows (all by default)
+    built and certified by search._candidate_blocks."""
+    chunk = S._draw_chunk(rng, count)
+    return [(b, s) for b, s, _ in S._candidate_blocks([chunk], [count if take is None else take])]
+
+
 def certified_batch(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks of search._candidate_blocks padded with zero columns and
+    """The blocks of one chunk (chunk_blocks) padded with zero columns and
     stacked into one chunk of rows, and the factor divided out of each row."""
-    blocks = S._candidate_blocks(rng, count)
+    blocks = chunk_blocks(rng, count)
     width = blocks[-1][0].shape[1]
     batch = np.vstack([np.pad(b, ((0, 0), (0, width - b.shape[1]))) for b, _ in blocks])
     return batch, np.concatenate([scale for _, scale in blocks])

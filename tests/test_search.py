@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from series_references import (
+    blaschke_batch,
     certified_batch,
+    chunk_blocks,
     convolved_blaschke_batch,
     convolved_superset_denominator,
     mp_coeff,
@@ -128,7 +130,7 @@ class TestCertifiedGeneration:
     def test_certified_sup_is_an_upper_bound(self):
         rng = np.random.default_rng(7)
         batch, _ = certified_batch(rng, 128)
-        blaschke, _ = S._certify(S._draw_blaschke_batch(rng, 32))
+        blaschke, _ = S._certify(blaschke_batch(rng, 32))
         # dense check of the boundary sup by the complex route, which shares
         # no code with the sampler under test
         for rows in (batch[:32], blaschke):
@@ -149,7 +151,7 @@ class TestStackedCandidates:
     @pytest.mark.parametrize("count", [1, 64, 300])
     def test_blaschke_rows_match_the_convolution(self, seed, count):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = S._draw_blaschke_batch(rng, count)
+        got = blaschke_batch(rng, count)
         want = convolved_blaschke_batch(ref_rng, count)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13
@@ -167,19 +169,19 @@ class TestStackedCandidates:
 
     def test_curvature_bound_bits_on_candidate_blocks(self):
         rng = np.random.default_rng(9)
-        for block, _ in S._candidate_blocks(rng, S._CHUNK):
+        for block, _ in chunk_blocks(rng, S._CHUNK):
             for rows in (block, block[:1]):
                 got = S._curvature_bound(S._autocorrelation(rows))
                 want = per_shift_curvature_bound(rows)
                 assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     def test_blocks_keep_their_widths(self):
-        blocks = S._candidate_blocks(np.random.default_rng(3), S._CHUNK)
+        blocks = chunk_blocks(np.random.default_rng(3), S._CHUNK)
         assert [b.shape for b, _ in blocks] == [
             (S._POLY_PER_CHUNK, S._MAX_POLY_DEGREE + 1),
             (S._CHUNK - S._POLY_PER_CHUNK, S._BLASCHKE_TRUNC + 1),
         ]
-        (poly, _), = S._candidate_blocks(np.random.default_rng(3), 100)
+        (poly, _), = chunk_blocks(np.random.default_rng(3), 100)
         assert poly.shape == (100, S._MAX_POLY_DEGREE + 1)
 
     @pytest.mark.parametrize("take", [1, 100, S._POLY_PER_CHUNK, 200, S._CHUNK - 1])
@@ -188,8 +190,8 @@ class TestStackedCandidates:
         # the certified rows are the first `take` of the whole chunk's, bit
         # for bit
         rng, whole_rng = np.random.default_rng(4), np.random.default_rng(4)
-        part = S._candidate_blocks(rng, S._CHUNK, take)
-        whole = S._candidate_blocks(whole_rng, S._CHUNK)
+        part = chunk_blocks(rng, S._CHUNK, take)
+        whole = chunk_blocks(whole_rng, S._CHUNK)
         assert rng.bit_generator.state == whole_rng.bit_generator.state
         assert sum(len(block) for block, _ in part) == take
         for (block, scale), (want, want_scale) in zip(part, whole):
@@ -197,13 +199,35 @@ class TestStackedCandidates:
             assert scale.tobytes() == want_scale[:rows].tobytes()
             assert block.tobytes() == want[:rows].tobytes()
 
+    @pytest.mark.parametrize("take", [1, 100, S._POLY_PER_CHUNK, 200, S._CHUNK])
+    def test_slab_rows_are_the_chunks_rows(self, take):
+        # three chunks built and certified together give each chunk's own
+        # rows and factors bit for bit, and index them in offer order
+        takes = [S._CHUNK, S._CHUNK, take]
+        rng, chunk_rng = np.random.default_rng(5), np.random.default_rng(5)
+        blocks = S._candidate_blocks([S._draw_chunk(rng, S._CHUNK) for _ in takes], takes)
+        alone = [chunk_blocks(chunk_rng, S._CHUNK, t) for t in takes]
+        assert rng.bit_generator.state == chunk_rng.bit_generator.state
+        want_at, offset = ([], []), 0
+        for t in takes:
+            npoly = min(t, S._POLY_PER_CHUNK)
+            want_at[0].extend(range(offset, offset + npoly))
+            want_at[1].extend(range(offset + npoly, offset + t))
+            offset += t
+        assert len(blocks) == 2
+        for w, (block, scale, at) in enumerate(blocks):
+            want = [chunk[w] for chunk in alone if len(chunk) > w]
+            assert block.tobytes() == np.concatenate([b for b, _ in want]).tobytes()
+            assert scale.tobytes() == np.concatenate([f for _, f in want]).tobytes()
+            assert at.tolist() == want_at[w]
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sup_bits_do_not_depend_on_the_batch(self, seed):
         # a row's bound has the same bits alone, in its block, in the chunk
         # padded to the Blaschke width, and in every cut of its block
         rng = np.random.default_rng(seed)
         poly = S._draw_poly_batch(rng, S._POLY_PER_CHUNK)
-        blaschke = S._draw_blaschke_batch(rng, S._CHUNK - S._POLY_PER_CHUNK)
+        blaschke = blaschke_batch(rng, S._CHUNK - S._POLY_PER_CHUNK)
         pad = ((0, 0), (0, blaschke.shape[1] - poly.shape[1]))
         chunk = S.certified_sup_bound(np.vstack([np.pad(poly, pad), blaschke]))
         for block, in_chunk in ((poly, chunk[: len(poly)]), (blaschke, chunk[len(poly) :])):
@@ -223,7 +247,7 @@ class TestStackedCandidates:
         rng = np.random.default_rng(seed)
         blocks = [
             S._draw_poly_batch(rng, S._POLY_PER_CHUNK),
-            S._draw_blaschke_batch(rng, S._CHUNK - S._POLY_PER_CHUNK),
+            blaschke_batch(rng, S._CHUNK - S._POLY_PER_CHUNK),
             S._draw_disk(rng, (16, 1)),
         ]
         for block in blocks:
@@ -1142,10 +1166,10 @@ class TestTieRule:
         one polish line) whose random rows are the constants `omegas`, then
         zeros."""
 
-        def blocks(rng, count, take):
-            rows = np.zeros((take, 1), dtype=np.complex128)
+        def blocks(chunks, takes):
+            rows = np.zeros((sum(takes), 1), dtype=np.complex128)
             rows[: len(omegas), 0] = omegas
-            return [(rows, np.ones(take))]
+            return [(rows, np.ones(len(rows)), np.arange(len(rows)))]
 
         monkeypatch.setattr(S, "_candidate_blocks", blocks)
         caplog.clear()
@@ -1181,40 +1205,42 @@ class TestTieRule:
         assert float(fields["winner_bar"]) == beyond_bar
 
 
-def _one_padded_chunk(rng, count, take=None):
-    """The random chunk as one block: the draws of _candidate_blocks,
-    padded to the Blaschke width, with its first `take` rows certified
-    together."""
-    poly = S._draw_poly_batch(rng, S._POLY_PER_CHUNK)
-    blaschke = S._draw_blaschke_batch(rng, count - S._POLY_PER_CHUNK)
-    pad = ((0, 0), (0, blaschke.shape[1] - poly.shape[1]))
-    return [S._certify(np.vstack([np.pad(poly, pad), blaschke])[:take])]
+def _one_padded_block(chunks, takes):
+    """A slab of random chunks as one block: each chunk's polynomials
+    padded to the Blaschke width and followed by its Blaschke rows, the
+    first `take` rows of each, certified together."""
+    rows = []
+    for (poly, blaschke), take in zip(chunks, takes):
+        pad = ((0, 0), (0, S._BLASCHKE_TRUNC + 1 - poly.shape[1]))
+        rows.append(np.vstack([np.pad(poly, pad), S._blaschke_rows(*blaschke)])[:take])
+    batch, scale = S._certify(np.vstack(rows))
+    return [(batch, scale, np.arange(len(batch)))]
 
 
 class TestBlockSplit:
-    """A random chunk drawn, certified and offered as two blocks at their
-    own widths gives the search of one padded chunk, also where the
-    budget's last chunk ends inside either block."""
+    """A slab of random chunks built, certified and offered as two blocks
+    at their own widths gives the search of one padded block, also where
+    the budget's last chunk ends inside either block."""
 
     @staticmethod
-    def _search(lam, family, budget, caplog, one_chunk):
-        """The record, the DEBUG fields, and the bytes of every screened
-        value and bar in order."""
-        scored = []
-        screen = S._screen
+    def _search(lam, family, budget, caplog, one_block):
+        """The record, the DEBUG fields, and the bytes of every value and
+        bar offered to the tie rule, in offer order."""
+        offered = []
+        pick = S._pick
 
-        def recording(q, n, superset=False):
-            scored.append(screen(q, n, superset))
-            return scored[-1]
+        def recording(values, bars, best, best_bar):
+            offered.append((values, bars))
+            return pick(values, bars, best, best_bar)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(S, "_screen", recording)
-            if one_chunk:
-                mp.setattr(S, "_candidate_blocks", _one_padded_chunk)
+            mp.setattr(S, "_pick", recording)
+            if one_block:
+                mp.setattr(S, "_candidate_blocks", _one_padded_block)
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
                 rec = search_max_coeff(lam, 5, family, budget=budget, seed=6)
-        values, bars = (np.concatenate(part).tobytes() for part in zip(*scored))
+        values, bars = (np.concatenate(part).tobytes() for part in zip(*offered))
         return rec, _debug_fields(caplog), (values, bars)
 
     @pytest.mark.parametrize(
@@ -1235,7 +1261,60 @@ class TestBlockSplit:
         assert blocks.to_json_line() == padded.to_json_line()
         assert (got["winner"], got["winner_index"]) == (want["winner"], want["winner_index"])
         assert got["max_rescale"] == want["max_rescale"]
-        # both score every accepted row, with the same values and bars in
+        # both offer every accepted row, with the same values and bars in
         # the same order, and give the same DEBUG record
         assert got_scored == want_scored
         assert got == want
+
+
+class TestSlabs:
+    """The random phase is built, certified, tested and screened a slab of
+    chunks at a time; the slab's size changes no search."""
+
+    @staticmethod
+    def _search(family, lam, budget, caplog):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
+            rec = search_max_coeff(lam, 5, family, budget=budget, seed=9)
+        return rec.to_json_line(), _debug_fields(caplog)
+
+    @pytest.mark.parametrize(
+        "family,budget,tail",
+        [
+            ("superset", 1, 0),  # no random row
+            ("exact_u", 1, 0),
+            ("superset", 3000, 191),  # the last chunk ends in its polynomials
+            ("exact_u", 3000, 119),
+            ("superset", 2773, 220),  # the last chunk ends in its Blaschke rows
+            ("exact_u", 2845, 220),
+        ],
+    )
+    @pytest.mark.parametrize("lam", [0.05, 1.0])
+    def test_slab_size_changes_no_search(self, family, lam, budget, tail, caplog, monkeypatch):
+        want = self._search(family, lam, budget, caplog)
+        assert int(want[1]["random"]) % S._CHUNK == tail
+        chunks = -(-int(want[1]["random"]) // S._CHUNK)
+        assert chunks == 0 or chunks > S._SLAB_CHUNKS  # the default cap splits the phase
+        for cap in (1, chunks + 1):
+            monkeypatch.setattr(S, "_SLAB_CHUNKS", cap)
+            assert self._search(family, lam, budget, caplog) == want
+
+    def test_no_product_exceeds_the_tile(self, monkeypatch):
+        rows = []  # rows of every certification product
+        cosine_matrix = S._cosine_matrix
+
+        class Recording(np.ndarray):
+            def __rmatmul__(self, other):
+                rows.append(len(other))
+                return other @ self.view(np.ndarray)
+
+        monkeypatch.setattr(S, "_cosine_matrix", lambda d, m: cosine_matrix(d, m).view(Recording))
+        for family in ("superset", "exact_u"):
+            search_max_coeff(0.5, 5, family, budget=3000, seed=2)
+        searched = max(rows)
+        rows.clear()
+        mu, nu = mu_nu(0.5)
+        check_prokhorov_szynal(20000, 3, mu, nu)
+        assert max(searched, max(rows)) <= S._PRODUCT_ROWS <= 256
+        # both run whole tiles, the last of a block cut short
+        assert searched == max(rows) == S._PRODUCT_ROWS
