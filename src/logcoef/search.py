@@ -50,18 +50,18 @@ root test applies the rule that membership applies to every rational
 spec: a zero below atlas.INTERIOR_ZERO_LIMIT = 1 - tau, tau = 1e-6, is
 inside, and a zero on the circle (the extremal's at z = 1) is admitted.
 It is a batched Schur-Cohn recursion (Henrici, Applied and Computational
-Complex Analysis I, section 6.8) on q(rho z) at rho = 1 +- tau: a row is
-decided when every step passes at the outer radius (no zero) or a step
-fails at the inner one (a zero), each step with a relative margin of
-1e-9.  Rows with a zero in that band, or too close to a step's margin,
-fall back to the stacked eigvals verdict min |root| >= 1 - tau
-(atlas.min_root_modulus: one eigvals call per trimmed degree on companion
-matrices, the roots np.roots gives row by row).  The start row's zero at
-z = 1 lies in the band, so it always reaches eigvals.  The superset family
-has no test.
+Complex Analysis I, section 6.8) on q(rho z) at rho = 1 +- tau, each row
+rescaled by an exact power of two every second step: a row is decided
+when every step passes at the outer radius (no zero) or a step fails at
+the inner one (a zero), each step with a relative margin of 1e-9.  Rows
+with a zero in that band, or too close to a step's margin, fall back to
+the stacked eigvals verdict min |root| >= 1 - tau (atlas.min_root_modulus:
+one eigvals call per trimmed degree on companion matrices, the roots
+np.roots gives row by row).  The start row's zero at z = 1 lies in the
+band, so it always reaches eigvals.  The superset family has no test.
 
 Every offered batch (the start row, a slab of random chunks, a polish
-line) is scored on one value path.  The chunk test runs on every row; then
+sweep) is scored on one value path.  The chunk test runs on every row; then
 the screen runs the 1/q recurrence over all accepted rows of a block at
 once (for the superset family on atlas.superset_denominator of the first
 n - 1 coefficients of w, the product a rebuild of the record reads) and gives
@@ -71,8 +71,11 @@ rule: a row replaces the best only if its value minus its bar exceeds the
 best's value plus the best's bar, so of rows tied within rounding the
 first offered wins, and a winner other than the extremal start row beats
 it by more than rounding.  The rows at or below the best plus both bars
-are skipped at once (_pick).  The record reports the
-winner's |a_n| as the builders give it (atlas.taylor_of of the named
+are skipped at once (_pick).  A batch's rows are committed in groups (one
+per polish line, one for any other batch) up to and including the first
+group with a row above the best plus its bar; only the committed rows
+count and are offered, and the rest are discarded.  The record reports
+the winner's |a_n| as the builders give it (atlas.taylor_of of the named
 function, the value a rebuild of the record gets), which lies within the
 winner's bar of the screen's value.  validate_exact_u applies the root
 test's eigvals verdict alone.
@@ -86,12 +89,16 @@ with a zero in the band is such a winner, not a counterexample.
 Searches are deterministic: a fixed chunked draw schedule from a
 seeded generator, the tie rule applied in offer order, and a
 coordinate-wise polish with a fixed sweep plan: each coordinate line is
-one batch of _POLISH_ITERS equispaced points, certified together, and the
-point moves to the row that replaced the best, if one did.  The last
+_POLISH_ITERS equispaced points, and the point moves to the row that
+replaced the best, if one did.  The remaining lines of a sweep are built
+from the current point and scored as one batch, committed up to the first
+line that moves, and the rest of the sweep is rebuilt from the moved
+point (_polish): the search that offers one line at a time.  The last
 random chunk draws the randoms of all its rows but builds and certifies
 only those the budget offers.  Each search logs one DEBUG record on the
 ``logcoef.search`` logger that accounts for its budget: start, random and polish
-evaluations, the root-test rows decided by the recursion and by eigvals,
+evaluations, the polish rows scored and discarded after a line that
+moved, the root-test rows decided by the recursion and by eigvals,
 the rows rejected by each of the two tests and the rows accepted, the
 largest certified-sup factor divided out of a candidate (1.0 when none
 was), the winner's phase (start, random, polish or none) and offer-order
@@ -380,6 +387,19 @@ def _schur_cohn(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     neither leaves it undecided.  Returns (accept, reject): q has no zero
     of modulus <= 1 + tau, resp. a zero of modulus <= 1 - tau.  Rows in
     neither are left to eigvals.
+
+    Every second step, starting with the first, each row's p is scaled by
+    2^-e, e the frexp exponent of its largest |Re| or |Im| (0 for an
+    all-zero row, which stays undecided), so its parts lie below 1 and its
+    moduli below sqrt 2.  A step maps moduli below c to moduli below 2 c^2 (each new
+    coefficient is a difference of two products), so they stay below 4
+    after one step and below 32 after the second, to rounding: no value
+    overflows.  A
+    power-of-two scale is exact, and a step and the comparisons of |p_0|
+    with |p_m| commute with it, so while no value is subnormal each verdict
+    is that of the recursion run without scaling in unbounded exponent
+    range, and the schedule moves no bit.  Each step is written into p
+    through one reused buffer.
     """
     rows, width = q.shape
     tau = 1.0 - atlas.INTERIOR_ZERO_LIMIT
@@ -387,15 +407,21 @@ def _schur_cohn(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # coefficient k of every row at both radii is p[k]: row i at the outer
     # radius is column i, at the inner radius column rows + i
     p = (rho ** np.arange(width)[:, None, None] * q.T[:, None, :]).reshape(width, -1)
+    parts = p.view(np.float64)  # Re p[k, i] at parts[k, 2 i], Im p[k, i] at 2 i + 1
+    buf = np.empty_like(p)
     alive = np.ones(2 * rows, dtype=bool)  # passed every step so far
     failed = np.zeros(2 * rows, dtype=bool)
     for m in range(width - 1, 0, -1):
+        if (width - 1 - m) % 2 == 0:
+            top = np.abs(parts[: m + 1]).max(axis=0)
+            exponent = np.frexp(np.maximum(top[0::2], top[1::2]))[1]
+            parts[: m + 1] *= np.ldexp(1.0, -exponent).repeat(2)
         head, tail = np.abs(p[0]), np.abs(p[m])
         failed |= alive & (head < tail * (1.0 - _SC_TOL))
         alive &= head > tail * (1.0 + _SC_TOL)
-        p = p[0].conj() * p[:m] - p[m] * p[m:0:-1].conj()
-        scale = np.abs(p).max(axis=0)
-        p /= np.where(scale > 0.0, scale, 1.0)  # an all-zero row is undecided
+        np.multiply(p[m], np.conjugate(p[m:0:-1], out=buf[:m]), out=buf[:m])
+        np.multiply(p[0].conj(), p[:m], out=p[:m])
+        np.subtract(p[:m], buf[:m], out=p[:m])
     accept, reject = alive[:rows], failed[rows:]
     return accept & ~reject, reject & ~accept
 
@@ -539,6 +565,62 @@ def _pick(values: np.ndarray, bars: np.ndarray, best: float, best_bar: float) ->
     return winner
 
 
+def _polish_lines(x, coords, step: float, lam: float, width: int, exact: bool):
+    """The polish lines through the point x (the float view of its first
+    `width` coefficients, then for exact_u a2) along each coordinate of
+    `coords` in turn: _POLISH_ITERS equispaced values on
+    [x_c - step, x_c + step] each.  Returns the rows as one block
+    (coeffs, scale, a2s, at) for offer, certified together (_certify), each
+    a2 clipped to |a2| <= 1 + lambda, and each row's value of its line's
+    coordinate."""
+    ts = np.linspace(x[coords] - step, x[coords] + step, _POLISH_ITERS, axis=1).ravel()
+    trials = np.repeat(x[None, :], ts.size, axis=0)
+    trials[np.arange(ts.size), np.repeat(coords, _POLISH_ITERS)] = ts
+    trials = trials.view(np.complex128)
+    coeffs, scale = _certify(trials[:, :width])
+    a2s = None
+    if exact:
+        a2s = trials[:, -1].copy()
+        size = np.abs(a2s)
+        over = size > 1.0 + lam
+        a2s[over] *= (1.0 + lam) / size[over]
+    return (coeffs, scale, a2s, np.arange(ts.size)), ts
+
+
+def _polish(x: np.ndarray, line, offer, room) -> None:
+    """Coordinate-wise polish of the point x, in place: one sweep over its
+    coordinates per step of _POLISH_STEPS, a line of _POLISH_ITERS rows per
+    coordinate (line(coords, step), _polish_lines), while room(), the rows
+    the budget has left, holds a whole line.
+
+    Each sweep is scored as one batch: every remaining line of the sweep,
+    built from the current x, up to room() // _POLISH_ITERS lines, is
+    offered at once with one group per line (offer(blocks, group)).  The
+    lines are committed in order up to and including the first with a row
+    that replaces the best; x moves to that row's value on its coordinate,
+    and the rest of the sweep is rebuilt from the moved point.  Each step
+    gives a row the same bits whatever rows are beside it, and a line
+    before the first that moves would not have moved alone, so this is the
+    polish that offers one line at a time: the same winner, counts and
+    record.  The lines after the one that moved are scored and discarded.
+    Lines rarely move; in the worst case every one does, and a sweep of L
+    lines scores L + (L - 1) + ... + 1 = L (L + 1) / 2 of them, 136 for the
+    16 coordinates of exact_u in place of 16."""
+    for step in _POLISH_STEPS:
+        coord = 0
+        while coord < x.size:
+            lines = min(x.size - coord, room() // _POLISH_ITERS)
+            if lines < 1:
+                return
+            block, ts = line(np.arange(coord, coord + lines), step)
+            i = offer([block], _POLISH_ITERS)
+            if i is None:
+                coord += lines
+            else:
+                x[coord + i // _POLISH_ITERS] = ts[i]
+                coord += i // _POLISH_ITERS + 1
+
+
 @dataclass(frozen=True)
 class SearchRecord:
     lam: float
@@ -588,9 +670,9 @@ def search_max_coeff(
     Start #0 is always the known extremal candidate (w = 1, or psi = -1
     with a2 = 1 + lambda, which reproduces z/((1-z)(1-lambda z))); random
     multi-start follows, and the remaining budget drives a coordinate-wise
-    polish of the best candidate found, one batch of equispaced points per
-    coordinate line.  Deterministic for fixed (lambda, n, family, budget,
-    seed).
+    polish of the best candidate found, a line of equispaced points per
+    coordinate, each sweep scored as one batch (_polish).  Deterministic
+    for fixed (lambda, n, family, budget, seed).
     """
     if n < 2:
         raise SearchError("coefficient index must be >= 2")
@@ -606,54 +688,69 @@ def search_max_coeff(
     best = None  # (coeffs, a2) of the best row so far
     best_value, best_bar = -1.0, 0.0
     best_index = -1  # position of the best row in offer order
-    evals = 0
+    evals = 0  # rows committed
+    scored = 0  # rows scored, committed or discarded
     # rows rejected by the root test and by the post-check; accepted
     verdicts = np.zeros(3, dtype=np.int64)
     roots_by_eigvals = 0  # root-test rows the Schur-Cohn recursion left to eigvals
     max_rescale = 1.0  # largest certified-sup factor divided out of a row
 
-    def offer(blocks):
-        """Score blocks (coeffs, a2s, at) of candidate rows (the start row,
-        a slab of random chunks as one block per width, or a polish line),
-        row j of a block with offer index at[j] (ascending), and offer the
-        rows the chunk test accepts to the running best in offer order
-        under the tie rule (_pick).  The superset family has no test.
-        Returns the offer index of the row that became the best, or None."""
-        nonlocal best, best_value, best_bar, best_index, evals, verdicts, roots_by_eigvals
-        first = evals
-        evals += sum(len(coeffs) for coeffs, _, _ in blocks)
-        scored = []  # per block: the offer index, value and bar of each accepted row
-        for coeffs, a2s, at in blocks:
+    def offer(blocks, group=None):
+        """Score blocks (coeffs, scale, a2s, at) of candidate rows (the
+        start row, a slab of random chunks as one block per width, or a
+        polish sweep), row j of a block with certified-sup factor scale[j]
+        and offer index at[j] (ascending): the chunk test on every row, the
+        screen on the rows it accepts.  The superset family has no test.
+        The rows are committed in groups of `group` consecutive offer
+        indices (all in one by default), up to and including the first
+        group with a row above the best's threshold; the rest are
+        discarded.  Only committed rows count, and their accepted rows are
+        offered to the running best in offer order under the tie rule
+        (_pick).  Returns the offer index of the row that became the best,
+        or None."""
+        nonlocal best, best_value, best_bar, best_index, evals, scored
+        nonlocal verdicts, roots_by_eigvals, max_rescale
+        size = sum(len(coeffs) for coeffs, _, _, _ in blocks)
+        passed = np.full(size, 2)  # tests passed by each row, in offer order
+        by_eigvals = np.zeros(size, dtype=bool)
+        rescale = np.empty(size)
+        values, bars = np.full(size, np.nan), np.full(size, np.nan)
+        for coeffs, scale, a2s, at in blocks:
+            rescale[at] = scale
             if exact:
-                q, passed, inner = _exact_u_chunk(lam, a2s, coeffs)
-                verdicts += np.bincount(passed, minlength=3)
-                roots_by_eigvals += int(np.count_nonzero(~np.isnan(inner)))
-                rows = np.flatnonzero(passed == 2)
+                q, passed[at], inner = _exact_u_chunk(lam, a2s, coeffs)
+                by_eigvals[at] = ~np.isnan(inner)
+                rows = np.flatnonzero(passed[at] == 2)
                 head = q[rows]
             else:
                 rows = np.arange(len(coeffs))
-                verdicts[2] += len(coeffs)
                 head = atlas.superset_denominator(lam, coeffs[:, : n - 1])
-            scored.append((at[rows], *_screen(head, n, superset=not exact)))
-        indices, values, bars = (np.concatenate(part) for part in zip(*scored))
-        order = np.argsort(indices)
-        indices, values, bars = indices[order], values[order], bars[order]
-        k = _pick(values, bars, best_value, best_bar)
+            values[at[rows]], bars[at[rows]] = _screen(head, n, superset=not exact)
+        above = np.flatnonzero(values - bars > best_value + best_bar)
+        end = size if group is None or not above.size else int(above[0] // group + 1) * group
+        first = evals
+        evals += end
+        scored += size
+        verdicts += np.bincount(passed[:end], minlength=3)
+        roots_by_eigvals += int(np.count_nonzero(by_eigvals[:end]))
+        max_rescale = max(max_rescale, float(rescale[:end].max()))
+        accepted = np.flatnonzero(passed[:end] == 2)
+        k = _pick(values[accepted], bars[accepted], best_value, best_bar)
         if k < 0:
             return None
-        index = int(indices[k])
-        coeffs, a2s, at = next(block for block in blocks if index in block[2])
+        index = int(accepted[k])
+        coeffs, _, a2s, at = next(block for block in blocks if index in block[3])
         i = int(np.searchsorted(at, index))
-        best_value, best_bar = float(values[k]), float(bars[k])
+        best_value, best_bar = float(values[index]), float(bars[index])
         best_index = first + index
         best = (coeffs[i].copy(), complex(a2s[i]) if exact else None)
         return index
 
     # Start #0: the known extremal is never lost.
     if exact:
-        offer([(np.array([[-1.0 + 0j]]), [complex(1.0 + lam)], np.arange(1))])
+        offer([(np.array([[-1.0 + 0j]]), np.ones(1), [complex(1.0 + lam)], np.arange(1))])
     else:
-        offer([(np.array([[1.0 + 0j]]), None, np.arange(1))])
+        offer([(np.array([[1.0 + 0j]]), np.ones(1), None, np.arange(1))])
 
     # Random multi-start phase; the polish reserve never starves it.  The
     # randoms are drawn chunk by chunk (a2 last), and each slab of
@@ -671,16 +768,15 @@ def search_max_coeff(
             chunks.append(_draw_chunk(rng, _CHUNK))
             if exact:
                 a2s.append(_draw_disk(rng, _CHUNK, 1.0 + lam)[:take])
-        blocks = _candidate_blocks(chunks, takes)
-        max_rescale = max(max_rescale, *(float(scale.max()) for _, scale, _ in blocks))
         a2s = np.concatenate(a2s) if exact else None
-        offer([(batch, a2s[at] if exact else None, at) for batch, _, at in blocks])
+        offer([
+            (batch, scale, a2s[at] if exact else None, at)
+            for batch, scale, at in _candidate_blocks(chunks, takes)
+        ])
 
     # Coordinate-wise polish of the best candidate found.  The point holds
     # its first `width` coefficients and, for exact_u, a2 last; each real and
-    # imaginary part is one coordinate.  A line is _POLISH_ITERS equispaced
-    # points on [x - step, x + step], certified and offered as one batch; x
-    # moves to the point that replaced the best, if one did.
+    # imaginary part is one coordinate.
     if best is not None:
         coeffs, a2 = best
         point = np.zeros(width + exact, dtype=np.complex128)
@@ -688,25 +784,12 @@ def search_max_coeff(
         if exact:
             point[-1] = a2
         x = point.view(np.float64)
-        for step in _POLISH_STEPS:
-            for coord in range(x.size):
-                if evals + _POLISH_ITERS > budget:
-                    break
-                ts = np.linspace(x[coord] - step, x[coord] + step, _POLISH_ITERS)
-                trials = np.repeat(x[None, :], _POLISH_ITERS, axis=0)
-                trials[:, coord] = ts
-                trials = trials.view(np.complex128)
-                c, scale = _certify(trials[:, :width])
-                max_rescale = max(max_rescale, float(scale.max()))
-                a2s = None
-                if exact:
-                    a2s = trials[:, -1].copy()
-                    size = np.abs(a2s)
-                    over = size > 1.0 + lam
-                    a2s[over] *= (1.0 + lam) / size[over]
-                i = offer([(c, a2s, np.arange(_POLISH_ITERS))])
-                if i is not None:
-                    x[coord] = ts[i]
+        _polish(
+            x,
+            lambda coords, step: _polish_lines(x, coords, step, lam, width, exact),
+            offer,
+            lambda: budget - evals,
+        )
 
     if best_index < 0:
         winner = "none"
@@ -716,11 +799,11 @@ def search_max_coeff(
         winner = "random" if best_index <= random_budget else "polish"
     _log.debug(
         "search %s lambda=%r n=%d budget=%d seed=%d: evaluations=%d start=1 "
-        "random=%d polish=%d roots_by_recursion=%d roots_by_eigvals=%d "
-        "rejected_roots=%d rejected_postcheck=%d accepted=%d "
+        "random=%d polish=%d polish_rescored=%d roots_by_recursion=%d "
+        "roots_by_eigvals=%d rejected_roots=%d rejected_postcheck=%d accepted=%d "
         "max_rescale=%r winner=%s winner_index=%d winner_bar=%r",
         family, lam, n, budget, seed, evals, random_budget,
-        evals - 1 - random_budget, evals * exact - roots_by_eigvals,
+        evals - 1 - random_budget, scored - evals, evals * exact - roots_by_eigvals,
         roots_by_eigvals, *verdicts, max_rescale, winner, best_index, best_bar,
     )
     if best is None:

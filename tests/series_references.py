@@ -1,7 +1,8 @@
 """References for the closed-form series of g_family and k_alpha, for
 the subordination kernel G_alpha built from k_alpha's series, for the
 search's stacked candidate draw, curvature bound and certified sup, for
-the superset denominator, and for the search's coefficient values.
+the superset denominator, for the search's coefficient values, and for
+its polish.
 
 Two kinds of reference: the exp/log routes the closed forms replaced, kept
 here as they stood, and mpmath values at 30 digits from the rising
@@ -279,3 +280,21 @@ def mp_superset_coeff(lam: float, omega: np.ndarray, n: int):
     taken at 30 digits too."""
     with mpmath.workdps(30):
         return _mp_coeff(mp_superset_denominator(lam, omega, n), n)
+
+
+# ---------------------------------------------------------------------------
+# The polish as it stood before each sweep was scored as one batch.
+
+def sequential_polish(x: np.ndarray, line, offer, room) -> None:
+    """search._polish with each coordinate line offered alone: a line is
+    built from the current x, offered as one group, and x moves to the row
+    that replaced the best, if one did; the polish stops at the first line
+    the budget cannot hold.  Takes search._polish's arguments."""
+    for step in S._POLISH_STEPS:
+        for coord in range(x.size):
+            if room() < S._POLISH_ITERS:
+                break
+            block, ts = line(np.arange(coord, coord + 1), step)
+            i = offer([block], S._POLISH_ITERS)
+            if i is not None:
+                x[coord] = ts[i]

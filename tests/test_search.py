@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import re
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -21,6 +22,7 @@ from series_references import (
     per_shift_curvature_bound,
     sampled_modulus_max,
     sampled_sup_bound,
+    sequential_polish,
 )
 
 from logcoef import atlas, cli, membership
@@ -844,8 +846,13 @@ class TestWholeSearchRootTest:
         monkeypatch.setattr(S, "_exact_u_chunk", recording)
         with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
             rec = search_max_coeff(lam, 5, "exact_u", budget=2500, seed=11)
-        random_end = 1 + int(_debug_fields(caplog)["random"])
-        assert sum(a2s.size for a2s, _, _, _ in chunks) == rec.evaluations
+        fields = _debug_fields(caplog)
+        random_end = 1 + int(fields["random"])
+        # every row is tested, and every row the search commits is among them:
+        # the rows tested are the evaluations and the polish rows discarded
+        assert sum(a2s.size for a2s, _, _, _ in chunks) == (
+            rec.evaluations + int(fields["polish_rescored"])
+        )
         offset = rows = by_recursion = 0
         for a2s, psis, passed, inner in chunks:
             want = [_scalar_exact_u_passed(lam, a2, psi) for a2, psi in zip(a2s, psis)]
@@ -855,8 +862,8 @@ class TestWholeSearchRootTest:
             elif offset < random_end:
                 rows += a2s.size
                 by_recursion += np.count_nonzero(np.isnan(inner))
-            else:  # a polish line
-                assert a2s.size == S._POLISH_ITERS
+            else:  # whole polish lines of a sweep
+                assert a2s.size % S._POLISH_ITERS == 0
             offset += a2s.size
         # a fallback that sent every row to eigvals would pass the mask check;
         # the share is taken over the random phase, as polish lines near the
@@ -866,15 +873,17 @@ class TestWholeSearchRootTest:
 
 class TestSearchLog:
     def test_debug_record_accounts_for_budget(self, caplog, monkeypatch):
-        scored = []  # rows scored by each _screen call
-        screen = S._screen
+        offered = []  # accepted rows offered to the tie rule by each _pick call
+        pick = S._pick
 
-        def counting(q, n, superset=False):
-            scored.append(len(q))
-            return screen(q, n, superset)
+        def counting(values, bars, best, best_bar):
+            offered.append(len(values))
+            return pick(values, bars, best, best_bar)
 
-        monkeypatch.setattr(S, "_screen", counting)
-        chunks = []  # (rows, rows rejected) of each exact_u chunk test
+        monkeypatch.setattr(S, "_pick", counting)
+        # (rows, rows rejected) of each exact_u chunk test, and of each
+        # superset block's denominators (no test)
+        chunks = []
         chunk_test = S._exact_u_chunk
 
         def recording(lam, a2s, psis):
@@ -883,11 +892,19 @@ class TestSearchLog:
             return out
 
         monkeypatch.setattr(S, "_exact_u_chunk", recording)
+        product = atlas.superset_denominator
+
+        def recording_product(lam, omega):
+            if np.ndim(omega) == 2:  # not the record's one-row rebuild
+                chunks.append((len(omega), 0))
+            return product(lam, omega)
+
+        monkeypatch.setattr(atlas, "superset_denominator", recording_product)
         for family, budget in (("exact_u", 700), ("superset", 300)):
             caplog.clear()
             quiet = search_max_coeff(0.6, 5, family, budget=budget, seed=4)
             assert not [r for r in caplog.records if r.name == "logcoef.search"]
-            scored.clear()
+            offered.clear()
             chunks.clear()
             with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
                 loud = search_max_coeff(0.6, 5, family, budget=budget, seed=4)
@@ -908,16 +925,26 @@ class TestSearchLog:
                 assert c["roots_by_eigvals"] >= c["start"]
             rescale = float(re.search(r" max_rescale=(\S+) ", record.getMessage())[1])
             assert rescale >= 1.0
-            # every accepted row, in every phase, is scored once
-            assert sum(scored) == c["accepted"]
+            # every accepted row, in every phase, is offered once
+            assert sum(offered) == c["accepted"]
             bar = float(re.search(r" winner_bar=(\S+)$", record.getMessage())[1])
             assert 0.0 < bar < 1e-9
+            # the rows scored are the evaluations and the polish rows
+            # discarded after a line that moved; no line moves here (the
+            # winner is the start row), so none is discarded
+            assert sum(rows for rows, _ in chunks) == c["evaluations"] + c["polish_rescored"]
+            assert c["polish_rescored"] == 0
             # the polish offers whole lines, and the chunk test rejects
             # some of their exact_u rows
             lines, rest = divmod(c["polish"], S._POLISH_ITERS)
             assert lines > 0 and rest == 0
-            polish = chunks[len(chunks) - lines :] if chunks else []
-            assert all(rows == S._POLISH_ITERS for rows, _ in polish)
+            offset, polish = 0, []
+            for rows, rejects in chunks:
+                if offset >= 1 + c["random"]:
+                    polish.append((rows, rejects))
+                offset += rows
+            assert sum(rows for rows, _ in polish) == c["polish"]
+            assert all(rows % S._POLISH_ITERS == 0 for rows, _ in polish)
             assert (sum(rejects for _, rejects in polish) > 0) == (family == "exact_u")
 
     def test_max_rescale_is_one_without_random_rows(self, caplog):
@@ -961,6 +988,22 @@ class TestSearchLog:
                 return product(lam, omega)
 
             monkeypatch.setattr(atlas, "superset_denominator", recording_product)
+        polish = S._polish
+
+        def committing(x, line, offer, room):
+            """The polish, with the rows a sweep discards after the line
+            that moved taken out of `offered`."""
+
+            def offering(blocks, group=None):
+                start = len(offered)
+                i = offer(blocks, group)
+                if i is not None:
+                    del offered[start + (i // group + 1) * group :]
+                return i
+
+            polish(x, line, offering, room)
+
+        monkeypatch.setattr(S, "_polish", committing)
         with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
             rec = search_max_coeff(lam, n, family, budget=budget, seed=seed)
         fields = _debug_fields(caplog)
@@ -1318,3 +1361,142 @@ class TestSlabs:
         assert max(searched, max(rows)) <= S._PRODUCT_ROWS <= 256
         # both run whole tiles, the last of a block cut short
         assert searched == max(rows) == S._PRODUCT_ROWS
+
+
+class TestPolishSweeps:
+    """Each polish sweep is scored as one batch and committed up to the
+    first line that moves; every search equals the one that offers one
+    line at a time (series_references.sequential_polish), with the same
+    record, DEBUG fields and winner index."""
+
+    @staticmethod
+    def _search(caplog, *args, **kwargs):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
+            rec = search_max_coeff(*args, **kwargs)
+        return rec.to_json_line(), _debug_fields(caplog)
+
+    def _compare(self, caplog, *args, **kwargs):
+        """The DEBUG fields of the search; asserts that the sequential
+        polish gives the same record and fields, and discards no row."""
+        got = self._search(caplog, *args, **kwargs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(S, "_polish", sequential_polish)
+            want = self._search(caplog, *args, **kwargs)
+        fields = dict(got[1])
+        assert want[1].pop("polish_rescored") == "0"
+        got[1].pop("polish_rescored")
+        assert got == want
+        return fields
+
+    @pytest.mark.parametrize("family", ["superset", "exact_u"])
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
+    def test_sweeps_give_the_sequential_polish(self, family, lam, caplog):
+        sweep = 2 * (S._MAX_POLY_DEGREE + 1 + (family == "exact_u"))  # lines per sweep
+        for n in (2, 3, 4, 5):
+            for budget in (1, 2, 300, 1600, 2500, 3000):
+                fields = self._compare(caplog, lam, n, family, budget=budget, seed=7)
+                lines = int(fields["polish"]) // S._POLISH_ITERS
+                # 300 and 1600 cut the polish inside its first and third sweep
+                assert (lines % sweep > 0) == (budget in (300, 1600))
+
+    def test_polish_winner_golden(self, caplog):
+        """The golden record whose winner a polish line found: the sweep
+        that moved discards the lines after it."""
+        fields = self._compare(caplog, 0.05, 4, "exact_u", budget=2500, seed=21)
+        assert fields["winner"] == "polish" and int(fields["polish_rescored"]) > 0
+
+    def test_every_line_moves(self, caplog, monkeypatch):
+        """With certification off and a screen whose value grows with every
+        coordinate (about (1 + lambda) times the sum of the real and
+        imaginary parts of w, read from all 7 coefficients at n = 8), each
+        line's last row replaces the best: a sweep of L lines scores
+        L (L + 1) / 2 of them, the worst case _polish names."""
+        lam, n = 1e-9, 8
+
+        def screen(q, n, superset=False):
+            # -(q_1 + ... + q_{n-1}) = (1 + lam) (w_0 + ... + w_{n-2}) + O(lam)
+            return -np.sum(q[:, 1:n].real + q[:, 1:n].imag, axis=1), np.zeros(len(q))
+
+        monkeypatch.setattr(S, "_screen", screen)
+        monkeypatch.setattr(S, "_certify", lambda batch: (batch, np.ones(len(batch))))
+        fields = self._compare(caplog, lam, n, "superset", budget=2500, seed=7)
+        sweep = 2 * (S._MAX_POLY_DEGREE + 1)
+        assert int(fields["polish"]) == len(S._POLISH_STEPS) * sweep * S._POLISH_ITERS
+        scored = int(fields["polish"]) + int(fields["polish_rescored"])
+        assert scored == len(S._POLISH_STEPS) * sweep * (sweep + 1) // 2 * S._POLISH_ITERS
+        assert fields["winner"] == "polish"
+
+
+def _divide_by_max_schur_cohn(q):
+    """search._schur_cohn as it stood before its power-of-two schedule: p
+    divided by its largest modulus after every step."""
+    rows, width = q.shape
+    rho = np.array([[1.0 + _TAU], [1.0 - _TAU]])
+    p = (rho ** np.arange(width)[:, None, None] * q.T[:, None, :]).reshape(width, -1)
+    alive = np.ones(2 * rows, dtype=bool)
+    failed = np.zeros(2 * rows, dtype=bool)
+    for m in range(width - 1, 0, -1):
+        head, tail = np.abs(p[0]), np.abs(p[m])
+        failed |= alive & (head < tail * (1.0 - S._SC_TOL))
+        alive &= head > tail * (1.0 + S._SC_TOL)
+        p = p[0].conj() * p[:m] - p[m] * p[m:0:-1].conj()
+        scale = np.abs(p).max(axis=0)
+        p /= np.where(scale > 0.0, scale, 1.0)
+    accept, reject = alive[:rows], failed[rows:]
+    return accept & ~reject, reject & ~accept
+
+
+class TestSchurCohn:
+    """The recursion renormalizes by exact powers of two every second step:
+    its verdicts are those of the divide-by-max recursion it replaced, and
+    a power-of-two scale of q moves none."""
+
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
+    def test_masks_match_divide_by_max(self, lam, monkeypatch):
+        blocks = []
+        schur_cohn = S._schur_cohn
+
+        def recording(q):
+            out = schur_cohn(q)
+            blocks.append((q, *out))
+            return out
+
+        monkeypatch.setattr(S, "_schur_cohn", recording)
+        for seed in (11, 12):
+            search_max_coeff(lam, 5, "exact_u", budget=3000, seed=seed)
+        assert sum(len(q) for q, _, _ in blocks) >= 6000
+        for q, accept, reject in blocks:
+            want_accept, want_reject = _divide_by_max_schur_cohn(q)
+            assert accept.tolist() == want_accept.tolist()
+            assert reject.tolist() == want_reject.tolist()
+        assert any(a.any() for _, a, _ in blocks) and any(r.any() for _, _, r in blocks)
+
+    @pytest.mark.parametrize("lam", [0.05, 1.0])
+    def test_power_of_two_scale_moves_no_verdict(self, lam):
+        rng = np.random.default_rng(37)
+        near = [
+            _with_zeros([(1.0 + d) * np.exp(0.3j), 1.5, -2.0 + 1j]) for d in _NEAR_CIRCLE_OFFSETS
+        ]
+        blocks = [np.array(near)]
+        for psis, _ in chunk_blocks(rng, S._CHUNK):
+            a2s = S._draw_disk(rng, len(psis), 1.0 + lam)
+            blocks.append(atlas.exact_u_denominator(lam, a2s, psis))
+        for q in blocks:
+            accept, reject = S._schur_cohn(q)
+            assert accept.any() and reject.any()
+            for k in (60, -60):
+                scaled = S._schur_cohn(q * 2.0**k)
+                assert scaled[0].tolist() == accept.tolist()
+                assert scaled[1].tolist() == reject.tolist()
+
+    def test_zero_and_nan_rows_are_undecided(self):
+        q = atlas.exact_u_denominator(0.5, [0.3, 0.0, 0.0, 2.0], np.zeros((4, 7)))
+        q[1] = 0.0
+        q[2] = np.nan
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            accept, reject = S._schur_cohn(q)
+        # 1 - 0.3 z has its zero outside the disk, 1 - 2 z inside
+        assert accept.tolist() == [True, False, False, False]
+        assert reject.tolist() == [False, False, False, True]
