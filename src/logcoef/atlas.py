@@ -346,19 +346,20 @@ def superset_denominator(lam: float, omega) -> np.ndarray:
 
 def min_root_modulus(q: np.ndarray) -> np.ndarray:
     """Smallest root modulus of each row of q, coefficients lowest first
-    (inf for a constant row): one eigvals call per trimmed degree on stacked
-    companion matrices gives the roots that np.roots gives row by row.  A
-    row has a zero inside the disk when this is below INTERIOR_ZERO_LIMIT."""
+    (inf for a constant row, 0 where q_0 = 0): one over the largest root
+    modulus of z^d q(1/z), d the trimmed degree, from one eigvals call per
+    d on stacked companion matrices with first row -q_k / q_0, so a tiny q_d
+    gives a root near 0, not an overflow.  A row has a zero inside the disk
+    when this is below INTERIOR_ZERO_LIMIT."""
     rows, width = q.shape
-    degree = width - 1 - np.argmax(q[:, ::-1] != 0, axis=1)
-    inner = np.full(rows, np.inf)
+    inner = np.where(q[:, 0] == 0, 0.0, np.inf)
+    degree = np.where(inner > 0, width - 1 - np.argmax(q[:, ::-1] != 0, axis=1), 0)
     for d in np.unique(degree[degree > 0]):
         sel = np.flatnonzero(degree == d)
-        p = q[sel, d::-1]  # highest coefficient first, as np.roots takes it
         companion = np.zeros((sel.size, d, d), dtype=np.complex128)
-        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        companion[:, 0, :] = -q[sel, 1 : d + 1] / q[sel, :1]
         companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-        inner[sel] = np.min(np.abs(np.linalg.eigvals(companion)), axis=1)
+        inner[sel] = 1.0 / np.max(np.abs(np.linalg.eigvals(companion)), axis=1)
     return inner
 
 

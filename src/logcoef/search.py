@@ -14,10 +14,11 @@ The exact parametrization rests on the identity
 
     (z/f)^2 f' - 1 = -z^2 d/dz (1/f - 1/z),
 
-which gives (z/f)^2 f' - 1 = lambda z^2 psi(z) for the construction above;
-the identity is re-verified numerically in the test suite on random
-rational functions, and every accepted candidate is additionally pushed
-through the class-deficiency post-check as a safety net.
+which gives (z/f)^2 f' - 1 = lambda z^2 psi(z) for the construction above,
+so a certified psi and z/f without a zero in the disk put f in the class.
+The identity is re-verified numerically in the test suite on random
+rational functions, and every function build_exact_u_function hands out
+passes the class-deficiency post-check as a safety net.
 
 Candidate Schwarz functions are polynomials.  Random candidates are drawn
 in the unit polydisk (plus truncated Blaschke products, which live near the
@@ -43,12 +44,11 @@ step gives a row the same bits whatever rows are beside it, and the tie
 rule below names the same winner however the rows are cut into offers, so
 the slab's size changes no search; it is capped to bound memory.
 For the exact parametrization the chunk test builds every denominator
-z/f = q of a block at once and runs two tests, the second on the
-survivors of the first: the root test (no zero of q in the open unit
-disk) and the post-check, max |q - z q' - 1| at r = 0.99.  The
-root test applies the rule that membership applies to every rational
-spec: a zero below atlas.INTERIOR_ZERO_LIMIT = 1 - tau, tau = 1e-6, is
-inside, and a zero on the circle (the extremal's at z = 1) is admitted.
+z/f = q of a block at once and runs the root test on it: no zero of q in
+the open unit disk.  It applies the rule that membership applies to every
+rational spec: a zero below atlas.INTERIOR_ZERO_LIMIT = 1 - tau,
+tau = 1e-6, is inside, and a zero on the circle (the extremal's at z = 1)
+is admitted.
 It is a batched Schur-Cohn recursion (Henrici, Applied and Computational
 Complex Analysis I, section 6.8) on q(rho z) at rho = 1 +- tau, each row
 rescaled by an exact power of two every second step: a row is decided
@@ -56,9 +56,9 @@ when every step passes at the outer radius (no zero) or a step fails at
 the inner one (a zero), each step with a relative margin of 1e-9.  Rows
 with a zero in that band, or too close to a step's margin, fall back to
 the stacked eigvals verdict min |root| >= 1 - tau (atlas.min_root_modulus:
-one eigvals call per trimmed degree on companion matrices, the roots
-np.roots gives row by row).  The start row's zero at z = 1 lies in the
-band, so it always reaches eigvals.  The superset family has no test.
+one eigvals call per trimmed degree on companion matrices of the reversed
+polynomials).  The start row's zero at z = 1 lies in the band, so it
+always reaches eigvals.  The superset family has no test.
 
 Every offered batch (the start row, a slab of random chunks, a polish
 sweep) is scored on one value path.  The chunk test runs on every row; then
@@ -70,11 +70,13 @@ each row its |a_n| and a proven bar on its distance from the exact value
 rule: a row replaces the best only if its value minus its bar exceeds the
 best's value plus the best's bar, so of rows tied within rounding the
 first offered wins, and a winner other than the extremal start row beats
-it by more than rounding.  The rows at or below the best plus both bars
-are skipped at once (_pick).  A batch's rows are committed in groups (one
-per polish line, one for any other batch) up to and including the first
-group with a row above the best plus its bar; only the committed rows
-count and are offered, and the rest are discarded.  The record reports
+it by more than rounding.  The best starts at -inf, so the start row is
+the first best unless its bar is not finite (from about n = 400 at
+lambda = 1), and then the search raises.  The rows at or below the best
+plus both bars are skipped at once (_pick).  A batch's rows are committed
+in groups (one per polish line, one for any other batch) up to and
+including the first group with a row above the best plus its bar; only
+the committed rows count and are offered, and the rest are discarded.  The record reports
 the winner's |a_n| as the builders give it (atlas.taylor_of of the named
 function, the value a rebuild of the record gets), which lies within the
 winner's bar of the screen's value.  validate_exact_u applies the root
@@ -99,10 +101,10 @@ only those the budget offers.  Each search logs one DEBUG record on the
 ``logcoef.search`` logger that accounts for its budget: start, random and polish
 evaluations, the polish rows scored and discarded after a line that
 moved, the root-test rows decided by the recursion and by eigvals,
-the rows rejected by each of the two tests and the rows accepted, the
-largest certified-sup factor divided out of a candidate (1.0 when none
-was), the winner's phase (start, random, polish or none) and offer-order
-index, and the winner's bar.
+the rows the root test rejected and the rows accepted, the largest
+certified-sup factor divided out of a candidate (1.0 when none was), the
+winner's phase (start, random or polish) and offer-order index, and the
+winner's bar.
 """
 
 from __future__ import annotations
@@ -123,7 +125,6 @@ VALIDATION_SAMPLES = 2048  # boundary samples for the public validation gate
 CERT_SAMPLES = 1024  # boundary samples inside the candidate generator
 POSTCHECK_RADIUS = 0.99
 POSTCHECK_TOL = 1e-6
-_POSTCHECK_SAMPLES = 256
 _SC_TOL = 1e-9  # relative margin of |p_0| against |p_m| in the recursion
 _CHUNK = 256
 _SLAB_CHUNKS = 4  # random chunks built, certified, tested and screened together
@@ -165,12 +166,12 @@ class ExactUParams:
     validated: bool = False
 
 
-def boundary_sup(coeffs, samples: int = VALIDATION_SAMPLES) -> float:
-    """max |w| over `samples` equispaced boundary points, the square root of
-    _sampled_gmax: nan or inf for a non-finite or huge coefficient."""
+def boundary_sup(coeffs) -> float:
+    """max |w| over VALIDATION_SAMPLES equispaced boundary points, the square
+    root of _sampled_gmax: nan or inf for a non-finite or huge coefficient."""
     c = np.asarray(coeffs, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.sqrt(_sampled_gmax(c[None, :], samples)[0][0]))
+        return float(np.sqrt(_sampled_gmax(c[None, :], VALIDATION_SAMPLES)[0][0]))
 
 
 def validate_schwarz(coeffs) -> SchwarzParams:
@@ -426,48 +427,41 @@ def _schur_cohn(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return accept & ~reject, reject & ~accept
 
 
-def _postcheck_sup(q: np.ndarray, samples: int) -> np.ndarray:
-    """max |q - z q' - 1| = |(z/f)^2 f' - 1| over `samples` equispaced points
-    of |z| = POSTCHECK_RADIUS for each row q = z/f (q_0 = 1): _sampled_gmax
-    of the coefficients (1 - k) q_k r^k."""
+def _postcheck_sup(q: np.ndarray) -> np.ndarray:
+    """max |q - z q' - 1| = |(z/f)^2 f' - 1| over 512 equispaced points of
+    |z| = POSTCHECK_RADIUS for each row q = z/f (q_0 = 1): _sampled_gmax of
+    the coefficients (1 - k) q_k r^k."""
     k = np.arange(q.shape[1])
     u = q * ((1.0 - k) * POSTCHECK_RADIUS**k)
     u[:, 0] -= 1.0
-    return np.sqrt(_sampled_gmax(u, samples)[0])
+    return np.sqrt(_sampled_gmax(u, 512)[0])
 
 
 def _exact_u_chunk(lam: float, a2s, psis):
-    """The exact_u acceptance test on a batch of candidates (rows).
+    """The exact_u root test on a batch of candidates (rows): q = z/f has no
+    zero in the open unit disk, by the rule atlas.min_root_modulus(q) >=
+    atlas.INTERIOR_ZERO_LIMIT that membership also applies.
 
-    The root test (q = z/f has no zero in the open unit disk, by the rule
-    atlas.min_root_modulus(q) >= atlas.INTERIOR_ZERO_LIMIT that membership
-    also applies), then, on its survivors, the post-check (_postcheck_sup
-    at _POSTCHECK_SAMPLES points <= lambda + POSTCHECK_TOL).
-
-    The root test runs the batched Schur-Cohn recursion on the batch.  It
-    decides every row with no zero within a relative band
+    It runs the batched Schur-Cohn recursion on the batch, which decides
+    every row with no zero within a relative band
     tau = 1 - INTERIOR_ZERO_LIMIT of the unit circle; the rows it leaves
     undecided, the start row among them, get the stacked eigvals verdict.
     validate_exact_u applies the same eigvals verdict alone.
 
-    Returns q, the number of tests each row passed (2 = accepted), and each
-    row's smallest root modulus where eigvals ran (inf for a constant q)
-    and nan where the recursion decided.
+    No sampled post-check follows: q - z q' - 1 = (z/f)^2 f' - 1 is
+    lambda z^2 psi, and the search's psi is certified (|psi| <= 1 on the
+    circle, _certify) or the start row's -1, so a row that passes is in
+    U(lambda).  build_exact_u_function post-checks every function it builds.
+
+    Returns q, the accept mask, and each row's smallest root modulus where
+    eigvals ran (inf for a constant q) and nan where the recursion decided.
     """
     q = atlas.exact_u_denominator(lam, a2s, psis)
-    rows = len(q)
-    passed = np.zeros(rows, dtype=np.int64)
-
     accept, reject = _schur_cohn(q)
     undecided = ~(accept | reject)
-    inner = np.full(rows, np.nan)
+    inner = np.full(len(q), np.nan)
     inner[undecided] = atlas.min_root_modulus(q[undecided])
-    passed[accept | (undecided & (inner >= atlas.INTERIOR_ZERO_LIMIT))] = 1
-
-    alive = np.flatnonzero(passed == 1)
-    post = _postcheck_sup(q[alive], _POSTCHECK_SAMPLES)
-    passed[alive[post <= lam + POSTCHECK_TOL]] = 2
-    return q, passed, inner
+    return q, accept | (undecided & (inner >= atlas.INTERIOR_ZERO_LIMIT)), inner
 
 
 def validate_exact_u(lam: float, a2: complex, psi) -> ExactUParams:
@@ -497,7 +491,7 @@ def build_exact_u_function(p: ExactUParams, order: int) -> TruncatedSeries:
     if not p.validated:
         raise SearchError("exact-parametrization candidate is not validated")
     q = atlas.exact_u_denominator(p.lam, p.a2, p.psi)
-    measured = _postcheck_sup(q[None, :], 512)[0]
+    measured = _postcheck_sup(q[None, :])[0]
     if measured > p.lam + POSTCHECK_TOL:
         raise SearchError(
             f"post-check failed: deficiency {measured:.9g} exceeds "
@@ -532,7 +526,9 @@ def _screen(q: np.ndarray, n: int, superset: bool = False) -> tuple[np.ndarray, 
     error d in q moves b = 1/q by -b^2 d, whose coefficient n - 1 sums at
     most n (n - 1) / 2 products B_i |d_j| B_l: 2 n (n^2 - 1) eps M^2, below
     the head term 2 n^3 eps M^2 that is added.  A non-finite value or bar
-    never passes the tie rule (_pick).
+    never passes the tie rule (_pick), so the recurrences and M^2 may
+    overflow without a warning: the start row's M grows like (1 + sqrt 2)^n
+    at lambda = 1, and its bar is inf from about n = 400.
     """
     rows = len(q)
     head = np.zeros((rows, n), dtype=np.complex128)
@@ -542,10 +538,11 @@ def _screen(q: np.ndarray, n: int, superset: bool = False) -> tuple[np.ndarray, 
     b = np.empty_like(head)
     bound = np.empty_like(size)
     b[:, 0], bound[:, 0] = 1.0, 1.0
-    for k in range(1, n):
-        b[:, k] = -np.sum(head[:, 1 : k + 1] * b[:, k - 1 :: -1], axis=1)
-        bound[:, k] = np.sum(size[:, 1 : k + 1] * bound[:, k - 1 :: -1], axis=1)
-    bar = 2.0 * n * n * (1.0 + n * superset) * _EPS * bound.max(axis=1) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n):
+            b[:, k] = -np.sum(head[:, 1 : k + 1] * b[:, k - 1 :: -1], axis=1)
+            bound[:, k] = np.sum(size[:, 1 : k + 1] * bound[:, k - 1 :: -1], axis=1)
+        bar = 2.0 * n * n * (1.0 + n * superset) * _EPS * bound.max(axis=1) ** 2
     return np.abs(b[:, n - 1]), bar
 
 
@@ -672,7 +669,8 @@ def search_max_coeff(
     multi-start follows, and the remaining budget drives a coordinate-wise
     polish of the best candidate found, a line of equispaced points per
     coordinate, each sweep scored as one batch (_polish).  Deterministic
-    for fixed (lambda, n, family, budget, seed).
+    for fixed (lambda, n, family, budget, seed).  Raises SearchError when
+    the start row's bar is not finite, as no row can then be ranked.
     """
     if n < 2:
         raise SearchError("coefficient index must be >= 2")
@@ -686,12 +684,11 @@ def search_max_coeff(
     exact = family == "exact_u"
     rng = np.random.default_rng(seed)
     best = None  # (coeffs, a2) of the best row so far
-    best_value, best_bar = -1.0, 0.0
+    best_value, best_bar = -math.inf, 0.0
     best_index = -1  # position of the best row in offer order
     evals = 0  # rows committed
     scored = 0  # rows scored, committed or discarded
-    # rows rejected by the root test and by the post-check; accepted
-    verdicts = np.zeros(3, dtype=np.int64)
+    accepted_rows = 0  # committed rows that passed the root test
     roots_by_eigvals = 0  # root-test rows the Schur-Cohn recursion left to eigvals
     max_rescale = 1.0  # largest certified-sup factor divided out of a row
 
@@ -709,18 +706,18 @@ def search_max_coeff(
         (_pick).  Returns the offer index of the row that became the best,
         or None."""
         nonlocal best, best_value, best_bar, best_index, evals, scored
-        nonlocal verdicts, roots_by_eigvals, max_rescale
+        nonlocal accepted_rows, roots_by_eigvals, max_rescale
         size = sum(len(coeffs) for coeffs, _, _, _ in blocks)
-        passed = np.full(size, 2)  # tests passed by each row, in offer order
+        accept = np.ones(size, dtype=bool)  # each row's verdict, in offer order
         by_eigvals = np.zeros(size, dtype=bool)
         rescale = np.empty(size)
         values, bars = np.full(size, np.nan), np.full(size, np.nan)
         for coeffs, scale, a2s, at in blocks:
             rescale[at] = scale
             if exact:
-                q, passed[at], inner = _exact_u_chunk(lam, a2s, coeffs)
+                q, accept[at], inner = _exact_u_chunk(lam, a2s, coeffs)
                 by_eigvals[at] = ~np.isnan(inner)
-                rows = np.flatnonzero(passed[at] == 2)
+                rows = np.flatnonzero(accept[at])
                 head = q[rows]
             else:
                 rows = np.arange(len(coeffs))
@@ -731,10 +728,10 @@ def search_max_coeff(
         first = evals
         evals += end
         scored += size
-        verdicts += np.bincount(passed[:end], minlength=3)
+        accepted = np.flatnonzero(accept[:end])
+        accepted_rows += accepted.size
         roots_by_eigvals += int(np.count_nonzero(by_eigvals[:end]))
         max_rescale = max(max_rescale, float(rescale[:end].max()))
-        accepted = np.flatnonzero(passed[:end] == 2)
         k = _pick(values[accepted], bars[accepted], best_value, best_bar)
         if k < 0:
             return None
@@ -751,6 +748,8 @@ def search_max_coeff(
         offer([(np.array([[-1.0 + 0j]]), np.ones(1), [complex(1.0 + lam)], np.arange(1))])
     else:
         offer([(np.array([[1.0 + 0j]]), np.ones(1), None, np.arange(1))])
+    if best is None:
+        raise SearchError(f"the error bar on |a_{n}| of the start row is not finite")
 
     # Random multi-start phase; the polish reserve never starves it.  The
     # randoms are drawn chunk by chunk (a2 last), and each slab of
@@ -777,37 +776,30 @@ def search_max_coeff(
     # Coordinate-wise polish of the best candidate found.  The point holds
     # its first `width` coefficients and, for exact_u, a2 last; each real and
     # imaginary part is one coordinate.
-    if best is not None:
-        coeffs, a2 = best
-        point = np.zeros(width + exact, dtype=np.complex128)
-        point[: min(width, coeffs.size)] = coeffs[:width]
-        if exact:
-            point[-1] = a2
-        x = point.view(np.float64)
-        _polish(
-            x,
-            lambda coords, step: _polish_lines(x, coords, step, lam, width, exact),
-            offer,
-            lambda: budget - evals,
-        )
+    coeffs, a2 = best
+    point = np.zeros(width + exact, dtype=np.complex128)
+    point[: min(width, coeffs.size)] = coeffs[:width]
+    if exact:
+        point[-1] = a2
+    x = point.view(np.float64)
+    _polish(
+        x,
+        lambda coords, step: _polish_lines(x, coords, step, lam, width, exact),
+        offer,
+        lambda: budget - evals,
+    )
 
-    if best_index < 0:
-        winner = "none"
-    elif best_index == 0:
-        winner = "start"
-    else:
-        winner = "random" if best_index <= random_budget else "polish"
+    winner = "start" if best_index == 0 else "random" if best_index <= random_budget else "polish"
     _log.debug(
         "search %s lambda=%r n=%d budget=%d seed=%d: evaluations=%d start=1 "
         "random=%d polish=%d polish_rescored=%d roots_by_recursion=%d "
-        "roots_by_eigvals=%d rejected_roots=%d rejected_postcheck=%d accepted=%d "
+        "roots_by_eigvals=%d rejected_roots=%d accepted=%d "
         "max_rescale=%r winner=%s winner_index=%d winner_bar=%r",
         family, lam, n, budget, seed, evals, random_budget,
         evals - 1 - random_budget, scored - evals, evals * exact - roots_by_eigvals,
-        roots_by_eigvals, *verdicts, max_rescale, winner, best_index, best_bar,
+        roots_by_eigvals, evals - accepted_rows, accepted_rows, max_rescale, winner,
+        best_index, best_bar,
     )
-    if best is None:
-        raise SearchError("no valid candidate found within budget")
     coeffs, a2 = best
     coeffs = _trim(coeffs)
     spec = atlas.exact_u(lam, a2, coeffs) if exact else atlas.schwarz_superset(lam, coeffs)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logcoef import atlas, membership, verify
+from logcoef import atlas, membership, search, verify
 from logcoef.cli import (
     _build_parser,
     _parse_grid,
@@ -149,6 +149,21 @@ class TestMemberCommand:
             row = json.loads(out)
             assert row["verdict"] == "fail"
             assert row["note"] == f"f has a pole of modulus {modulus} inside the disk"
+
+
+def test_tiny_leading_coefficient_keeps_small_roots(capsys):
+    # atlas.min_root_modulus reads the roots' reciprocals from z^d q(1/z),
+    # so a tiny or subnormal q_d neither hides the roots near the circle
+    # nor overflows the companion matrix
+    q = atlas.superset_denominator(0.5, [0.5, 1e-50])
+    assert atlas.min_root_modulus(q[None, :])[0] == pytest.approx(2.0, rel=1e-12)
+    assert search.validate_exact_u(0.5, 0, [0.1, 1e-60]).validated
+    for spec in ("schwarz_superset(lambda=0.5, omega=[0.5,1e-50])",
+                 "rational(num=[0,1], den=[1,0,1e-320])"):
+        code, out, _ = run_cli(capsys, "member", spec, "ulambda")
+        assert code == 0 and json.loads(out)["verdict"] == "pass"
+    code, out, _ = run_cli(capsys, "search", "--lambda", "1e-310", "--n", "3", "--family", "exact_u")
+    assert code == 0 and json.loads(out)["margin"] == 0.0
 
 
 class TestRenderCommand:

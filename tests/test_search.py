@@ -107,7 +107,6 @@ class TestValidation:
     def test_sample_matrix_cache_is_bounded(self):
         limit = S._cosine_matrix.cache_info().maxsize
         for k in range(limit + 8):
-            boundary_sup([0.5], samples=1024 + k)
             S.certified_sup_bound(np.full((1, k + 1), 0.5 + 0j))
         assert S._cosine_matrix.cache_info().currsize <= limit
 
@@ -432,6 +431,31 @@ class TestSearch:
             rec = search_max_coeff(lam, n, "exact_u", budget=1, seed=0)
             assert rec.achieved >= conjectured_bound(lam, n) - 1e-12
 
+    @pytest.mark.parametrize(
+        "family,n,budget", [("superset", 19, 1), ("superset", 19, 10_000), ("exact_u", 20, 1)]
+    )
+    def test_start_row_wins_at_large_n(self, family, n, budget, caplog):
+        # the start row's bar grows like M^2, M about (1 + sqrt 2)^n at
+        # lambda = 1, so its value minus its bar is far below -1 here; it
+        # still becomes the first best, and no random row displaces it
+        with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
+            rec = search_max_coeff(1.0, n, family, budget=budget, seed=0)
+        assert (rec.achieved, rec.margin) == (float(n), 0.0)
+        assert _debug_fields(caplog)["winner"] == "start"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", ["superset", "exact_u"])
+    def test_non_finite_start_bar_is_an_error(self, family, monkeypatch):
+        # at n = 420 the start row's bar overflows to inf: no row could be
+        # ranked, so the search stops before its random phase, without a
+        # floating-point warning
+        def random_phase(*args):
+            raise AssertionError("the random phase ran")
+
+        monkeypatch.setattr(S, "_candidate_blocks", random_phase)
+        with pytest.raises(SearchError, match=r"bar on \|a_420\| of the start row is not finite"):
+            search_max_coeff(1.0, 420, family, budget=10_000, seed=0)
+
     def test_proved_range_not_exceeded(self):
         rec = search_max_coeff(0.5, 3, "superset", budget=800, seed=7)
         assert conjectured_bound(0.5, 3) - 1e-12 <= rec.achieved <= 1.75 + 1e-9
@@ -537,22 +561,13 @@ class TestGoldenRecords:
         assert abs(f.coeffs[n]) == rec["achieved"]
 
 
-def _scalar_exact_u_passed(lam, a2, psi):
-    """Reference for the chunk test: one candidate at a time with the
-    np.roots rule at atlas.INTERIOR_ZERO_LIMIT and a Horner post-check, in
-    the same order.  Returns the number of tests passed (2 = accepted)."""
-    pv = np.polynomial.polynomial.polyval
-    q = atlas.exact_u_denominator(lam, a2, psi)
-    qt = np.trim_zeros(q, "b")
-    if qt.size > 1 and np.min(np.abs(np.roots(qt[::-1]))) < atlas.INTERIOR_ZERO_LIMIT:
-        return 0
-    zs = S.POSTCHECK_RADIUS * np.exp(2j * np.pi * np.arange(256) / 256)
-    u = pv(zs, q) - zs * pv(zs, np.polynomial.polynomial.polyder(q)) - 1.0
-    return 2 if np.max(np.abs(u)) <= lam + S.POSTCHECK_TOL else 1
-
-
 def _scalar_exact_u_verdict(lam, a2, psi):
-    return _scalar_exact_u_passed(lam, a2, psi) == 2
+    """Reference for the chunk test: one candidate at a time with the
+    np.roots rule at atlas.INTERIOR_ZERO_LIMIT.  True when it accepts."""
+    qt = np.trim_zeros(atlas.exact_u_denominator(lam, a2, psi), "b")
+    if qt.size == 1:
+        return True
+    return bool(np.min(np.abs(np.roots(qt[::-1]))) >= atlas.INTERIOR_ZERO_LIMIT)
 
 
 def _exact_u_inputs(q, lam=1.0):
@@ -595,9 +610,9 @@ class TestChunkTest:
             psis = np.vstack([psis, start])
             a2s = np.append(a2s, 1.0 + lam)
             _, passed, _ = S._exact_u_chunk(lam, a2s, psis)
-            want = [_scalar_exact_u_passed(lam, a2, psi) for a2, psi in zip(a2s, psis)]
+            want = [_scalar_exact_u_verdict(lam, a2, psi) for a2, psi in zip(a2s, psis)]
             assert passed.tolist() == want
-            assert want[-1] == 2 and min(want) < 2
+            assert want[-1] and not all(want)
 
     def test_extremal_row_is_accepted(self):
         # at lambda = 1, z/f = (1 - z)^2 has a double zero at z = 1, which
@@ -606,19 +621,27 @@ class TestChunkTest:
         assert _scalar_exact_u_verdict(1.0, 2.0, [-1.0])
         for a2s, psis in (([2.0], [[-1.0]]), ([2.0, 0.0], [[-1.0], [0.0]])):
             _, passed, inner = S._exact_u_chunk(1.0, a2s, psis)
-            assert passed.tolist() == [2] * len(a2s)
+            assert passed.tolist() == [True] * len(a2s)
             assert atlas.INTERIOR_ZERO_LIMIT < 1.0 - 1e-7 < inner[0] < 1.0 + 1e-7
 
-    def test_root_test_and_postcheck_reject_on_their_own(self):
+    def test_root_test_alone_decides(self):
         # z/f = (1 - z/0.9995)^2 has a double zero inside the disk;
-        # z/f = 1 + 0.52 z^3 has no zero in the disk but its deficiency
-        # 1.04 |z|^3 exceeds 1 + 1e-6 at r = 0.99
+        # z/f = 1 + 0.52 z^3 has none, so the chunk test accepts it although
+        # psi = -1.04 z is not bounded by one (the search only tests
+        # certified psi).  Its deficiency 1.04 |z|^3 exceeds 1 + 1e-6 at
+        # r = 0.99: validate_exact_u refuses that psi, and the builder's
+        # post-check the row (test_builder_raises_when_the_postcheck_fails)
         r = 0.9995
         a2s = [2.0 / r, 0.0]
         psis = [[-1.0 / r**2, 0.0], [0.0, -1.04]]
         _, passed, _ = S._exact_u_chunk(1.0, a2s, psis)
-        assert passed.tolist() == [0, 1]
-        assert not any(_scalar_exact_u_verdict(1.0, a2, psi) for a2, psi in zip(a2s, psis))
+        want = [_scalar_exact_u_verdict(1.0, a2, psi) for a2, psi in zip(a2s, psis)]
+        assert passed.tolist() == want == [False, True]
+        with pytest.raises(SearchError, match="exceeds 1"):
+            validate_exact_u(1.0, a2s[1], psis[1])
+        p = ExactUParams(lam=1.0, a2=a2s[1], psi=tuple(psis[1]), validated=True)
+        with pytest.raises(SearchError, match="post-check failed"):
+            build_exact_u_function(p, 4)
 
     def test_near_circle_rows(self):
         # zeros at 1 +- 1e-9 lie inside the recursion's band 1 +- tau and are
@@ -629,22 +652,22 @@ class TestChunkTest:
         edge = atlas.INTERIOR_ZERO_LIMIT
         rest = [1.3, -1.1j, 2.0 * np.exp(1j), 1.7 + 0.4j]  # zeros well outside
         rows = {
-            "band_out": (_with_zeros([1 + 1e-9] + rest), 1, False),
-            "band_in": (_with_zeros([(1 - 1e-9) * 1j] + rest), 1, False),
-            "edge_in": (_with_zeros([edge * (1 - 1e-12) * -1] + rest), 0, False),
-            "near_out": (_with_zeros([(1 + 1e-5) * np.exp(2j)] + rest), 1, True),
-            "near_in": (_with_zeros([(1 - 1e-5) * -1j] + rest), 0, True),
-            "far_out": (_with_zeros([3.0, -2.5j]), 2, True),
-            "double": (_with_zeros([0.9995, 0.9995]), 0, True),
-            "constant": (_with_zeros([]), 2, True),
-            "band_only": (_with_zeros([1 + 1e-9], width=2), 2, False),
-            "full": (_with_zeros(np.exp(2j * np.pi * np.arange(26) / 26) * 1.01), 1, True),
+            "band_out": (_with_zeros([1 + 1e-9] + rest), True, False),
+            "band_in": (_with_zeros([(1 - 1e-9) * 1j] + rest), True, False),
+            "edge_in": (_with_zeros([edge * (1 - 1e-12) * -1] + rest), False, False),
+            "near_out": (_with_zeros([(1 + 1e-5) * np.exp(2j)] + rest), True, True),
+            "near_in": (_with_zeros([(1 - 1e-5) * -1j] + rest), False, True),
+            "far_out": (_with_zeros([3.0, -2.5j]), True, True),
+            "double": (_with_zeros([0.9995, 0.9995]), False, True),
+            "constant": (_with_zeros([]), True, True),
+            "band_only": (_with_zeros([1 + 1e-9], width=2), True, False),
+            "full": (_with_zeros(np.exp(2j * np.pi * np.arange(26) / 26) * 1.01), True, True),
         }
         a2s, psis = zip(*(_exact_u_inputs(q) for q, _, _ in rows.values()))
         psis = np.array([np.pad(psi, (0, S._BLASCHKE_TRUNC + 1 - psi.size)) for psi in psis])
         _, passed, inner = S._exact_u_chunk(1.0, np.array(a2s), psis)
-        want = [_scalar_exact_u_passed(1.0, a2, psi) for a2, psi in zip(a2s, psis)]
-        assert passed.tolist() == want == [level for _, level, _ in rows.values()]
+        want = [_scalar_exact_u_verdict(1.0, a2, psi) for a2, psi in zip(a2s, psis)]
+        assert passed.tolist() == want == [verdict for _, verdict, _ in rows.values()]
         assert np.isnan(inner).tolist() == [by_recursion for _, _, by_recursion in rows.values()]
         # eigvals puts the band zeros and the edge zero on the right side of
         # the limit, and the lone band zero outside the circle
@@ -672,7 +695,7 @@ class TestChunkTest:
         ]
         a2s, psis = zip(*(_exact_u_inputs(q) for q in qs))
         _, passed, _ = S._exact_u_chunk(1.0, np.array(a2s), np.array(psis))
-        want = [_scalar_exact_u_passed(1.0, a2, psi) for a2, psi in zip(a2s, psis)]
+        want = [_scalar_exact_u_verdict(1.0, a2, psi) for a2, psi in zip(a2s, psis)]
         assert passed.tolist() == want
 
     def test_one_row_filter_notes(self):
@@ -683,13 +706,14 @@ class TestChunkTest:
         with pytest.raises(SearchError, match=f"zero of modulus {modulus:.6g}$"):
             validate_exact_u(0.5, 1.5, [1.0])
         _, passed, inner = S._exact_u_chunk(0.5, [1.5], [[1.0]])
-        assert passed.tolist() == [0] and np.isnan(inner[0])
+        assert passed.tolist() == [False] and np.isnan(inner[0])
         assert validate_exact_u(0.5, 1.5, [-1.0]).validated
 
 
 class TestPostcheck:
     """The exact_u post-check, max |q - z q' - 1| at POSTCHECK_RADIUS, as the
-    chunk test and the builder both run it (search._postcheck_sup)."""
+    builder runs it (search._postcheck_sup).  The search does not run it:
+    q - z q' - 1 = lambda z^2 psi, which a certified psi keeps in the class."""
 
     @staticmethod
     def _chunk(lam, seed):
@@ -700,49 +724,87 @@ class TestPostcheck:
     def test_value_bits_alone_among_survivors_and_in_the_builder(self, monkeypatch):
         lam = 0.5
         a2s, psis = self._chunk(lam, 17)
-        postcheck = S._postcheck_sup
-        calls = []
-
-        def recording(q, samples):
-            out = postcheck(q, samples)
-            calls.append((q.copy(), samples, out))
-            return out
-
-        monkeypatch.setattr(S, "_postcheck_sup", recording)
-        _, passed, _ = S._exact_u_chunk(lam, a2s, psis)
-        [(survivors, samples, values)] = calls
-        assert samples == 256 and len(survivors) == np.count_nonzero(passed >= 1) > 8
-        alone = [postcheck(row[None, :], 256).view(np.uint64)[0] for row in survivors]
-        assert alone == values.view(np.uint64).tolist()
+        q, passed, _ = S._exact_u_chunk(lam, a2s, psis)
+        survivor = np.flatnonzero(passed)
+        among = S._postcheck_sup(q[survivor]).view(np.uint64)
+        alone = [S._postcheck_sup(row[None, :]).view(np.uint64)[0] for row in q[survivor]]
+        assert len(survivor) > 8 and alone == among.tolist()
 
         # the builder checks one row at 512 points; a Blaschke row keeps the
         # chunk's width after trimming, so its value has the same bits as
-        # among the chunk's survivors at 512 points
-        survivor = np.flatnonzero(passed >= 1)
+        # among the chunk's survivors
         j = int(np.flatnonzero(survivor >= S._POLY_PER_CHUNK)[0])
         i = survivor[j]
         p = validate_exact_u(lam, complex(a2s[i]), S._trim(psis[i]))
-        calls.clear()
+        postcheck, sampled = S._postcheck_sup, S._sampled_gmax
+        calls, samples = [], []
+
+        def recording(q):
+            out = postcheck(q)
+            calls.append((q.copy(), out))
+            return out
+
+        def counting(batch, count):
+            samples.append(count)
+            return sampled(batch, count)
+
+        monkeypatch.setattr(S, "_postcheck_sup", recording)
+        monkeypatch.setattr(S, "_sampled_gmax", counting)
         build_exact_u_function(p, 5)
-        [(row, samples, value)] = calls
-        assert samples == 512 and row.tolist() == [survivors[j].tolist()]
-        among = postcheck(survivors, 512).view(np.uint64)
+        [(row, value)] = calls
+        assert samples == [512] and row.tolist() == [q[i].tolist()]
         assert value.view(np.uint64).tolist() == [among[j]]
 
     @pytest.mark.parametrize("lam", [0.05, 1.0])
     def test_value_matches_horner(self, lam):
-        # Horner on the coefficients (1 - k) q_k of q - z q' - 1 at the 256
+        # Horner on the coefficients (1 - k) q_k of q - z q' - 1 at the 512
         # points of |z| = POSTCHECK_RADIUS.  q and z q' are each of size
         # about |a2| while their difference is lambda z^2 psi, so evaluating
         # them apart would lose up to 1e-13 relative at lambda = 0.05
         a2s, psis = self._chunk(lam, 23)
         q = atlas.exact_u_denominator(lam, a2s, psis)
-        got = S._postcheck_sup(q, 256)
+        got = S._postcheck_sup(q)
         u = q * (1.0 - np.arange(q.shape[1]))
         u[:, 0] -= 1.0
-        zs = S.POSTCHECK_RADIUS * np.exp(2j * np.pi * np.arange(256) / 256)
+        zs = S.POSTCHECK_RADIUS * np.exp(2j * np.pi * np.arange(512) / 512)
         want = np.max(np.abs(np.polynomial.polynomial.polyval(zs, u.T)), axis=1)
         assert np.max(np.abs(got - want) / want) <= 1e-14
+
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
+    def test_certified_rows_pass_the_postcheck(self, lam):
+        # on |z| = r the deficiency lambda |z^2 psi| of a certified psi (a
+        # polynomial or Blaschke row) or of the start row's psi = -1 is at
+        # most r^2 lambda, below lambda + POSTCHECK_TOL: the check the chunk
+        # test no longer runs could not reject a row of the search
+        limit = S.POSTCHECK_RADIUS**2 * lam
+        for seed in (29, 30, 31):
+            a2s, psis = self._chunk(lam, seed)
+            start = np.zeros((1, psis.shape[1]), dtype=np.complex128)
+            start[0, 0] = -1.0
+            q = atlas.exact_u_denominator(
+                lam, np.append(a2s, 1.0 + lam), np.vstack([psis, start])
+            )
+            post = S._postcheck_sup(q)
+            assert np.all(post <= limit * (1.0 + 1e-12))
+            assert post[-1] == pytest.approx(limit, rel=1e-14)
+
+    def test_a_search_runs_no_postcheck(self, monkeypatch):
+        postcheck = S._postcheck_sup
+        rows = []  # rows of each _postcheck_sup call
+
+        def counting(q):
+            rows.append(len(q))
+            return postcheck(q)
+
+        monkeypatch.setattr(S, "_postcheck_sup", counting)
+        rec = search_max_coeff(0.5, 5, "exact_u", budget=2500, seed=11)
+        assert rows == []
+        params = rec.params
+        p = validate_exact_u(
+            0.5, complex(*params["a2"]), [complex(*c) for c in params["psi"]]
+        )
+        build_exact_u_function(p, 5)
+        assert rows == [1]
 
     def test_builder_raises_when_the_postcheck_fails(self):
         # z/f = 1 - 0.75 z^2 has no zero in the disk, but its deficiency
@@ -783,7 +845,7 @@ class TestOneZeroRule:
         # one row alone and beside a second row
         _, alone, _ = S._exact_u_chunk(lam, [a2], [psi])
         _, pair, _ = S._exact_u_chunk(lam, [a2, 0.0], [psi, [0.0]])
-        assert alone[0] == pair[0] == (2 if admitted else 0)
+        assert alone[0] == pair[0] == admitted
         report = _member_ulambda(capsys, lam, a2, psi)
         if admitted:
             assert validate_exact_u(lam, a2, psi).validated
@@ -855,7 +917,7 @@ class TestWholeSearchRootTest:
         )
         offset = rows = by_recursion = 0
         for a2s, psis, passed, inner in chunks:
-            want = [_scalar_exact_u_passed(lam, a2, psi) for a2, psi in zip(a2s, psis)]
+            want = [_scalar_exact_u_verdict(lam, a2, psi) for a2, psi in zip(a2s, psis)]
             assert passed.tolist() == want
             if offset == 0:  # the start row's zero at z = 1 leaves it to eigvals
                 assert a2s.size == 1 and not np.isnan(inner).any()
@@ -888,7 +950,7 @@ class TestSearchLog:
 
         def recording(lam, a2s, psis):
             out = chunk_test(lam, a2s, psis)
-            chunks.append((len(a2s), int(np.count_nonzero(out[1] != 2))))
+            chunks.append((len(a2s), int(np.count_nonzero(~out[1]))))
             return out
 
         monkeypatch.setattr(S, "_exact_u_chunk", recording)
@@ -914,9 +976,8 @@ class TestSearchLog:
             c = {k: int(v) for k, v in pairs}
             assert c["evaluations"] == loud.evaluations
             assert c["start"] + c["random"] + c["polish"] == loud.evaluations
-            rejected = c["rejected_roots"] + c["rejected_postcheck"]
-            assert rejected + c["accepted"] == loud.evaluations
-            assert (rejected > 0) == (family == "exact_u")
+            assert c["rejected_roots"] + c["accepted"] == loud.evaluations
+            assert (c["rejected_roots"] > 0) == (family == "exact_u")
             # every exact_u row reaches the root test; the start row's zero
             # at z = 1 leaves it to eigvals
             roots = c["roots_by_recursion"] + c["roots_by_eigvals"]
