@@ -618,6 +618,8 @@ KIND_REGISTRY: dict[str, KindEntry] = {
     ),
     "g_family": KindEntry(
         keys=("n",),
+        # f' = 1 - z makes f_1 the function f0
+        parts=lambda s: KIND_REGISTRY["f0"].parts(s) if s.n == 1 else None,
         series=_g_family_fz,
         # only the leading index of f_n has a simple closed form
         gamma=lambda s, n: complex(-1.0 / (2.0 * n * (n + 1))) if n == s.n else None,
@@ -661,7 +663,7 @@ KINDS = tuple(KIND_REGISTRY)
 
 def rational_parts(spec: FunctionSpec):
     """Polynomials (A, B) with f = z A / B, or None if the spec is not
-    rational (k_alpha and g_family)."""
+    rational (k_alpha, and g_family but for n = 1)."""
     parts = KIND_REGISTRY[spec.kind].parts
     return None if parts is None else parts(spec)
 

@@ -50,15 +50,15 @@ rational spec: a zero below atlas.INTERIOR_ZERO_LIMIT = 1 - tau,
 tau = 1e-6, is inside, and a zero on the circle (the extremal's at z = 1)
 is admitted.
 It is a batched Schur-Cohn recursion (Henrici, Applied and Computational
-Complex Analysis I, section 6.8) on q(rho z) at rho = 1 +- tau, each row
-rescaled by an exact power of two every second step: a row is decided
-when every step passes at the outer radius (no zero) or a step fails at
-the inner one (a zero), each step with a relative margin of 1e-9.  Rows
-with a zero in that band, or too close to a step's margin, fall back to
-the stacked eigvals verdict min |root| >= 1 - tau (atlas.min_root_modulus:
-one eigvals call per trimmed degree on companion matrices of the reversed
-polynomials).  The start row's zero at z = 1 lies in the band, so it
-always reaches eigvals.  The superset family has no test.
+Complex Analysis I, section 6.8) on q(rho z) at the rule's own radius
+rho = 1 - tau, each row rescaled by an exact power of two every second
+step: a row is accepted when every step passes (no zero of modulus
+<= 1 - tau) and rejected when a step fails (a zero below 1 - tau), each
+step with a relative margin of 1e-9.  Rows too close to a step's margin,
+such as a multiple zero on the unit circle (the start row's at
+lambda = 1), fall back to the stacked eigvals verdict min |root| >= 1 - tau
+(atlas.min_root_modulus: one eigvals call per trimmed degree on companion
+matrices of the reversed polynomials).  The superset family has no test.
 
 Every offered batch (the start row, a slab of random chunks, a polish
 sweep) is scored on one value path.  The chunk test runs on every row; then
@@ -376,8 +376,8 @@ def build_superset_function(
 
 def _schur_cohn(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Schur-Cohn recursion (Henrici, Applied and Computational Complex
-    Analysis I, section 6.8) on the rows of q at the two radii rho = 1 +- tau,
-    tau = 1 - atlas.INTERIOR_ZERO_LIMIT, stacked into one batch.
+    Analysis I, section 6.8) on the rows of q at the radius
+    rho = atlas.INTERIOR_ZERO_LIMIT = 1 - tau of the root test's rule.
 
     p(z) = q(rho z) has formal degree m = width - 1, so a zero leading
     coefficient is a zero at infinity.  While |p_0| > |p_m|, p has as many
@@ -385,33 +385,30 @@ def _schur_cohn(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reversed conjugate, degree m - 1), and |p_0| < |p_m| proves a zero in
     the disk.  A row passes a step when |p_0| > |p_m| (1 + _SC_TOL) and
     fails when |p_0| < |p_m| (1 - _SC_TOL); the first step that does
-    neither leaves it undecided.  Returns (accept, reject): q has no zero
-    of modulus <= 1 + tau, resp. a zero of modulus <= 1 - tau.  Rows in
-    neither are left to eigvals.
+    neither leaves it undecided.  Returns (accept, reject), one entry per
+    row: q has no zero of modulus <= 1 - tau, resp. a zero of modulus
+    < 1 - tau.  Rows in neither (a zero too close to |z| = 1 - tau for the
+    margin, as a multiple zero on the unit circle is) are left to eigvals.
 
     Every second step, starting with the first, each row's p is scaled by
     2^-e, e the frexp exponent of its largest |Re| or |Im| (0 for an
     all-zero row, which stays undecided), so its parts lie below 1 and its
-    moduli below sqrt 2.  A step maps moduli below c to moduli below 2 c^2 (each new
-    coefficient is a difference of two products), so they stay below 4
-    after one step and below 32 after the second, to rounding: no value
-    overflows.  A
-    power-of-two scale is exact, and a step and the comparisons of |p_0|
-    with |p_m| commute with it, so while no value is subnormal each verdict
-    is that of the recursion run without scaling in unbounded exponent
-    range, and the schedule moves no bit.  Each step is written into p
-    through one reused buffer.
+    moduli below sqrt 2.  A step maps moduli below c to moduli below 2 c^2
+    (each new coefficient is a difference of two products), so they stay
+    below 4 after one step and below 32 after the second, to rounding: no
+    value overflows.  A power-of-two scale is exact, and a step and the
+    comparisons of |p_0| with |p_m| commute with it, so while no value is
+    subnormal each verdict is that of the recursion run without scaling in
+    unbounded exponent range, and the schedule moves no bit.  Each step is
+    written into p through one reused buffer.
     """
     rows, width = q.shape
-    tau = 1.0 - atlas.INTERIOR_ZERO_LIMIT
-    rho = np.array([[1.0 + tau], [1.0 - tau]])
-    # coefficient k of every row at both radii is p[k]: row i at the outer
-    # radius is column i, at the inner radius column rows + i
-    p = (rho ** np.arange(width)[:, None, None] * q.T[:, None, :]).reshape(width, -1)
+    # coefficient k of row i is p[k, i]
+    p = np.ascontiguousarray(atlas.INTERIOR_ZERO_LIMIT ** np.arange(width)[:, None] * q.T)
     parts = p.view(np.float64)  # Re p[k, i] at parts[k, 2 i], Im p[k, i] at 2 i + 1
     buf = np.empty_like(p)
-    alive = np.ones(2 * rows, dtype=bool)  # passed every step so far
-    failed = np.zeros(2 * rows, dtype=bool)
+    alive = np.ones(rows, dtype=bool)  # passed every step so far
+    failed = np.zeros(rows, dtype=bool)
     for m in range(width - 1, 0, -1):
         if (width - 1 - m) % 2 == 0:
             top = np.abs(parts[: m + 1]).max(axis=0)
@@ -423,8 +420,7 @@ def _schur_cohn(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.multiply(p[m], np.conjugate(p[m:0:-1], out=buf[:m]), out=buf[:m])
         np.multiply(p[0].conj(), p[:m], out=p[:m])
         np.subtract(p[:m], buf[:m], out=p[:m])
-    accept, reject = alive[:rows], failed[rows:]
-    return accept & ~reject, reject & ~accept
+    return alive, failed
 
 
 def _postcheck_sup(q: np.ndarray) -> np.ndarray:
@@ -442,10 +438,9 @@ def _exact_u_chunk(lam: float, a2s, psis):
     zero in the open unit disk, by the rule atlas.min_root_modulus(q) >=
     atlas.INTERIOR_ZERO_LIMIT that membership also applies.
 
-    It runs the batched Schur-Cohn recursion on the batch, which decides
-    every row with no zero within a relative band
-    tau = 1 - INTERIOR_ZERO_LIMIT of the unit circle; the rows it leaves
-    undecided, the start row among them, get the stacked eigvals verdict.
+    It runs the batched Schur-Cohn recursion at the rule's radius 1 - tau;
+    the rows it leaves undecided (such as a multiple zero on the unit
+    circle, the start row's at lambda = 1) get the stacked eigvals verdict.
     validate_exact_u applies the same eigvals verdict alone.
 
     No sampled post-check follows: q - z q' - 1 = (z/f)^2 f' - 1 is
@@ -863,6 +858,8 @@ def check_prokhorov_szynal(
     """Worst ratio |c3 + mu c1 c2 + nu c1^3| / |nu| over random validated
     Schwarz functions; the bound claims ratio <= 1 inside the region
     2 <= |mu| <= 4, nu >= (mu^2 + 8)/12."""
+    if samples < 1:
+        raise SearchError("samples must be >= 1")
     if not (2.0 <= abs(mu) <= 4.0 and nu >= (mu * mu + 8.0) / 12.0):
         raise SearchError(f"(mu, nu) = ({mu}, {nu}) outside the claimed region")
     rng = np.random.default_rng(seed)

@@ -19,9 +19,9 @@ The module reproduces, on parameter grids, every bound the package tracks:
 The logarithmic coefficients gamma_1..gamma_N (log_coefficients) take one
 of three routes, chosen from the spec's registry entry and series:
 
-  * rational parts, f/z = A/B (every kind but g_family and k_alpha): the
-    power sums of A and B by Newton's identities, O(N d) for degree d, with
-    no series log or reciprocal and no BLAS call;
+  * rational parts, f/z = A/B (every kind but k_alpha and g_family(n),
+    n >= 2): the power sums of A and B by Newton's identities, O(N d) for
+    degree d, with no series log or reciprocal and no BLAS call;
   * a series in w = z^s, s > 1 (g_family(n), s = n): the series log of its
     N/s + 1 coefficients in w, spread back to the multiples of s,
     O((N/s)^2);

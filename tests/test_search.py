@@ -413,6 +413,11 @@ class TestProkhorovSzynal:
         with pytest.raises(SearchError, match="region"):
             check_prokhorov_szynal(10, 0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_is_an_error(self, samples):
+        with pytest.raises(SearchError, match="^samples must be >= 1$"):
+            check_prokhorov_szynal(samples, 0, 3.0, 2.0)
+
     def test_random_samples_within_bound(self):
         mu, nu = mu_nu(0.5)
         worst, extremal = check_prokhorov_szynal(20000, 3, mu, nu)
@@ -588,10 +593,10 @@ def _with_zeros(zeros, width=S._BLASCHKE_TRUNC + 3):
 
 
 # tau: a zero of modulus below 1 - tau is inside the disk, and the root
-# test's recursion runs at the radii 1 +- tau
+# test's recursion runs at that limit, the radius 1 - tau
 _TAU = 1.0 - atlas.INTERIOR_ZERO_LIMIT
-# relative offsets of zeros from |z| = 1: outside the recursion's band, in
-# it on either side of the circle, and on either side of the limit 1 - tau
+# relative offsets of zeros from |z| = 1: farther than tau, within tau on
+# either side of the circle, and on either side of the limit 1 - tau
 _NEAR_CIRCLE_OFFSETS = [
     -0.1, -1e-3, -1e-5, -1.001 * _TAU, -0.999 * _TAU, -1e-7, -1e-9, 1e-9, 1e-7, 1e-5, 1e-3, 0.1
 ]
@@ -644,35 +649,36 @@ class TestChunkTest:
             build_exact_u_function(p, 4)
 
     def test_near_circle_rows(self):
-        # zeros at 1 +- 1e-9 lie inside the recursion's band 1 +- tau and are
-        # left to eigvals, which admits both; a zero just below 1 - tau is
-        # too close to the inner radius for the recursion and eigvals rejects
-        # it; zeros at 1 +- 1e-5 are decided by the recursion; every row but
+        # the recursion runs at the limit 1 - tau: it admits zeros at
+        # 1 +- 1e-9 and decides zeros at 1 +- 1e-5; a zero just below 1 - tau
+        # is too close to its radius, and eigvals rejects it; every row but
         # the last has zero leading coefficients
         edge = atlas.INTERIOR_ZERO_LIMIT
         rest = [1.3, -1.1j, 2.0 * np.exp(1j), 1.7 + 0.4j]  # zeros well outside
         rows = {
-            "band_out": (_with_zeros([1 + 1e-9] + rest), True, False),
-            "band_in": (_with_zeros([(1 - 1e-9) * 1j] + rest), True, False),
+            "band_out": (_with_zeros([1 + 1e-9] + rest), True, True),
+            "band_in": (_with_zeros([(1 - 1e-9) * 1j] + rest), True, True),
             "edge_in": (_with_zeros([edge * (1 - 1e-12) * -1] + rest), False, False),
             "near_out": (_with_zeros([(1 + 1e-5) * np.exp(2j)] + rest), True, True),
             "near_in": (_with_zeros([(1 - 1e-5) * -1j] + rest), False, True),
             "far_out": (_with_zeros([3.0, -2.5j]), True, True),
             "double": (_with_zeros([0.9995, 0.9995]), False, True),
             "constant": (_with_zeros([]), True, True),
-            "band_only": (_with_zeros([1 + 1e-9], width=2), True, False),
+            "band_only": (_with_zeros([1 + 1e-9], width=2), True, True),
             "full": (_with_zeros(np.exp(2j * np.pi * np.arange(26) / 26) * 1.01), True, True),
         }
         a2s, psis = zip(*(_exact_u_inputs(q) for q, _, _ in rows.values()))
         psis = np.array([np.pad(psi, (0, S._BLASCHKE_TRUNC + 1 - psi.size)) for psi in psis])
-        _, passed, inner = S._exact_u_chunk(1.0, np.array(a2s), psis)
+        q, passed, inner = S._exact_u_chunk(1.0, np.array(a2s), psis)
         want = [_scalar_exact_u_verdict(1.0, a2, psi) for a2, psi in zip(a2s, psis)]
         assert passed.tolist() == want == [verdict for _, verdict, _ in rows.values()]
         assert np.isnan(inner).tolist() == [by_recursion for _, _, by_recursion in rows.values()]
-        # eigvals puts the band zeros and the edge zero on the right side of
-        # the limit, and the lone band zero outside the circle
-        assert min(inner[0], inner[1]) >= edge > inner[2]
-        assert inner[8] > 1.0
+        # eigvals puts the zeros near the circle and the edge zero on the
+        # right side of the limit, and the lone zero at 1 + 1e-9 outside the
+        # circle
+        moduli = atlas.min_root_modulus(q)
+        assert min(moduli[0], moduli[1]) >= edge > moduli[2] == inner[2]
+        assert moduli[8] > 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -919,8 +925,9 @@ class TestWholeSearchRootTest:
         for a2s, psis, passed, inner in chunks:
             want = [_scalar_exact_u_verdict(lam, a2, psi) for a2, psi in zip(a2s, psis)]
             assert passed.tolist() == want
-            if offset == 0:  # the start row's zero at z = 1 leaves it to eigvals
-                assert a2s.size == 1 and not np.isnan(inner).any()
+            if offset == 0:  # the start row: only the double zero at z = 1
+                # of lambda = 1 leaves it to eigvals
+                assert a2s.size == 1 and np.isnan(inner).tolist() == [lam < 1.0]
             elif offset < random_end:
                 rows += a2s.size
                 by_recursion += np.count_nonzero(np.isnan(inner))
@@ -928,8 +935,8 @@ class TestWholeSearchRootTest:
                 assert a2s.size % S._POLISH_ITERS == 0
             offset += a2s.size
         # a fallback that sent every row to eigvals would pass the mask check;
-        # the share is taken over the random phase, as polish lines near the
-        # extremal hold rows with a zero in the recursion's band
+        # the share is taken over the random phase, as polish lines through
+        # the extremal at lambda = 1 hold rows with its double zero at z = 1
         assert rows > 1500 and by_recursion >= 0.99 * rows
 
 
@@ -978,12 +985,9 @@ class TestSearchLog:
             assert c["start"] + c["random"] + c["polish"] == loud.evaluations
             assert c["rejected_roots"] + c["accepted"] == loud.evaluations
             assert (c["rejected_roots"] > 0) == (family == "exact_u")
-            # every exact_u row reaches the root test; the start row's zero
-            # at z = 1 leaves it to eigvals
+            # every exact_u row reaches the root test
             roots = c["roots_by_recursion"] + c["roots_by_eigvals"]
             assert roots == (loud.evaluations if family == "exact_u" else 0)
-            if family == "exact_u":
-                assert c["roots_by_eigvals"] >= c["start"]
             rescale = float(re.search(r" max_rescale=(\S+) ", record.getMessage())[1])
             assert rescale >= 1.0
             # every accepted row, in every phase, is offered once
@@ -1493,10 +1497,9 @@ def _divide_by_max_schur_cohn(q):
     """search._schur_cohn as it stood before its power-of-two schedule: p
     divided by its largest modulus after every step."""
     rows, width = q.shape
-    rho = np.array([[1.0 + _TAU], [1.0 - _TAU]])
-    p = (rho ** np.arange(width)[:, None, None] * q.T[:, None, :]).reshape(width, -1)
-    alive = np.ones(2 * rows, dtype=bool)
-    failed = np.zeros(2 * rows, dtype=bool)
+    p = atlas.INTERIOR_ZERO_LIMIT ** np.arange(width)[:, None] * q.T
+    alive = np.ones(rows, dtype=bool)
+    failed = np.zeros(rows, dtype=bool)
     for m in range(width - 1, 0, -1):
         head, tail = np.abs(p[0]), np.abs(p[m])
         failed |= alive & (head < tail * (1.0 - S._SC_TOL))
@@ -1504,8 +1507,7 @@ def _divide_by_max_schur_cohn(q):
         p = p[0].conj() * p[:m] - p[m] * p[m:0:-1].conj()
         scale = np.abs(p).max(axis=0)
         p /= np.where(scale > 0.0, scale, 1.0)
-    accept, reject = alive[:rows], failed[rows:]
-    return accept & ~reject, reject & ~accept
+    return alive, failed
 
 
 class TestSchurCohn:
@@ -1550,6 +1552,21 @@ class TestSchurCohn:
                 scaled = S._schur_cohn(q * 2.0**k)
                 assert scaled[0].tolist() == accept.tolist()
                 assert scaled[1].tolist() == reject.tolist()
+
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
+    def test_one_verdict_per_row_at_the_limit(self, lam):
+        # the start row z/f = (1 - z)(1 - lambda z) beside 1 - 2 z: one mask
+        # entry per row; the recursion admits the start row's simple zero
+        # at z = 1 below lambda = 1 and leaves its double zero at lambda = 1
+        # to eigvals
+        q = atlas.exact_u_denominator(lam, [1.0 + lam, 2.0], [[-1.0], [0.0]])
+        accept, reject = S._schur_cohn(q)
+        assert accept.shape == reject.shape == (2,)
+        assert accept.tolist() == [lam < 1.0, False]
+        assert reject.tolist() == [False, True]
+        _, passed, inner = S._exact_u_chunk(lam, [1.0 + lam], [[-1.0]])
+        assert passed.tolist() == [True]
+        assert np.isnan(inner).tolist() == [lam < 1.0]
 
     def test_zero_and_nan_rows_are_undecided(self):
         q = atlas.exact_u_denominator(0.5, [0.3, 0.0, 0.0, 2.0], np.zeros((4, 7)))

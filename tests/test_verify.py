@@ -216,6 +216,12 @@ class TestLogCoefficientRoutes:
         assert np.all(prof.gammas[np.arange(1, 1025) % n != 0] == 0.0)
         assert np.max(np.abs(prof.gammas - full)) <= 1e-18
 
+    def test_g_family_1_takes_f0s_parts(self):
+        # f' = 1 - z makes g_family(1) the function f0
+        prof = log_coefficients(atlas.g_family(1), 4096)
+        assert prof.source == "parts"
+        assert prof.gammas.tobytes() == log_coefficients(atlas.f0(), 4096).gammas.tobytes()
+
 
 class TestGammaL2:
     def test_koebe_converges_from_below(self):
