@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from functools import cache, lru_cache
 
 import numpy as np
@@ -45,6 +47,42 @@ def _atomic_write(path: str, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+# encodes a list of scalars as one line each (an encoded scalar has no raw
+# newline) through json's C encoder, which json.dumps skips under indent
+_SCALAR_LINES = json.JSONEncoder(separators=("\n", ": "))
+
+
+def _report_json(rows) -> str:
+    """The text of json.dumps(rows, indent=1) for a list of dicts whose
+    values are scalars or dicts of scalars (str keys throughout).  Every
+    key and scalar is encoded in one call of json's C encoder; the layout
+    around them is joined here."""
+    if not rows:
+        return "[]"
+    scalars = []
+    for row in rows:
+        for key, value in row.items():
+            scalars.append(key)
+            if isinstance(value, dict) and value:
+                for item in value.items():
+                    scalars.extend(item)
+            else:
+                scalars.append(value)
+    text = iter(_SCALAR_LINES.encode(scalars)[1:-1].split("\n"))
+    out = []
+    for row in rows:
+        items = []
+        for value in row.values():
+            key = next(text)
+            if isinstance(value, dict) and value:
+                inner = ",\n   ".join([f"{next(text)}: {next(text)}" for _ in value])
+                items.append(f"{key}: {{\n   {inner}\n  }}")
+            else:
+                items.append(f"{key}: {next(text)}")
+        out.append("{\n  " + ",\n  ".join(items) + "\n }" if items else "{}")
+    return "[\n " + ",\n ".join(out) + "\n]"
 
 
 def _grid_text(values) -> str:
@@ -128,7 +166,7 @@ def _cmd_verify(args) -> int:
     alpha_grid = _parse_grid(args.alpha_grid)
     checks = verify.run_suite(lam_grid, alpha_grid, args.order)
     # the report document is the plain array of check rows
-    text = json.dumps([c.to_dict() for c in checks], indent=1) + "\n"
+    text = _report_json([c.to_dict() for c in checks]) + "\n"
     if args.out:
         _atomic_write(args.out, text)
     else:
@@ -142,14 +180,32 @@ def _cmd_verify(args) -> int:
     return 3 if n_err else 1 if n_viol else 0
 
 
+@contextmanager
+def _stderr_log(level: str):
+    """Records of the `logcoef` logger at `level` and above go to stderr
+    while the block runs."""
+    logger = logging.getLogger("logcoef")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    saved = logger.level
+    logger.setLevel(level.upper())
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(saved)
+
+
 def _cmd_search(args) -> int:
-    record = search.search_max_coeff(
-        lam=args.lam,
-        n=args.n,
-        family=args.family,
-        budget=args.budget,
-        seed=args.seed,
-    )
+    with _stderr_log(args.log_level):
+        record = search.search_max_coeff(
+            lam=args.lam,
+            n=args.n,
+            family=args.family,
+            budget=args.budget,
+            seed=args.seed,
+        )
     line = record.to_json_line()
     if args.out:
         _atomic_write(args.out, line + "\n")
@@ -224,6 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
+    p.add_argument("--log-level", choices=("warning", "info", "debug"), default="warning")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("render", help="sample a boundary curve")

@@ -86,31 +86,97 @@ def mul_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.convolve(a, b)[: a.size]
 
 
-# The recurrences keep the finished terms reversed in a second buffer r
-# (r[n-1-j] = b[j], for log j*b[j]), so each step is one np.dot of two
-# contiguous slices with no per-step temporary.  The slices hold the values,
-# in order, of the operand each step used to build (np.dot's contiguous copy
-# of b[k-1::-1], or log's product array), so zdotu returns the same bits.
+# Series division works in blocks of this many terms: the first block by the
+# step recurrences below, each later one by two np.convolve calls
+# (_divide_blocks).
+_BLOCK = 128
+
+# Within the first block the recurrences keep the finished terms reversed in
+# a second buffer r (r[h-1-j] = b[j], for log j*b[j]), so each step is one
+# np.dot of two contiguous slices with no per-step temporary.  The slices
+# hold the values, in order, of the operand each step used to build
+# (np.dot's contiguous copy of b[k-1::-1], or log's product array), so
+# zdotu returns the same bits, and a series of at most _BLOCK terms has the
+# bits of the full step recurrence.
 
 def reciprocal_raw(a: np.ndarray) -> np.ndarray:
-    n = a.size
+    h = min(a.size, _BLOCK)
     b = np.empty_like(a)
-    r = np.empty_like(a)
-    b[0] = r[n - 1] = 1.0 / a[0]
-    for k in range(1, n):
-        b[k] = r[n - 1 - k] = -np.dot(a[1 : k + 1], r[n - k :]) / a[0]
+    r = np.empty(h, dtype=a.dtype)
+    b[0] = r[h - 1] = 1.0 / a[0]
+    for k in range(1, h):
+        b[k] = r[h - 1 - k] = -np.dot(a[1 : k + 1], r[h - k :]) / a[0]
+    if a.size > h:
+        one = np.zeros_like(a)
+        one[0] = 1.0
+        _divide_blocks(one, a, b, b[:h])
     return b
 
 
 def log_raw(a: np.ndarray) -> np.ndarray:
-    # (log a)' = a'/a solved coefficient by coefficient, c0 = 1 assumed.
+    # (log a)' = a'/a solved coefficient by coefficient, c0 = 1 assumed; past
+    # the first block, a c = k a_k solved for c_k = k b_k.
     n = a.size
+    h = min(n, _BLOCK)
     b = np.zeros_like(a)
-    r = np.zeros_like(a)
-    for k in range(1, n):
-        b[k] = a[k] - np.dot(a[1:k], r[n - k : n - 1]) / k
-        r[n - 1 - k] = k * b[k]
+    r = np.zeros(h, dtype=a.dtype)
+    for k in range(1, h):
+        b[k] = a[k] - np.dot(a[1:k], r[h - k : h - 1]) / k
+        r[h - 1 - k] = k * b[k]
+    if n > h:
+        ks = np.arange(n)
+        c = ks * b
+        _divide_blocks(ks * a, a, c, reciprocal_raw(a[:h]))
+        b[h:] = c[h:] / ks[h:]
     return b
+
+
+def divide_raw(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """x with den x = num, for num and den of one length and den[0] != 0.
+    The first block is num times the step recurrence's 1/den, the rest
+    comes from _divide_blocks."""
+    h = min(num.size, _BLOCK)
+    head = reciprocal_raw(den[:h])
+    x = np.empty_like(num)
+    x[:h] = mul_raw(num[:h], head)
+    if num.size > h:
+        _divide_blocks(num, den, x, head)
+    return x
+
+
+def _divide_blocks(num, den, x, head):
+    """Fill x past its first block h = head.size so that den x = num, where
+    head holds 1/den to h terms: a lower-triangular Toeplitz solve in blocks
+    of h terms, in O(N) memory and N/h Python steps.
+
+    For the block of terms s <= k < s + m, the finished terms give the
+    right-hand side r_k = num_k - sum_{i<s} den_{k-i} x_i (one 'valid'
+    convolution, a dot of length s per term), and the block is
+    y = (head r) truncated to m terms, the solution of den[:m] y = r.
+
+    Error.  Let u = 2^-53, S = |den| * |x| and M = |den| * |head|
+    (convolutions of moduli; M_0 = 1), up to small constants from complex
+    rounding.  The right-hand side, a dot of length s and a subtraction,
+    errs by (k + 2) u S_k; the product head r errs by (h + 1) u
+    (|head| * |r|); head, from the step recurrence, has residual
+    |den head - 1|_j <= (j + 1) u M_j; and |r| <= S on the block, as r is
+    the block's own share of den x.  So the residual rho = den x - num
+    obeys
+
+        |rho_k| <= (k + 2) u S_k + 2 (h + 1) u sum_{j <= k - s} M_j S_{k-j},
+
+    where the step recurrence has the first term alone, and the error is
+    x - exact = (1/den) rho.  Where 1/den and M are summable with small
+    tails, as for the series the package divides (k_alpha's K/z, whose
+    reciprocal has c_0 = 1, c_k <= 0 and sum |c_k| <= 2, and series with a
+    dominant constant term), this gives |x_k - exact_k| <= c (k + 1) u S_k
+    with c a few units; the tests hold c = 4 against 30-digit values."""
+    n = x.size
+    h = head.size
+    for s in range(h, n, h):
+        m = min(h, n - s)
+        rhs = num[s : s + m] - np.convolve(den[1 : s + m], x[:s], "valid")
+        x[s : s + m] = np.convolve(head[:m], rhs)[:m]
 
 
 def exp_raw(a: np.ndarray) -> np.ndarray:

@@ -53,9 +53,9 @@ import numpy as np
 from . import atlas
 from .atlas import FunctionSpec, starlike_order
 from .dilog import PI2_6, li2
-from .series import SeriesError, TruncatedSeries, power_sums, ts_log, ts_reciprocal
-# unused here; bench/tracing.py wraps this name on this module
-from .series import ts_exp  # noqa: F401
+from .series import SeriesError, TruncatedSeries, divide_raw, power_sums, ts_log
+# unused here; bench/tracing.py wraps these names on this module
+from .series import ts_exp, ts_reciprocal  # noqa: F401
 
 EQUALITY_TOL = 1e-9
 VIOLATION_TOL = 1e-9
@@ -136,11 +136,11 @@ def gamma_l2(profile: LogCoeffProfile, weights: str = "unit") -> L2Sum:
     sq = np.abs(profile.gammas) ** 2
     n = profile.gammas.size
     if weights == "unit":
-        value = float(math.fsum(sq))
+        value = math.fsum(sq.tolist())
         c = atlas.gamma_linf_slope(profile.spec)
         tail = (c * c / n) if c is not None else None
     elif weights == "n_squared":
-        value = float(math.fsum(sq * np.arange(1, n + 1) ** 2))
+        value = math.fsum((sq * np.arange(1, n + 1) ** 2).tolist())
         tail = None
     else:
         raise VerifyError(f"unknown weights {weights!r}")
@@ -159,7 +159,7 @@ def li2_partial(x: float, order: int) -> float:
     if x == 0.0 or order < 1:
         return 0.0
     ns = np.arange(1, order + 1, dtype=np.float64)
-    return math.fsum(np.cumprod(np.full(order, x)) / (ns * ns))
+    return math.fsum((np.cumprod(np.full(order, x)) / (ns * ns)).tolist())
 
 
 def li2_tail(x: float, order: int) -> float:
@@ -285,17 +285,19 @@ class ConvexOrderProfile:
 def convex_order_profile(alpha: float, order: int) -> ConvexOrderProfile:
     """delta coefficients of G_alpha - 1 and the induced l2 quantity, with
     the subordination kernel G_alpha = z K'/K = K'/(K/z) read from the
-    registry's series of K/z = sum p_m z^m, so K' = sum (m + 1) p_m z^m."""
+    registry's series of K/z = sum p_m z^m, so K' = sum (m + 1) p_m z^m, in
+    one series division."""
+    if order < 1:
+        raise VerifyError("order must be >= 1")
     beta = starlike_order(alpha)
-    kz = atlas.fz_series(atlas.k_alpha(alpha), order)
-    g = TruncatedSeries(kz.coeffs * np.arange(1, order + 2)) * ts_reciprocal(kz)
-    delta_c = g.coeffs[1:]
+    kz = atlas.fz_series(atlas.k_alpha(alpha), order).coeffs
+    delta_c = TruncatedSeries(divide_raw(kz * np.arange(1, order + 2), kz)).coeffs[1:]
     if np.max(np.abs(delta_c.imag)) > 1e-12:
         raise VerifyError("delta coefficients acquired an imaginary part")
     delta = delta_c.real.copy()
     delta.flags.writeable = False
     ns = np.arange(1, order + 1, dtype=float)
-    gl2 = 0.25 * float(math.fsum(delta * delta / (ns * ns)))
+    gl2 = 0.25 * math.fsum((delta * delta / (ns * ns)).tolist())
     return ConvexOrderProfile(alpha=alpha, beta=beta, delta=delta, gamma_l2=gl2)
 
 

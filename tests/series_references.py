@@ -1,5 +1,6 @@
 """References for the closed-form series of g_family and k_alpha, for
-the subordination kernel G_alpha built from k_alpha's series, for the
+the subordination kernel G_alpha built from k_alpha's series, for series
+division (exact values and the error bound), for the
 search's stacked candidate draw, curvature bound and certified sup, for
 the superset denominator, for the search's coefficient values, and for
 its polish.
@@ -124,6 +125,34 @@ def mp_g_kernel(alpha: float, order: int) -> np.ndarray:
         for k in range(order + 1):
             g.append((k + 1) * p[k] - mpmath.fdot(p[1 : k + 1], g[::-1]))
         return np.array([float(v) for v in g])
+
+
+def mp_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """x with den x = num, solved term by term at 30 digits from the float
+    inputs and rounded to float64 at the end: O(N^2), so kept to N <= 1024.
+    Real inputs take real arithmetic, which is faster."""
+    real = not (np.any(num.imag) or np.any(den.imag))
+    with mpmath.workdps(30):
+        conv = mpmath.mpf if real else lambda c: mpmath.mpc(c.real, c.imag)
+        d = [conv(c) for c in (den.real if real else den)]
+        u = [conv(c) for c in (num.real if real else num)]
+        x = []
+        for k in range(len(u)):
+            x.append((u[k] - mpmath.fdot(d[1 : k + 1], x[::-1])) / d[0])
+        return np.array([complex(v) for v in x])
+
+
+# the constant c of the division error bound c (k + 1) u (|den| * |x|)_k
+# (series._divide_blocks); the blocked kernel and the step recurrence both
+# stay below 8 u (|den| * |x|)_k on the tested inputs
+DIVISION_C = 4.0
+
+
+def division_bound(den: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """DIVISION_C (k + 1) 2^-53 (|den| * |x|)_k, k = 0..N-1: the error
+    allowed to term k of x, the solution of den x = num."""
+    scale = np.convolve(np.abs(den), np.abs(x))[: x.size]
+    return DIVISION_C * (np.arange(x.size) + 1.0) * 2.0**-53 * scale
 
 
 def rel_err(got: np.ndarray, ref: np.ndarray) -> float:

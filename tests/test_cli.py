@@ -1,6 +1,8 @@
 import hashlib
 import json
+import logging
 import math
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from logcoef import atlas, membership, search, verify
 from logcoef.cli import (
     _build_parser,
     _parse_grid,
+    _report_json,
     curve_csv,
     curve_points,
     curve_svg,
@@ -333,8 +336,11 @@ def test_render_member_bytes(capsys, argv, digest):
 # gained its `route` field and the gammas of rational specs moved to the
 # power sums of their (A, B) parts (g_family's to a log in z^n): at most 21
 # rows per report, |lhs change| at most 2.0e-12 (Koebe's n |gamma_n|, now
-# exactly 1), none changing status.  Never regenerate them otherwise; a
-# mismatch means the report bytes changed
+# exactly 1), none changing status.  They held, with no re-record, when the
+# long-N reciprocal, log and G_alpha moved to the blocked series division
+# and the report to json's C encoder (no lhs or rhs moved, at any of 49
+# orders from 1 to 4096).  Never regenerate them otherwise; a mismatch
+# means the report bytes changed
 VERIFY_GOLDEN = [
     (
         ("--order", "128"),
@@ -456,6 +462,18 @@ class TestVerifyCommand:
         assert errors[0]["params"]["error"] == "RuntimeError: boom"
         assert err == f"{len(rows)} checks, 0 violated, 1 errored\n"
 
+    def test_report_text_is_json_dumps_indent_1(self, monkeypatch):
+        def broken(lam, t):
+            raise RuntimeError('boom, "quoted"\n{x}: é')
+
+        monkeypatch.setattr(verify, "sharpness_terms", broken)
+        rows = [c.to_dict() for c in verify.run_suite([0.5], [0.25, 1.0], 40)]
+        assert any(row["status"] == "error" for row in rows)
+        rows.append({**rows[0], "lhs": -0.0, "params": {"x": -0.0, "n": 3, "s": ""}})
+        rows.append({**rows[0], "params": {}})
+        for doc in (rows, rows[:1], []):
+            assert _report_json(doc) == json.dumps(doc, indent=1)
+
     def test_malformed_grid(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--lambda-grid", "0.5,abc")
         assert code == 2
@@ -519,6 +537,30 @@ class TestSearchCommand:
                 str(target),
             )
         assert a.read_bytes() == b.read_bytes()
+
+    def test_debug_log_level(self, capsys, tmp_path):
+        # the search's DEBUG budget record goes to stderr; stdout and the
+        # record file keep their bytes
+        handlers = list(logging.getLogger("logcoef").handlers)
+        argv = ["search", "--lambda", "0.6", "--n", "5", "--family", "exact_u",
+                "--budget", "300", "--seed", "4"]
+        runs = {}
+        for level in (None, "warning", "debug"):
+            target = tmp_path / f"{level}.jsonl"
+            extra = [] if level is None else ["--log-level", level]
+            runs[level] = run_cli(capsys, *argv, "--out", str(target), *extra)
+            runs[level] += (target.read_bytes(),)
+            assert logging.getLogger("logcoef").handlers == handlers
+        assert runs[None] == runs["warning"]
+        assert runs[None][2] == ""
+        code, out, err, record = runs["debug"]
+        assert (code, out, record) == (0, runs[None][1], runs[None][3])
+        (line,) = err.splitlines()
+        assert line.startswith("DEBUG logcoef.search: search exact_u lambda=0.6 n=5 ")
+        fields = {k: int(v) for k, v in re.findall(r"(\w+)=(\d+)\b(?!\.)", line)}
+        evaluations = json.loads(out)["evaluations"]
+        assert fields["budget"] == 300 and fields["evaluations"] == evaluations
+        assert fields["start"] + fields["random"] + fields["polish"] == evaluations
 
     def test_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "search", "--lambda", "0.5", "--n", "1")

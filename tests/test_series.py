@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logcoef import atlas, verify
 from logcoef import series as series_mod
-from logcoef import verify
 from logcoef.series import (
     SeriesError,
     exp_raw,
@@ -21,6 +21,7 @@ from logcoef.series import (
     ts_mul,
     ts_reciprocal,
 )
+from series_references import division_bound, mp_divide
 
 
 def series(*coeffs):
@@ -272,7 +273,8 @@ class TestProperties:
 
 # The recurrences as first written, each step dotting a reversed view of the
 # finished terms (np.dot copies it before BLAS zdotu) or, for log, a fresh
-# product array.  The kernels must reproduce these bits exactly.
+# product array.  Within the first series_mod._BLOCK terms the kernels must
+# reproduce these bits exactly; exp_raw has no blocks, so everywhere.
 
 def reference_reciprocal(a):
     b = np.empty_like(a)
@@ -298,6 +300,14 @@ def reference_exp(a):
     return b
 
 
+def reference_divide(num, den):
+    """den x = num by the step recurrence, one term at a time."""
+    x = np.empty_like(num)
+    for k in range(num.size):
+        x[k] = (num[k] - np.dot(den[1 : k + 1], x[k - 1 :: -1] if k else x[:0])) / den[0]
+    return x
+
+
 KERNELS = {
     "reciprocal_raw": (reciprocal_raw, reference_reciprocal),
     "log_raw": (log_raw, reference_log),
@@ -319,6 +329,24 @@ def random_input(rng, size, name):
     return c
 
 
+def as_division(name, a):
+    """(num, den, x) of the series division behind kernel `name` on input a,
+    with x the kernel's output: 1/a, or log's c_k = k b_k with a c = k a_k."""
+    if name == "reciprocal_raw":
+        one = np.zeros_like(a)
+        one[0] = 1.0
+        return one, a, reciprocal_raw(a)
+    ks = np.arange(a.size)
+    return ks * a, a, ks * log_raw(a)
+
+
+def assert_within_bound(name, a, ref, slack=1.0):
+    """The kernel's output on a is within slack times the division bound
+    (series_references.division_bound) of ref, a division's x."""
+    _, den, got = as_division(name, a)
+    assert np.all(np.abs(got - ref) <= slack * division_bound(den, ref)), (name, a.size)
+
+
 class TestKernelBits:
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_search_sizes(self, name):
@@ -330,45 +358,135 @@ class TestKernelBits:
                 assert same_bits(kernel(a), reference(a)), (name, a)
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_first_block_sizes(self, name):
+        kernel, reference = KERNELS[name]
+        rng = np.random.default_rng(22)
+        block = series_mod._BLOCK
+        for size in (7, 40, 64, block - 1, block):
+            for _ in range(3):
+                a = random_input(rng, size, name)
+                assert same_bits(kernel(a), reference(a)), (name, size)
+        # past the block, its terms keep the bits of the step recurrence
+        if name != "exp_raw":
+            a = random_input(rng, 3 * block + 5, name)
+            assert same_bits(kernel(a)[:block], reference(a)[:block])
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_long_inputs(self, name):
+        # both the blocked kernel and the step recurrence are within the
+        # division bound of the exact values, so within twice it of each
+        # other; exp_raw has no blocks
         kernel, reference = KERNELS[name]
         rng = np.random.default_rng(21)
         for _ in range(2):
             a = random_input(rng, 4096, name)
             out = kernel(a)
             assert np.all(np.isfinite(out.view(np.float64)))
-            assert same_bits(out, reference(a))
+            if name == "exp_raw":
+                assert same_bits(out, reference(a))
+            else:
+                ks = np.arange(a.size)
+                step = reference(a) if name == "reciprocal_raw" else ks * reference(a)
+                assert_within_bound(name, a, step, slack=2.0)
 
     def test_suite_inputs(self, monkeypatch):
         # every input the suite hands a kernel, at short and long orders; no
         # catalog series goes through exp, so the suite never calls exp_raw
         # (test_search_sizes and test_long_inputs cover it), and rational
         # specs take their gammas from power_sums: log_raw sees k_alpha's f/z
-        # (N + 1 terms) and g_family(n)'s in w = z^n (max(N, 40) // n + 1)
+        # (N + 1 terms) and g_family(n)'s in w = z^n (max(N, 40) // n + 1),
+        # divide_raw k_alpha's K' and K/z (N + 1 terms), and reciprocal_raw
+        # the first block of each long division
         inputs = {}
 
         def recording(name, kernel):
-            def wrapper(a):
-                inputs.setdefault((name, a.tobytes()), a.copy())
-                return kernel(a)
+            def wrapper(*args):
+                key = (name,) + tuple(a.tobytes() for a in args)
+                inputs.setdefault(key, tuple(a.copy() for a in args))
+                return kernel(*args)
 
             return wrapper
 
-        for name, (kernel, _) in KERNELS.items():
+        kernels = {name: kernel for name, (kernel, _) in KERNELS.items()}
+        kernels["divide_raw"] = series_mod.divide_raw
+        for name, kernel in kernels.items():
             monkeypatch.setattr(series_mod, name, recording(name, kernel))
+        monkeypatch.setattr(verify, "divide_raw", series_mod.divide_raw)
         for order in (1, 2, 40, 4096):
             rows = verify.run_suite(order=order)
             assert all(row.status != "error" for row in rows)
-        sizes = {name: set() for name in KERNELS}
-        for (name, _), a in inputs.items():
-            kernel, reference = KERNELS[name]
-            assert same_bits(kernel(a), reference(a)), (name, a.size)
+        monkeypatch.undo()
+        block = series_mod._BLOCK
+        sizes = {name: set() for name in kernels}
+        for (name, *_), args in inputs.items():
+            a = args[-1]
             sizes[name].add(a.size)
+            if name == "divide_raw":
+                got, step = series_mod.divide_raw(*args), reference_divide(*args)
+                assert np.all(np.abs(got - step) <= 2.0 * division_bound(a, step))
+                continue
+            kernel, reference = KERNELS[name]
+            if a.size <= block:
+                assert same_bits(kernel(a), reference(a)), (name, a.size)
+            else:
+                ks = np.arange(a.size)
+                step = reference(a) if name == "reciprocal_raw" else ks * reference(a)
+                assert_within_bound(name, a, step, slack=2.0)
         assert sizes == {
-            "reciprocal_raw": {2, 3, 41, 4097},
+            "reciprocal_raw": {2, 3, 41, block},
             "log_raw": {2, 3, 7, 9, 11, 14, 21, 41, 683, 820, 1025, 1366, 2049, 4097},
+            "divide_raw": {2, 3, 41, 4097},
             "exp_raw": set(),
         }
+
+
+def mp_log_division(a):
+    """c_k = k b_k of b = log a, at 30 digits: the solution of a c = k a_k."""
+    return mp_divide(np.arange(a.size) * a, a)
+
+
+def suite_log_inputs(order):
+    """The series the suite hands log_raw at `order`: k_alpha's f/z for the
+    three convex-order alphas, and g_family(n)'s f/z in w = z^n, n = 2..6."""
+    out = [atlas.fz_series(atlas.k_alpha(alpha), order).coeffs for alpha in (0.25, 0.5, 0.75)]
+    for n in range(2, 7):
+        out.append(atlas.fz_series(atlas.g_family(n), order).coeffs[::n].copy())
+    return out
+
+
+class TestDivisionBound:
+    """The blocked kernels against 30-digit values (series_references.mp_divide),
+    within the bound series._divide_blocks derives."""
+
+    @pytest.mark.parametrize("name", ["reciprocal_raw", "log_raw"])
+    def test_random_inputs(self, name):
+        a = random_input(np.random.default_rng(23), 1024, name)
+        num, den, _ = as_division(name, a)
+        assert_within_bound(name, a, mp_divide(num, den))
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_suite_log_inputs(self, index):
+        # g_family(n)'s series in w has 1024 // n + 1 terms
+        a = suite_log_inputs(1024)[index]
+        assert_within_bound("log_raw", a, mp_log_division(a))
+
+    def test_first_block_is_num_times_the_head(self):
+        # divide_raw on one block: num times the step recurrence's 1/den
+        rng = np.random.default_rng(24)
+        den = random_input(rng, series_mod._BLOCK, "reciprocal_raw")
+        num = rng.uniform(-1, 1, den.size) + 0j
+        got = series_mod.divide_raw(num, den)
+        assert same_bits(got, np.convolve(num, reference_reciprocal(den))[: den.size])
+
+    def test_division_is_exact_on_a_polynomial_quotient(self):
+        # num = (1 - z/2) q for a short q: every value is a short dyadic
+        # fraction, so every rounding is exact and the division returns q
+        den = np.zeros(3 * series_mod._BLOCK + 7, dtype=complex)
+        den[:2] = [1.0, -0.5]
+        q = np.zeros_like(den)
+        q[:4] = [1.0, 2.0, -3.0, 0.25]
+        got = series_mod.divide_raw(np.convolve(den, q)[: den.size], den)
+        assert np.array_equal(got, q)
 
 
 def reference_power_sums(coeffs, count):

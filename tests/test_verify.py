@@ -43,6 +43,7 @@ from series_references import (
     certified_batch,
     check_series,
     deleted_g_kernel,
+    division_bound,
     mp_g_kernel,
     rel_err,
 )
@@ -445,6 +446,25 @@ class TestConvexOrderProfile:
     def test_deltas_real(self):
         p = convex_order_profile(0.3, 40)
         assert p.delta.dtype == np.float64
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_is_an_error(self, order, monkeypatch):
+        # refused before any series is built
+        monkeypatch.setattr(atlas, "fz_series", None)
+        with pytest.raises(VerifyError, match="order must be >= 1"):
+            convex_order_profile(0.25, order)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    def test_division_within_its_bound_past_one_block(self, alpha):
+        # G_alpha = K'/(K/z) from divide_raw at an order past one block,
+        # term by term within the division bound of the 30-digit kernel
+        # (which divides the exact K/z, so the bound also absorbs K/z's
+        # own rounding here)
+        order = 2 * series_mod._BLOCK + 9
+        kz = fz_series(atlas.k_alpha(alpha), order).coeffs
+        got = np.concatenate(([1.0], convex_order_profile(alpha, order).delta))
+        exact = mp_g_kernel(alpha, order)
+        assert np.all(np.abs(got - exact) <= division_bound(kz, exact))
 
     @pytest.mark.parametrize("alpha", K_ALPHAS)
     def test_kernel_against_mpmath_and_the_deleted_route(self, alpha):
