@@ -9,6 +9,8 @@ between threads.
 
 from __future__ import annotations
 
+from operator import mul
+
 import numpy as np
 
 # |c0| below this in ts_reciprocal triggers an ill-conditioning warning.
@@ -191,7 +193,7 @@ def exp_raw(a: np.ndarray) -> np.ndarray:
     return b
 
 
-# power_sums takes this many terms one at a time, and the rest in blocks of
+# power_sums takes this many terms one at a time, and the rest in hops of
 # this many (or d, if larger)
 POWER_SUMS_BLOCK = 64
 
@@ -202,9 +204,18 @@ def power_sums(coeffs: np.ndarray, count: int) -> np.ndarray:
     identities p_k = -k b_k - sum_{j=1}^{min(k-1, d)} b_j p_{k-j} (b_k = 0
     past d), in O(count * d).
 
-    Past k = d the recurrence is homogeneous with d taps, so after the first
-    terms, taken one at a time, each block of terms is the recurrence's
-    impulse-response matrix applied to the d terms before it.  Only complex
+    Past k = d the recurrence is homogeneous with d taps, so after the
+    first L = max(d, 64) terms, taken one at a time, each hop of L terms is
+    the response matrix R applied to the d terms before it:
+    p_{s+t} = sum_i R[i, t] p_{s-1-i}.  R comes from the impulse response
+    h = 1/P (h_0 = 1, L terms, one at a time) as
+    R[i, t] = -sum_{j>i} b_j h_{t+i+1-j}, one row from the next by
+    R[i, t] = -b_{i+1} h_t + R[i+1, t-1].  Only the last d terms of each
+    hop are stepped, by R's last d columns in complex scalars; every hop's
+    terms then come from its d seeds in d broadcast products over all hops
+    at once, O(count) memory.  Hops stay L terms long: a propagator for
+    longer hops, such as R squared, loses digits when P has a multiple
+    root on the unit circle (f1's (1 - z)^2 (1 + z/2)).  Only complex
     scalars and elementwise numpy products are used, no BLAS, so the bits
     do not depend on the BLAS kernel."""
     b = np.trim_zeros(np.asarray(coeffs, dtype=np.complex128) / coeffs[0], "b")
@@ -213,37 +224,35 @@ def power_sums(coeffs: np.ndarray, count: int) -> np.ndarray:
     out = np.zeros(count, dtype=np.complex128)
     if d == 0:
         return out
-
-    def step(x, k):
-        """-k b_k - sum_j b_j x_{k-j}, where x holds x_1 .. x_{k-1}."""
-        acc = -k * taps[k - 1] if k <= d else 0j
-        for j in range(1, min(k - 1, d) + 1):
-            acc -= taps[j - 1] * x[k - 1 - j]
-        return acc
-
-    block = max(d, POWER_SUMS_BLOCK)
-    head = min(count, block)
+    hop = max(d, POWER_SUMS_BLOCK)
+    head = min(count, hop)
     p = []
     for k in range(1, head + 1):
-        p.append(step(p, k))
+        acc = -k * taps[k - 1] if k <= d else 0j
+        for j in range(1, min(k - 1, d) + 1):
+            acc -= taps[j - 1] * p[k - 1 - j]
+        p.append(acc)
     out[:head] = p
     if head == count:
         return out
-    # response[i]: the `block` terms that follow d terms equal to 0, except
-    # 1 at i places before the last
-    response = np.empty((d, block), dtype=np.complex128)
-    for i in range(d):
-        x = [0j] * d
-        x[d - 1 - i] = 1.0 + 0j
-        for k in range(d + 1, d + block + 1):
-            x.append(step(x, k))
-        response[i] = x[d:]
-    for start in range(head, count, block):
-        m = min(block, count - start)
-        acc = response[0, :m] * out[start - 1]
-        for i in range(1, d):
-            acc = acc + response[i, :m] * out[start - 1 - i]
-        out[start : start + m] = acc
+    h = [1.0 + 0j]  # h_t = -sum_j b_j h_{t-j}
+    for _ in range(1, hop):
+        h.append(-sum(map(mul, taps, h[: -d - 1 : -1]), 0j))
+    resp = -b[1:, None] * np.array(h)
+    for i in range(d - 2, -1, -1):
+        resp[i, 1:] += resp[i + 1, :-1]
+    # last[i][l]: the weight of seed l in the term i places before a hop's end
+    last = resp[:, ::-1][:, :d].T.tolist()
+    seeds = []
+    seed = p[: -d - 1 : -1]
+    for _ in range(head, count, hop):
+        seeds.append(seed)
+        seed = [sum(map(mul, row, seed), 0j) for row in last]
+    seeds = np.array(seeds)
+    acc = seeds[:, :1] * resp[0]
+    for i in range(1, d):
+        acc += seeds[:, i : i + 1] * resp[i]
+    out[head:] = acc.ravel()[: count - head]
     return out
 
 

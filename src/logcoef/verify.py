@@ -21,17 +21,23 @@ of three routes, chosen from the spec's registry entry and series:
 
   * rational parts, f/z = A/B (every kind but k_alpha and g_family(n),
     n >= 2): the power sums of A and B by Newton's identities, O(N d) for
-    degree d, with no series log or reciprocal and no BLAS call;
+    degree d, with no series log or reciprocal and no BLAS call; past the
+    first 64 terms they propagate in hops of 64 (series.power_sums);
   * a series in w = z^s, s > 1 (g_family(n), s = n): the series log of its
     N/s + 1 coefficients in w, spread back to the multiples of s,
     O((N/s)^2);
   * any other series (k_alpha): the series log of f/z, O(N^2).
 
 Every partial-sum check carries an explicit tail bound; equality checks use
-closed-form geometric or dilogarithm tails.  Results are BoundCheck rows
-with a stable JSON field layout (name, params, lhs, rhs, slack, status, N,
-tail_bound, route), where route names the tail added into lhs:
-"closed_form" or "none".
+closed-form geometric or dilogarithm tails.  A dilogarithm tail
+sum_{n>N} x^n / n^2 (li2_tail) is summed directly, not as Li2(x) minus a
+partial sum: psi'(N + 1) at x = 1, Boole's expansion at x = -1, and one
+cumulative product of O(log u / log |x|) terms for |x| < 1, each within a
+few units of 2^-53 relative (li2_tail derives the bounds).
+
+Results are BoundCheck rows with a stable JSON field layout (name, params,
+lhs, rhs, slack, status, N, tail_bound, route), where route names the tail
+added into lhs: "closed_form" or "none".
 
 run_suite rejects bad input with VerifyError before any check runs.  Every
 row then comes from one ordered list of blocks, each a plain function of the
@@ -46,7 +52,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -148,23 +154,91 @@ def gamma_l2(profile: LogCoeffProfile, weights: str = "unit") -> L2Sum:
 
 
 # ---------------------------------------------------------------------------
-# Dilogarithm partial sums and closed tails.
+# Dilogarithm tails.
 
-# one suite asks for about 47 distinct (x, N), x = 1 alone 27 times
-@lru_cache(maxsize=64)
-def li2_partial(x: float, order: int) -> float:
-    # cumprod multiplies in sequence and n*n is exact in float64, so each
-    # term x^n / n^2 has the bits of the running product p *= x divided by
-    # n*n, and fsum rounds their sum once.
-    if x == 0.0 or order < 1:
-        return 0.0
-    ns = np.arange(1, order + 1, dtype=np.float64)
-    return math.fsum((np.cumprod(np.full(order, x)) / (ns * ns)).tolist())
+_U = 2.0**-53  # unit roundoff of float64
+# The tails at x = +-1 sum their terms below this index directly and the
+# rest by an asymptotic series in 1/a, a the first index left.
+_ASYMPTOTIC_FROM = 64
+# psi'(a) = 1/a + 1/(2a^2) + sum_k B_2k / a^(2k+1) (Euler-Maclaurin,
+# Abramowitz-Stegun 6.4.12): the B_2k of a^-3, a^-5, a^-7, a^-9
+_TRIGAMMA = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)
+# sum_{k>=0} (-1)^k / (a + k)^2 = 1/(2a^2) + sum_j -G_2j / (2 a^(2j+1))
+# (Boole summation; G_2j = -1, 1, -3, 17, ... the Genocchi numbers): the
+# terms of a^-5 .. a^-13, after 1/(2a^2) + 1/(2a^3)
+_ALTERNATING = (-0.5, 1.5, -8.5, 77.5, -1036.5)
+# |x| < 1 takes the fallback route past this many terms (or N, if more)
+_TAIL_TERMS = 4096
 
 
 def li2_tail(x: float, order: int) -> float:
-    """sum_{n > N} x^n / n^2, via the full dilogarithm minus the partial."""
-    return li2(x).value - li2_partial(x, order)
+    """sum_{n > N} x^n / n^2 for x in [-1, 1], N = max(order, 0), summed
+    directly, so a tail far below one ulp of Li2(x) keeps its own digits.
+    With u = 2^-53 (each operation errs by at most u, pow by 2u) and
+    t = |x|:
+
+      * x = 1: psi'(N + 1), the trigamma function: the terms 1/n^2 for
+        n < 64 one by one, and psi'(a), a = max(N + 1, 64), by its
+        asymptotic series through B_8 / a^9, which errs by less than
+        |B_10| / a^11 < 7e-20 psi'(a).  All parts are positive, the terms
+        err by u and psi'(a) by 3.1 u, so the result errs by at most
+        4.5 u relative.
+      * x = -1: the terms below a = N + 1 + 2k >= 64 in pairs
+        1/n^2 - 1/(n + 1)^2 = (2n + 1) / (n^2 (n + 1)^2), exact but for
+        one division, and the alternating sum from a by Boole's expansion
+        through its a^-13 term, which errs by less than |G_14| / (2 a^15)
+        < 2e-19 of that sum and by 5.5 u in rounding.  All parts have the
+        sign of (-1)^(N+1), so the result errs by at most 7 u relative.
+      * 0 < t < 1: the L terms x^n / n^2 from n = N + 1, where
+        t^L <= u (1 - t)^2 bounds the geometric remainder
+        t^n / (n^2 (1 - t)) past them by u times the sum, from one
+        np.cumprod started at x^(N + 1) and one math.fsum.  Term k errs by
+        at most (k + 4) u (pow, k products, n * n and the division), so
+        the result errs by at most (6 + t / (1 - t)) u relative for x > 0,
+        and by (2 + (4 - 3t) / (1 - t)^3) u for x < 0, where the sum keeps
+        at least (1 - t) of its first term.  Where L exceeds max(N, 4096)
+        (t above about 0.989) the tail is Li2(x) minus the partial sum
+        instead, with an absolute error of li2(x)'s est_error plus
+        (ln N + 7) u.
+
+    The relative bounds hold while the terms are normal numbers; in the
+    subnormal range the error is at most (L + 1) 2^-1074 absolute.  An x
+    outside [-1, 1] raises ValueError."""
+    x = float(x)
+    t = abs(x)
+    if not t <= 1.0:
+        raise ValueError(f"dilogarithm argument {x} outside [-1, 1]")
+    first = max(order, 0) + 1
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        a = max(first, _ASYMPTOTIC_FROM)
+        ns = np.arange(first, a, dtype=np.float64)
+        r = 1.0 / a
+        acc = 0.0
+        for c in reversed(_TRIGAMMA):
+            acc = acc * r * r + c
+        rest = r * (1.0 + r * (0.5 + r * acc))
+        return math.fsum((1.0 / (ns * ns)).tolist() + [rest])
+    if x == -1.0:
+        a = first + 2 * max(0, (_ASYMPTOTIC_FROM - first + 1) // 2)
+        ns = np.arange(first, a, 2, dtype=np.float64)
+        r = 1.0 / a
+        acc = 0.0
+        for c in reversed(_ALTERNATING):
+            acc = acc * r * r + c
+        rest = r * r * (0.5 + r * (0.5 + r * r * acc))
+        pairs = (2.0 * ns + 1.0) / (ns * ns * ((ns + 1.0) * (ns + 1.0)))
+        return (-1.0) ** (first % 2) * math.fsum(pairs.tolist() + [rest])
+    terms = max(1, math.ceil(math.log(_U * (1.0 - t) ** 2) / math.log(t)))
+    if terms > max(first - 1, _TAIL_TERMS):
+        ns = np.arange(1, first, dtype=np.float64)
+        head = np.cumprod(np.full(first - 1, x)) / (ns * ns)
+        return li2(x).value - math.fsum(head.tolist())
+    ns = np.arange(first, first + terms, dtype=np.float64)
+    powers = np.full(terms, x)
+    powers[0] = x**first
+    return math.fsum((np.cumprod(powers) / (ns * ns)).tolist())
 
 
 def ulambda_l2_bound(lam: float) -> float:

@@ -339,42 +339,46 @@ def test_render_member_bytes(capsys, argv, digest):
 # exactly 1), none changing status.  They held, with no re-record, when the
 # long-N reciprocal, log and G_alpha moved to the blocked series division
 # and the report to json's C encoder (no lhs or rhs moved, at any of 49
-# orders from 1 to 4096).  Never regenerate them otherwise; a mismatch
-# means the report bytes changed
+# orders from 1 to 4096).  Re-recorded once more when the dilogarithm tails
+# were summed directly (no longer Li2(x) minus a partial sum) and the power
+# sums moved to seeded 64-term hops: the tails of 5 to 24 rows per report
+# moved, and lhs by at most 9.0e-16 relative (f_lambda(0.9) at 4096), none
+# changing status.  Never regenerate them otherwise; a mismatch means the
+# report bytes changed
 VERIFY_GOLDEN = [
     (
         ("--order", "128"),
-        "69d9c432e5c1c7c569652f14d0ebaa1bf979bd79848529f1dddd9a698825f115",
+        "c6c7ab9b9f8fc08dfbf969e743743f697ad4c43b697981ee45fb9673086dc53b",
         "346 checks, 0 violated\n",
         0,
     ),
     (
         ("--order", "1024"),
-        "d8360b06a0b51c8c8ee0ef8cc9a4b5dbd082850a4034c0a7d10c0c0f07aef196",
+        "2df5fd04b3af06552ebd05f44b57c1d2c7edf370bbf4ccfcc8bddc9b89582d6e",
         "346 checks, 0 violated\n",
         0,
     ),
     (
         ("--order", "2048"),
-        "b39075a13b2fde2d8ef6674ce46bdd3ecd73a2998a20c5a13ee68fa19094e2f9",
+        "8eca449120c55571a5862323f8ff20388e3817b00abbf62cbdaef77dd2f5b944",
         "346 checks, 0 violated\n",
         0,
     ),
     (
         ("--order", "4096"),
-        "5f4803d61c96ac5111900fb91e2ae505ce121972f4c36f471126f5f0ea004f8b",
+        "f27932f50206d7a996a231612a69c8a29716127d6c8293900ef7f54375e5eeab",
         "346 checks, 0 violated\n",
         0,
     ),
     (
         ("--lambda-grid", "0.5", "--alpha-grid", "0.0,0.5,0.37765"),
-        "91a770c41bf06bdb87191a600d5fe971dbfb4779b7674404a67ed2b4479202c9",
+        "d009cd773a9a18c8fc5f2f2f170bf9036530b2328997a0089460bf2dbdd12a94",
         "42 checks, 0 violated\n",
         0,
     ),
     (
         ("--lambda-grid", "0.3,0.7", "--alpha-grid", "0.25", "--order", "64"),
-        "afcdcafb6af0bd756e7d92e35dfe72f81bf3e63193d736ef0876f83e81fba38b",
+        "c99072f2e07fa2faa0650afd317b80e34b3374b945385586c5d326a9aec6678e",
         "59 checks, 0 violated\n",
         0,
     ),

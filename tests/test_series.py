@@ -563,6 +563,37 @@ class TestPowerSums:
         got = series_mod.power_sums(poly, head)
         assert same_bits(got, reference_power_sums(poly, head))
 
+    # (P, p_k for k = 1..4096, bound on max |error| at count 4096): P with a
+    # double root on the unit circle, where rounding errors grow like k^2
+    # along the recurrence and a longer propagator (hop matrix squared, or
+    # 128-term hops) adds more.  Each bound is about twice the error of the
+    # per-tap block loop this propagation replaced (4.6e-11 and 6.1e-9); the
+    # taps are exact, so no error comes from rounding P.
+    DOUBLE_ROOTS = [
+        (
+            "f1_denominator",
+            lambda: atlas.rational_parts(atlas.f1())[1],
+            lambda ks: 2.0 + 0.5 ** ks * np.where(ks % 2 == 0, 1.0, -1.0),
+            1e-10,
+        ),
+        (
+            "double_i",
+            lambda: np.convolve(np.convolve([1.0, -1j], [1.0, -1j]), [1.0, -0.3]),
+            lambda ks: 2.0 * np.array([1.0, 1j, -1.0, -1j])[ks % 4] + 0.3**ks,
+            1.5e-8,
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "poly,closed_form,bound",
+        [case[1:] for case in DOUBLE_ROOTS],
+        ids=[case[0] for case in DOUBLE_ROOTS],
+    )
+    def test_double_root_on_the_circle(self, poly, closed_form, bound):
+        ks = np.arange(1, 4097)
+        got = series_mod.power_sums(np.asarray(poly(), dtype=complex), 4096)
+        assert np.max(np.abs(got - closed_form(ks))) <= bound
+
     def test_trailing_zeros_are_no_taps(self):
         poly = np.array([2.0, -1.0, 0.5, 0.0, 0.0], dtype=complex)
         assert same_bits(

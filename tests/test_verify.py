@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,7 +30,6 @@ from logcoef.verify import (
     g_class_bounds,
     gamma_l2,
     glambda_l2_closed_tail,
-    li2_partial,
     li2_tail,
     log_coefficients,
     run_suite,
@@ -259,40 +259,94 @@ class TestGammaL2:
             gamma_l2(prof, "cubed")
 
 
-def reference_li2_partial(x, order):
-    """li2_partial as first written: a running product in a Python loop."""
-    if x == 0.0:
-        return 0.0
-    p = 1.0
-    terms = []
-    for n in range(1, order + 1):
-        p *= x
-        terms.append(p / (n * n))
-    return math.fsum(terms)
+def mp_li2_tail(x, order):
+    """sum_{n > N} x^n / n^2 at 30 digits (50 for x = -1, whose closed form
+    cancels to about log10(N) digits)."""
+    first = order + 1
+    with mpmath.workdps(30):
+        if x == 1.0:
+            return mpmath.zeta(2, first)
+        if x == -1.0:
+            with mpmath.workdps(50):
+                half = mpmath.mpf(first) / 2
+                even_minus_odd = mpmath.zeta(2, half) - mpmath.zeta(2, half + 0.5)
+                return (-1) ** first * even_minus_odd / 4
+        x = mpmath.mpf(x)
+        if abs(x) > 0.99:
+            return x**first * mpmath.lerchphi(x, 2, first)
+        total, power, n = mpmath.mpf(0), x**first, first
+        while True:
+            term = power / (n * n)
+            total += term
+            if abs(term) <= 1e-33 * (1 - abs(x)) * abs(total):
+                return total
+            power *= x
+            n += 1
 
 
-class TestLi2Partial:
-    FIXED_X = (1.0, -1.0, 0.25, -0.5, 0.999, 1e-3, 1e-160, -1e-200, 5e-324, 0.0)
+def li2_tail_bound(x):
+    """li2_tail's stated relative error for x, in units of 2^-53."""
+    t = abs(x)
+    if x == 1.0:
+        return 4.5
+    if x == -1.0:
+        return 7.0
+    if x > 0:
+        return 6.0 + t / (1.0 - t)
+    return 2.0 + (4.0 - 3.0 * t) / (1.0 - t) ** 3
 
-    ORDERS = tuple(range(1, 65)) + (127, 128, 1000, 2047, 2048, 4095, 4096)
 
-    def test_bits_equal_reference(self):
-        rng = np.random.default_rng(8)
-        xs = list(self.FIXED_X) + list(rng.uniform(-1.0, 1.0, 300))
-        for x in xs:
-            orders = self.ORDERS if x in self.FIXED_X else (1, 2, 40, 128, 4096)
-            for order in orders:
-                assert li2_partial(x, order) == reference_li2_partial(x, order), (x, order)
-        assert li2_partial(0.5, 0) == li2_partial(0.5, -3) == 0.0
+def suite_tail_arguments():
+    """Every x the default grids pass to li2_tail, as verify builds them,
+    and x = -1."""
+    xs = {1.0, 0.25, -1.0}
+    for lam in verify.DEFAULT_LAMBDA_GRID:
+        y1, y2 = lam / (1.0 + lam), lam * lam / (1.0 + lam)
+        xs |= {lam, lam * lam, lam**2, -y1, -y2, y1 * y1}
+    return sorted(xs)
 
-    def test_suite_computes_each_sum_once(self):
-        """The partial sums are cached: one suite computes each distinct
-        (x, N) it asks for once, and evicts none of them."""
-        li2_partial.cache_clear()
-        run_suite(order=256)
-        info = li2_partial.cache_info()
-        assert info.hits > 0
-        assert info.misses == info.currsize < info.maxsize
+
+class TestLi2Tail:
+    ORDERS = (0, 1, 127, 128, 1024, 4096)
+
+    @pytest.mark.parametrize("x", suite_tail_arguments())
+    def test_within_the_stated_error(self, x):
+        for order in self.ORDERS:
+            got, want = li2_tail(x, order), mp_li2_tail(x, order)
+            err = abs(mpmath.mpf(got) - want)
+            if abs(want) < 2.0**-1022:
+                # subnormal: (L + 1) 2^-1074 absolute, L <= 4096 here
+                assert err <= 4097 * 2.0**-1074, (x, order, got)
+            else:
+                assert err <= li2_tail_bound(x) * 2.0**-53 * abs(want), (x, order, got)
+
+    def test_a_tail_below_one_ulp_of_li2_is_not_zero(self):
+        # the true value is 2.7e-28, far below one ulp of Li2(0.95) = 1.38
+        got = li2_tail(0.95, 1024)
+        assert got > 0.0
+        assert abs(mpmath.mpf(got) / mp_li2_tail(0.95, 1024) - 1) <= 30 * 2.0**-53
+
+    @pytest.mark.parametrize("x", [0.999, -0.9995])
+    def test_fallback_near_one(self, x):
+        # L > max(N, 4096) here: Li2(x) minus the partial sum, within li2's
+        # est_error plus (ln N + 7) u absolute
+        for order in (0, 1, 128, 1024, 4096):
+            bound = li2(x).est_error + (math.log(max(order, 1)) + 7) * 2.0**-53
+            assert abs(mpmath.mpf(li2_tail(x, order)) - mp_li2_tail(x, order)) <= bound
+
+    def test_edge_arguments(self):
+        assert li2_tail(0.0, 10) == 0.0
+        for x in (1.5, -1.0000001, float("nan")):
+            with pytest.raises(ValueError, match="outside"):
+                li2_tail(x, 10)
+        assert li2_tail(0.5, -3) == li2_tail(0.5, 0)
+        assert abs(li2_tail(1.0, 0) - PI2_6) <= 4.5 * 2.0**-53 * PI2_6
+        # x = 1 and -1 at orders across the switch to the asymptotic series
+        for x in (1.0, -1.0):
+            for order in (62, 63, 64, 65, 10**6, 10**12):
+                want = mp_li2_tail(x, order)
+                err = abs(mpmath.mpf(li2_tail(x, order)) - want)
+                assert err <= li2_tail_bound(x) * 2.0**-53 * abs(want), (x, order)
 
 
 class TestSharpBound:
@@ -525,6 +579,16 @@ class TestSuite:
             if c.params["spec"] == "f0()"
         ]
         assert f0_rows[0].status == "equality"
+
+    def test_long_orders_between_the_goldens(self):
+        # orders no golden report covers, with odd block and hop remainders;
+        # the equality rows (f1_l2_two_routes: slack 2.2e-14 at 4096) change
+        # status if a tail or a power sum drifts by more than 1e-9
+        statuses = [c.status for c in run_suite(order=4096)]
+        assert statuses.count("holds") == 313
+        assert statuses.count("equality") == 33
+        for order in (2049, 3001, 4095):
+            assert [c.status for c in run_suite(order=order)] == statuses, order
 
     def test_deterministic_order(self):
         a = run_suite(lambda_grid=(0.3, 0.7), alpha_grid=(0.25,))
