@@ -1,9 +1,10 @@
-"""Truncated complex power-series arithmetic.
+"""Truncated power-series arithmetic.
 
-A series is a vector of complex Taylor coefficients c[0..N] at a fixed
-truncation order N.  Every operation takes and returns series of the same
-order; all values are plain double-precision complex.  All functions are
-pure and the coefficient arrays are frozen, so series can be shared freely
+A series is a vector of Taylor coefficients c[0..N] at a fixed truncation
+order N, which every operation keeps.  TruncatedSeries and the ts_* ops are
+double-precision complex; the raw kernels (*_raw) keep their input's dtype,
+so a real series is divided or logged in float64.  All functions are pure
+and the coefficient arrays are frozen, so series can be shared freely
 between threads.
 """
 
@@ -98,8 +99,8 @@ _BLOCK = 128
 # np.dot of two contiguous slices with no per-step temporary.  The slices
 # hold the values, in order, of the operand each step used to build
 # (np.dot's contiguous copy of b[k-1::-1], or log's product array), so
-# zdotu returns the same bits, and a series of at most _BLOCK terms has the
-# bits of the full step recurrence.
+# the BLAS dot returns the same bits, and a series of at most _BLOCK terms
+# has the bits of the full step recurrence.
 
 def reciprocal_raw(a: np.ndarray) -> np.ndarray:
     h = min(a.size, _BLOCK)
@@ -218,7 +219,8 @@ def power_sums(coeffs: np.ndarray, count: int) -> np.ndarray:
     root on the unit circle (f1's (1 - z)^2 (1 + z/2)).  Only complex
     scalars and elementwise numpy products are used, no BLAS, so the bits
     do not depend on the BLAS kernel."""
-    b = np.trim_zeros(np.asarray(coeffs, dtype=np.complex128) / coeffs[0], "b")
+    b = np.asarray(coeffs, dtype=np.complex128) / coeffs[0]
+    b = b[: np.flatnonzero(b)[-1] + 1]  # b_0 = 1, so b_0 is never trimmed
     taps = b[1:].tolist()
     d = len(taps)
     out = np.zeros(count, dtype=np.complex128)

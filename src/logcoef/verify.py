@@ -28,6 +28,9 @@ of three routes, chosen from the spec's registry entry and series:
     O((N/s)^2);
   * any other series (k_alpha): the series log of f/z, O(N^2).
 
+These series are real, so the series routes and G_alpha's division run in
+float64; a series with a nonzero imaginary part is refused.
+
 Every partial-sum check carries an explicit tail bound; equality checks use
 closed-form geometric or dilogarithm tails.  A dilogarithm tail
 sum_{n>N} x^n / n^2 (li2_tail) is summed directly, not as Li2(x) minus a
@@ -59,9 +62,9 @@ import numpy as np
 from . import atlas
 from .atlas import FunctionSpec, starlike_order
 from .dilog import PI2_6, li2
-from .series import SeriesError, TruncatedSeries, divide_raw, power_sums, ts_log
+from .series import SeriesError, divide_raw, log_raw, power_sums
 # unused here; bench/tracing.py wraps these names on this module
-from .series import ts_exp, ts_reciprocal  # noqa: F401
+from .series import ts_exp, ts_log, ts_reciprocal  # noqa: F401
 
 EQUALITY_TOL = 1e-9
 VIOLATION_TOL = 1e-9
@@ -108,9 +111,9 @@ def log_coefficients(spec: FunctionSpec, order: int) -> LogCoeffProfile:
         a, b = parts
         ns = np.arange(1, order + 1)
         gammas = (power_sums(b, order) - power_sums(a, order)) / (2.0 * ns)
-        if not np.all(np.isfinite(gammas.view(np.float64))):
-            raise SeriesError("non-finite coefficient")
         source = "parts"
+    if not np.all(np.isfinite(gammas.view(np.float64))):
+        raise SeriesError("non-finite coefficient")
     a2 = fz.coeffs[1]
     if abs(2.0 * gammas[0] - a2) > 1e-10:
         raise VerifyError("2 gamma_1 != a_2: inconsistent expansion")
@@ -125,8 +128,15 @@ def _strided_log(c: np.ndarray) -> np.ndarray:
     spread back to the multiples of s."""
     s = int(np.gcd.reduce(np.flatnonzero(c))) or c.size
     log = np.zeros_like(c)
-    log[::s] = ts_log(TruncatedSeries(c[::s])).coeffs
+    log[::s] = log_raw(_real(c[::s]))
     return log
+
+
+def _real(c: np.ndarray) -> np.ndarray:
+    """c as a contiguous float64 array; c must have no nonzero imaginary part."""
+    if np.any(c.imag):
+        raise VerifyError("series has a nonzero imaginary part")
+    return np.ascontiguousarray(c.real)
 
 
 @dataclass(frozen=True)
@@ -364,11 +374,10 @@ def convex_order_profile(alpha: float, order: int) -> ConvexOrderProfile:
     if order < 1:
         raise VerifyError("order must be >= 1")
     beta = starlike_order(alpha)
-    kz = atlas.fz_series(atlas.k_alpha(alpha), order).coeffs
-    delta_c = TruncatedSeries(divide_raw(kz * np.arange(1, order + 2), kz)).coeffs[1:]
-    if np.max(np.abs(delta_c.imag)) > 1e-12:
-        raise VerifyError("delta coefficients acquired an imaginary part")
-    delta = delta_c.real.copy()
+    kz = _real(atlas.fz_series(atlas.k_alpha(alpha), order).coeffs)
+    delta = divide_raw(kz * np.arange(1, order + 2), kz)[1:]
+    if not np.all(np.isfinite(delta)):
+        raise SeriesError("non-finite coefficient")
     delta.flags.writeable = False
     ns = np.arange(1, order + 1, dtype=float)
     gl2 = 0.25 * math.fsum((delta * delta / (ns * ns)).tolist())

@@ -272,7 +272,7 @@ class TestProperties:
 
 
 # The recurrences as first written, each step dotting a reversed view of the
-# finished terms (np.dot copies it before BLAS zdotu) or, for log, a fresh
+# finished terms (np.dot copies it before the BLAS dot) or, for log, a fresh
 # product array.  Within the first series_mod._BLOCK terms the kernels must
 # reproduce these bits exactly; exp_raw has no blocks, so everywhere.
 
@@ -412,6 +412,7 @@ class TestKernelBits:
         for name, kernel in kernels.items():
             monkeypatch.setattr(series_mod, name, recording(name, kernel))
         monkeypatch.setattr(verify, "divide_raw", series_mod.divide_raw)
+        monkeypatch.setattr(verify, "log_raw", series_mod.log_raw)
         for order in (1, 2, 40, 4096):
             rows = verify.run_suite(order=order)
             assert all(row.status != "error" for row in rows)
@@ -421,6 +422,9 @@ class TestKernelBits:
         for (name, *_), args in inputs.items():
             a = args[-1]
             sizes[name].add(a.size)
+            if name in ("log_raw", "divide_raw"):
+                # every suite series is real and is divided in float64
+                assert all(arg.dtype == np.float64 for arg in args), name
             if name == "divide_raw":
                 got, step = series_mod.divide_raw(*args), reference_divide(*args)
                 assert np.all(np.abs(got - step) <= 2.0 * division_bound(a, step))
@@ -466,9 +470,24 @@ class TestDivisionBound:
 
     @pytest.mark.parametrize("index", range(8))
     def test_suite_log_inputs(self, index):
-        # g_family(n)'s series in w has 1024 // n + 1 terms
+        # g_family(n)'s series in w has 1024 // n + 1 terms; the suite hands
+        # log_raw their real parts, in float64
         a = suite_log_inputs(1024)[index]
-        assert_within_bound("log_raw", a, mp_log_division(a))
+        exact = mp_log_division(a)
+        for x in (a, a.real.copy()):
+            assert_within_bound("log_raw", x, exact)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    def test_suite_g_alpha_divisions(self, alpha):
+        # G_alpha = K'/(K/z), divided in float64 as the suite does, and in
+        # complex128
+        kz = atlas.fz_series(atlas.k_alpha(alpha), 1023).coeffs.real.copy()
+        num = kz * np.arange(1, kz.size + 1)
+        exact = mp_divide(num, kz)
+        for dtype in (np.float64, np.complex128):
+            got = series_mod.divide_raw(num.astype(dtype), kz.astype(dtype))
+            assert got.dtype == dtype
+            assert np.all(np.abs(got - exact) <= division_bound(kz, exact))
 
     def test_first_block_is_num_times_the_head(self):
         # divide_raw on one block: num times the step recurrence's 1/den

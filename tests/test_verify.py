@@ -19,7 +19,7 @@ from logcoef.atlas import fz_series
 from logcoef.cli import main
 from logcoef.dilog import PI2_6, li2
 from logcoef.search import _exact_u_chunk, _trim
-from logcoef.series import SeriesError, ts_log
+from logcoef.series import SeriesError, TruncatedSeries, ts_log
 from logcoef.verify import (
     LogCoeffProfile,
     VerifyError,
@@ -170,8 +170,8 @@ class TestLogCoefficientRoutes:
 
     def test_parts_route_bits_do_not_depend_on_the_blas_kernel(self):
         # power_sums calls no BLAS, so the suite's rational profiles keep
-        # their bytes under any OpenBLAS core type (the series log's zdotu
-        # does not)
+        # their bytes under any OpenBLAS core type (the series log's BLAS
+        # dots do not)
         code = (
             "import hashlib, sys\n"
             "from logcoef import atlas, verify\n"
@@ -214,8 +214,24 @@ class TestLogCoefficientRoutes:
         prof = log_coefficients(spec, 1024)
         full = 0.5 * ts_log(fz_series(spec, 1024)).coeffs[1:]
         assert prof.source == "series"
+        assert prof.gammas.dtype == np.complex128
         assert np.all(prof.gammas[np.arange(1, 1025) % n != 0] == 0.0)
         assert np.max(np.abs(prof.gammas - full)) <= 1e-18
+
+    def test_series_route_refuses_a_complex_series(self, monkeypatch):
+        # the series log and G_alpha's division run in float64, so a series
+        # with any nonzero imaginary part is refused, not truncated
+        real = atlas.fz_series
+
+        def tilted(spec, order):
+            c = real(spec, order).coeffs
+            return TruncatedSeries(c + 1e-300j * np.arange(c.size))
+
+        monkeypatch.setattr(atlas, "fz_series", tilted)
+        with pytest.raises(VerifyError, match="nonzero imaginary part"):
+            log_coefficients(atlas.k_alpha(0.25), 300)
+        with pytest.raises(VerifyError, match="nonzero imaginary part"):
+            convex_order_profile(0.25, 300)
 
     def test_g_family_1_takes_f0s_parts(self):
         # f' = 1 - z makes g_family(1) the function f0
