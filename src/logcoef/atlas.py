@@ -13,7 +13,8 @@ parses to and renders from specs; it is the input format of the CLI.
 Everything known about one kind (its DSL keys, rational parts, series,
 closed-form logarithmic coefficients, 1/n bound and pointwise f/z, f' and
 f''/f') lives in its single ``KIND_REGISTRY`` entry.  The pointwise values
-serve both `evaluator` (render) and the membership functionals.
+serve both `evaluator` (render) and the membership functionals; a spec is
+prepared once for all the points a caller evaluates.
 No series goes through exp or log: g_family and k_alpha write theirs from
 closed-form ratio recurrences, the rational kinds as A times 1/B.
 """
@@ -458,7 +459,12 @@ SERIES_EVAL_ORDER = 256
 class Pointwise(NamedTuple):
     """f/z, f' and f''/f' of one spec at an array of points, each computed
     when its function is called, so a caller pays only for what it reads.
-    tail() bounds |f/z - fz()| at each point: 0 for a closed form."""
+    tail() bounds |f/z - fz()| at each point: 0 for a closed form.
+
+    A registry entry's pointwise function takes the spec and does the
+    spec's own work once (derivative polynomials, series, tail constants),
+    each part when first read; it returns z -> Pointwise, which a caller
+    applies to as many blocks of points as it likes."""
 
     fz: Callable[[], np.ndarray]
     fp: Callable[[], np.ndarray]
@@ -466,52 +472,60 @@ class Pointwise(NamedTuple):
     tail: Callable[[], np.ndarray | float] = lambda: 0.0
 
 
-def _quotient_points(spec, z) -> Pointwise:
+def _quotient_points(spec) -> Callable[[np.ndarray], Pointwise]:
     """f = z A / B from the kind's (A, B) parts.  With N = z A,
     f' = (N' B - N B') / B^2 and f''/f' = (N'' B - N B'') / (N' B - N B')
     - 2 B'/B, where N' = A + z A' and N'' = 2 A' + z A''."""
     parts = rational_parts(spec)
+    derivative = cache(lambda k: [P.polyder(c, k) for c in parts])
 
-    @cache
-    def at(k):
-        """A^(k) and B^(k) at z."""
-        return [eval_raw(P.polyder(c, k), z) for c in parts]
+    def points(z) -> Pointwise:
+        @cache
+        def at(k):
+            """A^(k) and B^(k) at z."""
+            return [eval_raw(c, z) for c in derivative(k)]
 
-    @cache
-    def wronskian():
-        """N' B - N B' = f' B^2."""
-        (a, b), (a1, b1) = at(0), at(1)
-        return (a + z * a1) * b - z * a * b1
+        @cache
+        def wronskian():
+            """N' B - N B' = f' B^2."""
+            (a, b), (a1, b1) = at(0), at(1)
+            return (a + z * a1) * b - z * a * b1
 
-    def ratio():
-        (a, b), (a1, b1), (a2, b2) = at(0), at(1), at(2)
-        return ((2.0 * a1 + z * a2) * b - z * a * b2) / wronskian() - 2.0 * b1 / b
+        def ratio():
+            (a, b), (a1, b1), (a2, b2) = at(0), at(1), at(2)
+            return ((2.0 * a1 + z * a2) * b - z * a * b2) / wronskian() - 2.0 * b1 / b
 
-    return Pointwise(
-        fz=lambda: at(0)[0] / at(0)[1],
-        fp=lambda: wronskian() / at(0)[1] ** 2,
-        ratio=ratio,
-    )
+        return Pointwise(
+            fz=lambda: at(0)[0] / at(0)[1],
+            fp=lambda: wronskian() / at(0)[1] ** 2,
+            ratio=ratio,
+        )
+
+    return points
 
 
-def _k_alpha_points(spec, z) -> Pointwise:
+def _k_alpha_points(spec) -> Callable[[np.ndarray], Pointwise]:
     """K_alpha with x = 1 - 2 alpha: K/z = ((1 - z)^-x - 1) / (x z), or
     -log(1 - z)/z at x = 0; K' = (1 - z)^-x / (1 - z) and
     K''/K' = (1 + x) / (1 - z)."""
     x = 1.0 - 2.0 * spec.alpha
-    log = cache(lambda: np.log(1.0 - z))
-    # (1 - z)^-x: exactly 1 at alpha = 1/2, with no exp to compute
-    power = cache(lambda: np.exp(-x * log()) if x else 1.0)
 
-    def fz():
-        if abs(x) < ALPHA_HALF_SWITCH:
-            return -log() / z
-        return (power() - 1.0) / (x * z)
+    def points(z) -> Pointwise:
+        log = cache(lambda: np.log(1.0 - z))
+        # (1 - z)^-x: exactly 1 at alpha = 1/2, with no exp to compute
+        power = cache(lambda: np.exp(-x * log()) if x else 1.0)
 
-    return Pointwise(fz, lambda: power() / (1.0 - z), lambda: (1.0 + x) / (1.0 - z))
+        def fz():
+            if abs(x) < ALPHA_HALF_SWITCH:
+                return -log() / z
+            return (power() - 1.0) / (x * z)
+
+        return Pointwise(fz, lambda: power() / (1.0 - z), lambda: (1.0 + x) / (1.0 - z))
+
+    return points
 
 
-def _g_family_points(spec, z) -> Pointwise:
+def _g_family_points(spec) -> Callable[[np.ndarray], Pointwise]:
     """f' = (1 - z^n)^(1/n) and f''/f' = -z^(n-1) / (1 - z^n) in closed form;
     f/z is its order-N series s (N = SERIES_EVAL_ORDER), a polynomial in
     w = z^n with coefficients a_j = c_j / (jn + 1), j <= J = floor(N/n).
@@ -529,27 +543,31 @@ def _g_family_points(spec, z) -> Pointwise:
     For n > N (J = 0) s is 1 and f/z - 1 = sum_{j>=1} c_j w^j / (jn + 1) is
     also at most d / (n + 1); the truncation term is the smaller of the two."""
     n, order = spec.n, SERIES_EVAL_ORDER
-    zm = cache(lambda: z ** (n - 1))
-    zn = cache(lambda: z * zm())
-    series = cache(lambda: fz_series(spec, order).coeffs)
+    series = cache(lambda: fz_series(spec, order).coeffs[::n])
+    k = (order // n + 1) * n  # the first index past the series
+    lead = cache(lambda: abs(_g_family_coeffs(n, k // n + 1)[-1]) / (k + 1))
 
-    def tail():
-        r = np.abs(z)
-        rn = r**n
-        k = (order // n + 1) * n  # the first index past the series
-        lead = abs(_g_family_coeffs(n, k // n + 1)[-1]) / (k + 1)
-        d = -np.expm1(np.log1p(-rn) / n)
-        truncation = lead * r**k / (1.0 - rn)
-        if k == n:
-            truncation = np.minimum(truncation, d / (n + 1))
-        return truncation + (2.0 + 13.0 * d) * 2.0**-53
+    def points(z) -> Pointwise:
+        zm = cache(lambda: z ** (n - 1))
+        zn = cache(lambda: z * zm())
 
-    return Pointwise(
-        fz=lambda: eval_raw(series()[::n], zn()),
-        fp=lambda: np.exp(np.log1p(-zn()) / n),
-        ratio=lambda: -zm() / (1.0 - zn()),
-        tail=tail,
-    )
+        def tail():
+            r = np.abs(z)
+            rn = r**n
+            d = -np.expm1(np.log1p(-rn) / n)
+            truncation = lead() * r**k / (1.0 - rn)
+            if k == n:
+                truncation = np.minimum(truncation, d / (n + 1))
+            return truncation + (2.0 + 13.0 * d) * 2.0**-53
+
+        return Pointwise(
+            fz=lambda: eval_raw(series(), zn()),
+            fp=lambda: np.exp(np.log1p(-zn()) / n),
+            ratio=lambda: -zm() / (1.0 - zn()),
+            tail=tail,
+        )
+
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +583,9 @@ class KindEntry:
     series    (spec, order) -> Taylor series of f/z; None means 1/B
     gamma     (spec, n) -> closed-form gamma_n or None; None when there is none
     slope     spec -> c with |gamma_n| <= c/n; None when none is established
-    pointwise (spec, z) -> Pointwise: f/z with its tail bound, f' and f''/f'
-              at the points z, each computed when read; by default from the
-              (A, B) parts
+    pointwise spec -> (z -> Pointwise): f/z with its tail bound, f' and
+              f''/f' at the points z, each computed when read, with the
+              spec's own work done once; by default from the (A, B) parts
     """
 
     keys: tuple[str, ...] = ()
@@ -691,16 +709,24 @@ def taylor_of(spec: FunctionSpec, order: int) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
+def pointwise_of(spec: FunctionSpec) -> Callable[[np.ndarray], Pointwise]:
+    """z -> f/z, f' and f''/f' of the spec at the points z, from its
+    registry entry, which prepares the spec once for every call."""
+    points = KIND_REGISTRY[spec.kind].pointwise(spec)
+    return lambda z: points(np.asarray(z, dtype=np.complex128))
+
+
 def pointwise(spec: FunctionSpec, z) -> Pointwise:
-    """f/z, f' and f''/f' of the spec at the points z, from its registry
-    entry."""
-    return KIND_REGISTRY[spec.kind].pointwise(spec, np.asarray(z, dtype=np.complex128))
+    """f/z, f' and f''/f' of the spec at the points z."""
+    return pointwise_of(spec)(z)
 
 
 def evaluator(spec: FunctionSpec) -> Callable:
     """z -> f(z) = z (f/z) for a point or an array of points in |z| < 1,
     from the spec's registry entry; f(0) = 0.  Raises SpecError if a point
-    lies outside the open disk or a value is not finite."""
+    lies outside the open disk or a value is not finite.  The spec is
+    prepared once, here, for every call of the function."""
+    points = pointwise_of(spec)
 
     def f(z):
         z = np.asarray(z, dtype=np.complex128)
@@ -710,7 +736,7 @@ def evaluator(spec: FunctionSpec) -> Callable:
         inside = z != 0
         out = np.zeros_like(z)
         with np.errstate(divide="ignore", invalid="ignore"):  # refused below
-            out[inside] = z[inside] * pointwise(spec, z[inside]).fz()
+            out[inside] = z[inside] * points(z[inside]).fz()
         bad = ~np.isfinite(out)
         if np.any(bad):
             raise SpecError(f"non-finite value of {render(spec)} at {complex(z[bad][0])}")

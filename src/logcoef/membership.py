@@ -12,8 +12,9 @@ decides it up to a tolerance band, and a verdict inside the band is
 reported as inconclusive rather than forced either way.
 
 Each functional is one expression in the values that the spec's registry
-entry gives at the sample points (`atlas.pointwise`): f/z, f' and f''/f'.
-A query reads only the values its functional needs.  They are closed forms
+entry gives at the sample points (`atlas.pointwise_of`): f/z, f' and
+f''/f'.  A query reads only the values its functional needs, prepares its
+spec once and evaluates the functional in blocks of BLOCK_POINTS points.  They are closed forms
 for every kind except g_family's f/z, an order-256 series in z^n whose
 bound t on |f/z - series| is carried into U and z f'/f; a tail too large
 to support the verdict marks the report inconclusive.  Sampling cannot see
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -41,6 +42,9 @@ DEFAULT_RADII = (0.9, 0.99, 0.999)
 DEFAULT_SAMPLES = 4096
 VERDICT_BAND = 1e-6
 SERIES_TAIL_LIMIT = 1e-8
+# Sample points per block of a functional's evaluation: 32 KB per complex
+# temporary, so a query's temporaries are reused from the heap.
+BLOCK_POINTS = 2048
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
@@ -59,7 +63,8 @@ class ClassMembershipReport:
 
     def to_dict(self) -> dict:
         """The fields in declaration order, the spec in its DSL form."""
-        return {**asdict(self), "spec": atlas.render(self.spec), "radii": list(self.radii)}
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**values, "spec": atlas.render(self.spec), "radii": list(self.radii)}
 
 
 class MembershipError(ValueError):
@@ -80,7 +85,25 @@ def _sample_points(radii: tuple[float, ...], m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The three functionals, each one expression in the registry's pointwise
 # values at the points z.  A functional returns its values and the bound
-# that the tail of f/z carries into them.
+# that the tail of f/z carries into them, or raises _Refused.
+
+# Why a query gives no value, highest precedence first: a query raises the
+# first of these that any of its sample points shows.
+_POLE, _ZERO, _CRITICAL, _NON_FINITE = range(4)
+_REFUSALS = (
+    "pole of f at a sample point (z/f vanishes)",
+    "f vanishes at a sample point away from 0",
+    "f' vanishes at a sample point (not locally univalent)",
+    "non-finite {} at a sample point",
+)
+
+
+class _Refused(Exception):
+    """The points show the refusal _REFUSALS[rank]."""
+
+    def __init__(self, rank: int):
+        self.rank = rank
+
 
 def _fp_over_fz(p: atlas.Pointwise, power: int):
     """f'/(f/z)^power (power 1 or 2), refusing a pole or a zero of f, and
@@ -91,9 +114,9 @@ def _fp_over_fz(p: atlas.Pointwise, power: int):
     s = p.fz()
     size = np.abs(s)
     if not np.all(size < 1e14):
-        raise MembershipError("pole of f at a sample point (z/f vanishes)")
+        raise _Refused(_POLE)
     if np.any(size < 1e-14):
-        raise MembershipError("f vanishes at a sample point away from 0")
+        raise _Refused(_ZERO)
     fp, t = p.fp(), p.tail()
     values = fp / s if power == 1 else fp / (s * s)
     if not np.any(t):
@@ -122,19 +145,19 @@ def _convexity(p: atlas.Pointwise, z):
     """1 + z f''/f'; |f''/f'| >= 1e14 puts f' within 1e-14 |f''| of 0."""
     ratio = p.ratio()
     if np.any(np.abs(ratio) >= 1e14):
-        raise MembershipError("f' vanishes at a sample point (not locally univalent)")
+        raise _Refused(_CRITICAL)
     return 1.0 + z * ratio, 0.0
 
 
-# query -> (functional, its name in errors, extremum over the points,
-#           margin of (threshold, measured))
+# query -> (functional, its name in errors, the part of its values that is
+#           measured, the extremum's ufunc, margin of (threshold, measured))
 _QUERIES = {
-    "ulambda": (_deficiency, "deficiency functional",
-                lambda v: np.max(np.abs(v)), lambda lam, x: lam - x),
-    "starlike": (_starlikeness, "starlikeness functional",
-                 lambda v: np.min(v.real), lambda beta, x: x - beta),
-    "galpha": (_convexity, "convexity functional",
-               lambda v: np.max(v.real), lambda alpha, x: 1.0 + 0.5 * alpha - x),
+    "ulambda": (_deficiency, "deficiency functional", np.abs, np.maximum,
+                lambda lam, x: lam - x),
+    "starlike": (_starlikeness, "starlikeness functional", np.real, np.minimum,
+                 lambda beta, x: x - beta),
+    "galpha": (_convexity, "convexity functional", np.real, np.maximum,
+               lambda alpha, x: 1.0 + 0.5 * alpha - x),
 }
 
 
@@ -158,19 +181,36 @@ def _interior_zero_note(spec) -> str:
 
 def _measure(spec, query, threshold, radii, m) -> ClassMembershipReport:
     """Sample the circles, evaluate the query's functional on the spec's
-    pointwise values, and turn its extremum into a verdict."""
-    functional, what, extremum, margin_of = _QUERIES[query]
+    pointwise values, and turn its extremum into a verdict.
+
+    The spec is prepared once; the functional then runs over blocks of
+    BLOCK_POINTS sample points, keeping the extremum, the largest tail and
+    the highest-ranked refusal across blocks.  Max and min are exact, so
+    the report does not depend on the block size."""
+    functional, what, part, pick, margin_of = _QUERIES[query]
     radii = tuple(float(r) for r in radii)
     if not radii or not all(0.0 < r < 1.0 for r in radii):
         raise ValueError("radii must lie in (0, 1)")
     if m < 64:
         raise ValueError("need at least 64 samples per circle")
     z = _sample_points(radii, m)
+    points = atlas.pointwise_of(spec)
+    extremes, tail, refusal = [], 0.0, len(_REFUSALS)
     with np.errstate(divide="ignore", invalid="ignore"):  # refused below
-        values, tail = functional(atlas.pointwise(spec, z), z)
-    if not np.all(np.isfinite(values)):
-        raise MembershipError(f"non-finite {what} at a sample point")
-    measured = float(extremum(values))
+        for start in range(0, z.size, BLOCK_POINTS):
+            block = z[start : start + BLOCK_POINTS]
+            try:
+                values, block_tail = functional(points(block), block)
+                if not np.all(np.isfinite(values)):
+                    raise _Refused(_NON_FINITE)
+            except _Refused as err:
+                refusal = min(refusal, err.rank)
+                continue
+            extremes.append(pick.reduce(part(values)))
+            tail = max(tail, block_tail)
+    if refusal < len(_REFUSALS):
+        raise MembershipError(_REFUSALS[refusal].format(what))
+    measured = float(pick.reduce(extremes))
     margin = margin_of(threshold, measured)
     note = _interior_zero_note(spec)
     if note:

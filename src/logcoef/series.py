@@ -259,10 +259,13 @@ def power_sums(coeffs: np.ndarray, count: int) -> np.ndarray:
 
 
 def eval_raw(coeffs: np.ndarray, z):
-    """Horner evaluation; scalar or array z."""
-    acc = np.zeros_like(np.asarray(z), dtype=np.complex128) + coeffs[-1]
+    """Horner evaluation, in place in one complex array of z's shape (0-d
+    for a scalar z)."""
+    acc = np.zeros(np.shape(z), dtype=np.complex128)
+    acc += coeffs[-1]
     for c in coeffs[-2::-1]:
-        acc = acc * z + c
+        np.multiply(acc, z, out=acc)
+        np.add(acc, c, out=acc)
     return acc
 
 

@@ -1,10 +1,12 @@
 import functools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from logcoef import atlas, membership
 from logcoef.atlas import (
     exact_u,
     f0,
@@ -20,6 +22,7 @@ from logcoef.atlas import (
     schwarz_superset,
 )
 from logcoef.membership import (
+    DEFAULT_RADII,
     DEFAULT_SAMPLES,
     MembershipError,
     _sample_points,
@@ -217,6 +220,16 @@ class TestGClass:
         assert rep.verdict == "fail"
 
 
+def _golden_member_specs():
+    """The specs of the CLI's golden `member` digests, in file order."""
+    path = Path(__file__).parent / "data" / "render_member_sha256.jsonl"
+    rows = [json.loads(line)["argv"] for line in path.read_text().splitlines()]
+    return list(dict.fromkeys(argv[1] for argv in rows if argv[0] == "member"))
+
+
+GOLDEN_MEMBER_SPECS = _golden_member_specs()
+
+
 class TestSamplingPolicy:
     @pytest.mark.parametrize("spec", SMOOTH_SPECS, ids=render)
     def test_radius_monotonicity(self, spec):
@@ -239,6 +252,32 @@ class TestSamplingPolicy:
         a = u_deficiency(f_lambda(0.5), 0.5)
         b = u_deficiency(f_lambda(0.5), 0.5)
         assert a == b
+
+    @pytest.mark.parametrize("text", GOLDEN_MEMBER_SPECS)
+    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch, text):
+        spec = parse_spec(text)
+
+        def reports():
+            queries = ((u_deficiency, 1.0), (min_re_starlike, 0.0), (g_class_sup, 1.0))
+            return json.dumps([query(spec, t).to_dict() for query, t in queries])
+
+        want = reports()
+        for block in (333, 2 * len(DEFAULT_RADII) * DEFAULT_SAMPLES):
+            monkeypatch.setattr(membership, "BLOCK_POINTS", block)
+            assert reports() == want
+
+    def test_a_query_prepares_its_spec_once(self, monkeypatch):
+        # g_family's order-256 series is built once, not once per block
+        calls = []
+        fz_series = atlas.fz_series
+
+        def counted(*args):
+            calls.append(args)
+            return fz_series(*args)
+
+        monkeypatch.setattr(atlas, "fz_series", counted)
+        u_deficiency(g_family(5), 1.0)
+        assert calls == [(g_family(5), atlas.SERIES_EVAL_ORDER)]
 
     def test_bad_radii(self):
         with pytest.raises(ValueError):
@@ -301,6 +340,17 @@ class TestHardFailures:
         spec = parse_spec("rational(num=[0,1,-2], den=[1])")
         with pytest.raises(MembershipError, match="f vanishes at a sample point away from 0"):
             query(spec, 0.5, radii=[0.5])
+
+    @pytest.mark.parametrize("query", [u_deficiency, min_re_starlike])
+    def test_a_pole_outranks_a_zero_at_an_earlier_point(self, query):
+        # f = z (1 - a z) / (1 + a z), a = 10/9, vanishes at z = 0.9, the
+        # first sample point, and has a pole at z = -0.9, half a circle on
+        # and in a later block: the pole is reported, though sampled later
+        spec = parse_spec(
+            "rational(num=[0, 1, -1.1111111111111112], den=[1, 1.1111111111111112])"
+        )
+        with pytest.raises(MembershipError, match="pole of f at a sample point"):
+            query(spec, 0.5, radii=[0.9])
 
     def test_tail_reaching_f_over_z_stays_finite(self):
         # at r = 1 - 1e-7 the order-256 tail bound of g_family(2) exceeds
