@@ -42,7 +42,11 @@ rows are then offered to the best as one batch, in offer order (chunk 0's
 polynomials, chunk 0's Blaschke rows, chunk 1's polynomials, ...).  Each
 step gives a row the same bits whatever rows are beside it, and the tie
 rule below names the same winner however the rows are cut into offers, so
-the slab's size changes no search; it is capped to bound memory.
+the slab's size changes no search.  A slab is 16 chunks (4,096 rows)
+because each pays a fixed count of numpy calls whatever its size (the root
+test's steps, the Blaschke recurrence, the curvature sum); memory is
+bounded by tiles inside it, _PRODUCT_ROWS rows per certification product
+and _SCREEN_ROWS rows per screen.
 For the exact parametrization the chunk test builds every denominator
 z/f = q of a block at once and runs the root test on it: no zero of q in
 the open unit disk.  It applies the rule that membership applies to every
@@ -62,10 +66,11 @@ matrices of the reversed polynomials).  The superset family has no test.
 
 Every offered batch (the start row, a slab of random chunks, a polish
 sweep) is scored on one value path.  The chunk test runs on every row; then
-the screen runs the 1/q recurrence over all accepted rows of a block at
-once (for the superset family on atlas.superset_denominator of the first
-n - 1 coefficients of w, the product a rebuild of the record reads) and gives
-each row its |a_n| and a proven bar on its distance from the exact value
+the screen runs the 1/q recurrence over the accepted rows of a block,
+_SCREEN_ROWS rows at a time (for the superset family on
+atlas.superset_denominator of the first n - 1 coefficients of w, the
+product a rebuild of the record reads, built tile by tile) and gives each
+row its |a_n| and a proven bar on its distance from the exact value
 (_screen).  The rows are offered to the best in offer order under the tie
 rule: a row replaces the best only if its value minus its bar exceeds the
 best's value plus the best's bar, so of rows tied within rounding the
@@ -127,7 +132,8 @@ POSTCHECK_RADIUS = 0.99
 POSTCHECK_TOL = 1e-6
 _SC_TOL = 1e-9  # relative margin of |p_0| against |p_m| in the recursion
 _CHUNK = 256
-_SLAB_CHUNKS = 4  # random chunks built, certified, tested and screened together
+_SLAB_CHUNKS = 16  # random chunks built, certified, tested and offered together
+_SCREEN_ROWS = 512  # rows per _screen call, which holds four rows x n arrays
 _PRODUCT_ROWS = 64  # rows of one certification product, a multiple of 8
 _POLY_PER_CHUNK = 192  # remainder of each chunk is Blaschke-truncation draws
 _MAX_POLY_DEGREE = 6
@@ -504,9 +510,11 @@ def _screen(q: np.ndarray, n: int, superset: bool = False) -> tuple[np.ndarray, 
 
     The value runs the recurrence b_k = -sum_{j=1}^k q_j b_{k-j} over all
     rows at once, up to k = n - 1, with elementwise products and row sums,
-    so a row's value does not depend on the batch it came in.  The bar is
-    2 n^2 eps M^2, eps = 2^-53, with M the largest of B_0..B_{n-1} in the
-    majorant recurrence B_0 = 1, B_k = sum_{j=1}^k |q_j| B_{k-j}, which
+    so a row's value does not depend on the batch it came in.  It holds
+    four rows x n arrays, so offer calls it on tiles of _SCREEN_ROWS rows.
+    The bar is 2 n^2 eps M^2, eps = 2^-53, with M the largest of
+    B_0..B_{n-1} in the majorant recurrence B_0 = 1,
+    B_k = sum_{j=1}^k |q_j| B_{k-j}, which
     bounds |b_k| and the sum of the moduli of the terms of its step.  To
     first order in eps, each step's rounded sum is off by at most 2 k eps M,
     and the recurrence carries an error into b_{n-1} with a factor of at
@@ -692,7 +700,10 @@ def search_max_coeff(
         start row, a slab of random chunks as one block per width, or a
         polish sweep), row j of a block with certified-sup factor scale[j]
         and offer index at[j] (ascending): the chunk test on every row, the
-        screen on the rows it accepts.  The superset family has no test.
+        screen on the rows it accepts, _SCREEN_ROWS rows at a time so its
+        memory does not grow with the slab (for the superset family with
+        each tile's denominators built for it).  The superset family has
+        no test.
         The rows are committed in groups of `group` consecutive offer
         indices (all in one by default), up to and including the first
         group with a row above the best's threshold; the rest are
@@ -713,11 +724,15 @@ def search_max_coeff(
                 q, accept[at], inner = _exact_u_chunk(lam, a2s, coeffs)
                 by_eigvals[at] = ~np.isnan(inner)
                 rows = np.flatnonzero(accept[at])
-                head = q[rows]
             else:
                 rows = np.arange(len(coeffs))
-                head = atlas.superset_denominator(lam, coeffs[:, : n - 1])
-            values[at[rows]], bars[at[rows]] = _screen(head, n, superset=not exact)
+            for i in range(0, rows.size, _SCREEN_ROWS):  # bounds the screen's memory
+                tile = rows[i : i + _SCREEN_ROWS]
+                if exact:
+                    head = q[tile]
+                else:
+                    head = atlas.superset_denominator(lam, coeffs[tile, : n - 1])
+                values[at[tile]], bars[at[tile]] = _screen(head, n, superset=not exact)
         above = np.flatnonzero(values - bars > best_value + best_bar)
         end = size if group is None or not above.size else int(above[0] // group + 1) * group
         first = evals

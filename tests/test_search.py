@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -1380,10 +1381,10 @@ class TestSlabs:
     chunks at a time; the slab's size changes no search."""
 
     @staticmethod
-    def _search(family, lam, budget, caplog):
+    def _search(family, lam, budget, caplog, n=5):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="logcoef.search"):
-            rec = search_max_coeff(lam, 5, family, budget=budget, seed=9)
+            rec = search_max_coeff(lam, n, family, budget=budget, seed=9)
         return rec.to_json_line(), _debug_fields(caplog)
 
     @pytest.mark.parametrize(
@@ -1391,10 +1392,10 @@ class TestSlabs:
         [
             ("superset", 1, 0),  # no random row
             ("exact_u", 1, 0),
-            ("superset", 3000, 191),  # the last chunk ends in its polynomials
-            ("exact_u", 3000, 119),
-            ("superset", 2773, 220),  # the last chunk ends in its Blaschke rows
-            ("exact_u", 2845, 220),
+            ("superset", 4792, 191),  # the last chunk ends in its polynomials
+            ("exact_u", 4792, 119),
+            ("superset", 4821, 220),  # the last chunk ends in its Blaschke rows
+            ("exact_u", 4893, 220),
         ],
     )
     @pytest.mark.parametrize("lam", [0.05, 1.0])
@@ -1426,6 +1427,33 @@ class TestSlabs:
         assert max(searched, max(rows)) <= S._PRODUCT_ROWS <= 256
         # both run whole tiles, the last of a block cut short
         assert searched == max(rows) == S._PRODUCT_ROWS
+
+
+class TestScreenTiles:
+    """offer screens a block's rows (and builds the superset denominators
+    they need) _SCREEN_ROWS at a time; the tile's size changes no search,
+    and the screen's memory does not grow with the slab."""
+
+    @pytest.mark.parametrize(
+        "family,n", [("superset", 5), ("exact_u", 5), ("superset", 40)]
+    )
+    @pytest.mark.parametrize("lam", [0.05, 1.0])
+    def test_tile_size_changes_no_search(self, family, n, lam, caplog, monkeypatch):
+        want = TestSlabs._search(family, lam, 4792, caplog, n)
+        for rows in (8, S._CHUNK * S._SLAB_CHUNKS):  # many tiles, one tile
+            monkeypatch.setattr(S, "_SCREEN_ROWS", rows)
+            assert TestSlabs._search(family, lam, 4792, caplog, n) == want
+
+    def test_screen_memory_does_not_grow_with_the_slab(self):
+        # an untiled screen of a 4,096-row slab holds four 6.5 MB arrays at
+        # n = 100; tiled, the search peaks near 5 MB
+        tracemalloc.start()
+        try:
+            search_max_coeff(0.5, 100, "superset", budget=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestPolishSweeps:
