@@ -14,7 +14,8 @@ Everything known about one kind (its DSL keys, rational parts, series,
 closed-form logarithmic coefficients, 1/n bound and pointwise f/z, f' and
 f''/f') lives in its single ``KIND_REGISTRY`` entry.  The pointwise values
 serve both `evaluator` (render) and the membership functionals; a spec is
-prepared once for all the points a caller evaluates.
+prepared once for all the points a caller evaluates.  The zero rule on
+z/f (root_test) lives here too.
 No series goes through exp or log: g_family and k_alpha write theirs from
 closed-form ratio recurrences, the rational kinds as A times 1/B.
 """
@@ -37,11 +38,6 @@ from .series import TruncatedSeries, eval_raw, ts_reciprocal
 from .series import shift_down, ts_exp, ts_integrate, ts_log  # noqa: F401
 
 NORMALIZATION_TOL = 1e-12
-# A zero of A or B in f = z A / B below this modulus is inside the open unit
-# disk.  Eigvals puts a simple zero within about 1e-15 of its place and a
-# double zero on |z| = 1 about 1e-8 off the circle, so a zero on the circle
-# (the extremal's at z = 1) stays admissible.
-INTERIOR_ZERO_LIMIT = 1.0 - 1e-6
 
 # For |1 - 2 alpha| below this, the pointwise K_alpha/z and the starlike
 # order take their logarithmic limit (the generic closed form has a
@@ -75,6 +71,11 @@ class FunctionSpec:
     def __post_init__(self):
         if self.kind not in KIND_REGISTRY:
             raise SpecError(f"unknown function kind {self.kind!r}")
+        for key in ("theta", "a2", "num", "den", "omega", "psi"):
+            value = getattr(self, key)
+            values = (value,) if isinstance(value, (int, float, complex)) else value or ()
+            if not all(map(cmath.isfinite, values)):
+                raise SpecError(f"{key} has a non-finite value")
         if self.lam is not None and not (0.0 < self.lam <= 1.0):
             raise SpecError(f"lambda = {self.lam} out of range (0, 1]")
         if self.alpha is not None and not (0.0 <= self.alpha < 1.0):
@@ -345,13 +346,36 @@ def superset_denominator(lam: float, omega) -> np.ndarray:
     return q
 
 
+# ---------------------------------------------------------------------------
+# The zero rule: f in U(lambda) is analytic, so z/f (or a part A or B of
+# f = z A / B) may have no zero of modulus below INTERIOR_ZERO_LIMIT = 1 - tau,
+# tau = 1e-6; a zero on the circle (the extremal's at z = 1) is admitted.
+
+INTERIOR_ZERO_LIMIT = 1.0 - 1e-6
+_SC_TOL = 1e-9  # relative margin of |p_0| against |p_m| in the recursion
+
+
+def root_test(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The zero rule on each row of q, for the search and membership alike:
+    the admitted mask, and each row's smallest root modulus where eigvals
+    ran, nan where the recursion decided.  _schur_cohn decides almost every
+    row; the rest, such as a multiple zero on the unit circle, get
+    min_root_modulus(q) >= 1 - tau, which puts a double zero on |z| = 1
+    about 1e-8 off the circle."""
+    accept, reject = _schur_cohn(q)
+    undecided = ~(accept | reject)
+    inner = np.full(len(q), np.nan)
+    if undecided.any():
+        inner[undecided] = min_root_modulus(q[undecided])
+    return accept | (undecided & (inner >= INTERIOR_ZERO_LIMIT)), inner
+
+
 def min_root_modulus(q: np.ndarray) -> np.ndarray:
     """Smallest root modulus of each row of q, coefficients lowest first
     (inf for a constant row, 0 where q_0 = 0): one over the largest root
     modulus of z^d q(1/z), d the trimmed degree, from one eigvals call per
     d on stacked companion matrices with first row -q_k / q_0, so a tiny q_d
-    gives a root near 0, not an overflow.  A row has a zero inside the disk
-    when this is below INTERIOR_ZERO_LIMIT."""
+    gives a root near 0, not an overflow."""
     rows, width = q.shape
     inner = np.where(q[:, 0] == 0, 0.0, np.inf)
     degree = np.where(inner > 0, width - 1 - np.argmax(q[:, ::-1] != 0, axis=1), 0)
@@ -362,6 +386,56 @@ def min_root_modulus(q: np.ndarray) -> np.ndarray:
         companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
         inner[sel] = 1.0 / np.max(np.abs(np.linalg.eigvals(companion)), axis=1)
     return inner
+
+
+def _schur_cohn(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Schur-Cohn recursion (Henrici, Applied and Computational Complex
+    Analysis I, section 6.8) on the rows of q at the radius
+    rho = INTERIOR_ZERO_LIMIT = 1 - tau of the zero rule.
+
+    p(z) = q(rho z) has formal degree m = width - 1, so a zero leading
+    coefficient is a zero at infinity.  While |p_0| > |p_m|, p has as many
+    zeros in the closed unit disk as p <- conj(p_0) p - p_m p* (p* the
+    reversed conjugate, degree m - 1), and |p_0| < |p_m| proves a zero in
+    the disk.  A row passes a step when |p_0| > |p_m| (1 + _SC_TOL) and
+    fails when |p_0| < |p_m| (1 - _SC_TOL); the first step that does
+    neither leaves it undecided.  Returns (accept, reject), one entry per
+    row: q has no zero of modulus <= 1 - tau, resp. a zero of modulus
+    < 1 - tau.  Rows in neither (a zero too close to |z| = 1 - tau for the
+    margin, as a multiple zero on the unit circle is) are left to eigvals
+    (root_test).
+
+    Every second step, starting with the first, each row's p is scaled by
+    2^-e, e the frexp exponent of its largest |Re| or |Im| (0 for an
+    all-zero row, which stays undecided), so its parts lie below 1 and its
+    moduli below sqrt 2.  A step maps moduli below c to moduli below 2 c^2
+    (each new coefficient is a difference of two products), so they stay
+    below 4 after one step and below 32 after the second, to rounding: no
+    value overflows.  A power-of-two scale is exact, and a step and the
+    comparisons of |p_0| with |p_m| commute with it, so while no value is
+    subnormal each verdict is that of the recursion run without scaling in
+    unbounded exponent range, and the schedule moves no bit.  Each step is
+    written into p through one reused buffer.
+    """
+    rows, width = q.shape
+    # coefficient k of row i is p[k, i]
+    p = np.ascontiguousarray(INTERIOR_ZERO_LIMIT ** np.arange(width)[:, None] * q.T)
+    parts = p.view(np.float64)  # Re p[k, i] at parts[k, 2 i], Im p[k, i] at 2 i + 1
+    buf = np.empty_like(p)
+    alive = np.ones(rows, dtype=bool)  # passed every step so far
+    failed = np.zeros(rows, dtype=bool)
+    for m in range(width - 1, 0, -1):
+        if (width - 1 - m) % 2 == 0:
+            top = np.abs(parts[: m + 1]).max(axis=0)
+            exponent = np.frexp(np.maximum(top[0::2], top[1::2]))[1]
+            parts[: m + 1] *= np.ldexp(1.0, -exponent).repeat(2)
+        head, tail = np.abs(p[0]), np.abs(p[m])
+        failed |= alive & (head < tail * (1.0 - _SC_TOL))
+        alive &= head > tail * (1.0 + _SC_TOL)
+        np.multiply(p[m], np.conjugate(p[m:0:-1], out=buf[:m]), out=buf[:m])
+        np.multiply(p[0].conj(), p[:m], out=p[:m])
+        np.subtract(p[:m], buf[:m], out=p[:m])
+    return alive, failed
 
 
 # ---------------------------------------------------------------------------
@@ -714,11 +788,6 @@ def pointwise_of(spec: FunctionSpec) -> Callable[[np.ndarray], Pointwise]:
     registry entry, which prepares the spec once for every call."""
     points = KIND_REGISTRY[spec.kind].pointwise(spec)
     return lambda z: points(np.asarray(z, dtype=np.complex128))
-
-
-def pointwise(spec: FunctionSpec, z) -> Pointwise:
-    """f/z, f' and f''/f' of the spec at the points z."""
-    return pointwise_of(spec)(z)
 
 
 def evaluator(spec: FunctionSpec) -> Callable:

@@ -19,9 +19,9 @@ for every kind except g_family's f/z, an order-256 series in z^n whose
 bound t on |f/z - series| is carried into U and z f'/f; a tail too large
 to support the verdict marks the report inconclusive.  Sampling cannot see
 a pole or a zero of f inside the circles (for z/(1 - a z) the deficiency
-is identically 0), so a zero of A or B in f = z A / B of modulus below
-atlas.INTERIOR_ZERO_LIMIT = 1 - 1e-6 makes the verdict "fail", with the
-modulus in the note; the exact_u search admits a denominator by that rule.
+is identically 0), so a zero of A or B in f = z A / B that the zero rule
+(atlas.root_test, which the exact_u search also applies) puts inside the
+disk makes the verdict "fail", with its modulus in the note.
 """
 
 from __future__ import annotations
@@ -166,15 +166,15 @@ _QUERIES = {
 
 def _interior_zero_note(spec) -> str:
     """For a spec with (A, B) parts, f = z A / B: a note naming a zero of B
-    (a pole of f) or of A (a zero of f away from 0) of modulus below
-    atlas.INTERIOR_ZERO_LIMIT, or "" when there is none."""
+    (a pole of f) or of A (a zero of f away from 0) that the zero rule
+    (atlas.root_test) finds inside the disk, or "" when there is none."""
     parts = atlas.rational_parts(spec)
     if parts is None:
         return ""
     a, b = parts
-    for poly, what in ((b, "a pole"), (a, "a zero")):
-        inner = atlas.min_root_modulus(poly[None, :])[0]
-        if inner < atlas.INTERIOR_ZERO_LIMIT:
+    for poly, what in ((b[None, :], "a pole"), (a[None, :], "a zero")):
+        if not atlas.root_test(poly)[0][0]:
+            inner = atlas.min_root_modulus(poly)[0]
             return f"f has {what} of modulus {inner:.6g} inside the disk"
     return ""
 

@@ -48,21 +48,8 @@ test's steps, the Blaschke recurrence, the curvature sum); memory is
 bounded by tiles inside it, _PRODUCT_ROWS rows per certification product
 and _SCREEN_ROWS rows per screen.
 For the exact parametrization the chunk test builds every denominator
-z/f = q of a block at once and runs the root test on it: no zero of q in
-the open unit disk.  It applies the rule that membership applies to every
-rational spec: a zero below atlas.INTERIOR_ZERO_LIMIT = 1 - tau,
-tau = 1e-6, is inside, and a zero on the circle (the extremal's at z = 1)
-is admitted.
-It is a batched Schur-Cohn recursion (Henrici, Applied and Computational
-Complex Analysis I, section 6.8) on q(rho z) at the rule's own radius
-rho = 1 - tau, each row rescaled by an exact power of two every second
-step: a row is accepted when every step passes (no zero of modulus
-<= 1 - tau) and rejected when a step fails (a zero below 1 - tau), each
-step with a relative margin of 1e-9.  Rows too close to a step's margin,
-such as a multiple zero on the unit circle (the start row's at
-lambda = 1), fall back to the stacked eigvals verdict min |root| >= 1 - tau
-(atlas.min_root_modulus: one eigvals call per trimmed degree on companion
-matrices of the reversed polynomials).  The superset family has no test.
+z/f = q of a block at once and runs atlas.root_test, the package's one zero
+rule, on it.  The superset family has no test.
 
 Every offered batch (the start row, a slab of random chunks, a polish
 sweep) is scored on one value path.  The chunk test runs on every row; then
@@ -81,17 +68,17 @@ lambda = 1), and then the search raises.  The rows at or below the best
 plus both bars are skipped at once (_pick).  A batch's rows are committed
 in groups (one per polish line, one for any other batch) up to and
 including the first group with a row above the best plus its bar; only
-the committed rows count and are offered, and the rest are discarded.  The record reports
-the winner's |a_n| as the builders give it (atlas.taylor_of of the named
-function, the value a rebuild of the record gets), which lies within the
-winner's bar of the screen's value.  validate_exact_u applies the root
-test's eigvals verdict alone.
+the committed rows count and are offered, and the rest are discarded.
+The record reports the winner's |a_n| as the builders give it
+(atlas.taylor_of of the named function, the value a rebuild of the record
+gets), which lies within the winner's bar of the screen's value.
 
-The root test admits a zero of z/f in the band [1 - tau, 1), so an
-exact_u winner may beat the bound by up to bound ((1 - tau)^(1-n) - 1),
-about 4e-6 bound at n = 5: g(z) = f((1 - tau) z)/(1 - tau) is then in the
-class, so |a_n| (1 - tau)^(n-1) = |g_n| <= bound.  A margin in that range
-with a zero in the band is such a winner, not a counterexample.
+The root test admits a zero of z/f in the band [1 - tau, 1), where
+tau = 1 - atlas.INTERIOR_ZERO_LIMIT = 1e-6, so an exact_u winner may beat
+the bound by up to bound ((1 - tau)^(1-n) - 1), about 4e-6 bound at n = 5:
+g(z) = f((1 - tau) z)/(1 - tau) is then in the class, so
+|a_n| (1 - tau)^(n-1) = |g_n| <= bound.  A margin in that range with a
+zero in the band is such a winner, not a counterexample.
 
 Searches are deterministic: a fixed chunked draw schedule from a
 seeded generator, the tie rule applied in offer order, and a
@@ -130,7 +117,6 @@ VALIDATION_SAMPLES = 2048  # boundary samples for the public validation gate
 CERT_SAMPLES = 1024  # boundary samples inside the candidate generator
 POSTCHECK_RADIUS = 0.99
 POSTCHECK_TOL = 1e-6
-_SC_TOL = 1e-9  # relative margin of |p_0| against |p_m| in the recursion
 _CHUNK = 256
 _SLAB_CHUNKS = 16  # random chunks built, certified, tested and offered together
 _SCREEN_ROWS = 512  # rows per _screen call, which holds four rows x n arrays
@@ -158,7 +144,10 @@ class SearchError(ValueError):
 
 @dataclass(frozen=True)
 class SchwarzParams:
-    """Polynomial w(z) = c1 + c2 z + ... with certified |w| <= 1 + tol."""
+    """Polynomial w(z) = c1 + c2 z + ... whose |w| on the circle is at most
+    1 + SCHWARZ_GATE_TOL at VALIDATION_SAMPLES sampled points
+    (validate_schwarz): sampled, not certified, as the sup between the
+    samples is not bounded (ROADMAP.md, item 10)."""
 
     coeffs: tuple[complex, ...]
     validated: bool = False
@@ -380,55 +369,6 @@ def build_superset_function(
     return atlas.taylor_of(atlas.schwarz_superset(lam, omega.coeffs), order)
 
 
-def _schur_cohn(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Schur-Cohn recursion (Henrici, Applied and Computational Complex
-    Analysis I, section 6.8) on the rows of q at the radius
-    rho = atlas.INTERIOR_ZERO_LIMIT = 1 - tau of the root test's rule.
-
-    p(z) = q(rho z) has formal degree m = width - 1, so a zero leading
-    coefficient is a zero at infinity.  While |p_0| > |p_m|, p has as many
-    zeros in the closed unit disk as p <- conj(p_0) p - p_m p* (p* the
-    reversed conjugate, degree m - 1), and |p_0| < |p_m| proves a zero in
-    the disk.  A row passes a step when |p_0| > |p_m| (1 + _SC_TOL) and
-    fails when |p_0| < |p_m| (1 - _SC_TOL); the first step that does
-    neither leaves it undecided.  Returns (accept, reject), one entry per
-    row: q has no zero of modulus <= 1 - tau, resp. a zero of modulus
-    < 1 - tau.  Rows in neither (a zero too close to |z| = 1 - tau for the
-    margin, as a multiple zero on the unit circle is) are left to eigvals.
-
-    Every second step, starting with the first, each row's p is scaled by
-    2^-e, e the frexp exponent of its largest |Re| or |Im| (0 for an
-    all-zero row, which stays undecided), so its parts lie below 1 and its
-    moduli below sqrt 2.  A step maps moduli below c to moduli below 2 c^2
-    (each new coefficient is a difference of two products), so they stay
-    below 4 after one step and below 32 after the second, to rounding: no
-    value overflows.  A power-of-two scale is exact, and a step and the
-    comparisons of |p_0| with |p_m| commute with it, so while no value is
-    subnormal each verdict is that of the recursion run without scaling in
-    unbounded exponent range, and the schedule moves no bit.  Each step is
-    written into p through one reused buffer.
-    """
-    rows, width = q.shape
-    # coefficient k of row i is p[k, i]
-    p = np.ascontiguousarray(atlas.INTERIOR_ZERO_LIMIT ** np.arange(width)[:, None] * q.T)
-    parts = p.view(np.float64)  # Re p[k, i] at parts[k, 2 i], Im p[k, i] at 2 i + 1
-    buf = np.empty_like(p)
-    alive = np.ones(rows, dtype=bool)  # passed every step so far
-    failed = np.zeros(rows, dtype=bool)
-    for m in range(width - 1, 0, -1):
-        if (width - 1 - m) % 2 == 0:
-            top = np.abs(parts[: m + 1]).max(axis=0)
-            exponent = np.frexp(np.maximum(top[0::2], top[1::2]))[1]
-            parts[: m + 1] *= np.ldexp(1.0, -exponent).repeat(2)
-        head, tail = np.abs(p[0]), np.abs(p[m])
-        failed |= alive & (head < tail * (1.0 - _SC_TOL))
-        alive &= head > tail * (1.0 + _SC_TOL)
-        np.multiply(p[m], np.conjugate(p[m:0:-1], out=buf[:m]), out=buf[:m])
-        np.multiply(p[0].conj(), p[:m], out=p[:m])
-        np.subtract(p[:m], buf[:m], out=p[:m])
-    return alive, failed
-
-
 def _postcheck_sup(q: np.ndarray) -> np.ndarray:
     """max |q - z q' - 1| = |(z/f)^2 f' - 1| over 512 equispaced points of
     |z| = POSTCHECK_RADIUS for each row q = z/f (q_0 = 1): _sampled_gmax of
@@ -440,44 +380,28 @@ def _postcheck_sup(q: np.ndarray) -> np.ndarray:
 
 
 def _exact_u_chunk(lam: float, a2s, psis):
-    """The exact_u root test on a batch of candidates (rows): q = z/f has no
-    zero in the open unit disk, by the rule atlas.min_root_modulus(q) >=
-    atlas.INTERIOR_ZERO_LIMIT that membership also applies.
-
-    It runs the batched Schur-Cohn recursion at the rule's radius 1 - tau;
-    the rows it leaves undecided (such as a multiple zero on the unit
-    circle, the start row's at lambda = 1) get the stacked eigvals verdict.
-    validate_exact_u applies the same eigvals verdict alone.
-
-    No sampled post-check follows: q - z q' - 1 = (z/f)^2 f' - 1 is
-    lambda z^2 psi, and the search's psi is certified (|psi| <= 1 on the
-    circle, _certify) or the start row's -1, so a row that passes is in
-    U(lambda).  build_exact_u_function post-checks every function it builds.
-
-    Returns q, the accept mask, and each row's smallest root modulus where
-    eigvals ran (inf for a constant q) and nan where the recursion decided.
-    """
+    """q = z/f of each exact_u candidate (row), and atlas.root_test's
+    admitted mask and root moduli of q.  No sampled post-check follows:
+    q - z q' - 1 = (z/f)^2 f' - 1 is lambda z^2 psi, and the search's psi
+    is certified (|psi| <= 1 on the circle, _certify) or the start row's
+    -1, so a row that passes is in U(lambda).  build_exact_u_function
+    post-checks every function it builds."""
     q = atlas.exact_u_denominator(lam, a2s, psis)
-    accept, reject = _schur_cohn(q)
-    undecided = ~(accept | reject)
-    inner = np.full(len(q), np.nan)
-    inner[undecided] = atlas.min_root_modulus(q[undecided])
-    return q, accept | (undecided & (inner >= atlas.INTERIOR_ZERO_LIMIT)), inner
+    return (q, *atlas.root_test(q))
 
 
 def validate_exact_u(lam: float, a2: complex, psi) -> ExactUParams:
     """Validate an exact-parametrization candidate: psi bounded, |a2| in
-    range, and z/f without a zero in the open disk (the root test's eigvals
-    verdict, atlas.min_root_modulus(q) >= atlas.INTERIOR_ZERO_LIMIT)."""
+    range, and z/f without a zero in the open disk (atlas.root_test)."""
     if not (0.0 < lam <= 1.0):
         raise SearchError("lambda must lie in (0, 1]")
     a2 = complex(a2)
-    if abs(a2) > (1.0 + lam) * (1.0 + 1e-12):
+    if not abs(a2) <= (1.0 + lam) * (1.0 + 1e-12):
         raise SearchError(f"|a2| = {abs(a2):.6g} exceeds 1 + lambda")
     w = validate_schwarz(psi)
-    q = atlas.exact_u_denominator(lam, a2, w.coeffs)
-    inner = atlas.min_root_modulus(q[None, :])[0]
-    if not inner >= atlas.INTERIOR_ZERO_LIMIT:
+    q = atlas.exact_u_denominator(lam, a2, w.coeffs)[None, :]
+    if not atlas.root_test(q)[0][0]:
+        inner = atlas.min_root_modulus(q)[0]
         raise SearchError(f"z/f vanishes inside the disk: a zero of modulus {inner:.6g}")
     return ExactUParams(lam=lam, a2=a2, psi=w.coeffs, validated=True)
 

@@ -117,6 +117,23 @@ class TestParse:
         with pytest.raises(SpecError, match="vanish"):
             parse_spec("rational(num=[1,1], den=[1])")
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("koebe(theta=1e999)", "theta"),
+            ("koebe(theta=-1e999)", "theta"),
+            ("exact_u(lambda=0.5, a2=1e999i, psi=[0.1])", "a2"),
+            ("exact_u(lambda=0.5, a2=0.5, psi=[0.1, -1e999])", "psi"),
+            ("schwarz_superset(lambda=0.5, omega=[1e999])", "omega"),
+            ("rational(num=[0, 1, 1e999], den=[1])", "num"),
+            ("rational(num=[0, 1], den=[1, 1e999-2i])", "den"),
+        ],
+    )
+    def test_non_finite_values_are_spec_errors(self, text, key):
+        # the DSL reads 1e999 as inf; the spec refuses it as bad input
+        with pytest.raises(SpecError, match=f"^{key} has a non-finite value$"):
+            parse_spec(text)
+
     def test_trailing_input(self):
         with pytest.raises(ParseError, match="trailing"):
             parse_spec("f0() junk")
@@ -219,7 +236,7 @@ def test_pointwise_values_match_the_series(spec):
     k = np.arange(c.size)
     fp = eval_raw(k[1:] * c[1:], z)
     fpp = eval_raw(k[2:] * (k[2:] - 1) * c[2:], z)
-    p = atlas.pointwise(spec, z)
+    p = atlas.pointwise_of(spec)(z)
     for got, want in ((p.fz(), eval_raw(c[1:], z)), (p.fp(), fp), (p.ratio(), fpp / fp)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import re
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -134,6 +135,21 @@ class TestMemberCommand:
         )
         assert (code, out) == (2, "")
         assert err == "error: beta must be finite\n"
+
+    @pytest.mark.parametrize(
+        "spec,key",
+        [
+            ("schwarz_superset(lambda=0.5, omega=[1e999])", "omega"),
+            ("koebe(theta=1e999)", "theta"),
+        ],
+    )
+    def test_non_finite_spec_value_is_an_input_error(self, capsys, spec, key):
+        # not a pole of f: the spec itself is refused, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "member", spec, "ulambda")
+        assert (code, out) == (2, "")
+        assert err == f"error: {key} has a non-finite value\n"
 
     def test_pole_inside_the_disk_fails(self, capsys):
         cases = [
@@ -319,6 +335,7 @@ def _render_member_cases():
     ]
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("argv,digest", _render_member_cases())
 def test_render_member_bytes(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)
@@ -388,6 +405,7 @@ VERIFY_GOLDEN = [
 ]
 
 
+@pytest.mark.golden
 class TestVerifyGoldenReports:
     @pytest.mark.parametrize(
         "argv,digest,err_line,exit_code",

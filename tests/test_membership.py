@@ -176,6 +176,25 @@ class TestInteriorZeros:
         assert rep.verdict == "fail"
         assert rep.note == f"f has {note} inside the disk"
 
+    def test_note_goes_through_the_zero_rule(self, monkeypatch):
+        # the note reads atlas.root_test, the rule the exact_u search
+        # applies: B first, then A only when B is admitted
+        calls = []
+        root_test = atlas.root_test
+
+        def recording(q):
+            calls.append(q.tolist())
+            return root_test(q)
+
+        monkeypatch.setattr(atlas, "root_test", recording)
+        rep = u_deficiency(parse_spec(POLE_AT_THIRD), 1.0)
+        assert rep.note == "f has a pole of modulus 0.333333 inside the disk"
+        assert calls == [[[1.0, -3.0]]]
+        calls.clear()
+        assert u_deficiency(f_lambda(0.5), 0.5).note == ""
+        a, b = atlas.rational_parts(f_lambda(0.5))
+        assert calls == [[b.tolist()], [a.tolist()]]
+
 
 class TestStarlike:
     def test_koebe_minimum(self):

@@ -77,15 +77,30 @@ class TestValidation:
             validate_exact_u(0.5, 1.5, [1.0])
 
     def test_exact_u_validation_runs_no_chunk_test(self, monkeypatch):
-        # the root test alone decides; the post-check is
+        # atlas.root_test alone decides, on the one row; the post-check is
         # build_exact_u_function's
         def chunk_test(*args):
             raise AssertionError("validate_exact_u ran the chunk test")
 
+        rows = []
+        root_test = atlas.root_test
+
+        def recording(q):
+            rows.append(len(q))
+            return root_test(q)
+
         monkeypatch.setattr(S, "_exact_u_chunk", chunk_test)
+        monkeypatch.setattr(atlas, "root_test", recording)
         assert validate_exact_u(0.5, 1.5, [-1.0]).validated
         with pytest.raises(SearchError, match="vanishes"):
             validate_exact_u(0.5, 1.5, [1.0])
+        assert rows == [1, 1]
+
+    @pytest.mark.parametrize("a2", [complex("nan"), complex(0.0, math.nan), math.inf])
+    def test_exact_u_validation_rejects_non_finite_a2(self, a2):
+        # |a2| is nan or inf: the range check refuses it before any root test
+        with pytest.raises(SearchError, match="exceeds 1 \\+ lambda"):
+            validate_exact_u(0.5, a2, [0.1])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -527,6 +542,7 @@ def _golden_cases():
     ]
 
 
+@pytest.mark.golden
 class TestGoldenRecords:
     """Records pinned byte for byte: both families, lambda in {0.05, 0.5, 1},
     n in {2, 4, 5}, budgets 1000 and 2500 (not a multiple of the chunk
@@ -862,6 +878,45 @@ class TestOneZeroRule:
                 validate_exact_u(lam, a2, psi)
             assert report["verdict"] == "fail"
             assert report["note"] == f"f has a pole of modulus {modulus:.6g} inside the disk"
+
+    def test_random_corpus_gets_one_verdict(self, capsys):
+        # z/f = (1 - z/zeta)(1 - c z) with zeta at a near-circle offset
+        # (_NEAR_CIRCLE_OFFSETS) and at lambda = 1 c = 1/zeta' for a second
+        # zero zeta' near zeta, a near-double zero, or a small c otherwise;
+        # the rows that pass validate_exact_u's psi and a2 gates
+        rng = np.random.default_rng(41)
+        routes = set()
+        for _ in range(160):
+            lam = float(rng.choice([0.5, 1.0]))
+            zeta = (1.0 + rng.choice(_NEAR_CIRCLE_OFFSETS)) * np.exp(2j * np.pi * rng.random())
+            if lam == 1.0 and rng.random() < 0.5:
+                c = abs(zeta) / ((1.0 + rng.choice(_NEAR_CIRCLE_OFFSETS)) * zeta)
+            else:
+                c = 0.3 * lam * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+            a2, psi = complex(1 / zeta + c), [complex(-c / (lam * zeta))]
+            if not (
+                abs(a2) <= (1.0 + lam) * (1.0 + 1e-12)
+                and boundary_sup(psi) <= 1.0 + S.SCHWARZ_GATE_TOL
+            ):
+                continue
+            _, passed, inner = S._exact_u_chunk(lam, [a2], [psi])
+            admitted = bool(passed[0])
+            routes.add((admitted, bool(np.isnan(inner[0]))))
+            report = _member_ulambda(capsys, lam, a2, psi)
+            if admitted:
+                assert validate_exact_u(lam, a2, psi).validated
+                assert report["verdict"] == "pass"
+            else:
+                modulus = atlas.min_root_modulus(
+                    atlas.exact_u_denominator(lam, a2, psi)[None, :]
+                )[0]
+                with pytest.raises(SearchError, match=f"zero of modulus {modulus:.6g}$"):
+                    validate_exact_u(lam, a2, psi)
+                assert report["verdict"] == "fail"
+                assert report["note"] == f"f has a pole of modulus {modulus:.6g} inside the disk"
+        # admitted and refused rows, each decided by the recursion and by
+        # eigvals
+        assert routes == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_old_winner_is_refused(self, capsys):
         with pytest.raises(SearchError, match="zero of modulus 0.999014$"):
@@ -1522,7 +1577,7 @@ class TestPolishSweeps:
 
 
 def _divide_by_max_schur_cohn(q):
-    """search._schur_cohn as it stood before its power-of-two schedule: p
+    """atlas._schur_cohn as it stood before its power-of-two schedule: p
     divided by its largest modulus after every step."""
     rows, width = q.shape
     p = atlas.INTERIOR_ZERO_LIMIT ** np.arange(width)[:, None] * q.T
@@ -1530,8 +1585,8 @@ def _divide_by_max_schur_cohn(q):
     failed = np.zeros(rows, dtype=bool)
     for m in range(width - 1, 0, -1):
         head, tail = np.abs(p[0]), np.abs(p[m])
-        failed |= alive & (head < tail * (1.0 - S._SC_TOL))
-        alive &= head > tail * (1.0 + S._SC_TOL)
+        failed |= alive & (head < tail * (1.0 - atlas._SC_TOL))
+        alive &= head > tail * (1.0 + atlas._SC_TOL)
         p = p[0].conj() * p[:m] - p[m] * p[m:0:-1].conj()
         scale = np.abs(p).max(axis=0)
         p /= np.where(scale > 0.0, scale, 1.0)
@@ -1546,14 +1601,14 @@ class TestSchurCohn:
     @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0])
     def test_masks_match_divide_by_max(self, lam, monkeypatch):
         blocks = []
-        schur_cohn = S._schur_cohn
+        schur_cohn = atlas._schur_cohn
 
         def recording(q):
             out = schur_cohn(q)
             blocks.append((q, *out))
             return out
 
-        monkeypatch.setattr(S, "_schur_cohn", recording)
+        monkeypatch.setattr(atlas, "_schur_cohn", recording)
         for seed in (11, 12):
             search_max_coeff(lam, 5, "exact_u", budget=3000, seed=seed)
         assert sum(len(q) for q, _, _ in blocks) >= 6000
@@ -1574,10 +1629,10 @@ class TestSchurCohn:
             a2s = S._draw_disk(rng, len(psis), 1.0 + lam)
             blocks.append(atlas.exact_u_denominator(lam, a2s, psis))
         for q in blocks:
-            accept, reject = S._schur_cohn(q)
+            accept, reject = atlas._schur_cohn(q)
             assert accept.any() and reject.any()
             for k in (60, -60):
-                scaled = S._schur_cohn(q * 2.0**k)
+                scaled = atlas._schur_cohn(q * 2.0**k)
                 assert scaled[0].tolist() == accept.tolist()
                 assert scaled[1].tolist() == reject.tolist()
 
@@ -1588,7 +1643,7 @@ class TestSchurCohn:
         # at z = 1 below lambda = 1 and leaves its double zero at lambda = 1
         # to eigvals
         q = atlas.exact_u_denominator(lam, [1.0 + lam, 2.0], [[-1.0], [0.0]])
-        accept, reject = S._schur_cohn(q)
+        accept, reject = atlas._schur_cohn(q)
         assert accept.shape == reject.shape == (2,)
         assert accept.tolist() == [lam < 1.0, False]
         assert reject.tolist() == [False, True]
@@ -1602,7 +1657,7 @@ class TestSchurCohn:
         q[2] = np.nan
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            accept, reject = S._schur_cohn(q)
+            accept, reject = atlas._schur_cohn(q)
         # 1 - 0.3 z has its zero outside the disk, 1 - 2 z inside
         assert accept.tolist() == [True, False, False, False]
         assert reject.tolist() == [False, False, False, True]
