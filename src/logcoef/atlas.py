@@ -755,9 +755,14 @@ KINDS = tuple(KIND_REGISTRY)
 
 def rational_parts(spec: FunctionSpec):
     """Polynomials (A, B) with f = z A / B, or None if the spec is not
-    rational (k_alpha, and g_family but for n = 1)."""
-    parts = KIND_REGISTRY[spec.kind].parts
-    return None if parts is None else parts(spec)
+    rational (k_alpha, and g_family but for n = 1).  A B that overflows
+    (schwarz_superset with omega = [1e200]) is refused, with no warning."""
+    entry = KIND_REGISTRY[spec.kind].parts
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = None if entry is None else entry(spec)
+    if parts is not None and not np.isfinite(parts[1]).all():
+        raise SpecError(f"the denominator B of f = z A / B overflows for {spec.kind}")
+    return parts
 
 
 def fz_series(spec: FunctionSpec, order: int) -> TruncatedSeries:

@@ -166,15 +166,18 @@ _QUERIES = {
 
 def _interior_zero_note(spec) -> str:
     """For a spec with (A, B) parts, f = z A / B: a note naming a zero of B
-    (a pole of f) or of A (a zero of f away from 0) that the zero rule
-    (atlas.root_test) finds inside the disk, or "" when there is none."""
+    (a pole of f), else of A (a zero of f away from 0), that the zero rule
+    (atlas.root_test, one call on both) finds inside the disk, or "" when
+    there is none."""
     parts = atlas.rational_parts(spec)
     if parts is None:
         return ""
     a, b = parts
-    for poly, what in ((b[None, :], "a pole"), (a[None, :], "a zero")):
-        if not atlas.root_test(poly)[0][0]:
-            inner = atlas.min_root_modulus(poly)[0]
+    rows = np.zeros((2, max(a.size, b.size)), dtype=np.complex128)  # pads: zeros at infinity
+    rows[0, : b.size], rows[1, : a.size] = b, a
+    for poly, passed, what in zip((b, a), atlas.root_test(rows)[0], ("a pole", "a zero")):
+        if not passed:
+            inner = atlas.min_root_modulus(poly[None, :])[0]
             return f"f has {what} of modulus {inner:.6g} inside the disk"
     return ""
 

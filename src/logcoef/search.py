@@ -23,14 +23,11 @@ passes the class-deficiency post-check as a safety net.
 Candidate Schwarz functions are polynomials.  Random candidates are drawn
 in the unit polydisk (plus truncated Blaschke products, which live near the
 boundary where extremals sit) and rescaled by a certified upper bound on
-their boundary sup, so every candidate used is genuinely bounded by one:
-the bound combines the sampled boundary maximum with a second-derivative
-gap estimate, both from the autocorrelation b of the coefficients.  The
-samples of g = |w|^2 are one real product of [b_0, Re b_mu, Im b_mu]
-with a cached cosine-sine matrix, run on whole tiles of 8 rows, so a
-row's bound does not depend on the rows certified beside it, and on at
-most _PRODUCT_ROWS rows per product, so its memory is bounded.  Every
-sampled sup of the module is that product (_sampled_gmax).
+their boundary sup (certified_sup_bound: the max of |w|^2 on CERT_SAMPLES
+angles plus a curvature gap), so every candidate used is genuinely bounded
+by one.  Every sup of the module is that bound: the candidates', the
+public gate's (validate_schwarz, which refines the grid only where the
+bound is undecided) and the exact_u post-check's.
 
 Random candidates are drawn in chunks of 256 rows: 192 polynomials of
 degree at most 6 (7 columns), then the randoms of 64 Blaschke truncations
@@ -52,26 +49,16 @@ z/f = q of a block at once and runs atlas.root_test, the package's one zero
 rule, on it.  The superset family has no test.
 
 Every offered batch (the start row, a slab of random chunks, a polish
-sweep) is scored on one value path.  The chunk test runs on every row; then
-the screen runs the 1/q recurrence over the accepted rows of a block,
-_SCREEN_ROWS rows at a time (for the superset family on
-atlas.superset_denominator of the first n - 1 coefficients of w, the
-product a rebuild of the record reads, built tile by tile) and gives each
-row its |a_n| and a proven bar on its distance from the exact value
-(_screen).  The rows are offered to the best in offer order under the tie
-rule: a row replaces the best only if its value minus its bar exceeds the
-best's value plus the best's bar, so of rows tied within rounding the
-first offered wins, and a winner other than the extremal start row beats
-it by more than rounding.  The best starts at -inf, so the start row is
-the first best unless its bar is not finite (from about n = 400 at
-lambda = 1), and then the search raises.  The rows at or below the best
-plus both bars are skipped at once (_pick).  A batch's rows are committed
-in groups (one per polish line, one for any other batch) up to and
-including the first group with a row above the best plus its bar; only
-the committed rows count and are offered, and the rest are discarded.
-The record reports the winner's |a_n| as the builders give it
-(atlas.taylor_of of the named function, the value a rebuild of the record
-gets), which lies within the winner's bar of the screen's value.
+sweep) is scored on one value path (offer): the chunk test on every row,
+then the screen (_screen), which gives each accepted row its |a_n| and a
+proven bar on its distance from the exact value.  Under the tie rule a
+row replaces the best only if its value minus its bar exceeds the best's
+value plus the best's bar, so of rows tied within rounding the first
+offered wins, and a winner other than the extremal start row beats it by
+more than rounding (_pick).  The search raises when the start row's bar
+is not finite (from about n = 400 at lambda = 1).  The record reports the
+winner's |a_n| as the builders give it (atlas.taylor_of of the named
+function), which lies within the winner's bar of the screen's value.
 
 The root test admits a zero of z/f in the band [1 - tau, 1), where
 tau = 1 - atlas.INTERIOR_ZERO_LIMIT = 1e-6, so an exact_u winner may beat
@@ -82,12 +69,7 @@ zero in the band is such a winner, not a counterexample.
 
 Searches are deterministic: a fixed chunked draw schedule from a
 seeded generator, the tie rule applied in offer order, and a
-coordinate-wise polish with a fixed sweep plan: each coordinate line is
-_POLISH_ITERS equispaced points, and the point moves to the row that
-replaced the best, if one did.  The remaining lines of a sweep are built
-from the current point and scored as one batch, committed up to the first
-line that moves, and the rest of the sweep is rebuilt from the moved
-point (_polish): the search that offers one line at a time.  The last
+coordinate-wise polish with a fixed sweep plan (_polish).  The last
 random chunk draws the randoms of all its rows but builds and certifies
 only those the budget offers.  Each search logs one DEBUG record on the
 ``logcoef.search`` logger that accounts for its budget: start, random and polish
@@ -112,9 +94,8 @@ import numpy as np
 from . import atlas
 from .series import TruncatedSeries, reciprocal_raw  # noqa: F401  (bench/tracing.py wraps it)
 
-SCHWARZ_GATE_TOL = 1e-10  # sampled boundary sup may exceed 1 by at most this
-VALIDATION_SAMPLES = 2048  # boundary samples for the public validation gate
-CERT_SAMPLES = 1024  # boundary samples inside the candidate generator
+SCHWARZ_GATE_TOL = 1e-10  # certified boundary sup may exceed 1 by at most this
+CERT_SAMPLES = 1024  # boundary samples of every certified sup bound
 POSTCHECK_RADIUS = 0.99
 POSTCHECK_TOL = 1e-6
 _CHUNK = 256
@@ -129,6 +110,7 @@ _BLASCHKE_ZERO_RADIUS = 0.95
 _POLISH_ITERS = 12  # equispaced points per coordinate line, offered as one batch
 _POLISH_STEPS = (0.25, 0.08, 0.02)  # line half-widths, one sweep per step
 _MATRIX_CACHE_SIZE = 16  # cosine-sine sample matrices kept by _cosine_matrix
+_REFINE_WORK = 2**16  # rows x (2 width - 1) of the gate's refinement, at most
 _EPS = 2.0**-53  # unit roundoff of float64
 
 
@@ -144,10 +126,9 @@ class SearchError(ValueError):
 
 @dataclass(frozen=True)
 class SchwarzParams:
-    """Polynomial w(z) = c1 + c2 z + ... whose |w| on the circle is at most
-    1 + SCHWARZ_GATE_TOL at VALIDATION_SAMPLES sampled points
-    (validate_schwarz): sampled, not certified, as the sup between the
-    samples is not bounded (ROADMAP.md, item 10)."""
+    """Polynomial w(z) = c1 + c2 z + ... .  validated means certified
+    sup |w| <= 1 + SCHWARZ_GATE_TOL on the circle (validate_schwarz), to
+    the rounding of the bound's own sums."""
 
     coeffs: tuple[complex, ...]
     validated: bool = False
@@ -161,38 +142,43 @@ class ExactUParams:
     validated: bool = False
 
 
-def boundary_sup(coeffs) -> float:
-    """max |w| over VALIDATION_SAMPLES equispaced boundary points, the square
-    root of _sampled_gmax: nan or inf for a non-finite or huge coefficient."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.sqrt(_sampled_gmax(c[None, :], VALIDATION_SAMPLES)[0][0]))
-
-
 def validate_schwarz(coeffs) -> SchwarzParams:
-    """Gate a polynomial as a Schwarz function candidate.
-
-    The boundary sup over VALIDATION_SAMPLES points must not exceed 1 by
-    more than the gate tolerance; anything larger is rejected.
-    """
+    """Gate a polynomial as a Schwarz function: its certified boundary sup
+    (certified_sup_bound) must not exceed 1 + SCHWARZ_GATE_TOL.  Where that
+    bound is undecided, the samples below the limit but the curvature gap
+    past it (0.5 + 0.5 z, whose max lies on a sample), the k - 1 rotations
+    b_mu e^{i mu j h/k} of the autocorrelation, those of w(e^{i j h/k} z),
+    sample a grid k times finer through the same matrix, with
+    k = min(1024, _REFINE_WORK // (2 d - 1)).  A w with sup 1 stays past
+    the limit once its curvature sum tops about 44 (k / 1024)^2: (1 + z^m)/2
+    passes for m <= 9 and is refused from m = 10."""
     coeffs = tuple(complex(c) for c in coeffs)
     if not coeffs:
         raise SearchError("empty coefficient list")
-    sup = boundary_sup(coeffs)
-    if not sup <= 1.0 + SCHWARZ_GATE_TOL:
-        raise SearchError(f"boundary sup {sup:.12g} exceeds 1")
+    limit, d = 1.0 + SCHWARZ_GATE_TOL, len(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):  # nan and inf fail below
+        b = _autocorrelation(np.array([coeffs]))
+        gmax = _sampled_gmax(b)
+        sup = _sup_bound(b, gmax)[0]
+        k = min(1024, _REFINE_WORK // (2 * d - 1))
+        if k > 1 and np.sqrt(gmax[0]) <= limit < sup:
+            angle = 2.0 * math.pi / (CERT_SAMPLES * k) * np.outer(np.arange(1, k), np.arange(d))
+            gmax = np.maximum(gmax, _sampled_gmax(b * np.exp(1j * angle)).max())
+            sup = _sup_bound(b, gmax, k)[0]
+    if not sup <= limit:
+        raise SearchError(f"certified boundary sup {sup:.12g} exceeds 1")
     return SchwarzParams(coeffs=coeffs, validated=True)
 
 
 @lru_cache(maxsize=_MATRIX_CACHE_SIZE)
-def _cosine_matrix(ncoeff: int, samples: int) -> np.ndarray:
-    """The real (2 ncoeff - 1) x samples matrix with rows 1, then
+def _cosine_matrix(ncoeff: int) -> np.ndarray:
+    """The real (2 ncoeff - 1) x CERT_SAMPLES matrix with rows 1, then
     2 cos(mu theta_j) and -2 sin(mu theta_j) for mu = 1 .. ncoeff - 1, over
-    `samples` equispaced angles.  The row [b_0, Re b_1, Im b_1, ...] of
+    CERT_SAMPLES equispaced angles.  The row [b_0, Re b_1, Im b_1, ...] of
     an autocorrelation b times it is g(theta_j) = |w(e^{i theta_j})|^2."""
-    theta = 2.0 * math.pi * np.arange(samples) / samples
+    theta = 2.0 * math.pi * np.arange(CERT_SAMPLES) / CERT_SAMPLES
     phase = np.exp(1j * np.outer(np.arange(1, ncoeff), theta))
-    matrix = np.empty((2 * ncoeff - 1, samples))
+    matrix = np.empty((2 * ncoeff - 1, CERT_SAMPLES))
     matrix[0] = 1.0
     matrix[1::2] = 2.0 * phase.real
     matrix[2::2] = -2.0 * phase.imag
@@ -225,34 +211,39 @@ def _curvature_bound(b: np.ndarray) -> np.ndarray:
     return m2
 
 
-def _sampled_gmax(batch: np.ndarray, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """max of g(theta) = |w(e^{i theta})|^2 over `samples` equispaced angles
-    for each row w of `batch`, and the rows' autocorrelation b.  The samples
+def _sampled_gmax(b: np.ndarray) -> np.ndarray:
+    """max of g(theta) = |w(e^{i theta})|^2 over CERT_SAMPLES equispaced
+    angles for each row b, shape (rows, d), of an autocorrelation
+    (_autocorrelation).  The samples
     g = b_0 + 2 sum_{mu>=1} (Re b_mu cos mu theta - Im b_mu sin mu theta) are
     one real product with _cosine_matrix on whole tiles of 8 rows (the last
     zero-padded), so a row's bits do not depend on the rows beside it, run
     on at most _PRODUCT_ROWS rows at a time."""
-    rows, d = batch.shape
-    b = _autocorrelation(batch)
+    rows, d = b.shape
     v = np.zeros((-(-rows // 8) * 8, 2 * d - 1))
     v[:rows, 0] = b[:, 0].real
     v[:rows, 1::2] = b[:, 1:].real
     v[:rows, 2::2] = b[:, 1:].imag
-    matrix = _cosine_matrix(d, samples)
+    matrix = _cosine_matrix(d)
     gmax = np.empty(len(v))
     for i in range(0, len(v), _PRODUCT_ROWS):  # bounds the product's memory
         gmax[i : i + _PRODUCT_ROWS] = np.max(v[i : i + _PRODUCT_ROWS] @ matrix, axis=1)
-    return gmax[:rows], b
+    return gmax[:rows]
+
+
+def _sup_bound(b: np.ndarray, gmax: np.ndarray, k: int = 1) -> np.ndarray:
+    """sqrt(gmax + (h/2)^2/2 sup|g''|), gmax the max of g = |w|^2 on a grid
+    of spacing h = 2 pi / (k CERT_SAMPLES), sup|g''| from _curvature_bound."""
+    h = 2.0 * math.pi / (CERT_SAMPLES * k)
+    return np.sqrt(gmax + _curvature_bound(b) * h * h / 8.0)
 
 
 def certified_sup_bound(batch: np.ndarray) -> np.ndarray:
     """Upper bound on the true boundary sup for each row of `batch`: the
     sampled max of g = |w|^2 over CERT_SAMPLES angles (_sampled_gmax) plus
-    a gap term (h/2)^2/2 * sup|g''|, where sup|g''| <= sum mu^2 |b_mu| over
-    the autocorrelation b (_curvature_bound)."""
-    gmax, b = _sampled_gmax(batch, CERT_SAMPLES)
-    h = 2.0 * math.pi / CERT_SAMPLES
-    return np.sqrt(gmax + _curvature_bound(b) * h * h / 8.0)
+    the curvature gap (_sup_bound)."""
+    b = _autocorrelation(batch)
+    return _sup_bound(b, _sampled_gmax(b))
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +361,13 @@ def build_superset_function(
 
 
 def _postcheck_sup(q: np.ndarray) -> np.ndarray:
-    """max |q - z q' - 1| = |(z/f)^2 f' - 1| over 512 equispaced points of
-    |z| = POSTCHECK_RADIUS for each row q = z/f (q_0 = 1): _sampled_gmax of
-    the coefficients (1 - k) q_k r^k."""
+    """Certified bound on max |q - z q' - 1| = |(z/f)^2 f' - 1| over
+    |z| = POSTCHECK_RADIUS for each row q = z/f (q_0 = 1):
+    certified_sup_bound of the coefficients (1 - k) q_k r^k."""
     k = np.arange(q.shape[1])
     u = q * ((1.0 - k) * POSTCHECK_RADIUS**k)
     u[:, 0] -= 1.0
-    return np.sqrt(_sampled_gmax(u, 512)[0])
+    return certified_sup_bound(u)
 
 
 def _exact_u_chunk(lam: float, a2s, psis):
@@ -409,9 +400,10 @@ def validate_exact_u(lam: float, a2: complex, psi) -> ExactUParams:
 def build_exact_u_function(p: ExactUParams, order: int) -> TruncatedSeries:
     """Taylor series of f with z/f = 1 - a2 z - lambda z int_0^z psi.
 
-    Runs the class-deficiency post-check (max |(z/f)^2 f' - 1| over 512
-    points at r = 0.99 must not exceed lambda + 1e-6) and raises if it
-    fails; the derived parametrization never ships a function without it.
+    Runs the class-deficiency post-check (a certified bound on
+    max |(z/f)^2 f' - 1| over |z| = 0.99 must not exceed lambda + 1e-6,
+    _postcheck_sup) and raises if it fails; the derived parametrization
+    never ships a function without it.
     """
     if not p.validated:
         raise SearchError("exact-parametrization candidate is not validated")
@@ -816,4 +808,4 @@ def check_prokhorov_szynal(
                 worst = float(vals[i])
                 worst_coeffs = batch[i]
         remaining -= take
-    return worst, SchwarzParams(coeffs=_trim(worst_coeffs), validated=True)
+    return worst, validate_schwarz(_trim(worst_coeffs))

@@ -151,6 +151,19 @@ class TestMemberCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {key} has a non-finite value\n"
 
+    @pytest.mark.parametrize("argv", [("member", "ulambda"), ("render",)])
+    def test_overflowing_denominator_is_an_input_error(self, capsys, argv):
+        # omega = [1e200] is finite, but (1 - z w)(1 - lambda z w) overflows:
+        # the denominator is named, not read as a pole, with no warning
+        spec = "schwarz_superset(lambda=0.5, omega=[1e200])"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, argv[0], spec, *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the denominator B of f = z A / B overflows for schwarz_superset\n"
+        )
+
     def test_pole_inside_the_disk_fails(self, capsys):
         cases = [
             ("rational(num=[0,1], den=[1,-3])", "0.333333"),

@@ -178,7 +178,9 @@ class TestInteriorZeros:
 
     def test_note_goes_through_the_zero_rule(self, monkeypatch):
         # the note reads atlas.root_test, the rule the exact_u search
-        # applies: B first, then A only when B is admitted
+        # applies, in one call on B and A stacked, the shorter padded with
+        # zero high-order coefficients; B's pole note wins over A's zero
+        # note, and each modulus is that of the unpadded part
         calls = []
         root_test = atlas.root_test
 
@@ -189,11 +191,22 @@ class TestInteriorZeros:
         monkeypatch.setattr(atlas, "root_test", recording)
         rep = u_deficiency(parse_spec(POLE_AT_THIRD), 1.0)
         assert rep.note == "f has a pole of modulus 0.333333 inside the disk"
-        assert calls == [[[1.0, -3.0]]]
+        assert calls == [[[1.0, -3.0], [1.0, 0.0]]]
         calls.clear()
         assert u_deficiency(f_lambda(0.5), 0.5).note == ""
         a, b = atlas.rational_parts(f_lambda(0.5))
-        assert calls == [[b.tolist()], [a.tolist()]]
+        assert calls == [[b.tolist(), np.pad(a, (0, b.size - a.size)).tolist()]]
+        calls.clear()
+        # A = 1 - 2 z + z^3 / 8, with a zero near 0.5, is longer than B = 1 - 3 z
+        both = parse_spec("rational(num=[0, 1, -2, 0, 0.125], den=[1, -3])")
+        assert u_deficiency(both, 1.0).note == "f has a pole of modulus 0.333333 inside the disk"
+        assert calls == [[[1.0, -3.0, 0.0, 0.0], [1.0, -2.0, 0.0, 0.125]]]
+        calls.clear()
+        zero = parse_spec("rational(num=[0, 1, -2, 0, 0.125], den=[1])")
+        modulus = np.min(np.abs(np.roots([0.125, 0.0, -2.0, 1.0])))
+        note = u_deficiency(zero, 1.0).note
+        assert note == f"f has a zero of modulus {modulus:.6g} inside the disk"
+        assert len(calls) == 1
 
 
 class TestStarlike:
