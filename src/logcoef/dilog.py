@@ -53,8 +53,6 @@ def _check_domain(x: float) -> float:
 
 def _series(x: float) -> tuple[float, float]:
     """Direct summation; returns (value, truncation bound).  |x| <= 1/2."""
-    if x == 0.0:
-        return 0.0, 0.0
     terms = []
     p = 1.0
     n = 0

@@ -34,9 +34,12 @@ float64; a series with a nonzero imaginary part is refused.
 Every partial-sum check carries an explicit tail bound; equality checks use
 closed-form geometric or dilogarithm tails.  A dilogarithm tail
 sum_{n>N} x^n / n^2 (li2_tail) is summed directly, not as Li2(x) minus a
-partial sum: psi'(N + 1) at x = 1, Boole's expansion at x = -1, and one
-cumulative product of O(log u / log |x|) terms for |x| < 1, each within a
-few units of 2^-53 relative (li2_tail derives the bounds).
+partial sum: psi'(N + 1) at x = 1 and one cumulative product of
+O(log u / log |x|) terms for |x| < 1, each within a few units of 2^-53
+relative (li2_tail derives the bounds); only past max(N, 4096) terms
+(|x| above about 0.989) is a tail Li2(x) minus the partial sum.  The
+suite needs tails only at x = 1, at x in (0, 1) and at x in [-1/2, 0),
+so the domain is (-1, 1].
 
 Results are BoundCheck rows with a stable JSON field layout (name, params,
 lhs, rhs, slack, status, N, tail_bound, route), where route names the tail
@@ -167,22 +170,18 @@ def gamma_l2(profile: LogCoeffProfile, weights: str = "unit") -> L2Sum:
 # Dilogarithm tails.
 
 _U = 2.0**-53  # unit roundoff of float64
-# The tails at x = +-1 sum their terms below this index directly and the
-# rest by an asymptotic series in 1/a, a the first index left.
+# The tail at x = 1 sums its terms below this index directly and the rest
+# by an asymptotic series in 1/a, a the first index left.
 _ASYMPTOTIC_FROM = 64
 # psi'(a) = 1/a + 1/(2a^2) + sum_k B_2k / a^(2k+1) (Euler-Maclaurin,
 # Abramowitz-Stegun 6.4.12): the B_2k of a^-3, a^-5, a^-7, a^-9
 _TRIGAMMA = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)
-# sum_{k>=0} (-1)^k / (a + k)^2 = 1/(2a^2) + sum_j -G_2j / (2 a^(2j+1))
-# (Boole summation; G_2j = -1, 1, -3, 17, ... the Genocchi numbers): the
-# terms of a^-5 .. a^-13, after 1/(2a^2) + 1/(2a^3)
-_ALTERNATING = (-0.5, 1.5, -8.5, 77.5, -1036.5)
 # |x| < 1 takes the fallback route past this many terms (or N, if more)
 _TAIL_TERMS = 4096
 
 
 def li2_tail(x: float, order: int) -> float:
-    """sum_{n > N} x^n / n^2 for x in [-1, 1], N = max(order, 0), summed
+    """sum_{n > N} x^n / n^2 for x in (-1, 1], N = max(order, 0), summed
     directly, so a tail far below one ulp of Li2(x) keeps its own digits.
     With u = 2^-53 (each operation errs by at most u, pow by 2u) and
     t = |x|:
@@ -193,12 +192,6 @@ def li2_tail(x: float, order: int) -> float:
         |B_10| / a^11 < 7e-20 psi'(a).  All parts are positive, the terms
         err by u and psi'(a) by 3.1 u, so the result errs by at most
         4.5 u relative.
-      * x = -1: the terms below a = N + 1 + 2k >= 64 in pairs
-        1/n^2 - 1/(n + 1)^2 = (2n + 1) / (n^2 (n + 1)^2), exact but for
-        one division, and the alternating sum from a by Boole's expansion
-        through its a^-13 term, which errs by less than |G_14| / (2 a^15)
-        < 2e-19 of that sum and by 5.5 u in rounding.  All parts have the
-        sign of (-1)^(N+1), so the result errs by at most 7 u relative.
       * 0 < t < 1: the L terms x^n / n^2 from n = N + 1, where
         t^L <= u (1 - t)^2 bounds the geometric remainder
         t^n / (n^2 (1 - t)) past them by u times the sum, from one
@@ -213,11 +206,11 @@ def li2_tail(x: float, order: int) -> float:
 
     The relative bounds hold while the terms are normal numbers; in the
     subnormal range the error is at most (L + 1) 2^-1074 absolute.  An x
-    outside [-1, 1] raises ValueError."""
+    outside (-1, 1] raises ValueError."""
     x = float(x)
     t = abs(x)
-    if not t <= 1.0:
-        raise ValueError(f"dilogarithm argument {x} outside [-1, 1]")
+    if not -1.0 < x <= 1.0:
+        raise ValueError(f"dilogarithm argument {x} outside (-1, 1]")
     first = max(order, 0) + 1
     if x == 0.0:
         return 0.0
@@ -230,16 +223,6 @@ def li2_tail(x: float, order: int) -> float:
             acc = acc * r * r + c
         rest = r * (1.0 + r * (0.5 + r * acc))
         return math.fsum((1.0 / (ns * ns)).tolist() + [rest])
-    if x == -1.0:
-        a = first + 2 * max(0, (_ASYMPTOTIC_FROM - first + 1) // 2)
-        ns = np.arange(first, a, 2, dtype=np.float64)
-        r = 1.0 / a
-        acc = 0.0
-        for c in reversed(_ALTERNATING):
-            acc = acc * r * r + c
-        rest = r * r * (0.5 + r * (0.5 + r * r * acc))
-        pairs = (2.0 * ns + 1.0) / (ns * ns * ((ns + 1.0) * (ns + 1.0)))
-        return (-1.0) ** (first % 2) * math.fsum(pairs.tolist() + [rest])
     terms = max(1, math.ceil(math.log(_U * (1.0 - t) ** 2) / math.log(t)))
     if terms > max(first - 1, _TAIL_TERMS):
         ns = np.arange(1, first, dtype=np.float64)
@@ -284,11 +267,11 @@ def f0_weighted_l2_closed_tail(order: int) -> float:
     return 0.25 ** (order + 1) / 3.0
 
 
-def f1_l2_alternating_route(terms: int = 80) -> float:
+def f1_l2_alternating_route() -> float:
     """sum |gamma_n(f1)|^2 via the alternating rearrangement
-    pi^2/6 - (1/2) sum_k 4^-k (4k-1) / (k^2 (2k-1)^2)."""
+    pi^2/6 - (1/2) sum_k 4^-k (4k-1) / (k^2 (2k-1)^2), k <= 80."""
     s = math.fsum(
-        4.0**-k * (4 * k - 1) / (k * k * (2 * k - 1) ** 2) for k in range(1, terms + 1)
+        4.0**-k * (4 * k - 1) / (k * k * (2 * k - 1) ** 2) for k in range(1, 81)
     )
     return PI2_6 - 0.5 * s
 

@@ -164,6 +164,15 @@ class TestMemberCommand:
             "error: the denominator B of f = z A / B overflows for schwarz_superset\n"
         )
 
+    def test_pole_at_a_sample_point_is_an_input_error(self, capsys):
+        # the pole 1/1.1111111111111112 = 0.9 lies on the sampled circle
+        code, out, err = run_cli(
+            capsys, "member", "rational(num=[0,1],den=[1,-1.1111111111111112])",
+            "ulambda", "--radii", "0.9",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: pole of f at a sample point (z/f vanishes)\n"
+
     def test_pole_inside_the_disk_fails(self, capsys):
         cases = [
             ("rational(num=[0,1], den=[1,-3])", "0.333333"),
@@ -250,6 +259,14 @@ class TestRenderCommand:
     def test_bad_spec_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "render", "nope()")
         assert code == 2
+
+    def test_curve_that_fails_to_close_rejected(self, capsys):
+        # near Koebe's boundary pole the angle wrap's rounding is magnified
+        # past the closing tolerance
+        code, out, err = run_cli(capsys, "render", "koebe()", "--r", "0.9999", "--m", "16")
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: curve fails to close: gap ")
 
     def test_deterministic_bytes(self, capsys, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -603,3 +620,11 @@ class TestSearchCommand:
     def test_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "search", "--lambda", "0.5", "--n", "1")
         assert code == 2
+
+    def test_unrankable_start_row_is_an_error(self, capsys):
+        # the start row's bar overflows from about n = 400 at lambda = 1
+        code, out, err = run_cli(
+            capsys, "search", "--lambda", "1.0", "--n", "420", "--family", "exact_u"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: the error bar on |a_420| of the start row is not finite\n"

@@ -276,17 +276,11 @@ class TestGammaL2:
 
 
 def mp_li2_tail(x, order):
-    """sum_{n > N} x^n / n^2 at 30 digits (50 for x = -1, whose closed form
-    cancels to about log10(N) digits)."""
+    """sum_{n > N} x^n / n^2 at 30 digits."""
     first = order + 1
     with mpmath.workdps(30):
         if x == 1.0:
             return mpmath.zeta(2, first)
-        if x == -1.0:
-            with mpmath.workdps(50):
-                half = mpmath.mpf(first) / 2
-                even_minus_odd = mpmath.zeta(2, half) - mpmath.zeta(2, half + 0.5)
-                return (-1) ** first * even_minus_odd / 4
         x = mpmath.mpf(x)
         if abs(x) > 0.99:
             return x**first * mpmath.lerchphi(x, 2, first)
@@ -305,21 +299,33 @@ def li2_tail_bound(x):
     t = abs(x)
     if x == 1.0:
         return 4.5
-    if x == -1.0:
-        return 7.0
     if x > 0:
         return 6.0 + t / (1.0 - t)
     return 2.0 + (4.0 - 3.0 * t) / (1.0 - t) ** 3
 
 
+def recorded_tail_arguments(*suite_args):
+    """Every x that run_suite(*suite_args) passes to li2_tail."""
+    xs = set()
+    real = verify.li2_tail
+
+    def recording(x, order):
+        xs.add(x)
+        return real(x, order)
+
+    verify.li2_tail = recording
+    try:
+        run_suite(*suite_args)
+    finally:
+        verify.li2_tail = real
+    return xs
+
+
 def suite_tail_arguments():
-    """Every x the default grids pass to li2_tail, as verify builds them,
-    and x = -1."""
-    xs = {1.0, 0.25, -1.0}
-    for lam in verify.DEFAULT_LAMBDA_GRID:
-        y1, y2 = lam / (1.0 + lam), lam * lam / (1.0 + lam)
-        xs |= {lam, lam * lam, lam**2, -y1, -y2, y1 * y1}
-    return sorted(xs)
+    """Every x the default grids pass to li2_tail at order 128."""
+    return sorted(recorded_tail_arguments(
+        verify.DEFAULT_LAMBDA_GRID, verify.DEFAULT_ALPHA_GRID, 128
+    ))
 
 
 class TestLi2Tail:
@@ -352,17 +358,37 @@ class TestLi2Tail:
 
     def test_edge_arguments(self):
         assert li2_tail(0.0, 10) == 0.0
-        for x in (1.5, -1.0000001, float("nan")):
-            with pytest.raises(ValueError, match="outside"):
+        for x in (1.5, -1.0, -1.0000001, float("nan")):
+            with pytest.raises(ValueError, match=r"outside \(-1, 1\]"):
                 li2_tail(x, 10)
         assert li2_tail(0.5, -3) == li2_tail(0.5, 0)
         assert abs(li2_tail(1.0, 0) - PI2_6) <= 4.5 * 2.0**-53 * PI2_6
-        # x = 1 and -1 at orders across the switch to the asymptotic series
-        for x in (1.0, -1.0):
-            for order in (62, 63, 64, 65, 10**6, 10**12):
-                want = mp_li2_tail(x, order)
-                err = abs(mpmath.mpf(li2_tail(x, order)) - want)
-                assert err <= li2_tail_bound(x) * 2.0**-53 * abs(want), (x, order)
+        # x = 1 at orders across the switch to the asymptotic series
+        for order in (62, 63, 64, 65, 10**6, 10**12):
+            want = mp_li2_tail(1.0, order)
+            err = abs(mpmath.mpf(li2_tail(1.0, order)) - want)
+            assert err <= li2_tail_bound(1.0) * 2.0**-53 * abs(want), order
+
+    def test_suite_arguments_stay_in_the_summed_range(self):
+        # the tails are checked against their stated errors only on
+        # [-1/2, 1]; a row needing x < -1/2 must fail here by name
+        lambdas = (1e-300, 0.01, 0.5, 0.989, 0.995, 1 - 1e-12, 1.0)
+        xs = recorded_tail_arguments(lambdas, (0.0, 0.5, 1.0), 128)
+        assert xs and all(-0.5 <= x <= 1.0 for x in xs), sorted(xs)
+
+    def test_near_one_rows_through_the_suite(self):
+        # t > 0.989 takes the Li2-minus-partial-sum fallback inside the rows
+        rows = run_suite([0.989, 0.995, 0.999999, 1 - 1e-12], [1.0], 128)
+        want = {
+            "log_l2_sharp_ulambda": "equality",
+            "log_l2_ulambda_counterexample": "holds",
+        }
+        checked = [r for r in rows if r.name in want]
+        assert len(checked) == 8
+        for r in checked:
+            assert (r.status, r.route) == (want[r.name], "closed_form"), r
+            if r.status == "equality":
+                assert abs(r.slack) <= 1e-12, r
 
 
 class TestSharpBound:
