@@ -546,11 +546,10 @@ class Pointwise(NamedTuple):
     tail: Callable[[], np.ndarray | float] = lambda: 0.0
 
 
-def _quotient_points(spec) -> Callable[[np.ndarray], Pointwise]:
-    """f = z A / B from the kind's (A, B) parts.  With N = z A,
+def _quotient_points(parts) -> Callable[[np.ndarray], Pointwise]:
+    """f = z A / B from a spec's (A, B) parts.  With N = z A,
     f' = (N' B - N B') / B^2 and f''/f' = (N'' B - N B'') / (N' B - N B')
     - 2 B'/B, where N' = A + z A' and N'' = 2 A' + z A''."""
-    parts = rational_parts(spec)
     derivative = cache(lambda k: [P.polyder(c, k) for c in parts])
 
     def points(z) -> Pointwise:
@@ -659,7 +658,7 @@ class KindEntry:
     slope     spec -> c with |gamma_n| <= c/n; None when none is established
     pointwise spec -> (z -> Pointwise): f/z with its tail bound, f' and
               f''/f' at the points z, each computed when read, with the
-              spec's own work done once; by default from the (A, B) parts
+              spec's own work done once; None means from the (A, B) parts
     """
 
     keys: tuple[str, ...] = ()
@@ -668,7 +667,7 @@ class KindEntry:
     series: Callable | None = None
     gamma: Callable | None = None
     slope: Callable | None = None
-    pointwise: Callable = _quotient_points
+    pointwise: Callable | None = None
 
 
 KIND_REGISTRY: dict[str, KindEntry] = {
@@ -788,10 +787,12 @@ def taylor_of(spec: FunctionSpec, order: int) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-def pointwise_of(spec: FunctionSpec) -> Callable[[np.ndarray], Pointwise]:
+def pointwise_of(spec: FunctionSpec, parts=None) -> Callable[[np.ndarray], Pointwise]:
     """z -> f/z, f' and f''/f' of the spec at the points z, from its
-    registry entry, which prepares the spec once for every call."""
-    points = KIND_REGISTRY[spec.kind].pointwise(spec)
+    registry entry, which prepares the spec once for every call.  A caller
+    that holds the spec's rational_parts passes them, to skip their build."""
+    entry = KIND_REGISTRY[spec.kind].pointwise
+    points = entry(spec) if entry else _quotient_points(parts or rational_parts(spec))
     return lambda z: points(np.asarray(z, dtype=np.complex128))
 
 

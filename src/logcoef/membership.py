@@ -164,12 +164,11 @@ _QUERIES = {
 # ---------------------------------------------------------------------------
 # Reports.
 
-def _interior_zero_note(spec) -> str:
-    """For a spec with (A, B) parts, f = z A / B: a note naming a zero of B
+def _interior_zero_note(parts) -> str:
+    """For a spec's (A, B) parts, f = z A / B: a note naming a zero of B
     (a pole of f), else of A (a zero of f away from 0), that the zero rule
     (atlas.root_test, one call on both) finds inside the disk, or "" when
-    there is none."""
-    parts = atlas.rational_parts(spec)
+    there is none or the spec has no parts."""
     if parts is None:
         return ""
     a, b = parts
@@ -197,7 +196,8 @@ def _measure(spec, query, threshold, radii, m) -> ClassMembershipReport:
     if m < 64:
         raise ValueError("need at least 64 samples per circle")
     z = _sample_points(radii, m)
-    points = atlas.pointwise_of(spec)
+    parts = atlas.rational_parts(spec)
+    points = atlas.pointwise_of(spec, parts)
     extremes, tail, refusal = [], 0.0, len(_REFUSALS)
     with np.errstate(divide="ignore", invalid="ignore"):  # refused below
         for start in range(0, z.size, BLOCK_POINTS):
@@ -215,7 +215,7 @@ def _measure(spec, query, threshold, radii, m) -> ClassMembershipReport:
         raise MembershipError(_REFUSALS[refusal].format(what))
     measured = float(pick.reduce(extremes))
     margin = margin_of(threshold, measured)
-    note = _interior_zero_note(spec)
+    note = _interior_zero_note(parts)
     if note:
         verdict = "fail"
     elif tail > SERIES_TAIL_LIMIT:

@@ -32,14 +32,16 @@ These series are real, so the series routes and G_alpha's division run in
 float64; a series with a nonzero imaginary part is refused.
 
 Every partial-sum check carries an explicit tail bound; equality checks use
-closed-form geometric or dilogarithm tails.  A dilogarithm tail
-sum_{n>N} x^n / n^2 (li2_tail) is summed directly, not as Li2(x) minus a
-partial sum: psi'(N + 1) at x = 1 and one cumulative product of
-O(log u / log |x|) terms for |x| < 1, each within a few units of 2^-53
-relative (li2_tail derives the bounds); only past max(N, 4096) terms
-(|x| above about 0.989) is a tail Li2(x) minus the partial sum.  The
-suite needs tails only at x = 1, at x in (0, 1) and at x in [-1/2, 0),
-so the domain is (-1, 1].
+closed-form geometric or dilogarithm tails.  Each array sum is correctly
+rounded: a certified long double pass (_exact_sum, where long double is x87
+extended precision, as on x86-64 Linux), with math.fsum as its fallback.
+A dilogarithm tail sum_{n>N} x^n / n^2 (li2_tail) is summed directly, not
+as Li2(x) minus a partial sum: psi'(N + 1) at x = 1 and one cumulative
+product of O(log u / log |x|) terms for |x| < 1, each within a few units of
+2^-53 relative (li2_tail derives the bounds); only past max(N, 4096) terms
+(|x| above about 0.989) is a tail Li2(x) minus the partial sum.  The suite
+needs tails only at x = 1, at x in (0, 1) and at x in [-1/2, 0), so the
+domain is (-1, 1].
 
 Results are BoundCheck rows with a stable JSON field layout (name, params,
 lhs, rhs, slack, status, N, tail_bound, route), where route names the tail
@@ -82,6 +84,37 @@ _log = logging.getLogger(__name__)
 
 class VerifyError(ValueError):
     pass
+
+
+# long double has a 64-bit significand and rounds to it (x87 extended precision)
+_WIDE_SUMS = np.finfo(np.longdouble).nmant == 63 and (1 + np.longdouble(2.0**-63)) - 1 == 2.0**-63
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum(x.tolist()), bit for bit, for a float64 array x.  With
+    _WIDE_SUMS and 128 terms or more, x is summed in long double in rows of
+    64 and then over the rows, so that in any order the sum s errs by at
+    most gamma_k sum|x|, k = 63 + (rows - 1), u = 2^-64 (Higham 4.2), which
+    e = (k + 1) u a bounds with every rounding, a being a float64 sum of |x|
+    raised by its own error bound.  If s - e and s + e lie strictly between
+    the midpoints around d = float(s), the exact sum rounds to d; any other
+    sum (near a midpoint, all zeros, huge or not finite) is math.fsum's."""
+    if _WIDE_SUMS and x.size >= 128:
+        rows = -(-x.size // 64)
+        y = np.zeros(rows * 64)
+        y[: x.size] = x
+        with np.errstate(invalid="ignore", over="ignore"):  # fsum raises below
+            s = np.add.reduce(np.add.reduce(y.reshape(rows, 64), 1, np.longdouble))
+            a = np.add.reduce(np.abs(x)) * (1.0 + x.size * 2.0**-52)
+        if 0.0 < a < 2.0**1000:
+            e = np.longdouble((63 + rows) * 2.0**-64) * a
+            d = float(s)
+            # exact: s - d, the gaps to d's neighbours and their halves (but a
+            # gap of 2^-1074 halves to 0, which only narrows the test)
+            r, up, down = s - d, math.nextafter(d, math.inf) - d, d - math.nextafter(d, -math.inf)
+            if -down / 2 < r - e and r + e < up / 2:
+                return d
+    return math.fsum(x.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +188,11 @@ def gamma_l2(profile: LogCoeffProfile, weights: str = "unit") -> L2Sum:
     sq = np.abs(profile.gammas) ** 2
     n = profile.gammas.size
     if weights == "unit":
-        value = math.fsum(sq.tolist())
+        value = _exact_sum(sq)
         c = atlas.gamma_linf_slope(profile.spec)
         tail = (c * c / n) if c is not None else None
     elif weights == "n_squared":
-        value = math.fsum((sq * np.arange(1, n + 1) ** 2).tolist())
+        value = _exact_sum(sq * np.arange(1, n + 1) ** 2)
         tail = None
     else:
         raise VerifyError(f"unknown weights {weights!r}")
@@ -195,14 +228,14 @@ def li2_tail(x: float, order: int) -> float:
       * 0 < t < 1: the L terms x^n / n^2 from n = N + 1, where
         t^L <= u (1 - t)^2 bounds the geometric remainder
         t^n / (n^2 (1 - t)) past them by u times the sum, from one
-        np.cumprod started at x^(N + 1) and one math.fsum.  Term k errs by
-        at most (k + 4) u (pow, k products, n * n and the division), so
-        the result errs by at most (6 + t / (1 - t)) u relative for x > 0,
-        and by (2 + (4 - 3t) / (1 - t)^3) u for x < 0, where the sum keeps
-        at least (1 - t) of its first term.  Where L exceeds max(N, 4096)
-        (t above about 0.989) the tail is Li2(x) minus the partial sum
-        instead, with an absolute error of li2(x)'s est_error plus
-        (ln N + 7) u.
+        np.cumprod started at x^(N + 1) and one correctly rounded sum
+        (_exact_sum).  Term k errs by at most (k + 4) u (pow, k products,
+        n * n and the division), so the result errs by at most
+        (6 + t / (1 - t)) u relative for x > 0, and by
+        (2 + (4 - 3t) / (1 - t)^3) u for x < 0, where the sum keeps at least
+        (1 - t) of its first term.  Where L exceeds max(N, 4096) (t above
+        about 0.989) the tail is Li2(x) minus the partial sum instead, with
+        an absolute error of li2(x)'s est_error plus (ln N + 7) u.
 
     The relative bounds hold while the terms are normal numbers; in the
     subnormal range the error is at most (L + 1) 2^-1074 absolute.  An x
@@ -222,16 +255,16 @@ def li2_tail(x: float, order: int) -> float:
         for c in reversed(_TRIGAMMA):
             acc = acc * r * r + c
         rest = r * (1.0 + r * (0.5 + r * acc))
-        return math.fsum((1.0 / (ns * ns)).tolist() + [rest])
+        return _exact_sum(np.append(1.0 / (ns * ns), rest))
     terms = max(1, math.ceil(math.log(_U * (1.0 - t) ** 2) / math.log(t)))
     if terms > max(first - 1, _TAIL_TERMS):
         ns = np.arange(1, first, dtype=np.float64)
         head = np.cumprod(np.full(first - 1, x)) / (ns * ns)
-        return li2(x).value - math.fsum(head.tolist())
+        return li2(x).value - _exact_sum(head)
     ns = np.arange(first, first + terms, dtype=np.float64)
     powers = np.full(terms, x)
     powers[0] = x**first
-    return math.fsum((np.cumprod(powers) / (ns * ns)).tolist())
+    return _exact_sum(np.cumprod(powers) / (ns * ns))
 
 
 def ulambda_l2_bound(lam: float) -> float:
@@ -299,6 +332,11 @@ def sharpness_terms(lam: float, t: float) -> SharpnessTerms:
     gap = 2.0 * (
         li2(-lam * lam / (1.0 + lam)).value + li2(-lam / (1.0 + lam)).value
     ) + li2((lam / (1.0 + lam)) ** 2).value
+    return SharpnessTerms(gap, *_integrand_and_kernel(lam, t))
+
+
+def _integrand_and_kernel(lam: float, t: float) -> tuple[float, float]:
+    """SharpnessTerms' integrand and kernel at t (the gap is t-free)."""
     integrand = (
         2.0 / (1.0 + lam + t * lam)
         - 1.0 / (1.0 + lam - t * lam)
@@ -315,7 +353,7 @@ def sharpness_terms(lam: float, t: float) -> SharpnessTerms:
             f"integrand/kernel inconsistency at lam={lam}, t={t}: "
             f"{integrand * denom} vs {kernel}"
         )
-    return SharpnessTerms(gap=gap, integrand=integrand, kernel=kernel)
+    return integrand, kernel
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +401,7 @@ def convex_order_profile(alpha: float, order: int) -> ConvexOrderProfile:
         raise SeriesError("non-finite coefficient")
     delta.flags.writeable = False
     ns = np.arange(1, order + 1, dtype=float)
-    gl2 = 0.25 * math.fsum((delta * delta / (ns * ns)).tolist())
+    gl2 = 0.25 * _exact_sum(delta * delta / (ns * ns))
     return ConvexOrderProfile(alpha=alpha, beta=beta, delta=delta, gamma_l2=gl2)
 
 
@@ -494,10 +532,10 @@ def _lambda_rows(lam, order):
         ),
     ]
     for t in _SUITE_T_GRID:
-        st = sharpness_terms(lam, t)
+        integrand, kernel = _integrand_and_kernel(lam, t)
         for name, value in (
-            ("sharpness_integrand_positive", st.integrand),
-            ("sharpness_kernel_positive", st.kernel),
+            ("sharpness_integrand_positive", integrand),
+            ("sharpness_kernel_positive", kernel),
         ):
             rows.append(_check(name, {"lambda": lam, "t": t}, 0.0, value, order))
     return rows

@@ -208,6 +208,20 @@ class TestInteriorZeros:
         assert note == f"f has a zero of modulus {modulus:.6g} inside the disk"
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        ["schwarz_superset(lambda=0.5, omega=[0.3,0.2i])", "g_family(n=1)", "k_alpha(alpha=0.3)"],
+    )
+    def test_parts_are_built_once_per_query(self, monkeypatch, text):
+        # the sampled values and the zero note read the same (A, B)
+        calls = []
+        rational_parts = atlas.rational_parts
+        monkeypatch.setattr(
+            atlas, "rational_parts", lambda spec: calls.append(spec) or rational_parts(spec)
+        )
+        u_deficiency(parse_spec(text), 1.0)
+        assert len(calls) == 1
+
 
 class TestStarlike:
     def test_koebe_minimum(self):

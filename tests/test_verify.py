@@ -11,6 +11,9 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import logcoef
 from logcoef import atlas, verify
@@ -275,6 +278,139 @@ class TestGammaL2:
             gamma_l2(prof, "cubed")
 
 
+def sum_outcome(total, x):
+    """total(x) as float.hex, or the type and message of what it raised."""
+    try:
+        value = total(x)
+    except (ValueError, OverflowError) as err:
+        return type(err).__name__, str(err)
+    assert type(value) is float
+    return value.hex()
+
+
+def fsum_of_list(x):
+    return math.fsum(x.tolist())
+
+
+@st.composite
+def spread_arrays(draw):
+    """Up to 5,000 doubles with magnitudes between 10^lo and 10^hi,
+    -300 <= lo <= hi <= 300: all positive, all negative or mixed signs,
+    with a share of subnormals and signed zeros mixed in."""
+    n = draw(st.integers(0, 5000))
+    lo = draw(st.integers(-300, 300))
+    hi = draw(st.integers(lo, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exps = rng.integers(math.floor(lo * 3.33), math.ceil(hi * 3.33) + 1, n)
+    x = np.ldexp(1.0 + rng.random(n), exps)
+    sign = draw(st.sampled_from(["+", "-", "mixed"]))
+    if sign != "+":
+        x = -x if sign == "-" else x * rng.choice([-1.0, 1.0], n)
+    odd = rng.random(n) < draw(st.sampled_from([0.0, 0.01, 0.5]))
+    x[odd] = rng.choice([-1, 1], odd.sum()) * rng.integers(0, 2**52, odd.sum()) * 2.0**-1074
+    x[rng.random(n) < 0.01] = -0.0
+    return x
+
+
+class TestExactSum:
+    """verify._exact_sum returns math.fsum(x.tolist()) bit for bit, with
+    its exceptions."""
+
+    @given(spread_arrays())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_fsum_across_magnitudes(self, x):
+        assert sum_outcome(verify._exact_sum, x) == sum_outcome(fsum_of_list, x)
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.integers(0, 300),
+            elements=st.floats(width=64),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fsum_on_any_doubles(self, x):
+        # infinities, nans, overflowing sums and inf + -inf included
+        assert sum_outcome(verify._exact_sum, x) == sum_outcome(fsum_of_list, x)
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 4097])
+    def test_negative_zeros_sum_to_positive_zero(self, n):
+        assert verify._exact_sum(np.full(n, -0.0)).hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 4097])
+    def test_lengths_around_the_threshold(self, n):
+        rng = np.random.default_rng(n)
+        for x in (rng.random(n), rng.standard_normal(n), 1.0 / np.arange(1.0, n + 1) ** 2):
+            assert sum_outcome(verify._exact_sum, x) == sum_outcome(fsum_of_list, x)
+
+    @pytest.mark.parametrize(
+        "head,expected",
+        [
+            # 1 + 2^-53 is the midpoint between 1 and 1 + 2^-52: fsum rounds
+            # it to even, and 2^-100 above it up, while the long double sum,
+            # which drops 2^-100, sits on the midpoint in both cases
+            ([1.0, 2**-53], 1.0),
+            ([1.0, 2**-53, 2**-100], 1.0 + 2**-52),
+            # 2^66 + 5 rounds to 2^66 + 8 in long double: the error is
+            # bounded by sum |x|, not by the sum
+            ([2.0**66, 5.0, -(2.0**66)], 5.0),
+        ],
+    )
+    def test_undecided_sums_reach_fsum(self, monkeypatch, head, expected):
+        calls = []
+
+        def recording(values):
+            calls.append(len(values))
+            return fsum(values)
+
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", recording)
+        x = np.array(head + [0.0] * 200)
+        assert verify._exact_sum(x) == expected
+        assert calls == [x.size]
+
+    def test_inf_minus_inf_raises_as_fsum_does(self):
+        x = np.concatenate([np.ones(200), [math.inf, -math.inf]])
+        with pytest.raises(ValueError, match=r"-inf \+ inf in fsum"):
+            verify._exact_sum(x)
+        assert math.isnan(verify._exact_sum(np.append(np.ones(200), math.nan)))
+        assert verify._exact_sum(np.append(np.ones(200), -math.inf)) == -math.inf
+
+    @pytest.mark.skipif(not verify._WIDE_SUMS, reason="no 64-bit-significand long double")
+    def test_long_double_route_decides_suite_sums(self, monkeypatch):
+        # on a platform that passes the probe, most long sums never reach fsum
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda v: calls.append(len(v)) or fsum(v))
+        for n in (128, 2048, 4096):
+            x = 1.0 / np.arange(1.0, n + 1) ** 2
+            rng = np.random.default_rng(n)
+            for y in (x, x * rng.random(n), rng.random(n)):
+                assert verify._exact_sum(y) == fsum(y.tolist())
+        assert len(calls) <= 2
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--order", "128"),
+        ("--order", "2048"),
+        ("--lambda-grid", "0.5", "--alpha-grid", "0.0,0.5,0.37765"),
+    ],
+    ids=["default-128", "default-2048", "alpha-anchors"],
+)
+def test_long_double_sums_give_the_fallback_reports(capsys, monkeypatch, argv):
+    """The verify report is the same byte for byte with the long double
+    route on (where the platform has it) and with every sum left to fsum."""
+    reports = []
+    for wide in (verify._WIDE_SUMS, False):
+        monkeypatch.setattr(verify, "_WIDE_SUMS", wide)
+        assert main(["verify", *argv]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
 def mp_li2_tail(x, order):
     """sum_{n > N} x^n / n^2 at 30 digits."""
     first = order + 1
@@ -456,6 +592,21 @@ class TestSharpnessTerms:
         assert sharpness_terms(lam, 0.0).gap == pytest.approx(
             -2.0 * lam * body, abs=1e-8
         )
+
+    def test_lambda_block_takes_the_gap_once(self, monkeypatch):
+        # the gap does not depend on t: one sharpness_terms call per lambda
+        # block, and the t rows keep its integrand and kernel bit for bit
+        calls = []
+        monkeypatch.setattr(
+            verify, "sharpness_terms", lambda lam, t: calls.append(t) or sharpness_terms(lam, t)
+        )
+        rows = verify._lambda_rows(0.7, 64)
+        assert calls == [0.0]
+        assert [row.rhs for row in rows[3:]] == [
+            value
+            for t in verify._SUITE_T_GRID
+            for value in (sharpness_terms(0.7, t).integrand, sharpness_terms(0.7, t).kernel)
+        ]
 
     def test_domain_errors(self):
         with pytest.raises(VerifyError):
