@@ -16,8 +16,8 @@ f''/f') lives in its single ``KIND_REGISTRY`` entry.  The pointwise values
 serve both `evaluator` (render) and the membership functionals; a spec is
 prepared once for all the points a caller evaluates.  The zero rule on
 z/f (root_test) lives here too.
-No series goes through exp or log: g_family and k_alpha write theirs from
-closed-form ratio recurrences, the rational kinds as A times 1/B.
+No series goes through exp or log: koebe, g_lambda, g_family and k_alpha
+write theirs in closed form, every other kind with parts as A times 1/B.
 """
 
 from __future__ import annotations
@@ -33,11 +33,12 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .series import TruncatedSeries, eval_raw, ts_reciprocal
+from .series import TruncatedSeries, eval_raw, mul_raw, ts_reciprocal
 # unused here; bench/tracing.py wraps these names on this module
 from .series import shift_down, ts_exp, ts_integrate, ts_log  # noqa: F401
 
 NORMALIZATION_TOL = 1e-12
+_MAX_N = 2**63 - 1  # g_family's n indexes int64 arrays (_g_family_fz)
 
 # For |1 - 2 alpha| below this, the pointwise K_alpha/z and the starlike
 # order take their logarithmic limit (the generic closed form has a
@@ -80,8 +81,8 @@ class FunctionSpec:
             raise SpecError(f"lambda = {self.lam} out of range (0, 1]")
         if self.alpha is not None and not (0.0 <= self.alpha < 1.0):
             raise SpecError(f"alpha = {self.alpha} out of range [0, 1)")
-        if self.n is not None and self.n < 1:
-            raise SpecError(f"n = {self.n} must be a positive integer")
+        if self.n is not None and not (1 <= self.n <= _MAX_N):
+            raise SpecError(f"n = {self.n} must be a positive integer below 2^63")
         if self.kind == "rational":
             _validate_rational(self.num, self.den)
 
@@ -218,7 +219,13 @@ class _Scanner:
         return v.real
 
     def integer(self, key: str) -> int:
+        start = self.pos
         v = self.number()
+        text = self.text[start : self.pos].strip()
+        # plain digits are read exactly up to int64's 19 and a sign; longer
+        # ones (far past 2^53, or past int()'s 4300 digits) go through float
+        if text.lstrip("+-").isdigit() and len(text) <= 20:
+            return int(text)
         if not (math.isfinite(v) and v == int(v)):
             raise ParseError(f"{key} must be an integer", self.pos)
         return int(v)
@@ -446,11 +453,11 @@ def _over(b) -> tuple[np.ndarray, np.ndarray]:
     return np.array([1.0 + 0j]), np.asarray(b, dtype=np.complex128)
 
 
-def _series_poly(coeffs, order: int) -> TruncatedSeries:
+def _padded(coeffs, order: int) -> np.ndarray:
     out = np.zeros(order + 1, dtype=np.complex128)
     m = min(order + 1, len(coeffs))
     out[:m] = coeffs[:m]
-    return TruncatedSeries(out)
+    return out
 
 
 def _koebe_parts(spec):
@@ -475,15 +482,6 @@ def _f_lambda_gamma(spec, n):
 def _superset_parts(spec):
     omega = np.trim_zeros(np.asarray(spec.omega), "b")  # B has no trailing zeros
     return _over(superset_denominator(spec.lam, omega))
-
-
-def _rational_fz(spec, order):
-    a, b = rational_parts(spec)
-    fz = _series_poly(a, order) * ts_reciprocal(_series_poly(b, order))
-    c0 = fz.coeffs[0]
-    if abs(c0 - 1.0) > NORMALIZATION_TOL:
-        raise SpecError(f"f/z constant term {c0} fails normalization")
-    return (1.0 / c0) * fz if c0 != 1.0 else fz
 
 
 def _g_family_coeffs(n: int, count: int) -> np.ndarray:
@@ -653,7 +651,7 @@ class KindEntry:
     keys      DSL parameter keys, in render order
     optional  the keys a DSL spec may omit; the others are required
     parts     spec -> (A, B) with f = z A / B; None when f is not rational
-    series    (spec, order) -> Taylor series of f/z; None means 1/B
+    series    (spec, order) -> closed-form Taylor series of f/z; None means A/B
     gamma     (spec, n) -> closed-form gamma_n or None; None when there is none
     slope     spec -> c with |gamma_n| <= c/n; None when none is established
     pointwise spec -> (z -> Pointwise): f/z with its tail bound, f' and
@@ -698,7 +696,6 @@ KIND_REGISTRY: dict[str, KindEntry] = {
     ),
     "f0": KindEntry(
         parts=lambda s: (np.array([1.0, -0.5], dtype=complex), np.array([1.0 + 0j])),
-        series=lambda s, order: _series_poly([1.0, -0.5], order),
         gamma=lambda s, n: complex(-(0.5 ** (n + 1)) / n),
         slope=lambda s: 0.25,
     ),
@@ -725,7 +722,6 @@ KIND_REGISTRY: dict[str, KindEntry] = {
     ),
     "half_plane": KindEntry(
         parts=lambda s: _over([1.0, -1.0]),
-        series=lambda s, order: TruncatedSeries(np.ones(order + 1, dtype=np.complex128)),
         gamma=lambda s, n: complex(1.0 / (2.0 * n)),
         slope=lambda s: 0.5,
     ),
@@ -735,7 +731,6 @@ KIND_REGISTRY: dict[str, KindEntry] = {
             np.asarray(s.num[1:], dtype=np.complex128),
             np.asarray(s.den, dtype=np.complex128),
         ),
-        series=_rational_fz,
     ),
     "schwarz_superset": KindEntry(
         keys=("lambda", "omega"),
@@ -765,14 +760,18 @@ def rational_parts(spec: FunctionSpec):
 
 
 def fz_series(spec: FunctionSpec, order: int) -> TruncatedSeries:
-    """Taylor series of f/z to the given order (constant term 1)."""
+    """Taylor series of f/z to the given order (constant term 1): the kind's
+    closed form, or A times 1/B from its parts divided by its c0 ~ 1."""
     if order < 0:
         raise SpecError("order must be nonnegative")
     series = KIND_REGISTRY[spec.kind].series
     if series is not None:
         return series(spec, order)
-    _, b = rational_parts(spec)
-    return ts_reciprocal(_series_poly(b, order))
+    a, b = rational_parts(spec)
+    fz = mul_raw(_padded(a, order), ts_reciprocal(TruncatedSeries(_padded(b, order))).coeffs)
+    if abs(fz[0] - 1.0) > NORMALIZATION_TOL:
+        raise SpecError(f"f/z constant term {fz[0]} fails normalization")
+    return TruncatedSeries(fz * (1.0 / fz[0]) if fz[0] != 1.0 else fz)
 
 
 def taylor_of(spec: FunctionSpec, order: int) -> TruncatedSeries:

@@ -615,11 +615,10 @@ def search_max_coeff(
         """Score blocks (coeffs, scale, a2s, at) of candidate rows (the
         start row, a slab of random chunks as one block per width, or a
         polish sweep), row j of a block with certified-sup factor scale[j]
-        and offer index at[j] (ascending): the chunk test on every row, the
-        screen on the rows it accepts, _SCREEN_ROWS rows at a time so its
-        memory does not grow with the slab (for the superset family with
-        each tile's denominators built for it).  The superset family has
-        no test.
+        and offer index at[j] (ascending): each block's denominators built
+        at once, the chunk test on every row, and the screen on the rows it
+        accepts, _SCREEN_ROWS rows at a time so its memory does not grow
+        with the slab.  The superset family has no test.
         The rows are committed in groups of `group` consecutive offer
         indices (all in one by default), up to and including the first
         group with a row above the best's threshold; the rest are
@@ -639,16 +638,12 @@ def search_max_coeff(
             if exact:
                 q, accept[at], inner = _exact_u_chunk(lam, a2s, coeffs)
                 by_eigvals[at] = ~np.isnan(inner)
-                rows = np.flatnonzero(accept[at])
             else:
-                rows = np.arange(len(coeffs))
+                q = atlas.superset_denominator(lam, coeffs[:, : n - 1])
+            rows = np.flatnonzero(accept[at])
             for i in range(0, rows.size, _SCREEN_ROWS):  # bounds the screen's memory
                 tile = rows[i : i + _SCREEN_ROWS]
-                if exact:
-                    head = q[tile]
-                else:
-                    head = atlas.superset_denominator(lam, coeffs[tile, : n - 1])
-                values[at[tile]], bars[at[tile]] = _screen(head, n, superset=not exact)
+                values[at[tile]], bars[at[tile]] = _screen(q[tile], n, superset=not exact)
         above = np.flatnonzero(values - bars > best_value + best_bar)
         end = size if group is None or not above.size else int(above[0] // group + 1) * group
         first = evals

@@ -88,18 +88,21 @@ class VerifyError(ValueError):
 
 # long double has a 64-bit significand and rounds to it (x87 extended precision)
 _WIDE_SUMS = np.finfo(np.longdouble).nmant == 63 and (1 + np.longdouble(2.0**-63)) - 1 == 2.0**-63
+# the measured length below which math.fsum is the faster route
+_WIDE_SUMS_MIN_TERMS = 352
 
 
 def _exact_sum(x: np.ndarray) -> float:
     """math.fsum(x.tolist()), bit for bit, for a float64 array x.  With
-    _WIDE_SUMS and 128 terms or more, x is summed in long double in rows of
-    64 and then over the rows, so that in any order the sum s errs by at
-    most gamma_k sum|x|, k = 63 + (rows - 1), u = 2^-64 (Higham 4.2), which
-    e = (k + 1) u a bounds with every rounding, a being a float64 sum of |x|
-    raised by its own error bound.  If s - e and s + e lie strictly between
-    the midpoints around d = float(s), the exact sum rounds to d; any other
-    sum (near a midpoint, all zeros, huge or not finite) is math.fsum's."""
-    if _WIDE_SUMS and x.size >= 128:
+    _WIDE_SUMS and at least _WIDE_SUMS_MIN_TERMS terms (below that fsum is
+    faster), x is summed in long double in rows of 64 and then over the
+    rows, so that in any order the sum s errs by at most gamma_k sum|x|,
+    k = 63 + (rows - 1), u = 2^-64 (Higham 4.2), which e = (k + 1) u a
+    bounds with every rounding, a being a float64 sum of |x| raised by its
+    own error bound.  If s - e and s + e lie strictly between the
+    midpoints around d = float(s), the exact sum rounds to d; any other sum
+    (near a midpoint, all zeros, huge or not finite) is math.fsum's."""
+    if _WIDE_SUMS and x.size >= _WIDE_SUMS_MIN_TERMS:
         rows = -(-x.size // 64)
         y = np.zeros(rows * 64)
         y[: x.size] = x

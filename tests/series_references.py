@@ -1,6 +1,6 @@
-"""References for the closed-form series of g_family and k_alpha, for
-the subordination kernel G_alpha built from k_alpha's series, for series
-division (exact values and the error bound), for the
+"""References for the closed-form series of g_family, k_alpha, koebe and
+g_lambda, for the subordination kernel G_alpha built from k_alpha's
+series, for series division (exact values and the error bound), for the
 search's stacked candidate draw, curvature bound and certified sup, for
 the superset denominator, for the search's coefficient values, and for
 its polish.
@@ -114,6 +114,20 @@ def mp_g_family_fz(n: int, order: int) -> np.ndarray:
 def mp_k_alpha_fz(alpha: float, order: int) -> np.ndarray:
     with mpmath.workdps(30):
         return np.array([float(p) for p in _mp_k_alpha(alpha, order)])
+
+
+def mp_koebe_fz(theta: float, order: int) -> np.ndarray:
+    """(m + 1) w^m, w = exp(i theta)."""
+    with mpmath.workdps(30):
+        w = mpmath.expj(theta)
+        return np.array([complex((m + 1) * w**m) for m in range(order + 1)])
+
+
+def mp_g_lambda_fz(lam: float, order: int) -> np.ndarray:
+    """(1 - lam^(m+1)) / (1 - lam), the partial sums of lam^k."""
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(lam)
+        return np.array([float((1 - lam ** (m + 1)) / (1 - lam)) for m in range(order + 1)])
 
 
 def mp_g_kernel(alpha: float, order: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import mpmath
@@ -31,7 +32,7 @@ from logcoef.atlas import (
     schwarz_superset,
     taylor_of,
 )
-from logcoef.series import eval_raw, ts_eval
+from logcoef.series import TruncatedSeries, eval_raw, ts_eval, ts_reciprocal
 from logcoef.verify import log_coefficients
 from series_references import (
     G_FAMILY_NS,
@@ -41,8 +42,11 @@ from series_references import (
     deleted_g_family_fz,
     deleted_k_alpha_fz,
     mp_g_family_fz,
+    mp_g_lambda_fz,
     mp_k_alpha_fz,
+    mp_koebe_fz,
     mp_superset_denominator,
+    rel_err,
 )
 
 ALL_SPECS = [
@@ -141,6 +145,20 @@ class TestParse:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=render)
     def test_render_round_trip(self, spec):
         assert parse_spec(render(spec)) == spec
+
+    def test_integers_parse_exactly(self):
+        # 2^53 + 1 has no float64; a digit literal is read as an int
+        spec = g_family(2**53 + 1)
+        assert parse_spec(render(spec)) == spec
+        assert parse_spec("g_family(n=2e0)") == g_family(2)
+        # a literal past int()'s digit limit goes through float
+        with pytest.raises(ParseError, match="n must be an integer"):
+            parse_spec(f"g_family(n={'1' * 5000})")
+
+    @pytest.mark.parametrize("n", [2**63, 10**20])
+    def test_n_past_int64_is_a_spec_error(self, n):
+        with pytest.raises(SpecError, match=f"^n = {n} must be a positive integer below 2\\^63$"):
+            g_family(n)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -344,6 +362,50 @@ class TestClosedFormSeries:
         got = fz_series(k_alpha(alpha), order).coeffs
         assert got[0] == 1.0
         check_series(got, mp_k_alpha_fz(alpha, order), deleted_k_alpha_fz(alpha, order))
+
+    # koebe and g_lambda have parts too, but their closed forms are kept
+    # because A/B, a three-term recurrence, loses digits with the index.
+    # Largest relative error to order 2000, closed form / A times 1/B:
+    # koebe(0.7) 1.2e-13 / 1.0e-10, koebe(2.0) 4.2e-14 / 1.4e-10;
+    # g_lambda(0.37) 4.2e-16 / 1.2e-13, g_lambda(0.9) 8.9e-16 / 2.5e-12,
+    # g_lambda(0.999) 2.1e-15 / 9.0e-11.  Each bound lies between the two.
+    @pytest.mark.parametrize(
+        "spec",
+        [koebe(0.7), koebe(2.0), g_lambda(0.37), g_lambda(0.9), g_lambda(0.999)],
+        ids=render,
+    )
+    def test_closed_forms_beat_the_quotient(self, spec, monkeypatch):
+        if spec.kind == "koebe":
+            reference, bound = mp_koebe_fz(spec.theta, 2000), 1e-12
+        else:
+            reference, bound = mp_g_lambda_fz(spec.lam, 2000), 1e-14
+        assert rel_err(fz_series(spec, 2000).coeffs, reference) <= bound
+        entry = dataclasses.replace(atlas.KIND_REGISTRY[spec.kind], series=None)
+        monkeypatch.setitem(atlas.KIND_REGISTRY, spec.kind, entry)
+        assert rel_err(fz_series(spec, 2000).coeffs, reference) > bound
+
+
+class TestQuotientSeries:
+    """A kind with parts and no closed-form series takes f/z as A times 1/B
+    in fz_series, divided by its constant term."""
+
+    def test_a_kind_without_series_takes_a_times_one_over_b(self, monkeypatch):
+        entry = dataclasses.replace(atlas.KIND_REGISTRY["rational"], series=None)
+        monkeypatch.setitem(atlas.KIND_REGISTRY, "rational", entry)
+        # 49 (1/49) rounds below 1, so the constant term is divided out
+        spec = rational([0, 49, 3 - 1j], [49, -10, 2j])
+        a, b = (np.pad(c, (0, 65 - c.size)) for c in atlas.rational_parts(spec))
+        fz = (TruncatedSeries(a) * ts_reciprocal(TruncatedSeries(b))).coeffs
+        assert fz[0] != 1.0
+        assert np.array_equal(fz_series(spec, 64).coeffs, fz * (1.0 / fz[0]))
+
+    @pytest.mark.parametrize("order", [0, 1, 5, 128, 300, 4096])
+    def test_f0_and_half_plane_are_exact(self, order):
+        want = np.zeros(order + 1, dtype=np.complex128)
+        want[:2] = [1.0, -0.5][: order + 1]
+        assert fz_series(f0(), order).coeffs.tobytes() == want.tobytes()
+        want = np.ones(order + 1, dtype=np.complex128)
+        assert fz_series(half_plane(), order).coeffs.tobytes() == want.tobytes()
 
 
 _EPS = 2.0**-53

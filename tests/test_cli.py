@@ -80,6 +80,25 @@ class TestGammaCommand:
         assert err.startswith("error: ") and "n must be an integer" in err
 
 
+@pytest.mark.parametrize("n", ["9223372036854775808", "100000000000000000000"])
+@pytest.mark.parametrize(
+    "argv", [("member", "{}", "starlike"), ("render", "{}"), ("gamma", "{}", "4")]
+)
+def test_g_family_n_past_int64_is_a_spec_error(capsys, argv, n):
+    # 2^63 and 10^20, one past int64 and far past it: refused, not a crash
+    spec = f"g_family(n={n})"
+    code, out, err = run_cli(capsys, *(arg.format(spec) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: n = {n} must be a positive integer below 2^63\n"
+
+
+def test_g_family_largest_n_runs(capsys):
+    spec = f"g_family(n={2**63 - 1})"
+    for argv in (("member", spec, "starlike"), ("render", spec), ("gamma", spec, "4")):
+        assert run_cli(capsys, *argv)[0] == 0
+
+
 def test_option_defaults_are_the_module_defaults():
     parser = _build_parser()
     args = parser.parse_args(["verify"])

@@ -1566,9 +1566,9 @@ class TestSlabs:
 
 
 class TestScreenTiles:
-    """offer screens a block's rows (and builds the superset denominators
-    they need) _SCREEN_ROWS at a time; the tile's size changes no search,
-    and the screen's memory does not grow with the slab."""
+    """offer builds a block's denominators at once and screens its rows
+    _SCREEN_ROWS at a time; the tile's size changes no search, and the
+    screen's memory does not grow with the slab."""
 
     @pytest.mark.parametrize(
         "family,n", [("superset", 5), ("exact_u", 5), ("superset", 40)]

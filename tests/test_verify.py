@@ -312,6 +312,9 @@ def spread_arrays(draw):
     return x
 
 
+_CUT = verify._WIDE_SUMS_MIN_TERMS  # the shortest sum the long double route takes
+
+
 class TestExactSum:
     """verify._exact_sum returns math.fsum(x.tolist()) bit for bit, with
     its exceptions."""
@@ -324,7 +327,7 @@ class TestExactSum:
     @given(
         hnp.arrays(
             np.float64,
-            st.integers(0, 300),
+            st.integers(0, _CUT + 48),
             elements=st.floats(width=64),
         )
     )
@@ -333,11 +336,11 @@ class TestExactSum:
         # infinities, nans, overflowing sums and inf + -inf included
         assert sum_outcome(verify._exact_sum, x) == sum_outcome(fsum_of_list, x)
 
-    @pytest.mark.parametrize("n", [1, 127, 128, 129, 4097])
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, _CUT - 1, _CUT, _CUT + 1, 4097])
     def test_negative_zeros_sum_to_positive_zero(self, n):
         assert verify._exact_sum(np.full(n, -0.0)).hex() == "0x0.0p+0"
 
-    @pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 4097])
+    @pytest.mark.parametrize("n", [0, 1, 127, 128, 129, _CUT - 1, _CUT, _CUT + 1, 4097])
     def test_lengths_around_the_threshold(self, n):
         rng = np.random.default_rng(n)
         for x in (rng.random(n), rng.standard_normal(n), 1.0 / np.arange(1.0, n + 1) ** 2):
@@ -365,16 +368,16 @@ class TestExactSum:
 
         fsum = math.fsum
         monkeypatch.setattr(math, "fsum", recording)
-        x = np.array(head + [0.0] * 200)
+        x = np.array(head + [0.0] * _CUT)
         assert verify._exact_sum(x) == expected
         assert calls == [x.size]
 
     def test_inf_minus_inf_raises_as_fsum_does(self):
-        x = np.concatenate([np.ones(200), [math.inf, -math.inf]])
+        x = np.concatenate([np.ones(_CUT), [math.inf, -math.inf]])
         with pytest.raises(ValueError, match=r"-inf \+ inf in fsum"):
             verify._exact_sum(x)
-        assert math.isnan(verify._exact_sum(np.append(np.ones(200), math.nan)))
-        assert verify._exact_sum(np.append(np.ones(200), -math.inf)) == -math.inf
+        assert math.isnan(verify._exact_sum(np.append(np.ones(_CUT), math.nan)))
+        assert verify._exact_sum(np.append(np.ones(_CUT), -math.inf)) == -math.inf
 
     @pytest.mark.skipif(not verify._WIDE_SUMS, reason="no 64-bit-significand long double")
     def test_long_double_route_decides_suite_sums(self, monkeypatch):
@@ -382,7 +385,7 @@ class TestExactSum:
         calls = []
         fsum = math.fsum
         monkeypatch.setattr(math, "fsum", lambda v: calls.append(len(v)) or fsum(v))
-        for n in (128, 2048, 4096):
+        for n in (_CUT, 2048, 4096):
             x = 1.0 / np.arange(1.0, n + 1) ** 2
             rng = np.random.default_rng(n)
             for y in (x, x * rng.random(n), rng.random(n)):
