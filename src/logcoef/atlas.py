@@ -386,7 +386,8 @@ def min_root_modulus(q: np.ndarray) -> np.ndarray:
     rows, width = q.shape
     inner = np.where(q[:, 0] == 0, 0.0, np.inf)
     degree = np.where(inner > 0, width - 1 - np.argmax(q[:, ::-1] != 0, axis=1), 0)
-    for d in np.unique(degree[degree > 0]):
+    # not np.unique, whose first call imports numpy.ma (8-14 ms)
+    for d in sorted(set(degree[degree > 0].tolist())):
         sel = np.flatnonzero(degree == d)
         companion = np.zeros((sel.size, d, d), dtype=np.complex128)
         companion[:, 0, :] = -q[sel, 1 : d + 1] / q[sel, :1]
@@ -605,10 +606,13 @@ def _g_family_points(spec) -> Callable[[np.ndarray], Pointwise]:
     truncation is at most |c_{J+1}| r^((J+1)n) / (((J+1)n + 1)(1 - r^n)).
     Rounding, to first order in u = 2^-53, with
     d = sum_{j>=1} |c_j| r^(jn) = 1 - (1 - r^n)^(1/n): a_j carries 2j + 1
-    roundings and Horner's j complex steps at most 4j + 1 more; numpy's
-    z^(n-1) (repeated squaring below 100, exp((n-1) log z) above) times z
-    errs by |eta| <= 5n u for r >= 1/e (r^n in d covers smaller r), moving
-    s by |eta| sum_j j |a_j| r^(jn).  As j |a_j| <= |c_j| / n and
+    roundings and Horner's j complex steps at most 4j + 1 more.  w is
+    z^(n-1) by square-and-multiply (_power) times z: written out as a tree
+    of its n factors z, n - 1 complex products, each erring by at most
+    sqrt(5) u relative (Brent, Percival and Zimmermann 2007), so
+    |eta| <= sqrt(5) (n - 1) u <= 5n u while the products are normal
+    numbers (below that, a few 2^-1074 absolute), moving s by
+    |eta| sum_j j |a_j| r^(jn).  As j |a_j| <= |c_j| / n and
     sum_j |a_j| r^(jn) <= 1 + d, that is at most (2 + 13 d) u.
 
     For n > N (J = 0) s is 1 and f/z - 1 = sum_{j>=1} c_j w^j / (jn + 1) is
@@ -619,7 +623,7 @@ def _g_family_points(spec) -> Callable[[np.ndarray], Pointwise]:
     lead = cache(lambda: abs(_g_family_coeffs(n, k // n + 1)[-1]) / (k + 1))
 
     def points(z) -> Pointwise:
-        zm = cache(lambda: z ** (n - 1))
+        zm = cache(lambda: _power(z, n - 1))
         zn = cache(lambda: z * zm())
 
         def tail():
@@ -639,6 +643,28 @@ def _g_family_points(spec) -> Callable[[np.ndarray], Pointwise]:
         )
 
     return points
+
+
+def _power(z: np.ndarray, k: int) -> np.ndarray:
+    """z ** k for an integer k >= 0 by square-and-multiply, in O(log k)
+    complex products.  Below 100 that is numpy's own z ** k, which squares
+    repeatedly there; from 100 on numpy takes exp(k log z), so the same
+    scheme runs here, each product written in float64 real and imaginary
+    parts (re = ac - bd, im = ad + bc)."""
+    if k < 100:
+        return z**k
+    x, y = z.real, z.imag
+    px = py = None
+    while True:
+        if k & 1:
+            px, py = (x, y) if px is None else (px * x - py * y, px * y + py * x)
+        k >>= 1
+        if not k:
+            break
+        x, y = x * x - y * y, 2.0 * x * y
+    out = np.empty_like(z)
+    out.real, out.imag = px, py
+    return out
 
 
 # ---------------------------------------------------------------------------

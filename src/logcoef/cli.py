@@ -57,32 +57,52 @@ _SCALAR_LINES = json.JSONEncoder(separators=("\n", ": "))
 def _report_json(rows) -> str:
     """The text of json.dumps(rows, indent=1) for a list of dicts whose
     values are scalars or dicts of scalars (str keys throughout).  Every
-    key and scalar is encoded in one call of json's C encoder; the layout
-    around them is joined here."""
+    scalar is encoded in one call of json's C encoder, and each row is one
+    %-template of its layout (its keys and those of its dict values),
+    built once per layout, filled with its scalars."""
     if not rows:
         return "[]"
-    scalars = []
+    scalars, layouts = [], []
     for row in rows:
+        layout = []
         for key, value in row.items():
-            scalars.append(key)
             if isinstance(value, dict) and value:
-                for item in value.items():
-                    scalars.extend(item)
+                layout.append((key, tuple(value)))
+                scalars.extend(value.values())
             else:
+                layout.append(key)
                 scalars.append(value)
-    text = iter(_SCALAR_LINES.encode(scalars)[1:-1].split("\n"))
-    out = []
-    for row in rows:
-        items = []
-        for value in row.values():
-            key = next(text)
-            if isinstance(value, dict) and value:
-                inner = ",\n   ".join([f"{next(text)}: {next(text)}" for _ in value])
-                items.append(f"{key}: {{\n   {inner}\n  }}")
-            else:
-                items.append(f"{key}: {next(text)}")
-        out.append("{\n  " + ",\n  ".join(items) + "\n }" if items else "{}")
+        layouts.append(tuple(layout))
+    text = _SCALAR_LINES.encode(scalars)[1:-1].split("\n")
+    templates = {}
+    out, i = [], 0
+    for layout in layouts:
+        if layout not in templates:
+            templates[layout] = _row_template(layout)
+        template, count = templates[layout]
+        out.append(template % tuple(text[i : i + count]))
+        i += count
     return "[\n " + ",\n ".join(out) + "\n]"
+
+
+def _row_template(layout) -> tuple[str, int]:
+    """The %-template of one row of _report_json's text, and the number of
+    scalars it takes: layout holds a key for each scalar value and
+    (key, inner keys) for each non-empty dict value."""
+
+    def key(k):
+        return json.dumps(k).replace("%", "%%") + ": "
+
+    items, count = [], 0
+    for entry in layout:
+        if isinstance(entry, tuple):
+            inner = ",\n   ".join(key(k) + "%s" for k in entry[1])
+            items.append(f"{key(entry[0])}{{\n   {inner}\n  }}")
+            count += len(entry[1])
+        else:
+            items.append(key(entry) + "%s")
+            count += 1
+    return ("{\n  " + ",\n  ".join(items) + "\n }" if items else "{}"), count
 
 
 def _grid_text(values) -> str:

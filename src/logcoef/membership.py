@@ -30,6 +30,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -63,8 +64,13 @@ class ClassMembershipReport:
 
     def to_dict(self) -> dict:
         """The fields in declaration order, the spec in its DSL form."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        values = dict(zip(_REPORT_KEYS, _report_values(self)))
         return {**values, "spec": atlas.render(self.spec), "radii": list(self.radii)}
+
+
+# ClassMembershipReport.to_dict's keys and values, from its fields read once
+_REPORT_KEYS = tuple(f.name for f in fields(ClassMembershipReport))
+_report_values = attrgetter(*_REPORT_KEYS)
 
 
 class MembershipError(ValueError):

@@ -116,9 +116,10 @@ def reciprocal_raw(a: np.ndarray) -> np.ndarray:
     return b
 
 
-def log_raw(a: np.ndarray) -> np.ndarray:
+def log_raw(a: np.ndarray, head: np.ndarray | None = None) -> np.ndarray:
     # (log a)' = a'/a solved coefficient by coefficient, c0 = 1 assumed; past
-    # the first block, a c = k a_k solved for c_k = k b_k.
+    # the first block, a c = k a_k solved for c_k = k b_k, from head =
+    # reciprocal_raw(a[:_BLOCK]), computed here unless the caller has it.
     n = a.size
     h = min(n, _BLOCK)
     b = np.zeros_like(a)
@@ -129,17 +130,19 @@ def log_raw(a: np.ndarray) -> np.ndarray:
     if n > h:
         ks = np.arange(n)
         c = ks * b
-        _divide_blocks(ks * a, a, c, reciprocal_raw(a[:h]))
+        _divide_blocks(ks * a, a, c, reciprocal_raw(a[:h]) if head is None else head)
         b[h:] = c[h:] / ks[h:]
     return b
 
 
-def divide_raw(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+def divide_raw(num: np.ndarray, den: np.ndarray, head: np.ndarray | None = None) -> np.ndarray:
     """x with den x = num, for num and den of one length and den[0] != 0.
-    The first block is num times the step recurrence's 1/den, the rest
-    comes from _divide_blocks."""
+    The first block is num times the step recurrence's 1/den, head =
+    reciprocal_raw(den[:min(den.size, _BLOCK)]) (computed here unless the
+    caller has it); the rest comes from _divide_blocks."""
     h = min(num.size, _BLOCK)
-    head = reciprocal_raw(den[:h])
+    if head is None:
+        head = reciprocal_raw(den[:h])
     x = np.empty_like(num)
     x[:h] = mul_raw(num[:h], head)
     if num.size > h:

@@ -39,9 +39,9 @@ A dilogarithm tail sum_{n>N} x^n / n^2 (li2_tail) is summed directly, not
 as Li2(x) minus a partial sum: psi'(N + 1) at x = 1 and one cumulative
 product of O(log u / log |x|) terms for |x| < 1, each within a few units of
 2^-53 relative (li2_tail derives the bounds); only past max(N, 4096) terms
-(|x| above about 0.989) is a tail Li2(x) minus the partial sum.  The suite
-needs tails only at x = 1, at x in (0, 1) and at x in [-1/2, 0), so the
-domain is (-1, 1].
+(|x| above about 0.989) is a tail Li2(x) minus the partial sum, and a tail
+whose bound rounds to 0 is 0.0 unsummed.  The suite needs tails only at
+x = 1, at x in (0, 1) and at x in [-1/2, 0), so the domain is (-1, 1].
 
 Results are BoundCheck rows with a stable JSON field layout (name, params,
 lhs, rhs, slack, status, N, tail_bound, route), where route names the tail
@@ -53,21 +53,25 @@ order returning its rows, run in one guarded loop: a block that raises
 contributes one row with status "error" in place of its rows, carrying the
 block's guard name and params plus params["error"] = "<ExceptionType>:
 <message>".  So "violated" only ever means that a bound failed numerically.
+Within one run_suite call each distinct li2 tail, power-sum sequence and
+reciprocal head is computed once (_Run); nothing is kept after it returns.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
 from . import atlas
 from .atlas import FunctionSpec, starlike_order
 from .dilog import PI2_6, li2
-from .series import SeriesError, divide_raw, log_raw, power_sums
+from .series import _BLOCK, SeriesError, divide_raw, log_raw, power_sums, reciprocal_raw
 # unused here; bench/tracing.py wraps these names on this module
 from .series import ts_exp, ts_log, ts_reciprocal  # noqa: F401
 
@@ -121,6 +125,72 @@ def _exact_sum(x: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Values computed once per run_suite call.
+
+class _Run:
+    """What one run_suite call would otherwise compute more than once: li2
+    tails by (x, N), reciprocal heads and rational parts (values), and power
+    sums by polynomial (sums), each held until the end of the last block
+    that reads that polynomial (last: polynomial -> block index)."""
+
+    def __init__(self):
+        self.values, self.sums, self.last = {}, {}, {}
+
+    def release(self, block: int):
+        """Drop the power sums that no block after this one reads."""
+        for key in [k for k in self.sums if self.last.get(k, block) <= block]:
+            del self.sums[key]
+
+
+# The run_suite call in progress, None outside one; a context variable, so
+# that suites in other threads each see their own.
+_RUN: ContextVar[_Run | None] = ContextVar("logcoef_verify_run", default=None)
+
+
+def _once(key, compute):
+    """compute(), once per run_suite call for each key (every time outside
+    a run)."""
+    run = _RUN.get()
+    if run is None:
+        return compute()
+    if key not in run.values:
+        run.values[key] = compute()
+    return run.values[key]
+
+
+def _parts(spec):
+    """atlas.rational_parts(spec), once per run_suite call for each spec."""
+    return _once(spec, lambda: atlas.rational_parts(spec))
+
+
+def _power_sums(coeffs: np.ndarray, count: int) -> np.ndarray:
+    """power_sums(coeffs, count).  Within a run_suite call each polynomial's
+    sums are computed once, at the longest count asked for so far: a shorter
+    count's sums are a prefix of a longer count's, bit for bit."""
+    run = _RUN.get()
+    if run is None:
+        return power_sums(coeffs, count)
+    key = coeffs.tobytes()
+    sums = run.sums.get(key)
+    if sums is None or sums.size < count:
+        sums = run.sums[key] = power_sums(coeffs, count)
+    return sums[:count]
+
+
+def _head(den: np.ndarray) -> np.ndarray:
+    """reciprocal_raw(den[:_BLOCK]), the first block of 1/den that log_raw
+    and divide_raw start from, once per run_suite call for each head: K/z's
+    serves both its division and its log."""
+    head = den[:_BLOCK]
+    return _once(("head", head.tobytes()), lambda: reciprocal_raw(head))
+
+
+def _tail(x: float, order: int) -> float:
+    """li2_tail(x, order), once per run_suite call for each (x, N)."""
+    return _once((x, order), lambda: li2_tail(x, order))
+
+
+# ---------------------------------------------------------------------------
 # Logarithmic coefficient profiles.
 
 @dataclass(frozen=True)
@@ -139,7 +209,7 @@ def log_coefficients(spec: FunctionSpec, order: int) -> LogCoeffProfile:
     its f/z series, in O((N/s)^2) when that series is one in w = z^s."""
     if order < 1:
         raise VerifyError("order must be >= 1")
-    parts = atlas.rational_parts(spec)
+    parts = _parts(spec)
     fz = atlas.fz_series(spec, order if parts is None else 1)
     if fz.coeffs[0] != 1.0:
         raise VerifyError("f/z fails the c0 = 1 normalization")
@@ -149,7 +219,7 @@ def log_coefficients(spec: FunctionSpec, order: int) -> LogCoeffProfile:
     else:
         a, b = parts
         ns = np.arange(1, order + 1)
-        gammas = (power_sums(b, order) - power_sums(a, order)) / (2.0 * ns)
+        gammas = (_power_sums(b, order) - _power_sums(a, order)) / (2.0 * ns)
         source = "parts"
     if not np.all(np.isfinite(gammas.view(np.float64))):
         raise SeriesError("non-finite coefficient")
@@ -166,8 +236,9 @@ def _strided_log(c: np.ndarray) -> np.ndarray:
     the only one; g_family's f/z has s = n), the log is taken in w and
     spread back to the multiples of s."""
     s = int(np.gcd.reduce(np.flatnonzero(c))) or c.size
+    a = _real(c[::s])
     log = np.zeros_like(c)
-    log[::s] = log_raw(_real(c[::s]))
+    log[::s] = log_raw(a, head=_head(a) if a.size > _BLOCK else None)
     return log
 
 
@@ -214,6 +285,9 @@ _ASYMPTOTIC_FROM = 64
 _TRIGAMMA = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)
 # |x| < 1 takes the fallback route past this many terms (or N, if more)
 _TAIL_TERMS = 4096
+# the smallest subnormal: a computed tail bound below it has rounded to 0,
+# so the bound is at most 2^-1075, half this, and the tail rounds to 0
+_ZERO_TAIL = 2.0**-1074
 
 
 def li2_tail(x: float, order: int) -> float:
@@ -241,8 +315,11 @@ def li2_tail(x: float, order: int) -> float:
         an absolute error of li2(x)'s est_error plus (ln N + 7) u.
 
     The relative bounds hold while the terms are normal numbers; in the
-    subnormal range the error is at most (L + 1) 2^-1074 absolute.  An x
-    outside (-1, 1] raises ValueError."""
+    subnormal range the error is at most (L + 1) 2^-1074 absolute.  For
+    |x| < 1 the terms are at most t^(N + 1) / ((N + 1)^2 (1 - t)) in sum;
+    where that bound rounds to 0 (it is at most 2^-1075, half the smallest
+    subnormal), the tail is 0.0 without summing, the float the summed
+    terms give.  An x outside (-1, 1] raises ValueError."""
     x = float(x)
     t = abs(x)
     if not -1.0 < x <= 1.0:
@@ -259,6 +336,9 @@ def li2_tail(x: float, order: int) -> float:
             acc = acc * r * r + c
         rest = r * (1.0 + r * (0.5 + r * acc))
         return _exact_sum(np.append(1.0 / (ns * ns), rest))
+    # float products, as the int first * first may not convert to a float
+    if t**first / ((1.0 - t) * first * first) < _ZERO_TAIL:
+        return 0.0
     terms = max(1, math.ceil(math.log(_U * (1.0 - t) ** 2) / math.log(t)))
     if terms > max(first - 1, _TAIL_TERMS):
         ns = np.arange(1, first, dtype=np.float64)
@@ -280,10 +360,8 @@ def ulambda_l2_bound(lam: float) -> float:
 def glambda_l2_closed_tail(lam: float, order: int) -> float:
     """Exact tail of sum |gamma_n(g_lambda)|^2 = sum ((1+lam^n)/(2n))^2."""
     if lam == 1.0:
-        return li2_tail(1.0, order)
-    return 0.25 * (
-        li2_tail(1.0, order) + 2.0 * li2_tail(lam, order) + li2_tail(lam * lam, order)
-    )
+        return _tail(1.0, order)
+    return 0.25 * (_tail(1.0, order) + 2.0 * _tail(lam, order) + _tail(lam * lam, order))
 
 
 def flambda_l2_closed_tail(lam: float, order: int) -> float:
@@ -292,9 +370,9 @@ def flambda_l2_closed_tail(lam: float, order: int) -> float:
     y2 = lam * lam / (1.0 + lam)
     return (
         0.25
-        * (li2_tail(1.0, order) + 2 * li2_tail(lam, order) + li2_tail(lam**2, order))
-        + 0.5 * (li2_tail(-y1, order) + li2_tail(-y2, order))
-        + 0.25 * li2_tail(y1 * y1, order)
+        * (_tail(1.0, order) + 2 * _tail(lam, order) + _tail(lam**2, order))
+        + 0.5 * (_tail(-y1, order) + _tail(-y2, order))
+        + 0.25 * _tail(y1 * y1, order)
     )
 
 
@@ -399,7 +477,7 @@ def convex_order_profile(alpha: float, order: int) -> ConvexOrderProfile:
         raise VerifyError("order must be >= 1")
     beta = starlike_order(alpha)
     kz = _real(atlas.fz_series(atlas.k_alpha(alpha), order).coeffs)
-    delta = divide_raw(kz * np.arange(1, order + 2), kz)[1:]
+    delta = divide_raw(kz * np.arange(1, order + 2), kz, head=_head(kz))[1:]
     if not np.all(np.isfinite(delta)):
         raise SeriesError("non-finite coefficient")
     delta.flags.writeable = False
@@ -425,10 +503,12 @@ class BoundCheck:
 
     def to_dict(self) -> dict:
         """The fields in declaration order, with `order` written as "N"."""
-        return {
-            "N" if f.name == "order" else f.name: getattr(self, f.name)
-            for f in fields(self)
-        }
+        return dict(zip(_ROW_KEYS, _row_values(self)))
+
+
+# BoundCheck.to_dict's keys and values, from its fields read once
+_ROW_KEYS = tuple("N" if f.name == "order" else f.name for f in fields(BoundCheck))
+_row_values = attrgetter(*(f.name for f in fields(BoundCheck)))
 
 
 def _check(name, params, lhs, rhs, order, tail_bound=0.0, route="none"):
@@ -481,14 +561,14 @@ _UNIVALENT_LIMITS = (
         {"spec": "koebe(theta=0.0)"},
         lambda: atlas.koebe(0.0),
         lambda: PI2_6,
-        lambda order: li2_tail(1.0, order),
+        lambda order: _tail(1.0, order),
     ),
     (
         "halfplane_l2",
         {"spec": "half_plane()"},
         lambda: atlas.half_plane(),
         lambda: PI2_6 / 4.0,
-        lambda order: 0.25 * li2_tail(1.0, order),
+        lambda order: 0.25 * _tail(1.0, order),
     ),
     (
         "f1_l2_two_routes",
@@ -505,15 +585,20 @@ def _univalent_limit_rows(name, params, spec, rhs, tail, order):
     return [_l2_check(name, dict(params), spec(), rhs(), order, tail(order))]
 
 
+def _lambda_specs(lam):
+    return atlas.g_lambda(lam), atlas.f_lambda(lam)
+
+
 def _lambda_rows(lam, order):
     """The sharp bound at lambda: g_lambda attains it, f_lambda stays below it,
     and the sign analysis behind the sharpness proof."""
     bound = ulambda_l2_bound(lam)
+    g, f = _lambda_specs(lam)
     rows = [
         _l2_check(
             "log_l2_sharp_ulambda",
             {"lambda": lam, "spec": f"g_lambda(lambda={lam!r})"},
-            atlas.g_lambda(lam),
+            g,
             bound,
             order,
             glambda_l2_closed_tail(lam, order),
@@ -521,7 +606,7 @@ def _lambda_rows(lam, order):
         _l2_check(
             "log_l2_ulambda_counterexample",
             {"lambda": lam, "spec": f"f_lambda(lambda={lam!r})"},
-            atlas.f_lambda(lam),
+            f,
             bound,
             order,
             flambda_l2_closed_tail(lam, order),
@@ -544,6 +629,10 @@ def _lambda_rows(lam, order):
     return rows
 
 
+def _g_class_specs():
+    return (atlas.f0(), *(atlas.g_family(n) for n in range(1, 7)))
+
+
 def _g_class_rows(order):
     """Bounded-convexity chain at alpha = 1 plus the remark-family rows."""
     alpha = 1.0
@@ -552,10 +641,10 @@ def _g_class_rows(order):
     # g_family rows carry no tail
     l2_rows = (
         ("gclass_weighted_l2", "n_squared", b.weighted_l2, f0_weighted_l2_closed_tail),
-        ("gclass_l2", "unit", b.plain_l2, lambda n: 0.25 * li2_tail(0.25, n)),
+        ("gclass_l2", "unit", b.plain_l2, lambda n: 0.25 * _tail(0.25, n)),
     )
     rows = []
-    specs = [atlas.f0()] + [atlas.g_family(n) for n in range(1, 7)]
+    specs = _g_class_specs()
     profiles = [log_coefficients(spec, max(order, 40)) for spec in specs]
     for spec, prof in zip(specs, profiles):
         name = atlas.render(spec)
@@ -657,10 +746,15 @@ def _convex_rows(alpha, order):
     return rows
 
 
+def _starlike_specs():
+    """The two starlike extremals, Koebe and g_1."""
+    return atlas.koebe(0.0), atlas.g_lambda(1.0)
+
+
 def _starlike_rows(order):
-    """n |gamma_n| <= 1 for the two starlike extremals, Koebe and g_1."""
+    """n |gamma_n| <= 1 for the two starlike extremals."""
     rows = []
-    for spec in (atlas.koebe(0.0), atlas.g_lambda(1.0)):
+    for spec in _starlike_specs():
         prof = log_coefficients(spec, min(order, 100))
         ns = np.arange(1, prof.gammas.size + 1)
         rows.append(
@@ -696,28 +790,47 @@ def run_suite(
         if not 0.0 <= alpha <= 1.0:
             raise VerifyError(f"alpha {alpha!r} must lie in [0, 1]")
 
-    # (guard name, guard params, block): block(order) returns its rows, or raises
-    # and is replaced by one "error" row carrying the guard name and params
-    blocks = [("dilog_duplication_anchor", {"lambda": 1.0}, _anchor_rows)]
+    # (guard name, guard params, block, specs): block(order) returns its rows,
+    # or raises and is replaced by one "error" row carrying the guard name and
+    # params; specs() returns the specs whose profiles the block takes
+    blocks = [("dilog_duplication_anchor", {"lambda": 1.0}, _anchor_rows, tuple)]
     for limit in _UNIVALENT_LIMITS:
-        blocks.append((limit[0], {}, partial(_univalent_limit_rows, *limit)))
-    blocks.append(("starlike_coeff_bound", {}, _starlike_rows))
+        specs = partial(lambda spec: (spec(),), limit[2])
+        blocks.append((limit[0], {}, partial(_univalent_limit_rows, *limit), specs))
+    blocks.append(("starlike_coeff_bound", {}, _starlike_rows, _starlike_specs))
     for lam in lambdas:
-        blocks.append(("lambda_block", {"lambda": lam}, partial(_lambda_rows, lam)))
+        blocks.append(
+            ("lambda_block", {"lambda": lam}, partial(_lambda_rows, lam), partial(_lambda_specs, lam))
+        )
     if any(abs(alpha - 1.0) < 1e-12 for alpha in alphas):
-        blocks.append(("gclass_block", {"alpha": 1.0}, _g_class_rows))
+        blocks.append(("gclass_block", {"alpha": 1.0}, _g_class_rows, _g_class_specs))
     for alpha in alphas:
         if alpha < 1.0:
             blocks.append(
-                ("convex_block", {"alpha": alpha}, partial(_convex_rows, alpha))
+                ("convex_block", {"alpha": alpha}, partial(_convex_rows, alpha), tuple)
             )
 
-    rows = []
-    for name, params, block in blocks:
-        try:
-            rows.extend(block(order))
-        except Exception as err:  # noqa: BLE001 - a crash must surface as an error row
-            _log.debug("%s %r raised", name, params, exc_info=True)
-            error = {**params, "error": f"{type(err).__name__}: {err}"}
-            rows.append(replace(_check(name, error, 0.0, 0.0, order), status="error"))
+    run = _Run()
+    token = _RUN.set(run)
+    try:
+        # the last block to read each polynomial's power sums; a block whose
+        # specs raise is left out, and reports it when it runs
+        for i, (*_, specs) in enumerate(blocks):
+            try:
+                for spec in specs():
+                    for poly in _parts(spec) or ():
+                        run.last[poly.tobytes()] = i
+            except Exception:  # noqa: BLE001
+                pass
+        rows = []
+        for i, (name, params, block, _) in enumerate(blocks):
+            try:
+                rows.extend(block(order))
+            except Exception as err:  # noqa: BLE001 - a crash must surface as an error row
+                _log.debug("%s %r raised", name, params, exc_info=True)
+                error = {**params, "error": f"{type(err).__name__}: {err}"}
+                rows.append(replace(_check(name, error, 0.0, 0.0, order), status="error"))
+            run.release(i)
+    finally:
+        _RUN.reset(token)
     return rows

@@ -1,8 +1,10 @@
 import functools
 import json
 import math
+import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -144,6 +146,36 @@ class TestGFamilyTail:
         # the order-8192 values are 0.02299 and 0.97688
         assert u_deficiency(g_family(100), 0.015).verdict == "inconclusive"
         assert min_re_starlike(g_family(100), 0.98).verdict == "inconclusive"
+
+
+class TestGFamilyPower:
+    """atlas._power, the z^(n-1) of g_family's pointwise values."""
+
+    def test_numpys_own_power_below_100(self):
+        z = _sample_points(DEFAULT_RADII, DEFAULT_SAMPLES)
+        for k in range(100):
+            assert atlas._power(z, k).tobytes() == (z**k).tobytes(), k
+
+    @pytest.mark.parametrize("k", [100, 199, 1999])
+    def test_within_the_stated_allowance(self, k):
+        # each of the k - 1 products of the factor tree errs by at most
+        # sqrt(5) u relative, so z^k errs by sqrt(5) (k - 1) u <= 5 k u
+        z = _sample_points((0.9, 0.99), 64)
+        got = atlas._power(z, k)
+        allowance = math.sqrt(5.0) * (k - 1) * 2.0**-53
+        with mpmath.workdps(30):
+            for w, g in zip(z.tolist(), got.tolist()):
+                exact = mpmath.mpc(w) ** k
+                assert abs(mpmath.mpc(g) - exact) <= allowance * abs(exact), (w, k)
+
+    def test_largest_n_takes_log_n_products(self):
+        # n = 2^63 - 1: 62 squarings and 61 products per block, not one per
+        # factor of z
+        z = _sample_points(DEFAULT_RADII, DEFAULT_SAMPLES)[: membership.BLOCK_POINTS]
+        start = time.perf_counter()
+        w = atlas._power(z, 2**63 - 2)
+        assert time.perf_counter() - start < 5.0
+        assert np.all(w == 0)
 
 
 POLE_AT_THIRD = "rational(num=[0,1], den=[1,-3])"  # U = 0 for every z/(1 - a z)

@@ -5,7 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import mpmath
@@ -501,6 +503,7 @@ class TestLi2Tail:
             with pytest.raises(ValueError, match=r"outside \(-1, 1\]"):
                 li2_tail(x, 10)
         assert li2_tail(0.5, -3) == li2_tail(0.5, 0)
+        assert li2_tail(0.5, 10**200) == li2_tail(-0.5, 10**200) == 0.0
         assert abs(li2_tail(1.0, 0) - PI2_6) <= 4.5 * 2.0**-53 * PI2_6
         # x = 1 at orders across the switch to the asymptotic series
         for order in (62, 63, 64, 65, 10**6, 10**12):
@@ -528,6 +531,67 @@ class TestLi2Tail:
             assert (r.status, r.route) == (want[r.name], "closed_form"), r
             if r.status == "equality":
                 assert abs(r.slack) <= 1e-12, r
+
+
+# the orders at which the run-level reuse is checked against the routes it
+# replaces
+REUSE_ORDERS = (1, 2, 40, 128, 129, 300, 1024, 2048, 2600, 3001, 4096)
+
+
+def recorded_tails(monkeypatch, order):
+    """Every (x, N) that the default suite at `order` passes to li2_tail."""
+    pairs = set()
+    real = verify.li2_tail
+
+    def recording(x, n):
+        pairs.add((x, n))
+        return real(x, n)
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "li2_tail", recording)
+        run_suite(order=order)
+    return pairs
+
+
+class TestZeroTail:
+    """li2_tail returns 0.0 unsummed where its bound t^(N+1) / ((N+1)^2
+    (1 - t)) rounds to 0; that is the summing route's float."""
+
+    @staticmethod
+    def routes(monkeypatch, x, order):
+        """li2_tail(x, order) with and without the zero route, and whether
+        the zero route took it (no sum was formed)."""
+        sums, real = [], verify._exact_sum
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_exact_sum", lambda a: sums.append(a) or real(a))
+            got = li2_tail(x, order)
+            zero = not sums
+            m.setattr(verify, "_ZERO_TAIL", 0.0)
+            summed = li2_tail(x, order)
+        return got, summed, zero
+
+    def test_every_suite_tail(self, monkeypatch):
+        zeros = 0
+        for order in REUSE_ORDERS:
+            for x, n in recorded_tails(monkeypatch, order):
+                got, summed, zero = self.routes(monkeypatch, x, n)
+                assert got.hex() == summed.hex(), (x, n)
+                zeros += zero
+        assert zeros >= 45  # 45 of the 47 distinct tails at order 4096 alone
+
+    @pytest.mark.parametrize(
+        "x", [0.98, 0.81, 0.5, 0.25, 0.01, 1e-160, -1e-200, -1e-3, -0.5]
+    )
+    def test_both_sides_of_the_cut(self, monkeypatch, x):
+        t = abs(x)
+        first = 1
+        while t**first / ((1.0 - t) * first * first) > 0.0:
+            first += 1
+        cut = first - 1  # the lowest order that takes the zero route
+        for order in range(max(cut - 3, 0), cut + 4):
+            got, summed, zero = self.routes(monkeypatch, x, order)
+            assert got.hex() == summed.hex(), order
+            assert zero == (order >= cut), order
 
 
 class TestSharpBound:
@@ -941,6 +1005,108 @@ class TestSuite:
                 "tail_bound",
                 "route",
             }
+
+
+def report(rows) -> str:
+    return json.dumps([row.to_dict() for row in rows])
+
+
+class _NoRun:
+    """A stand-in for verify._RUN under which no run_suite call is in
+    progress, so every value is computed where it is read."""
+
+    def get(self):
+        return None
+
+    def set(self, run):
+        return None
+
+    def reset(self, token):
+        pass
+
+
+class TestRunReuse:
+    """run_suite computes each li2 tail, power sum and reciprocal head once,
+    holds none of them past its return, and gives the rows it gave when
+    each was computed where it is read."""
+
+    @pytest.mark.parametrize("order", REUSE_ORDERS)
+    def test_rows_equal_those_without_reuse(self, monkeypatch, order):
+        grids = [(verify.DEFAULT_LAMBDA_GRID, verify.DEFAULT_ALPHA_GRID), ((0.3, 1.0), (0.25, 1.0))]
+        want = [report(run_suite(*grid, order)) for grid in grids]
+        monkeypatch.setattr(verify, "_RUN", _NoRun())
+        assert [report(run_suite(*grid, order)) for grid in grids] == want
+
+    def test_each_value_once_per_run(self, monkeypatch):
+        seen = {"li2_tail": [], "power_sums": [], "reciprocal_raw": []}
+
+        def recording(name, key):
+            real = getattr(verify, name)
+
+            def wrapper(*args):
+                seen[name].append(key(*args))
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(verify, "li2_tail", recording("li2_tail", lambda x, n: (x, n)))
+        monkeypatch.setattr(verify, "power_sums", recording("power_sums", lambda c, n: c.tobytes()))
+        monkeypatch.setattr(verify, "reciprocal_raw", recording("reciprocal_raw", lambda a: a.tobytes()))
+        for order in (128, 3000):
+            for keys in seen.values():
+                keys.clear()
+            run_suite(order=order)
+            for name, keys in seen.items():
+                assert keys and len(keys) == len(set(keys)), (name, order)
+
+    def test_power_sums_are_held_only_while_a_later_block_reads_them(self, monkeypatch):
+        held = []
+        release = verify._Run.release
+
+        def recording(run, block):
+            release(run, block)
+            assert all(run.last[key] > block for key in run.sums)
+            held.append(len(run.sums))
+
+        monkeypatch.setattr(verify._Run, "release", recording)
+        run_suite(order=4096)
+        # Koebe's B (read again by g_1 and g_lambda(1)), f1's B (f_lambda(1))
+        # and A = 1 (every lambda block, and f0's B in the g-class block)
+        assert max(held) <= 3
+        assert held[-1] == 0
+
+    def test_no_cache_outlives_the_run(self, monkeypatch):
+        runs = []
+
+        class Recorded(verify._Run):
+            def __init__(self):
+                super().__init__()
+                runs.append(weakref.ref(self))
+
+        monkeypatch.setattr(verify, "_Run", Recorded)
+        run_suite(order=128)
+        gc.collect()
+        assert len(runs) == 1 and runs[0]() is None
+        assert verify._RUN.get() is None
+
+    def test_threads_get_the_rows_of_sequential_runs(self):
+        orders = (128, 4096)
+        want = {order: report(run_suite(order=order)) for order in orders}
+        start = threading.Barrier(len(orders))
+        got = {order: [] for order in orders}
+
+        def run(order):
+            start.wait()
+            for _ in range(8 if order == 128 else 2):
+                got[order].append(report(run_suite(order=order)))
+
+        threads = [threading.Thread(target=run, args=(order,)) for order in orders]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for order in orders:
+            assert got[order] and all(text == want[order] for text in got[order]), order
 
 
 class TestRandomMembersSatisfyBound:
