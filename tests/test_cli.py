@@ -2,7 +2,10 @@ import hashlib
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 import xml.etree.ElementTree as ET
@@ -101,6 +104,25 @@ def test_g_family_largest_n_runs(capsys):
     for argv in (("member", spec, "starlike"), ("render", spec), ("gamma", spec, "4")):
         assert run_cli(capsys, *argv)[0] == 0
     assert time.perf_counter() - start < 10.0
+
+
+def test_member_query_leaves_numpy_ma_unloaded():
+    # koebe's B has a double zero on the circle, so the zero rule sends it
+    # to min_root_modulus, which must not call np.unique: its first call
+    # imports numpy.ma, 8-14 ms of a fresh process's first query
+    code = (
+        "import sys\n"
+        "from logcoef.cli import main\n"
+        "main(['member', 'koebe(theta=0.0)', 'ulambda'])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_option_defaults_are_the_module_defaults():
