@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .series import TruncatedSeries, eval_raw, mul_raw, ts_reciprocal
+from .series import _BLOCK, TruncatedSeries, divide_raw, eval_raw, ts_reciprocal
 # unused here; bench/tracing.py wraps these names on this module
 from .series import shift_down, ts_exp, ts_integrate, ts_log  # noqa: F401
 
@@ -787,14 +787,16 @@ def rational_parts(spec: FunctionSpec):
 
 def fz_series(spec: FunctionSpec, order: int) -> TruncatedSeries:
     """Taylor series of f/z to the given order (constant term 1): the kind's
-    closed form, or A times 1/B from its parts divided by its c0 ~ 1."""
+    closed form, or A / B from its parts divided by its c0 ~ 1, the division
+    starting from ts_reciprocal's first block of 1/B."""
     if order < 0:
         raise SpecError("order must be nonnegative")
     series = KIND_REGISTRY[spec.kind].series
     if series is not None:
         return series(spec, order)
     a, b = rational_parts(spec)
-    fz = mul_raw(_padded(a, order), ts_reciprocal(TruncatedSeries(_padded(b, order))).coeffs)
+    b = _padded(b, order)
+    fz = divide_raw(_padded(a, order), b, ts_reciprocal(TruncatedSeries(b[:_BLOCK])).coeffs)
     if abs(fz[0] - 1.0) > NORMALIZATION_TOL:
         raise SpecError(f"f/z constant term {fz[0]} fails normalization")
     return TruncatedSeries(fz * (1.0 / fz[0]) if fz[0] != 1.0 else fz)

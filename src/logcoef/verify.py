@@ -53,8 +53,9 @@ order returning its rows, run in one guarded loop: a block that raises
 contributes one row with status "error" in place of its rows, carrying the
 block's guard name and params plus params["error"] = "<ExceptionType>:
 <message>".  So "violated" only ever means that a bound failed numerically.
-Within one run_suite call each distinct li2 tail, power-sum sequence and
-reciprocal head is computed once (_Run); nothing is kept after it returns.
+Within one run_suite call each distinct li2 tail and reciprocal head is
+computed once (_Run), and each power-sum sequence once while the run holds
+less than _SUMS_BYTES of them; nothing is kept after it returns.
 """
 
 from __future__ import annotations
@@ -127,19 +128,19 @@ def _exact_sum(x: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Values computed once per run_suite call.
 
+# Bytes of power sums a run holds before _power_sums drops them all; the
+# default grids at order 4096 hold about 1.5 MB.
+_SUMS_BYTES = 8 << 20
+
+
 class _Run:
     """What one run_suite call would otherwise compute more than once: li2
-    tails by (x, N), reciprocal heads and rational parts (values), and power
-    sums by polynomial (sums), each held until the end of the last block
-    that reads that polynomial (last: polynomial -> block index)."""
+    tails by (x, N) and reciprocal heads (values), each held to the end of
+    the run, and power sums by polynomial (sums), held while they total less
+    than _SUMS_BYTES."""
 
     def __init__(self):
-        self.values, self.sums, self.last = {}, {}, {}
-
-    def release(self, block: int):
-        """Drop the power sums that no block after this one reads."""
-        for key in [k for k in self.sums if self.last.get(k, block) <= block]:
-            del self.sums[key]
+        self.values, self.sums = {}, {}
 
 
 # The run_suite call in progress, None outside one; a context variable, so
@@ -158,21 +159,20 @@ def _once(key, compute):
     return run.values[key]
 
 
-def _parts(spec):
-    """atlas.rational_parts(spec), once per run_suite call for each spec."""
-    return _once(spec, lambda: atlas.rational_parts(spec))
-
-
 def _power_sums(coeffs: np.ndarray, count: int) -> np.ndarray:
     """power_sums(coeffs, count).  Within a run_suite call each polynomial's
-    sums are computed once, at the longest count asked for so far: a shorter
-    count's sums are a prefix of a longer count's, bit for bit."""
+    sums are computed once, at the longest count asked for so far (a shorter
+    count's sums are a prefix of a longer count's, bit for bit), until the
+    held sums reach _SUMS_BYTES: then they are all dropped before the next
+    is stored."""
     run = _RUN.get()
     if run is None:
         return power_sums(coeffs, count)
     key = coeffs.tobytes()
     sums = run.sums.get(key)
     if sums is None or sums.size < count:
+        if sum(held.nbytes for held in run.sums.values()) >= _SUMS_BYTES:
+            run.sums.clear()
         sums = run.sums[key] = power_sums(coeffs, count)
     return sums[:count]
 
@@ -196,7 +196,7 @@ def _tail(x: float, order: int) -> float:
 @dataclass(frozen=True)
 class LogCoeffProfile:
     gammas: np.ndarray  # gamma_1 .. gamma_N
-    source: str  # "parts" | "series" | "closed_form"
+    source: str  # "parts" | "series"
     spec: FunctionSpec
 
 
@@ -209,7 +209,7 @@ def log_coefficients(spec: FunctionSpec, order: int) -> LogCoeffProfile:
     its f/z series, in O((N/s)^2) when that series is one in w = z^s."""
     if order < 1:
         raise VerifyError("order must be >= 1")
-    parts = _parts(spec)
+    parts = atlas.rational_parts(spec)
     fz = atlas.fz_series(spec, order if parts is None else 1)
     if fz.coeffs[0] != 1.0:
         raise VerifyError("f/z fails the c0 = 1 normalization")
@@ -585,20 +585,15 @@ def _univalent_limit_rows(name, params, spec, rhs, tail, order):
     return [_l2_check(name, dict(params), spec(), rhs(), order, tail(order))]
 
 
-def _lambda_specs(lam):
-    return atlas.g_lambda(lam), atlas.f_lambda(lam)
-
-
 def _lambda_rows(lam, order):
     """The sharp bound at lambda: g_lambda attains it, f_lambda stays below it,
     and the sign analysis behind the sharpness proof."""
     bound = ulambda_l2_bound(lam)
-    g, f = _lambda_specs(lam)
     rows = [
         _l2_check(
             "log_l2_sharp_ulambda",
             {"lambda": lam, "spec": f"g_lambda(lambda={lam!r})"},
-            g,
+            atlas.g_lambda(lam),
             bound,
             order,
             glambda_l2_closed_tail(lam, order),
@@ -606,7 +601,7 @@ def _lambda_rows(lam, order):
         _l2_check(
             "log_l2_ulambda_counterexample",
             {"lambda": lam, "spec": f"f_lambda(lambda={lam!r})"},
-            f,
+            atlas.f_lambda(lam),
             bound,
             order,
             flambda_l2_closed_tail(lam, order),
@@ -629,10 +624,6 @@ def _lambda_rows(lam, order):
     return rows
 
 
-def _g_class_specs():
-    return (atlas.f0(), *(atlas.g_family(n) for n in range(1, 7)))
-
-
 def _g_class_rows(order):
     """Bounded-convexity chain at alpha = 1 plus the remark-family rows."""
     alpha = 1.0
@@ -644,7 +635,7 @@ def _g_class_rows(order):
         ("gclass_l2", "unit", b.plain_l2, lambda n: 0.25 * _tail(0.25, n)),
     )
     rows = []
-    specs = _g_class_specs()
+    specs = [atlas.f0()] + [atlas.g_family(n) for n in range(1, 7)]
     profiles = [log_coefficients(spec, max(order, 40)) for spec in specs]
     for spec, prof in zip(specs, profiles):
         name = atlas.render(spec)
@@ -746,15 +737,10 @@ def _convex_rows(alpha, order):
     return rows
 
 
-def _starlike_specs():
-    """The two starlike extremals, Koebe and g_1."""
-    return atlas.koebe(0.0), atlas.g_lambda(1.0)
-
-
 def _starlike_rows(order):
-    """n |gamma_n| <= 1 for the two starlike extremals."""
+    """n |gamma_n| <= 1 for the two starlike extremals, Koebe and g_1."""
     rows = []
-    for spec in _starlike_specs():
+    for spec in (atlas.koebe(0.0), atlas.g_lambda(1.0)):
         prof = log_coefficients(spec, min(order, 100))
         ns = np.arange(1, prof.gammas.size + 1)
         rows.append(
@@ -790,47 +776,32 @@ def run_suite(
         if not 0.0 <= alpha <= 1.0:
             raise VerifyError(f"alpha {alpha!r} must lie in [0, 1]")
 
-    # (guard name, guard params, block, specs): block(order) returns its rows,
-    # or raises and is replaced by one "error" row carrying the guard name and
-    # params; specs() returns the specs whose profiles the block takes
-    blocks = [("dilog_duplication_anchor", {"lambda": 1.0}, _anchor_rows, tuple)]
+    # (guard name, guard params, block): block(order) returns its rows, or raises
+    # and is replaced by one "error" row carrying the guard name and params
+    blocks = [("dilog_duplication_anchor", {"lambda": 1.0}, _anchor_rows)]
     for limit in _UNIVALENT_LIMITS:
-        specs = partial(lambda spec: (spec(),), limit[2])
-        blocks.append((limit[0], {}, partial(_univalent_limit_rows, *limit), specs))
-    blocks.append(("starlike_coeff_bound", {}, _starlike_rows, _starlike_specs))
+        blocks.append((limit[0], {}, partial(_univalent_limit_rows, *limit)))
+    blocks.append(("starlike_coeff_bound", {}, _starlike_rows))
     for lam in lambdas:
-        blocks.append(
-            ("lambda_block", {"lambda": lam}, partial(_lambda_rows, lam), partial(_lambda_specs, lam))
-        )
+        blocks.append(("lambda_block", {"lambda": lam}, partial(_lambda_rows, lam)))
     if any(abs(alpha - 1.0) < 1e-12 for alpha in alphas):
-        blocks.append(("gclass_block", {"alpha": 1.0}, _g_class_rows, _g_class_specs))
+        blocks.append(("gclass_block", {"alpha": 1.0}, _g_class_rows))
     for alpha in alphas:
         if alpha < 1.0:
             blocks.append(
-                ("convex_block", {"alpha": alpha}, partial(_convex_rows, alpha), tuple)
+                ("convex_block", {"alpha": alpha}, partial(_convex_rows, alpha))
             )
 
-    run = _Run()
-    token = _RUN.set(run)
+    token = _RUN.set(_Run())
     try:
-        # the last block to read each polynomial's power sums; a block whose
-        # specs raise is left out, and reports it when it runs
-        for i, (*_, specs) in enumerate(blocks):
-            try:
-                for spec in specs():
-                    for poly in _parts(spec) or ():
-                        run.last[poly.tobytes()] = i
-            except Exception:  # noqa: BLE001
-                pass
         rows = []
-        for i, (name, params, block, _) in enumerate(blocks):
+        for name, params, block in blocks:
             try:
                 rows.extend(block(order))
             except Exception as err:  # noqa: BLE001 - a crash must surface as an error row
                 _log.debug("%s %r raised", name, params, exc_info=True)
                 error = {**params, "error": f"{type(err).__name__}: {err}"}
                 rows.append(replace(_check(name, error, 0.0, 0.0, order), status="error"))
-            run.release(i)
     finally:
         _RUN.reset(token)
     return rows

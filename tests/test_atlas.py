@@ -32,7 +32,7 @@ from logcoef.atlas import (
     schwarz_superset,
     taylor_of,
 )
-from logcoef.series import TruncatedSeries, eval_raw, ts_eval, ts_reciprocal
+from logcoef.series import TruncatedSeries, divide_raw, eval_raw, ts_eval, ts_reciprocal
 from logcoef.verify import log_coefficients
 from series_references import (
     G_FAMILY_NS,
@@ -386,18 +386,27 @@ class TestClosedFormSeries:
 
 
 class TestQuotientSeries:
-    """A kind with parts and no closed-form series takes f/z as A times 1/B
-    in fz_series, divided by its constant term."""
+    """A kind with parts and no closed-form series takes f/z as the series
+    division A / B (divide_raw) in fz_series, divided by its constant term.
+    Within the first block that is A times 1/B; past it, the blocked
+    division."""
 
-    def test_a_kind_without_series_takes_a_times_one_over_b(self, monkeypatch):
+    @pytest.mark.parametrize("order", [64, 300])
+    def test_a_kind_without_series_divides_a_by_b(self, monkeypatch, order):
         entry = dataclasses.replace(atlas.KIND_REGISTRY["rational"], series=None)
         monkeypatch.setitem(atlas.KIND_REGISTRY, "rational", entry)
         # 49 (1/49) rounds below 1, so the constant term is divided out
         spec = rational([0, 49, 3 - 1j], [49, -10, 2j])
-        a, b = (np.pad(c, (0, 65 - c.size)) for c in atlas.rational_parts(spec))
-        fz = (TruncatedSeries(a) * ts_reciprocal(TruncatedSeries(b))).coeffs
+        a, b = (np.pad(c, (0, order + 1 - c.size)) for c in atlas.rational_parts(spec))
+        fz = divide_raw(a, b)
         assert fz[0] != 1.0
-        assert np.array_equal(fz_series(spec, 64).coeffs, fz * (1.0 / fz[0]))
+        got = fz_series(spec, order).coeffs
+        assert got.tobytes() == (fz * (1.0 / fz[0])).tobytes()
+        product = (TruncatedSeries(a) * ts_reciprocal(TruncatedSeries(b))).coeffs
+        if order < 128:
+            assert np.array_equal(fz, product)
+        else:
+            assert np.allclose(fz, product, rtol=1e-13, atol=1e-13 * np.abs(product).max())
 
     @pytest.mark.parametrize("order", [0, 1, 5, 128, 300, 4096])
     def test_f0_and_half_plane_are_exact(self, order):

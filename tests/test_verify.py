@@ -1052,28 +1052,47 @@ class TestRunReuse:
         monkeypatch.setattr(verify, "li2_tail", recording("li2_tail", lambda x, n: (x, n)))
         monkeypatch.setattr(verify, "power_sums", recording("power_sums", lambda c, n: c.tobytes()))
         monkeypatch.setattr(verify, "reciprocal_raw", recording("reciprocal_raw", lambda a: a.tobytes()))
-        for order in (128, 3000):
+        for order in (128, 3000, 4096):
             for keys in seen.values():
                 keys.clear()
             run_suite(order=order)
             for name, keys in seen.items():
                 assert keys and len(keys) == len(set(keys)), (name, order)
 
-    def test_power_sums_are_held_only_while_a_later_block_reads_them(self, monkeypatch):
-        held = []
-        release = verify._Run.release
+    def test_held_power_sums_stay_within_the_cap(self, monkeypatch):
+        # 76 lambda values at order 4096 compute about 9.8 MB of power sums
+        grid = (tuple(k / 76 for k in range(1, 77)), (0.5, 1.0), 4096)
+        held, longest = [], []
+        real = verify._power_sums
 
-        def recording(run, block):
-            release(run, block)
-            assert all(run.last[key] > block for key in run.sums)
-            held.append(len(run.sums))
+        def recording(coeffs, count):
+            sums = real(coeffs, count)
+            stored = verify._RUN.get().sums.values()
+            held.append(sum(s.nbytes for s in stored))
+            longest.append(max(s.nbytes for s in stored))
+            return sums
 
-        monkeypatch.setattr(verify._Run, "release", recording)
-        run_suite(order=4096)
-        # Koebe's B (read again by g_1 and g_lambda(1)), f1's B (f_lambda(1))
-        # and A = 1 (every lambda block, and f0's B in the g-class block)
-        assert max(held) <= 3
-        assert held[-1] == 0
+        monkeypatch.setattr(verify, "_power_sums", recording)
+        want = report(run_suite(*grid))
+        assert max(held) >= verify._SUMS_BYTES  # the cap was reached
+        assert max(held) <= verify._SUMS_BYTES + max(longest)
+        monkeypatch.setattr(verify, "_power_sums", real)
+        monkeypatch.setattr(verify, "_RUN", _NoRun())
+        assert report(run_suite(*grid)) == want
+
+    def test_a_repeated_lambda_repeats_its_rows_from_one_computation(self, monkeypatch):
+        keys = []
+        real = verify.power_sums
+
+        def recording(coeffs, count):
+            keys.append(coeffs.tobytes())
+            return real(coeffs, count)
+
+        monkeypatch.setattr(verify, "power_sums", recording)
+        rows = run_suite((0.5, 0.5, 1.0), (0.5, 1.0), 128)
+        half = [row.to_dict() for row in rows if row.params.get("lambda") == 0.5]
+        assert len(half) == 50 and half[:25] == half[25:]
+        assert keys and len(keys) == len(set(keys))
 
     def test_no_cache_outlives_the_run(self, monkeypatch):
         runs = []
