@@ -25,9 +25,14 @@ in the unit polydisk (plus truncated Blaschke products, which live near the
 boundary where extremals sit) and rescaled by a certified upper bound on
 their boundary sup (certified_sup_bound: the max of |w|^2 on CERT_SAMPLES
 angles plus a curvature gap), so every candidate used is genuinely bounded
-by one.  Every sup of the module is that bound: the candidates', the
-public gate's (validate_schwarz, which refines the grid only where the
-bound is undecided) and the exact_u post-check's.
+by one.  The max is found in two passes with the bits of all CERT_SAMPLES
+samples (_sampled_gmax): a coarse pass at every 16th or 8th angle, then,
+for each row, only the arcs of _ARC angles whose bound (their coarse
+samples plus the curvature gap between them and a rounding allowance,
+_sample_allowance) exceeds the row's coarse max.  Every sup of the module
+is that bound: the candidates', the public gate's (validate_schwarz, which
+refines the grid only where the bound is undecided) and the exact_u
+post-check's.
 
 Random candidates are drawn in chunks of 256 rows: 192 polynomials of
 degree at most 6 (7 columns), then the randoms of 64 Blaschke truncations
@@ -42,8 +47,8 @@ rule below names the same winner however the rows are cut into offers, so
 the slab's size changes no search.  A slab is 16 chunks (4,096 rows)
 because each pays a fixed count of numpy calls whatever its size (the root
 test's steps, the Blaschke recurrence, the curvature sum); memory is
-bounded by tiles inside it, _PRODUCT_ROWS rows per certification product
-and _SCREEN_ROWS rows per screen.
+bounded by tiles inside it, _PRODUCT_VALUES values per certification
+product (coarse or arc) and _SCREEN_ROWS rows per screen.
 For the exact parametrization the chunk test builds every denominator
 z/f = q of a block at once and runs atlas.root_test, the package's one zero
 rule, on it.  The superset family has no test.
@@ -101,7 +106,8 @@ POSTCHECK_TOL = 1e-6
 _CHUNK = 256
 _SLAB_CHUNKS = 16  # random chunks built, certified, tested and offered together
 _SCREEN_ROWS = 512  # rows per _screen call, which holds four rows x n arrays
-_PRODUCT_ROWS = 64  # rows of one certification product, a multiple of 8
+_PRODUCT_VALUES = 64 * CERT_SAMPLES  # values of one certification product
+_ARC = 128  # samples per arc of the certification's second pass
 _POLY_PER_CHUNK = 192  # remainder of each chunk is Blaschke-truncation draws
 _MAX_POLY_DEGREE = 6
 _BLASCHKE_TRUNC = 24
@@ -158,32 +164,44 @@ def validate_schwarz(coeffs) -> SchwarzParams:
     limit, d = 1.0 + SCHWARZ_GATE_TOL, len(coeffs)
     with np.errstate(over="ignore", invalid="ignore"):  # nan and inf fail below
         b = _autocorrelation(np.array([coeffs]))
-        gmax = _sampled_gmax(b)
-        sup = _sup_bound(b, gmax)[0]
+        m2 = _curvature_bound(b)
+        gmax = _sampled_gmax(b, m2)
+        sup = _sup_bound(m2, gmax)[0]
         k = min(1024, _REFINE_WORK // (2 * d - 1))
         if k > 1 and np.sqrt(gmax[0]) <= limit < sup:
             angle = 2.0 * math.pi / (CERT_SAMPLES * k) * np.outer(np.arange(1, k), np.arange(d))
-            gmax = np.maximum(gmax, _sampled_gmax(b * np.exp(1j * angle)).max())
-            sup = _sup_bound(b, gmax, k)[0]
+            turned = b * np.exp(1j * angle)
+            gmax = np.maximum(gmax, _sampled_gmax(turned, _curvature_bound(turned)).max())
+            sup = _sup_bound(m2, gmax, k)[0]
     if not sup <= limit:
         raise SearchError(f"certified boundary sup {sup:.12g} exceeds 1")
     return SchwarzParams(coeffs=coeffs, validated=True)
 
 
 @lru_cache(maxsize=_MATRIX_CACHE_SIZE)
-def _cosine_matrix(ncoeff: int) -> np.ndarray:
+def _cosine_matrix(ncoeff: int) -> tuple[np.ndarray, np.ndarray]:
     """The real (2 ncoeff - 1) x CERT_SAMPLES matrix with rows 1, then
     2 cos(mu theta_j) and -2 sin(mu theta_j) for mu = 1 .. ncoeff - 1, over
-    CERT_SAMPLES equispaced angles.  The row [b_0, Re b_1, Im b_1, ...] of
-    an autocorrelation b times it is g(theta_j) = |w(e^{i theta_j})|^2."""
+    CERT_SAMPLES equispaced angles, and a copy of its every s-th column for
+    _sampled_gmax's coarse pass, column c arcs + a the c-th of arc a
+    (arcs = CERT_SAMPLES / _ARC).  The row [b_0, Re b_1, Im b_1, ...] of an
+    autocorrelation b times it is g(theta_j) = |w(e^{i theta_j})|^2.  The
+    stride s is the largest of 16, 8, 4 with s ncoeff <= 256, at least four
+    coarse samples per period of g's top frequency, else 2: 16 for the
+    polynomials' 7 coefficients, 8 for the Blaschke truncations' 25."""
     theta = 2.0 * math.pi * np.arange(CERT_SAMPLES) / CERT_SAMPLES
     phase = np.exp(1j * np.outer(np.arange(1, ncoeff), theta))
     matrix = np.empty((2 * ncoeff - 1, CERT_SAMPLES))
     matrix[0] = 1.0
     matrix[1::2] = 2.0 * phase.real
     matrix[2::2] = -2.0 * phase.imag
-    matrix.flags.writeable = False  # shared by every caller of the cache
-    return matrix
+    stride = 16
+    while stride > 2 and stride * ncoeff > 256:
+        stride //= 2
+    coarse = matrix[:, ::stride].reshape(len(matrix), CERT_SAMPLES // _ARC, -1)
+    coarse = coarse.transpose(0, 2, 1).reshape(len(matrix), -1)  # a contiguous copy, for BLAS
+    matrix.flags.writeable = coarse.flags.writeable = False  # shared by every caller of the cache
+    return matrix, coarse
 
 
 def _autocorrelation(batch: np.ndarray) -> np.ndarray:
@@ -211,31 +229,93 @@ def _curvature_bound(b: np.ndarray) -> np.ndarray:
     return m2
 
 
-def _sampled_gmax(b: np.ndarray) -> np.ndarray:
+def _sampled_gmax(b: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """max of g(theta) = |w(e^{i theta})|^2 over CERT_SAMPLES equispaced
     angles for each row b, shape (rows, d), of an autocorrelation
-    (_autocorrelation).  The samples
+    (_autocorrelation), m2 its _curvature_bound.  The samples
     g = b_0 + 2 sum_{mu>=1} (Re b_mu cos mu theta - Im b_mu sin mu theta) are
-    one real product with _cosine_matrix on whole tiles of 8 rows (the last
-    zero-padded), so a row's bits do not depend on the rows beside it, run
-    on at most _PRODUCT_ROWS rows at a time."""
+    real products of the rows [b_0, Re b_1, Im b_1, ...] with columns of
+    _cosine_matrix, on whole tiles of 8 rows (padded with zero rows), all
+    held in one buffer of _PRODUCT_VALUES values.  A sample's bits depend
+    neither on the product's columns nor on the rows beside it, so the max
+    has the bits of the full product's.
+
+    A coarse pass takes every s-th sample (_cosine_matrix).  Then each arc
+    of _ARC samples is computed only for the rows whose arc bound exceeds
+    their coarse max: the larger of the arc's coarse samples and the next
+    arc's first, plus the curvature gap (s h)^2/8 m2 of g over its linear
+    interpolant between coarse samples, plus twice _sample_allowance (for
+    the coarse samples and for the arc's), inflated past the rounding of
+    its own sums.  The bound's last sum rounds monotonically, so no sample
+    above the coarse max is skipped.  A row whose coarse max or slack is
+    not finite, as a non-finite entry of b makes one, gets every arc."""
     rows, d = b.shape
-    v = np.zeros((-(-rows // 8) * 8, 2 * d - 1))
-    v[:rows, 0] = b[:, 0].real
-    v[:rows, 1::2] = b[:, 1:].real
-    v[:rows, 2::2] = b[:, 1:].imag
-    matrix = _cosine_matrix(d)
-    gmax = np.empty(len(v))
-    for i in range(0, len(v), _PRODUCT_ROWS):  # bounds the product's memory
-        gmax[i : i + _PRODUCT_ROWS] = np.max(v[i : i + _PRODUCT_ROWS] @ matrix, axis=1)
+    parts = np.ascontiguousarray(b).view(np.float64)  # Re b_0, Im b_0, Re b_1, ...
+    whole = -(-rows // 8) * 8
+    v = np.zeros((whole + 8, 2 * d - 1))  # 8 zero rows past the tiles pad each arc's rows
+    v[:rows, 0] = parts[:, 0]
+    v[:rows, 1:] = parts[:, 2:]
+    matrix, coarse = _cosine_matrix(d)
+    arcs = CERT_SAMPLES // _ARC
+    nxt = np.arange(1, arcs + 1) % arcs
+    gap = (2.0 * math.pi / coarse.shape[1]) ** 2 / 8.0
+    slack = np.zeros(len(v))
+    slack[:rows] = (m2 * gap + 2.0 * _sample_allowance(b)) * (1.0 + 8 * d * _EPS)
+    gmax = np.zeros(len(v))
+    refine = np.empty((arcs, len(v)), dtype=bool)
+    work = np.empty(_PRODUCT_VALUES)  # every product's values, in one allocation per call
+
+    def product(x, m):  # x @ m, held in `work`
+        return np.matmul(x, m, out=work[: len(x) * m.shape[1]].reshape(len(x), -1))
+
+    tile = _PRODUCT_VALUES // coarse.shape[1]
+    for i in range(0, whole, tile):
+        t = slice(i, min(i + tile, whole))
+        g = product(v[t], coarse)  # column c arcs + a: sample c of arc a
+        after = g[:, nxt].T  # each arc's next arc's first sample
+        width = g.shape[1]
+        while width > arcs:  # each arc's max in g[:, :arcs], in place
+            width //= 2
+            np.maximum(g[:, :width], g[:, width : 2 * width], out=g[:, :width])
+        top = g[:, :arcs].T.copy()
+        gmax[t] = top.max(axis=0)
+        np.maximum(top, after, out=top)
+        refine[:, t] = top + slack[t] > gmax[t]
+    refine[:, ~np.isfinite(gmax + slack)] = True
+    refine[:, whole:] = np.arange(8) < -refine[:, :whole].sum(axis=1)[:, None] % 8
+    todo = np.flatnonzero(refine)  # arc a's rows at a len(v) + row, whole tiles of them
+    ends = np.searchsorted(todo, np.arange(arcs + 1) * len(v))
+    todo %= len(v)
+    peaks = np.empty(len(todo))
+    for a in range(arcs):
+        for j in range(ends[a], ends[a + 1], _PRODUCT_VALUES // _ARC):
+            k = min(j + _PRODUCT_VALUES // _ARC, ends[a + 1])
+            peaks[j:k] = product(v[todo[j:k]], matrix[:, a * _ARC : (a + 1) * _ARC]).max(axis=1)
+    np.maximum.at(gmax, todo, peaks)
     return gmax[:rows]
 
 
-def _sup_bound(b: np.ndarray, gmax: np.ndarray, k: int = 1) -> np.ndarray:
-    """sqrt(gmax + (h/2)^2/2 sup|g''|), gmax the max of g = |w|^2 on a grid
-    of spacing h = 2 pi / (k CERT_SAMPLES), sup|g''| from _curvature_bound."""
+def _sample_allowance(b: np.ndarray) -> np.ndarray:
+    """Bound on |computed sample - g(theta_j)| for every sample of
+    _sampled_gmax, g at the exact angle theta_j = 2 pi j / CERT_SAMPLES:
+    64 d eps (|b_0| + T) for a row b of width d, T = sum_{mu>=1}
+    (|Re b_mu| + |Im b_mu|), and 0 where T = 0 (each sample is then b_0).
+    The product's 2d - 1 terms round to within 2d eps (|b_0| + (2 + delta) T),
+    and each matrix entry lies within delta <= 46 d eps of 2 cos or 2 sin at
+    the exact angle: the computed angle mu fl(fl(2 pi) j) / CERT_SAMPLES is
+    within 3.01 eps relative, 19 mu eps absolute, and np.exp's cosine and
+    sine are within 2 ulp.  That is 51 d eps (|b_0| + T) in all."""
+    parts = np.abs(np.ascontiguousarray(b).view(np.float64))
+    tail = parts[:, 2:] @ np.ones(parts.shape[1] - 2)
+    allowance = 64.0 * b.shape[1] * _EPS * (parts[:, 0] + tail)
+    return np.where(tail == 0.0, 0.0, allowance)
+
+
+def _sup_bound(m2: np.ndarray, gmax: np.ndarray, k: int = 1) -> np.ndarray:
+    """sqrt(gmax + (h/2)^2/2 m2), gmax the max of g = |w|^2 on a grid of
+    spacing h = 2 pi / (k CERT_SAMPLES), m2 >= sup|g''| (_curvature_bound)."""
     h = 2.0 * math.pi / (CERT_SAMPLES * k)
-    return np.sqrt(gmax + _curvature_bound(b) * h * h / 8.0)
+    return np.sqrt(gmax + m2 * h * h / 8.0)
 
 
 def certified_sup_bound(batch: np.ndarray) -> np.ndarray:
@@ -243,7 +323,8 @@ def certified_sup_bound(batch: np.ndarray) -> np.ndarray:
     sampled max of g = |w|^2 over CERT_SAMPLES angles (_sampled_gmax) plus
     the curvature gap (_sup_bound)."""
     b = _autocorrelation(batch)
-    return _sup_bound(b, _sampled_gmax(b))
+    m2 = _curvature_bound(b)
+    return _sup_bound(m2, _sampled_gmax(b, m2))
 
 
 # ---------------------------------------------------------------------------

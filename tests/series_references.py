@@ -235,6 +235,73 @@ def per_shift_curvature_bound(batch: np.ndarray) -> np.ndarray:
     return m2
 
 
+def full_product_gmax(b: np.ndarray) -> np.ndarray:
+    """search._sampled_gmax by the route it replaced: the full product of
+    the rows [b_0, Re b_1, Im b_1, ...] with the CERT_SAMPLES-column
+    cosine-sine matrix, 64 rows at a time on whole tiles of 8 rows, and
+    its max over every column."""
+    rows, d = b.shape
+    v = np.zeros((-(-rows // 8) * 8, 2 * d - 1))
+    v[:rows, 0] = b[:, 0].real
+    v[:rows, 1::2] = b[:, 1:].real
+    v[:rows, 2::2] = b[:, 1:].imag
+    theta = 2.0 * math.pi * np.arange(S.CERT_SAMPLES) / S.CERT_SAMPLES
+    phase = np.exp(1j * np.outer(np.arange(1, d), theta))
+    matrix = np.empty((2 * d - 1, S.CERT_SAMPLES))
+    matrix[0] = 1.0
+    matrix[1::2] = 2.0 * phase.real
+    matrix[2::2] = -2.0 * phase.imag
+    gmax = np.empty(len(v))
+    for i in range(0, len(v), 64):
+        gmax[i : i + 64] = np.max(v[i : i + 64] @ matrix, axis=1)
+    return gmax[:rows]
+
+
+def gmax_cases(seeds) -> list[np.ndarray]:
+    """Autocorrelation batches (search._autocorrelation) for the bitwise
+    check of search._sampled_gmax: for each seed a random slab of 16 chunks
+    as drawn, both widths, and the same rows certified; then rows of width 7
+    that are zero, of degree 0, have the max of g on an arc boundary (at
+    theta = pi/4, sample 128) or have it on two arcs ((1 + z^8)/2, whose
+    eight maxima are the arc boundaries, and (1 + z^9)/2); and near-flat
+    Blaschke truncations, every zero of modulus below 0.3."""
+    out = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        chunks = [S._draw_chunk(rng, S._CHUNK) for _ in range(16)]
+        poly = np.concatenate([poly for poly, _ in chunks])
+        out += [poly, S._blaschke_rows(*(np.concatenate(x) for x in zip(*(b for _, b in chunks))))]
+        out += [block for block, _, _ in S._candidate_blocks(chunks, [S._CHUNK] * 16)]
+        nz, zeros, phases = S._draw_blaschke(rng, 64)
+        out.append(S._blaschke_rows(nz, zeros * (0.3 / S._BLASCHKE_ZERO_RADIUS), phases))
+    special = np.zeros((8, S._MAX_POLY_DEGREE + 1), dtype=np.complex128)
+    special[1, 0] = 0.7
+    special[2, 0] = 1.0
+    special[3, :2] = 0.5, 0.5 * np.exp(-0.25j * np.pi)
+    special[4, [0, 6]] = 0.5
+    special[5, :3] = 0.25, 0.5j, -0.25
+    out.append(special)
+    for m in (8, 9):
+        row = np.zeros((1, m + 1))
+        row[0, [0, m]] = 0.5
+        out.append(row.astype(np.complex128))
+    return [S._autocorrelation(batch) for batch in out]
+
+
+def gmax_mismatches(batches) -> int:
+    """Rows of `batches` whose search._sampled_gmax differs from
+    full_product_gmax in its bits, or, where either is nan, in nan-ness
+    (numpy's max reduction and np.maximum pick different nan bits)."""
+    bad = 0
+    for b in batches:
+        got = S._sampled_gmax(b, S._curvature_bound(b))
+        want = full_product_gmax(b)
+        nan = np.isnan(got) | np.isnan(want)
+        bad += int(np.count_nonzero(nan & ~(np.isnan(got) & np.isnan(want))))
+        bad += int(np.count_nonzero(~nan & (got.view(np.uint64) != want.view(np.uint64))))
+    return bad
+
+
 def sampled_modulus_max(batch: np.ndarray, samples: int) -> np.ndarray:
     """max |w| over `samples` equispaced points of the unit circle for each
     row w of `batch`, by the route the search's sampler replaced: the

@@ -1,7 +1,10 @@
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -17,6 +20,9 @@ from series_references import (
     chunk_blocks,
     convolved_blaschke_batch,
     convolved_superset_denominator,
+    full_product_gmax,
+    gmax_cases,
+    gmax_mismatches,
     mp_coeff,
     mp_superset_coeff,
     per_row_coeff,
@@ -346,6 +352,108 @@ class TestStackedCandidates:
         zeros = np.zeros((3, width), dtype=np.complex128)
         assert S.certified_sup_bound(zeros).tolist() == [0.0] * 3
         assert sampled_sup_bound(zeros).tolist() == [0.0] * 3
+
+
+class TestArcPasses:
+    """_sampled_gmax's coarse pass and arcs give the bits of the full
+    CERT_SAMPLES-angle product (tests/series_references.py)."""
+
+    def test_slabs_and_edge_rows(self):
+        assert gmax_mismatches(gmax_cases(range(6))) == 0
+
+    @pytest.mark.parametrize("width", [7, 25])
+    @pytest.mark.parametrize("rows", [1, 7, 9])
+    def test_small_batches(self, width, rows):
+        rng = np.random.default_rng(width * 10 + rows)
+        batch = S._draw_disk(rng, (rows, width)) / width
+        batch[0, 1:] = 0.0  # a degree-0 row
+        assert gmax_mismatches([S._autocorrelation(batch)]) == 0
+
+    def test_rows_the_search_certifies(self, monkeypatch):
+        # slabs and polish lines of both families, and the rotated rows by
+        # which the gate refines an undecided bound
+        seen = []
+        sampled_gmax = S._sampled_gmax
+
+        def recording(b, m2):
+            seen.append(b)
+            return sampled_gmax(b, m2)
+
+        monkeypatch.setattr(S, "_sampled_gmax", recording)
+        for family in ("superset", "exact_u"):
+            search_max_coeff(0.7, 5, family, budget=1500, seed=4)
+        for w in ([0.5, 0.5], _half_plus(9), [0.3, 0.3, 0.4]):
+            validate_schwarz(w)
+        monkeypatch.undo()
+        assert min(len(b) for b in seen) < 200 < max(len(b) for b in seen)
+        assert gmax_mismatches(seen) == 0
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[math.nan], [math.inf], [1e200], [1e200, 1e200], [0.5, complex(0.0, math.nan)],
+         [0.5, math.inf, 0.2], [1e153, 1e153, 0.5]],
+    )
+    def test_non_finite_and_huge_rows(self, coeffs):
+        # a row with a non-finite value, max or slack takes every arc; the
+        # gate refuses it with the message of the full product's max
+        batch = np.zeros((1, 7), dtype=np.complex128)
+        batch[0, : len(coeffs)] = coeffs
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = S._autocorrelation(batch)
+            assert gmax_mismatches([b]) == 0
+            sup = S._sup_bound(S._curvature_bound(b), full_product_gmax(b))[0]
+        if not sup <= 1.0 + S.SCHWARZ_GATE_TOL:
+            message = f"certified boundary sup {sup:.12g} exceeds 1"
+            with pytest.raises(SearchError, match=re.escape(message)):
+                validate_schwarz(batch[0])
+
+    def test_arcs_are_skipped(self, monkeypatch):
+        # the second pass computes about one arc per polynomial row and two
+        # per Blaschke row, not every arc
+        arcs = []  # rows of every arc product: the arcs are column blocks of the full matrix
+        matmul = np.matmul
+
+        def recording(x, m, **kwargs):
+            if not m.flags.c_contiguous:
+                arcs.append(len(x))
+            return matmul(x, m, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        rng = np.random.default_rng(11)
+        chunks = [S._draw_chunk(rng, S._CHUNK) for _ in range(S._SLAB_CHUNKS)]
+        for block, _, _ in S._candidate_blocks(chunks, [S._CHUNK] * S._SLAB_CHUNKS):
+            arcs.clear()
+            S.certified_sup_bound(block)
+            # 1.0 and 1.8 arcs a row for this slab, with the 8-row padding
+            assert sum(arcs) <= (1.1 if block.shape[1] == 7 else 2.0) * len(block)
+
+    @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+    def test_bits_under_other_openblas_kernels(self, core):
+        # the bits rest on one fact of the BLAS: a sample's bits depend
+        # neither on the product's column count nor on its row tile; check
+        # it under two more of the kernels a DYNAMIC_ARCH OpenBLAS carries
+        code = (
+            "from series_references import gmax_cases, gmax_mismatches\n"
+            "print(gmax_mismatches(gmax_cases(range(3))))\n"
+        )
+        here = Path(__file__).resolve().parent
+        path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, path)),
+            "OPENBLAS_CORETYPE": core,
+            "OPENBLAS_VERBOSE": "2",
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        if proc.returncode < 0:
+            pytest.skip(f"the {core} kernel does not run on this CPU (signal {-proc.returncode})")
+        assert proc.returncode == 0, proc.stderr
+        if "Core not found" in proc.stderr or "Core:" not in proc.stderr:
+            reason = proc.stderr.strip()
+            pytest.skip(f"numpy's BLAS did not honour OPENBLAS_CORETYPE={core}: {reason!r}")
+        assert proc.stdout.split() == ["0"]
 
 
 class TestBuilders:
@@ -1545,24 +1653,24 @@ class TestSlabs:
             assert self._search(family, lam, budget, caplog) == want
 
     def test_no_product_exceeds_the_tile(self, monkeypatch):
-        rows = []  # rows of every certification product
-        cosine_matrix = S._cosine_matrix
+        # no certification product, coarse or arc, holds more than 64 x 1024
+        # values, and each runs whole tiles of 8 rows
+        shapes = []  # (rows, columns) of every certification product
+        matmul = np.matmul
 
-        class Recording(np.ndarray):
-            def __rmatmul__(self, other):
-                rows.append(len(other))
-                return other @ self.view(np.ndarray)
+        def recording(x, m, **kwargs):
+            shapes.append((len(x), m.shape[1]))
+            return matmul(x, m, **kwargs)
 
-        monkeypatch.setattr(S, "_cosine_matrix", lambda d: cosine_matrix(d).view(Recording))
+        monkeypatch.setattr(np, "matmul", recording)
         for family in ("superset", "exact_u"):
             search_max_coeff(0.5, 5, family, budget=3000, seed=2)
-        searched = max(rows)
-        rows.clear()
         mu, nu = mu_nu(0.5)
         check_prokhorov_szynal(20000, 3, mu, nu)
-        assert max(searched, max(rows)) <= S._PRODUCT_ROWS <= 256
-        # both run whole tiles, the last of a block cut short
-        assert searched == max(rows) == S._PRODUCT_ROWS
+        # the coarse passes at widths 7 and 25 (every 16th and 8th angle) and the arcs
+        assert {cols for _, cols in shapes} == {S.CERT_SAMPLES // 16, S.CERT_SAMPLES // 8, S._ARC}
+        assert all(rows % 8 == 0 for rows, _ in shapes)
+        assert max(rows * cols for rows, cols in shapes) <= 64 * S.CERT_SAMPLES
 
 
 class TestScreenTiles:
